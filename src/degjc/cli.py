@@ -144,6 +144,14 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        for name, value in (
+            ("beta", self.beta),
+            ("omega0", self.omega0),
+            ("omega", self.omega),
+            ("omega-t-max", self.omega_t_max),
+        ):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.steps is not None and self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
         if self.omega_t_max is not None and not self.omega_t_max > 0:

@@ -23,10 +23,10 @@ class ConcurrenceResult:
     spectrum: Optional[np.ndarray] = None
 
 
-def _psd_sqrt(rho):
-    vals, vecs = np.linalg.eigh(rho)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+# Eigenvalues of rho below this fraction of the largest are dropped from
+# the factor rho = X X'; they are roundoff, and keeping them lets it into
+# the spectrum at its square root.
+RANK_TOL = 1e-13
 
 
 def wootters_concurrence(state):
@@ -36,15 +36,17 @@ def wootters_concurrence(state):
     rho (sy x sy) rho* (sy x sy).  The complex conjugation is taken in the
     sigma_z product basis (the basis in which the spin flip sy x sy is
     defined), so the state is converted there first; the result is
-    invariant under local unitaries.  The eigenvalues are obtained from
-    the equivalent Hermitian product sqrt(rho) rho-tilde sqrt(rho).
+    invariant under local unitaries.  With the rank-revealing factor
+    rho = X X' (eigenvalues below RANK_TOL of the largest dropped) the s_i
+    are the singular values of tau = X^T (sy x sy) X, padded with zeros to
+    four (Wootters, PRL 80, 2245 (1998)).
     """
     rho = change_basis(state, QubitBasis.SIGMA_Z).rho
-    rho_tilde = _SYSY @ rho.conj() @ _SYSY
-    rt = _psd_sqrt(rho)
-    m = rt @ rho_tilde @ rt
-    vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-    s = np.sqrt(np.clip(vals, 0.0, None))[::-1]
+    vals, vecs = np.linalg.eigh(rho)
+    keep = vals > RANK_TOL * vals[-1]
+    x = vecs[:, keep] * np.sqrt(vals[keep])
+    s = np.zeros(4)
+    s[: x.shape[1]] = np.linalg.svd(x.T @ _SYSY @ x, compute_uv=False)
     return ConcurrenceResult(max(0.0, s[0] - s[1] - s[2] - s[3]), "general", s)
 
 

@@ -1,16 +1,19 @@
 """Brute-force verifier in a truncated Fock space.
 
-Builds the full (no rotating-wave approximation) qubit-oscillator
+Diagonalizes the full (no rotating-wave approximation) qubit-oscillator
 Hamiltonian
 
     H / omega = a'a + beta (a' + a) sigma_x + (omega0 / 2 omega) sigma_z
 
-as a dense Hermitian matrix on C^2 x C^(ncut+1), diagonalizes it once and
-propagates by phase multiplication in the eigenbasis.  All two-qubit
-observables are reconstructed from single-subsystem conditional maps; the
-joint four-party state is only materialized (as a vector) for the
-field-field separability witness.  Nothing here references the closed
-forms: agreement between the two routes is the correctness argument.
+on C^2 x C^(ncut+1) once and propagates by phase multiplication in the
+eigenbasis.  At omega0 = 0 sigma_x is conserved, so only the real
+tridiagonal sector n + beta x is diagonalized; the other sector is its
+parity image.  All two-qubit observables are reconstructed from
+single-subsystem conditional maps, which are bilinear forms in the
+eigenphases evaluated blockwise over the phase grid; the joint four-party
+state is only materialized (as a vector) for the field-field separability
+witness.  Nothing here references the closed forms: agreement between the
+two routes is the correctness argument.
 
 The truncation policy (default cutoff heuristic, thermal mixture cutoff
 from the tail tolerance, cutoff-doubling convergence check) is a library
@@ -64,26 +67,71 @@ class TruncationSpec:
 class SubsystemPropagator:
     """Eigendecomposition of one qubit-oscillator block.
 
-    ``energies`` holds the dimensionless eigenvalues E/omega, ``modes`` the
-    orthonormal eigenvector matrix; U(w t) = modes exp(-i energies w t) modes'.
+    At omega0 = 0 the block splits into the sigma_x sectors n + beta x
+    (rail up) and n - beta x = P (n + beta x) P (rail down), with parity
+    P = diag((-1)^n): ``sector_modes`` is the real F x F eigenvector matrix
+    V of the up sector, the down sector's is P V, and both share
+    ``sector_energies``.  Otherwise ``sector_modes`` is the real 2F x 2F
+    eigenvector matrix of the whole block.
+
+    ``energies`` holds the dimensionless eigenvalues E/omega of the block
+    and ``modes`` the matching orthonormal eigenvector matrix, so that
+    U(w t) = modes exp(-i energies w t) modes'; ``modes`` is assembled on
+    request and is not used for propagation.
     """
 
     params: ModelParams
     trunc: TruncationSpec
-    energies: np.ndarray
-    modes: np.ndarray
+    sector_energies: np.ndarray
+    sector_modes: np.ndarray
+
+    @property
+    def split(self):
+        """True when the two sigma_x sectors are stored as one F x F sector."""
+        return self.sector_modes.shape[0] == self.fock_dim
+
+    @property
+    def energies(self):
+        if self.split:
+            return np.concatenate([self.sector_energies, self.sector_energies])
+        return self.sector_energies
+
+    @property
+    def modes(self):
+        if not self.split:
+            return self.sector_modes
+        f = self.fock_dim
+        modes = np.zeros((2 * f, 2 * f))
+        modes[:f, :f] = self.sector_modes
+        modes[f:, f:] = _parity(f)[:, None] * self.sector_modes
+        return modes
 
     @property
     def dim(self):
-        return self.energies.shape[0]
+        return 2 * self.fock_dim
 
     @property
     def fock_dim(self):
         return self.trunc.ncut + 1
 
 
-def build_hamiltonian(params, trunc):
-    """Dense Hermitian subsystem Hamiltonian, eigendecomposed once."""
+def _parity(f):
+    """Diagonal of P = (-1)^(a'a) on F Fock states."""
+    return 1.0 - 2.0 * (np.arange(f) % 2)
+
+
+def _eigh(h, params):
+    try:
+        return np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:
+        raise TruncationError(
+            f"eigensolver failed for dim={h.shape[0]}, beta={params.beta:g}, "
+            f"max|H|={np.max(np.abs(h)):.3e}: {exc}"
+        ) from exc
+
+
+def _single_sector(params, trunc):
+    """Propagator from the dense real 2F x 2F block, valid for any omega0."""
     f = trunc.ncut + 1
     n = np.arange(f, dtype=float)
     ad_a = np.diag(n)
@@ -95,14 +143,33 @@ def build_hamiltonian(params, trunc):
         + params.beta * np.kron(sx, x_op)
         + (params.omega0 / (2.0 * params.omega)) * np.kron(sz, np.eye(f))
     )
-    try:
-        energies, modes = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise TruncationError(
-            f"eigensolver failed for dim={2 * f}, beta={params.beta:g}, "
-            f"max|H|={np.max(np.abs(h)):.3e}: {exc}"
-        ) from exc
-    return SubsystemPropagator(params=params, trunc=trunc, energies=energies, modes=modes)
+    energies, modes = _eigh(h, params)
+    return SubsystemPropagator(params, trunc, energies, modes)
+
+
+def build_hamiltonian(params, trunc):
+    """Subsystem Hamiltonian, eigendecomposed once.
+
+    At omega0 = 0 only the real tridiagonal up sector n + beta x is
+    diagonalized; otherwise the whole real 2F x 2F block.
+    """
+    if not params.degenerate:
+        return _single_sector(params, trunc)
+    f = trunc.ncut + 1
+    n = np.arange(f, dtype=float)
+    off = params.beta * np.sqrt(n[1:])
+    h = np.diag(n) + np.diag(off, 1) + np.diag(off, -1)
+    energies, modes = _eigh(h, params)
+    return SubsystemPropagator(params, trunc, energies, modes)
+
+
+def _dot(a, b):
+    """a @ b; a real ``a`` times a complex ``b`` runs as one real product
+    on the (re, im) pairs of ``b`` instead of promoting ``a`` to complex."""
+    if np.isrealobj(a) and np.iscomplexobj(b):
+        pairs = np.ascontiguousarray(b, dtype=complex).reshape(b.shape[0], -1).view(float)
+        return (a @ pairs).view(complex).reshape((a.shape[0],) + b.shape[1:])
+    return a @ b
 
 
 def propagate_state(prop, state, omega_t):
@@ -110,11 +177,17 @@ def propagate_state(prop, state, omega_t):
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != prop.dim:
         raise ValueError(f"state dimension {state.shape[0]} != propagator dimension {prop.dim}")
-    w = prop.modes.conj().T @ state
-    phases = np.exp(-1j * prop.energies * omega_t)
-    if state.ndim == 1:
-        return prop.modes @ (phases * w)
-    return prop.modes @ (phases[:, None] * w)
+    v = prop.sector_modes
+    phases = np.exp(-1j * prop.sector_energies * omega_t)
+    psi = state.reshape(prop.dim, -1)
+    if not prop.split:
+        return _dot(v, phases[:, None] * _dot(v.T, psi)).reshape(state.shape)
+    # both rails in the up sector's eigenbasis: rail down is seen through P
+    f, m = prop.fock_dim, psi.shape[1]
+    p = _parity(f)[:, None]
+    rails = np.hstack([psi[:f], p * psi[f:]])
+    out = _dot(v, phases[:, None] * _dot(v.T, rails))
+    return np.vstack([out[:, :m], p * out[:, m:]]).reshape(state.shape)
 
 
 def coherent_fock_vector(alpha, ncut):
@@ -194,37 +267,86 @@ class SubsystemConditionalMap:
         return self.ops[i, k]
 
 
-class _MapEngine:
-    """Propagates the field components of both qubit rails and assembles
-    conditional maps at arbitrary phases, reusing the eigenbasis overlap."""
+# Phase points per block of the bilinear map evaluation: one block holds
+# a (sector dim x points) complex phase matrix of at most this many bytes.
+_PHASE_BLOCK_BYTES = 1 << 23
 
-    def __init__(self, prop, field, trunc=None):
-        trunc = trunc if trunc is not None else prop.trunc
-        self.prop = prop
-        self.weights, vecs, self.tail = field_components(field, trunc)
+# (i, k, p, q) entries evaluated on a single 2F sector; the rest of the 16
+# follow from M_ki = M_ik'.
+_SINGLE_SECTOR_ENTRIES = tuple(
+    (i, k, p, q) for i, k in ((0, 0), (0, 1), (1, 1)) for p in (0, 1) for q in (0, 1)
+    if i != k or p <= q
+)
+
+
+class _MapKernel:
+    """Conditional maps of one field on any phase grid.
+
+    With eigenphases phi_a(t) = exp(-i E_a w t), rail-p rows R_p of the
+    eigenvector matrix and field overlaps Y_i = R_i' C of the mixture
+    components C (weights W),
+
+        M_ik(t)[p, q] = sum_ab phi_a phi_b* S^{ik,pq}_ab,
+        S^{ik,pq} = (R_p' R_q) o (Y_i W Y_k^H).
+
+    The factors are built once per eigensolve; a grid is evaluated in
+    blocks of ``block`` points, one matrix product per entry and block.
+    In the sigma_x sectors (omega0 = 0) each rail stays in its sector, so
+    M_uu and M_dd are the constant field norm on their own rail and only
+    M_ud[up, down] needs the bilinear form, with R_u = V and R_d = P V.
+    """
+
+    def __init__(self, prop, field, trunc):
+        weights, vecs, self.tail = field_components(field, trunc)
+        if not np.any(vecs.imag):
+            vecs = vecs.real
+        v = prop.sector_modes
+        self.energies = prop.sector_energies
+        self.block = max(1, _PHASE_BLOCK_BYTES // (16 * self.energies.size))
+        self.const = np.zeros((2, 2, 2, 2), dtype=complex)
+        if prop.split:
+            p = _parity(prop.fock_dim)
+            norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
+            self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
+            y_up, y_down = _dot(v.T, vecs), _dot(v.T, p[:, None] * vecs)
+            self.terms = [((0, 1, 0, 1), (v.T * p) @ v, (y_up * weights) @ y_down.conj().T)]
+            return
         f = prop.fock_dim
-        k = vecs.shape[1]
-        psi0 = np.zeros((prop.dim, 2 * k), dtype=complex)
-        psi0[:f, :k] = vecs
-        psi0[f:, k:] = vecs
-        self._w = prop.modes.conj().T @ psi0
-        self._k = k
+        rails = (v[:f], v[f:])
+        y = [_dot(r.T, vecs) for r in rails]
+        rail_gram, field_gram = {}, {}
+        for a in (0, 1):
+            for b in (a, 1):
+                rail_gram[a, b] = rails[a].T @ rails[b]
+                field_gram[a, b] = (y[a] * weights) @ y[b].conj().T
+        rail_gram[1, 0] = rail_gram[0, 1].T
+        self.terms = [
+            ((i, k, p, q), rail_gram[p, q], field_gram[i, k])
+            for i, k, p, q in _SINGLE_SECTOR_ENTRIES
+        ]
 
-    def evolved(self, omega_t):
-        phases = np.exp(-1j * self.prop.energies * omega_t)
-        return self.prop.modes @ (phases[:, None] * self._w)
+    def ops(self, omega_ts):
+        """Per-point (2, 2, 2, 2) arrays ops[i, k, p, q] = M_ik[p, q]."""
+        for start in range(0, len(omega_ts), self.block):
+            yield from self._block_ops(omega_ts[start:start + self.block])
 
-    def maps_at(self, omega_t):
-        f = self.prop.fock_dim
-        k = self._k
-        a = self.evolved(omega_t).reshape(2, f, 2, k)
-        ops = np.einsum("pmin,qmkn,n->ikpq", a, a.conj(), self.weights, optimize=True)
-        return SubsystemConditionalMap(ops=ops, tail_mass=self.tail, omega_t=float(omega_t))
+    def _block_ops(self, omega_ts):
+        phases = np.exp(-1j * np.outer(self.energies, omega_ts))
+        right = phases.conj()
+        ops = np.repeat(self.const[None], len(omega_ts), axis=0)
+        for (i, k, p, q), rail_gram, field_gram in self.terms:
+            ops[:, i, k, p, q] += np.sum(phases * _dot(rail_gram * field_gram, right), axis=0)
+        for i in (0, 1):
+            ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
+        ops[:, 1, 0] = ops[:, 0, 1].conj().swapaxes(-1, -2)
+        return ops
 
 
 def conditional_maps(prop, field, trunc, omega_t):
     """Conditional maps of one subsystem for a given initial field."""
-    return _MapEngine(prop, field, trunc).maps_at(omega_t)
+    kernel = _MapKernel(prop, field, trunc)
+    (ops,) = kernel.ops(np.array([float(omega_t)]))
+    return SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=float(omega_t))
 
 
 def two_qubit_reduced(map_a, map_b, initial):
@@ -335,15 +457,15 @@ class OracleTrace:
 
 def _reconstruct(params, field, initial, omega_ts, trunc):
     prop = build_hamiltonian(params, trunc)
-    engine = _MapEngine(prop, field)
+    kernel = _MapKernel(prop, field, trunc)
     values = np.empty(len(omega_ts))
     qmats = np.empty((len(omega_ts), 4, 4), dtype=complex)
-    for i, wt in enumerate(omega_ts):
-        maps = engine.maps_at(wt)
+    for i, (wt, ops) in enumerate(zip(omega_ts, kernel.ops(omega_ts))):
+        maps = SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=float(wt))
         q = two_qubit_reduced(maps, maps, initial)
         qmats[i] = q.rho
         values[i] = wootters_concurrence(q).value
-    return values, qmats, engine.tail
+    return values, qmats, kernel.tail
 
 
 def concurrence_trace(

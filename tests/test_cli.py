@@ -266,6 +266,22 @@ class TestExitCodes:
     def test_envelope_rejects_nonzero_splitting(self, tmp_path):
         assert main(["envelope", "--omega0", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["envelope", "--beta", "nan"],
+            ["esd", "--beta", "nan"],
+            ["envelope", "--omega-t-max", "inf"],
+            ["concurrence-sweep", "--beta", "nan"],
+            ["concurrence-sweep", "--omega0", "nan", "--compare-oracle"],
+            ["concurrence-sweep", "--omega", "inf"],
+        ],
+    )
+    def test_non_finite_inputs_are_config_errors(self, argv, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--steps", "5", "--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestMetadata:
     def test_header_lines(self, tmp_path):

@@ -5,7 +5,14 @@ import pytest
 
 from conftest import random_density_matrix, random_pair_state, random_unitary, random_x_state
 from degjc.entanglement import negativity, wootters_concurrence, xstate_concurrence
-from degjc.model import BellState, QubitBasis, QubitPairState, make_bell, make_esd_mixture
+from degjc.model import (
+    BellState,
+    QubitBasis,
+    QubitPairState,
+    change_basis,
+    make_bell,
+    make_esd_mixture,
+)
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SYSY = np.kron(SY, SY)
@@ -17,6 +24,15 @@ def concurrence_brute(rho):
     vals = np.linalg.eigvals(rho @ rho_tilde)
     s = np.sort(np.sqrt(np.clip(vals.real, 0.0, None)))[::-1]
     return max(0.0, s[0] - s[1] - s[2] - s[3])
+
+
+def concurrence_spectrum_sqrt(state):
+    """Reference route: eigenvalues of sqrt(rho) rho~ sqrt(rho), descending."""
+    rho = change_basis(state, QubitBasis.SIGMA_Z).rho
+    vals, vecs = np.linalg.eigh(rho)
+    rt = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    m = rt @ (SYSY @ rho.conj() @ SYSY) @ rt
+    return np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None))[::-1]
 
 
 def werner(p):
@@ -48,6 +64,25 @@ class TestWootters:
             assert wootters_concurrence(state).value == pytest.approx(
                 concurrence_brute(state.rho), abs=1e-9
             )
+
+    def test_agrees_with_sqrt_route_on_full_rank_states(self, rng):
+        for _ in range(200):
+            state = random_pair_state(rng)
+            res = wootters_concurrence(state)
+            s = concurrence_spectrum_sqrt(state)
+            assert np.max(np.abs(res.spectrum - s)) <= 1e-13
+            assert abs(res.value - max(0.0, s[0] - s[1] - s[2] - s[3])) <= 1e-13
+
+    def test_rank_deficient_floor(self, rng):
+        # pure product states: the sqrt(rho) route leaves ~1e-8 of roundoff
+        for _ in range(50):
+            a = random_unitary(rng)[:, 0]
+            b = random_unitary(rng)[:, 0]
+            psi = np.kron(a, b)
+            state = QubitPairState(np.outer(psi, psi.conj()), QubitBasis.SIGMA_Z)
+            res = wootters_concurrence(state)
+            assert res.value <= 1e-14
+            assert np.all(res.spectrum <= 1e-14)
 
     def test_spectrum_is_descending_and_consistent(self, rng):
         state = random_pair_state(rng)

@@ -39,6 +39,7 @@ from degjc.oracle import (
     propagate_state,
     two_qubit_reduced,
 )
+from degjc.oracle import _PHASE_BLOCK_BYTES, _MapKernel, _single_sector
 
 PI = math.pi
 
@@ -85,6 +86,17 @@ class TestHamiltonian:
         prop = build_hamiltonian(ModelParams.from_beta(0.7, omega0=0.3), TruncationSpec(25))
         gram = prop.modes.conj().T @ prop.modes
         assert np.max(np.abs(gram - np.eye(prop.dim))) <= 1e-10
+
+    def test_sector_modes_and_energies_diagonalize_the_block(self):
+        params = ModelParams.from_beta(0.7)
+        trunc = TruncationSpec(25)
+        prop = build_hamiltonian(params, trunc)
+        dense = _single_sector(params, trunc)
+        assert prop.split
+        assert np.max(np.abs(prop.modes.T @ prop.modes - np.eye(prop.dim))) <= 1e-10
+        h = (dense.modes * dense.energies) @ dense.modes.T
+        rebuilt = (prop.modes * prop.energies) @ prop.modes.T
+        assert np.max(np.abs(rebuilt - h)) <= 1e-12
 
 
 class TestPropagation:
@@ -246,6 +258,61 @@ class TestConditionalMaps:
             closed = single_qubit_coherence(1.0, field, 0.3, wt)
             assert maps.tail_mass <= 1e-10
             assert abs(maps.op(0, 1)[0, 1] - closed) <= 1e-7
+
+
+class TestMapKernel:
+    @pytest.mark.parametrize(
+        "field", [Vacuum(), Coherent(1.0 + 0.5j), Number(5), Thermal(2.0)], ids=str
+    )
+    def test_sigma_x_sectors_match_single_sector(self, field, rng):
+        params = ModelParams.from_beta(0.5)
+        trunc = TruncationSpec(default_ncut(field, 0.5))
+        split = build_hamiltonian(params, trunc)
+        single = _single_sector(params, trunc)
+        assert split.split and not single.split
+        psi = rng.normal(size=(split.dim, 3)) + 1j * rng.normal(size=(split.dim, 3))
+        for wt in rng.uniform(0.0, 2 * PI, size=4):
+            a = conditional_maps(split, field, trunc, wt).ops
+            b = conditional_maps(single, field, trunc, wt).ops
+            assert np.max(np.abs(a - b)) <= 1e-12
+            moved = propagate_state(split, psi, wt) - propagate_state(single, psi, wt)
+            assert np.max(np.abs(moved)) <= 1e-12
+
+    def test_detuned_thermal_matches_propagated_components(self, rng):
+        params = ModelParams.from_beta(0.4, omega0=0.3)
+        field = Thermal(2.0)
+        trunc = TruncationSpec(default_ncut(field, 0.4))
+        prop = build_hamiltonian(params, trunc)
+        f = prop.fock_dim
+        weights, vecs, _ = field_components(field, trunc)
+        for wt in rng.uniform(0.0, 2 * PI, size=3):
+            rails = []
+            for i in (0, 1):
+                psi0 = np.zeros((prop.dim, vecs.shape[1]), dtype=complex)
+                psi0[i * f:(i + 1) * f] = vecs
+                rails.append(propagate_state(prop, psi0, wt).reshape(2, f, -1))
+            rails = np.array(rails)  # [initial rail, qubit out, field out, component]
+            ref = np.einsum("ipmn,kqmn,n->ikpq", rails, rails.conj(), weights)
+            ops = conditional_maps(prop, field, trunc, wt).ops
+            assert np.max(np.abs(ops - ref)) <= 1e-12
+
+    def test_long_grid_is_evaluated_in_bounded_blocks(self, monkeypatch):
+        field = Thermal(2.0)
+        trunc = TruncationSpec(617)
+        prop = build_hamiltonian(ModelParams.from_beta(0.1), trunc)
+        kernel = _MapKernel(prop, field, trunc)
+        assert kernel.block * kernel.energies.size * 16 <= _PHASE_BLOCK_BYTES
+        sizes = []
+
+        def spy(self, omega_ts):
+            sizes.append(len(omega_ts))
+            return np.zeros((len(omega_ts), 2, 2, 2, 2), dtype=complex)
+
+        monkeypatch.setattr(_MapKernel, "_block_ops", spy)
+        grid = np.linspace(0.0, 2 * PI, 20001)
+        assert sum(1 for _ in kernel.ops(grid)) == len(grid)
+        assert sum(sizes) == len(grid)
+        assert max(sizes) == kernel.block < len(grid)
 
 
 class TestTwoQubitReduced:
