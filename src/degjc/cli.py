@@ -54,8 +54,7 @@ from .oracle import (
     coherent_fock_vector,
     concurrence_trace,
     default_ncut,
-    field_field_reduced,
-    four_party_purities,
+    field_field_witness,
     low_spectrum,
     propagate_state,
 )
@@ -405,18 +404,12 @@ def run_separability(cfg):
     params = _params(cfg, beta)
     trunc = _trunc(cfg, field, beta)
     prop = build_hamiltonian(params, trunc)
-    f = prop.fock_dim
-    negs = np.empty(len(omega_ts))
-    qpur = np.empty(len(omega_ts))
-    fpur = np.empty(len(omega_ts))
-    for i, wt in enumerate(omega_ts):
-        rho = field_field_reduced(prop, bell, field, trunc, wt)
-        negs[i] = negativity(rho, (f, f))
-        qpur[i], fpur[i] = four_party_purities(prop, bell, field, trunc, wt)
+    points = [field_field_witness(prop, bell, field, trunc, wt) for wt in omega_ts]
+    negs = np.array([w.negativity for w in points])
     cols = _time_columns(cfg, omega_ts) + [
         ("negativity", negs),
-        ("qubit_purity", qpur),
-        ("field_purity", fpur),
+        ("qubit_purity", np.array([w.qubit_purity for w in points])),
+        ("field_purity", np.array([w.field_purity for w in points])),
     ]
     md = _base_metadata(
         cfg,
@@ -588,10 +581,9 @@ def _validate_rows(cfg):
         for beta in (0.3, 0.75):
             trunc = _trunc(cfg, field, beta)
             prop = build_hamiltonian(ModelParams.from_beta(beta), trunc)
-            f = prop.fock_dim
             for wt_s in sep_grid:
-                rho = field_field_reduced(prop, BellState.PHI_PLUS, field, trunc, wt_s)
-                err = max(err, negativity(rho, (f, f)))
+                witness = field_field_witness(prop, BellState.PHI_PLUS, field, trunc, wt_s)
+                err = max(err, witness.negativity)
     rows.append(CheckRow("field-field-separability", err, 1e-9))
     bell_neg = negativity(make_bell(BellState.PHI_PLUS).rho, (2, 2))
     rows.append(CheckRow("negativity-control", abs(bell_neg - 0.5), 1e-12))

@@ -11,20 +11,70 @@ normally-ordered characteristic function of the initial field evaluated at
 -2 beta gamma; two-qubit corner coherences carry the doubled exponent
 4 beta^2 |gamma|^2 and the characteristic factor squared.
 
-All functions accept scalar or array ``omega_t`` and are pure.
+All functions accept scalar or array ``omega_t`` and are pure; a NaN or
+infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``.
+Number-state laws, exp(-x/2) L_N(x) and its square with
+x = 4 beta^2 |gamma|^2, are bounded by 1 although L_N(x) alone may leave
+the float range; there the binary exponent of the scaled Laguerre
+recurrence is folded into the exponential.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import BellState, Coherent, Number, Thermal, Vacuum
-from .specialfn import laguerre
+from .specialfn import laguerre, laguerre_scaled
+
+_LN2 = math.log(2.0)
 
 
 def _scalar(omega_t):
-    return np.ndim(omega_t) == 0
+    return isinstance(omega_t, float) or np.ndim(omega_t) == 0
+
+
+def _check_inputs(beta, omega_t, nbar=0.0):
+    """The closed forms' shared argument check: ``beta`` and ``nbar``
+    finite and >= 0, every ``omega_t`` finite."""
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
+    finite = math.isfinite(omega_t) if _scalar(omega_t) else np.all(np.isfinite(omega_t))
+    if not finite:
+        raise ValueError("omega_t must be finite")
+
+
+def _number_terms(n, x):
+    """``(L_n(x), exp(-x/2) L_n(x))`` for x >= 0.
+
+    The first is inf where |L_n(x)| leaves the float range.  The second
+    folds the exponent of L_n(x) = m 2^e into the exponential,
+    m exp(e ln 2 - x/2), and stays finite: |L_n(x)| <= e^{x/2}.  m = 0 may
+    carry any exponent, so the argument is capped at 1; elsewhere it is
+    below ln 2.
+    """
+    m, e = laguerre_scaled(n, x)
+    if isinstance(m, float):  # one point: math is cheaper than numpy scalars
+        try:
+            lag = np.float64(math.ldexp(m, e))
+        except OverflowError:
+            lag = np.float64(math.inf)
+        return lag, m * math.exp(min(e * _LN2 - 0.5 * x, 1.0))
+    with np.errstate(over="ignore"):
+        lag = np.ldexp(m, e)
+    return lag, m * np.exp(np.minimum(e * _LN2 - 0.5 * x, 1.0))
+
+
+def _finite_or(plain, folded):
+    """``plain`` where it is finite, else ``folded``; a scalar stays a numpy
+    scalar (the scalar branch keeps per-point loops such as the beta sweep
+    cheap)."""
+    if isinstance(plain, np.generic):
+        return plain if np.isfinite(plain) else type(plain)(folded)
+    return np.where(np.isfinite(plain), plain, folded)
 
 
 @dataclass(frozen=True)
@@ -59,6 +109,7 @@ class CoherenceFactor:
 
 def gamma(omega_t):
     """The circulating displacement factor exp(i w t) - 1."""
+    _check_inputs(0.0, omega_t)
     g = np.exp(1j * np.asarray(omega_t, dtype=float)) - 1.0
     abs2 = 2.0 - 2.0 * np.cos(omega_t)
     if _scalar(omega_t):
@@ -68,8 +119,7 @@ def gamma(omega_t):
 
 def modulation_factor(beta, omega_t):
     """Field-independent single-qubit coherence envelope exp(-2 b^2 |gamma|^2)."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    _check_inputs(beta, omega_t)
     return np.exp(-2.0 * beta**2 * gamma(omega_t).abs2)
 
 
@@ -82,9 +132,10 @@ def characteristic_integral(field, beta, g):
     * Number(N):     L_N(4 beta^2 |gamma|^2)        (real),
     * Thermal(nbar): exp(-4 nbar beta^2 |gamma|^2)  (real Gaussian),
     * Vacuum:        1.
+
+    Raises ``OverflowError`` where L_N leaves the float range.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    _check_inputs(beta, g.omega_t)
     if isinstance(field, Vacuum):
         if _scalar(g.abs2):
             return 1.0 + 0.0j
@@ -109,8 +160,15 @@ def single_qubit_coherence(q0, field, beta, omega_t):
     """
     if abs(q0) > 1.0 + 1e-12:
         raise ValueError(f"|q0| must be <= 1, got {abs(q0)!r}")
+    _check_inputs(beta, omega_t)
     g = gamma(omega_t)
-    return q0 * np.exp(-2.0 * beta**2 * g.abs2) * characteristic_integral(field, beta, g)
+    env = np.exp(-2.0 * beta**2 * g.abs2)
+    if isinstance(field, Number):
+        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = q0 * env * (complex(lag) if _scalar(lag) else lag.astype(complex))
+        return _finite_or(plain, q0 * damped)
+    return q0 * env * characteristic_integral(field, beta, g)
 
 
 def coherence_factor(field, beta, omega_t):
@@ -136,14 +194,23 @@ def two_qubit_offdiagonal(bell, field, beta, omega_t):
     Psi+- evolve into local-unitary images of Phi+- and are mapped to the
     same values; only the magnitude enters the concurrence.
     """
+    if bell not in BellState:
+        raise TypeError(f"unsupported Bell state: {bell!r}")
+    _check_inputs(beta, omega_t)
     g = gamma(omega_t)
     env = np.exp(-4.0 * beta**2 * g.abs2)
-    ci = characteristic_integral(field, beta, g)
-    if bell in (BellState.PHI_PLUS, BellState.PSI_PLUS):
-        return 0.5 * env * ci * ci
-    if bell in (BellState.PHI_MINUS, BellState.PSI_MINUS):
-        return 0.5 * env * np.abs(ci) ** 2
-    raise TypeError(f"unsupported Bell state: {bell!r}")
+    number = isinstance(field, Number)
+    if number:
+        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
+        ci = complex(lag) if _scalar(lag) else lag.astype(complex)
+    else:
+        ci = characteristic_integral(field, beta, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bell in (BellState.PHI_PLUS, BellState.PSI_PLUS):
+            val = 0.5 * env * ci * ci
+        else:
+            val = 0.5 * env * np.abs(ci) ** 2
+    return _finite_or(val, 0.5 * damped**2) if number else val
 
 
 def concurrence_closed(bell, field, beta, omega_t):
@@ -157,13 +224,15 @@ def concurrence_closed(bell, field, beta, omega_t):
     """
     if bell not in BellState:
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    _check_inputs(beta, omega_t)
     g = gamma(omega_t)
     if isinstance(field, (Vacuum, Coherent)):
         return np.exp(-4.0 * beta**2 * g.abs2)
     if isinstance(field, Number):
-        return np.exp(-4.0 * beta**2 * g.abs2) * laguerre(field.n, 4.0 * beta**2 * g.abs2) ** 2
+        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            plain = np.exp(-4.0 * beta**2 * g.abs2) * lag**2
+        return _finite_or(plain, damped**2)
     if isinstance(field, Thermal):
         return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * g.abs2)
     raise TypeError(f"unsupported field class: {field!r}")
@@ -190,6 +259,7 @@ def esd_concurrence_closed(beta, nbar, omega_t):
     which vanishes on a finite interval iff 16 (1+2 nbar) beta^2 >= ln 3.
     Validated against the truncated-Fock propagator in the test suite.
     """
+    _check_inputs(beta, omega_t, nbar)
     g = gamma(omega_t)
     val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * g.abs2) - 0.25
     return np.maximum(0.0, val)
@@ -202,8 +272,7 @@ def evolved_vacuum_state_amplitude(beta, omega_t):
     (|up up, b(t), b(t)> + |down down, -b(t), -b(t)>)/sqrt(2) with
     b(t) = beta (exp(-i w t) - 1).
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta!r}")
+    _check_inputs(beta, omega_t)
     return beta * np.conj(gamma(omega_t).gamma)
 
 
@@ -226,9 +295,10 @@ def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
     (ground energy -beta^2 omega), so its states carry an extra global
     factor exp(i beta^2 w t); relative phases are convention-free.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be real and >= 0, got {beta!r}")
+    _check_inputs(beta, omega_t)
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha!r}")
     g = gamma(omega_t)
     rot = np.exp(-1j * np.asarray(omega_t, dtype=float))
     common = np.exp(-1j * beta**2 * np.sin(omega_t))

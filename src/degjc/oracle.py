@@ -24,11 +24,12 @@ the two-qubit index convention of :mod:`degjc.model`.
 """
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import wootters_concurrence
+from .entanglement import negativity, wootters_concurrence
 from .model import (
     Coherent,
     ModelParams,
@@ -147,12 +148,63 @@ def _single_sector(params, trunc):
     return SubsystemPropagator(params, trunc, energies, modes)
 
 
+def _sector_dim(params, ncut):
+    return (ncut + 1) * (1 if params.degenerate else 2)
+
+
+def _eigensolve_bytes(params, ncut):
+    """Peak bytes of :func:`build_hamiltonian`: the real d x d sector with
+    its construction temporaries, the eigenvectors and LAPACK's workspace,
+    about six real d x d arrays."""
+    d = _sector_dim(params, ncut)
+    return 6 * 8 * d * d
+
+
+def _trace_bytes(params, field, trunc, check_convergence=True):
+    """Peak bytes of :func:`concurrence_trace`, from (ncut, K, omega0) alone.
+
+    Each run holds the eigenvectors and the :class:`_MapKernel` factors:
+    at omega0 = 0 one real rail Gram matrix, one field Gram matrix and
+    their product, all d x d; on a single 2F sector three rail and three
+    field Gram matrices plus the product.  Field factors are complex only
+    for a coherent amplitude off the real axis.  The K mixture components
+    add a few d x K arrays and the phase blocks a few times
+    ``_PHASE_BLOCK_BYTES``.  The doubled-cutoff re-run is usually the
+    larger of the two runs.
+    """
+    word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
+    peak = 0
+    for spec in (trunc, trunc.doubled()) if check_convergence else (trunc,):
+        d = _sector_dim(params, spec.ncut)
+        k = 1
+        if isinstance(field, Thermal):
+            k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
+        grams = (8 + 2 * word) if params.degenerate else (3 * 8 + 4 * word)
+        kernel = (8 + grams) * d * d + 5 * word * d * k + 4 * _PHASE_BLOCK_BYTES
+        peak = max(peak, _eigensolve_bytes(params, spec.ncut), kernel)
+    return peak
+
+
+def _require_memory(nbytes, what):
+    """Raise :class:`TruncationError` before allocating ``nbytes`` beyond
+    the machine's physical memory."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > limit:
+        raise TruncationError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
+            f"{limit / 2**30:.3g} GiB of physical memory; lower ncut"
+        )
+
+
 def build_hamiltonian(params, trunc):
     """Subsystem Hamiltonian, eigendecomposed once.
 
     At omega0 = 0 only the real tridiagonal up sector n + beta x is
-    diagonalized; otherwise the whole real 2F x 2F block.
+    diagonalized; otherwise the whole real 2F x 2F block.  Raises
+    :class:`TruncationError` before allocating when the eigensolve would
+    not fit in physical memory.
     """
+    _require_memory(_eigensolve_bytes(params, trunc.ncut), f"eigensolve at ncut={trunc.ncut}")
     if not params.degenerate:
         return _single_sector(params, trunc)
     f = trunc.ncut + 1
@@ -360,59 +412,106 @@ def two_qubit_reduced(map_a, map_b, initial):
     """
     if initial.basis is not QubitBasis.SIGMA_X:
         raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
-    rho4 = initial.rho.reshape(2, 2, 2, 2)
-    q = np.einsum("ijkl,ikpr,jlqs->pqrs", rho4, map_a.ops, map_b.ops, optimize=True).reshape(4, 4)
+    # Q[(pr), (qs)] = sum A[(ik), (pr)] rho[(ik), (jl)] B[(jl), (qs)]
+    rho = initial.rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    q = map_a.ops.reshape(4, 4).T @ rho @ map_b.ops.reshape(4, 4)
+    q = q.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
     q = 0.5 * (q + q.conj().T)
     q /= np.trace(q).real
     return QubitPairState(q, QubitBasis.SIGMA_X)
 
 
-def _four_party_tensor(prop, bell, field, trunc, omega_t):
-    """Evolved pure state of (qubit A, field a, qubit B, field b) as a
-    (2, F, 2, F) tensor, for identical pure fields on both subsystems."""
+def _evolved_rails(prop, field, trunc, omega_t):
+    """Evolved rail components ``rails[p, r, :]`` = <r|U(w t)|p, phi> of a
+    pure field phi, as a (2, 2, F) array: initial rail p, qubit out r."""
     if isinstance(field, Thermal):
         raise ValueError("four-party pure-state construction requires a pure field")
-    weights, vecs, tail = field_components(field, trunc)
+    _, vecs, _ = field_components(field, trunc)
     f = prop.fock_dim
     psi0 = np.zeros((prop.dim, 2), dtype=complex)
     psi0[:f, 0] = vecs[:, 0]
     psi0[f:, 1] = vecs[:, 0]
     evolved = propagate_state(prop, psi0, omega_t)  # columns: rails up, down
-    rails = evolved.T.reshape(2, 2, f)  # [initial rail, qubit out, field out]
-    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
-    psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
-    return psi, tail
+    return evolved.T.reshape(2, 2, f)
 
 
 def field_field_reduced(prop, bell, field, trunc, omega_t):
     """Reduced density matrix of the two fields, with both qubits traced out.
 
     The initial state is the Bell state ``bell`` with identical pure fields
-    on both subsystems.  Returns the (F^2, F^2) matrix, trace-normalized.
+    on both subsystems.  Returns the dense (F^2, F^2) matrix,
+    trace-normalized.  This is the reference that tests compare
+    :func:`field_field_witness` against; it costs O(F^4) memory and no
+    scenario calls it.
     """
-    psi, _ = _four_party_tensor(prop, bell, field, trunc, omega_t)
+    rails = _evolved_rails(prop, field, trunc, omega_t)
+    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
+    psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
     f = prop.fock_dim
     rho = np.einsum("rmsn,rMsN->mnMN", psi, psi.conj(), optimize=True).reshape(f * f, f * f)
     rho /= np.trace(rho).real
     return rho
 
 
-def four_party_purities(prop, bell, field, trunc, omega_t):
-    """Single-party reduced purities of the evolved four-party pure state.
+@dataclass(frozen=True)
+class FieldFieldWitness:
+    """Field-field negativity and single-party purities at one phase point.
 
-    Returns ``(qubit_purity, field_purity)``: Tr[rho_A^2] for one qubit and
-    Tr[rho_a^2] for one field.  For a Bell input the qubit purity stays at
-    1/2 exactly; the field purity is 1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum
-    input and approaches 1/2 as the branches become orthogonal.
+    ``negativity`` is that of the two fields' reduced state with both
+    qubits traced out; ``qubit_purity`` and ``field_purity`` are Tr[rho^2]
+    of one qubit and of one field.  ``support_dim`` is the dimension k of
+    the local support each field was written on (at most 4, and 2 at
+    omega0 = 0), so the negativity came from a k^2 x k^2 matrix.  For a
+    Bell input the qubit purity stays at 1/2 exactly; the field purity is
+    1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input and approaches 1/2 as the
+    branches become orthogonal.
     """
-    psi, _ = _four_party_tensor(prop, bell, field, trunc, omega_t)
-    norm = np.vdot(psi, psi).real
-    rho_q = np.einsum("rmsn,Rmsn->rR", psi, psi.conj(), optimize=True) / norm
-    rho_f = np.einsum("rmsn,rMsn->mM", psi, psi.conj(), optimize=True) / norm
-    return (
-        float(np.trace(rho_q @ rho_q).real),
-        float(np.trace(rho_f @ rho_f).real),
+
+    negativity: float
+    qubit_purity: float
+    field_purity: float
+    support_dim: int
+
+
+def field_field_witness(prop, bell, field, trunc, omega_t):
+    """Separability witness of the evolved four-party pure state.
+
+    The initial state is the Bell state ``bell`` with identical pure fields
+    on both subsystems.  Each field's state lies in the span of the evolved
+    rail vectors <r|U|p, phi>; at omega0 = 0 the two with r != p are exactly
+    zero and are left out.  The reduced QR factorization rails = Q R gives
+    an isometry Q onto a space containing that span and the coordinates R,
+    so the state is rewritten on a (2, k, 2, k) tensor.  Negativity and
+    purities do not change under local isometries (Peres, PRL 77, 1413
+    (1996)), so the values are exact and need no rank threshold; the
+    propagation costs O(F) memory beyond the propagator.
+    """
+    rails = _evolved_rails(prop, field, trunc, omega_t).reshape(4, -1)
+    used = np.flatnonzero(np.any(rails != 0.0, axis=1))
+    _, r = np.linalg.qr(rails[used].T)
+    k = r.shape[0]
+    coords = np.zeros((4, k), dtype=complex)
+    coords[used] = r.T
+    # psi[(r, i), (s, j)] = sum_pq c[p, q] a[p, (r, i)] a[q, (s, j)]
+    a = coords.reshape(2, 2 * k)
+    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
+    psi = (a.T @ c2 @ a).reshape(2, k, 2, k)
+    psi /= np.linalg.norm(psi)
+    fields = psi.transpose(1, 3, 0, 2).reshape(k * k, 4)
+    qubit = psi.reshape(2, 2 * k * k)
+    field_a = psi.transpose(1, 0, 2, 3).reshape(k, 4 * k)
+    return FieldFieldWitness(
+        negativity=negativity(fields @ fields.conj().T, (k, k)),
+        qubit_purity=_purity(qubit),
+        field_purity=_purity(field_a),
+        support_dim=k,
     )
+
+
+def _purity(x):
+    """Tr[rho^2] of rho = X X'."""
+    rho = x @ x.conj().T
+    return float(np.sum(np.abs(rho) ** 2))
 
 
 def low_spectrum(prop, k):
@@ -482,11 +581,17 @@ def concurrence_trace(
 
     Runs at the requested cutoff and, unless disabled, re-runs a subsample
     of the grid at twice the cutoff; entrywise matrix disagreement beyond
-    ``convergence_tol`` raises :class:`TruncationError`.
+    ``convergence_tol`` raises :class:`TruncationError`, and so does a run
+    whose estimated peak memory exceeds physical memory, before it
+    allocates.
     """
     omega_ts = np.asarray(omega_ts, dtype=float)
     if trunc is None:
         trunc = TruncationSpec(default_ncut(field, params.beta))
+    _require_memory(
+        _trace_bytes(params, field, trunc, check_convergence),
+        f"concurrence trace at ncut={trunc.ncut}",
+    )
     values, qmats, tail = _reconstruct(params, field, initial, omega_ts, trunc)
     doubling_error = 0.0
     n_check = 0

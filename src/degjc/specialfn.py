@@ -1,90 +1,143 @@
 """Scalar special functions used by the closed-form dynamics.
 
-Laguerre evaluation is delegated to a compiled kernel when the optional
-extension was built; otherwise the numpy fallback is used.  The selected
-backend is exported as ``KERNEL_BACKEND`` ("cython" or "python") and can
-be forced to the fallback with the environment variable
-``DEGJC_PURE_PYTHON=1``.
+Laguerre polynomials come from the upward three-term recurrence, rescaled
+by exact powers of two so that no order or argument overflows: the
+recurrence returns a mantissa and a binary exponent, and callers that
+multiply by exp(-x/2) fold the exponent into the exponential.
 """
 
 import math
-import os
 
 import numpy as np
 
-from . import _laguerre_py
-
-if os.environ.get("DEGJC_PURE_PYTHON") == "1":
-    _kernels = _laguerre_py
-    KERNEL_BACKEND = "python"
-else:
-    try:
-        from . import _laguerre_cy as _kernels
-
-        KERNEL_BACKEND = "cython"
-    except ImportError:
-        _kernels = _laguerre_py
-        KERNEL_BACKEND = "python"
-
 MAX_LAGUERRE_ORDER = 10_000
 
+# Binary exponent kept in reserve: the recurrence is rescaled once its
+# magnitude passes 2^(1023 - _HEADROOM_BITS), and checked often enough that
+# the steps in between cannot spend the reserve.
+_HEADROOM_BITS = 511
 
-def laguerre(n, x):
-    """Evaluate the (unassociated) Laguerre polynomial L_n(x).
 
-    Uses the stable upward recurrence; accepts a scalar or an array of
-    arguments.  ``n`` must be an integer in [0, 10_000] and ``x`` finite.
-    """
+def _check_order(n):
     if n != int(n) or n < 0:
         raise ValueError(f"Laguerre order must be a nonnegative integer, got {n!r}")
     n = int(n)
     if n > MAX_LAGUERRE_ORDER:
         raise ValueError(f"Laguerre order {n} exceeds supported maximum {MAX_LAGUERRE_ORDER}")
+    return n
+
+
+def _schedule(n, x_max):
+    """(steps between magnitude checks, rescaling threshold) for |x| <= x_max.
+
+    One step multiplies max(|L_k|, |L_{k-1}|) by at most 3n + 3 + |x|, and so
+    does every intermediate product, so ``steps`` steps from at most the
+    threshold stay below 2^1023.
+    """
+    growth = math.log2(3.0 * n + 3.0 + x_max)
+    steps = max(1, int(_HEADROOM_BITS // growth))
+    return steps, 2.0 ** math.floor(1023.0 - steps * growth)
+
+
+def _recurrence_scalar(n, x):
+    """(L_n, L_{n-1}, e) at one float x, with the true values L_n(x) 2^e
+    and L_{n-1}(x) 2^e.
+
+    The step is (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, multiplied by the
+    reciprocal of k+1.  Rescaling by exact powers of two leaves every
+    mantissa bit equal to the unscaled recurrence wherever that stays finite.
+    """
+    if n == 0:
+        return 1.0, 0.0, 0
+    steps, threshold = _schedule(n, abs(x))
+    lkm1, lk, e = 1.0, 1.0 - x, 0
+    for start in range(1, n, steps):
+        big = max(abs(lk), abs(lkm1))
+        if big > threshold:
+            shift = math.frexp(big)[1]
+            lk, lkm1, e = math.ldexp(lk, -shift), math.ldexp(lkm1, -shift), e + shift
+        for k in range(start, min(start + steps, n)):
+            lkm1, lk = lk, ((2 * k + 1 - x) * lk - k * lkm1) * (1.0 / (k + 1))
+    return lk, lkm1, e
+
+
+def _recurrence(n, xs):
+    """:func:`_recurrence_scalar` over an array, with one exponent per element."""
+    e = np.zeros(xs.shape, dtype=np.int64)
+    if n == 0:
+        return np.ones_like(xs), np.zeros_like(xs), e
+    steps, threshold = _schedule(n, float(np.max(np.abs(xs), initial=0.0)))
+    lkm1, lk = np.ones_like(xs), 1.0 - xs
+    for start in range(1, n, steps):
+        big = np.maximum(np.abs(lk), np.abs(lkm1))
+        over = big > threshold
+        if np.any(over):
+            _, shift = np.frexp(big[over])
+            lk[over] = np.ldexp(lk[over], -shift)
+            lkm1[over] = np.ldexp(lkm1[over], -shift)
+            e[over] += shift
+        for k in range(start, min(start + steps, n)):
+            lkm1, lk = lk, ((2 * k + 1 - xs) * lk - k * lkm1) * (1.0 / (k + 1))
+    return lk, lkm1, e
+
+
+def laguerre_scaled(n, x):
+    """L_n(x) = m 2^e as ``(m, e)``, with |m| in [1/2, 1) or m = 0.
+
+    Finite for every finite x, however large |L_n(x)| is; accepts a scalar
+    or an array of arguments.  ``n`` must be an integer in [0, 10_000].
+    """
+    n = _check_order(n)
     if np.ndim(x) == 0:
         if not math.isfinite(x):
             raise ValueError(f"Laguerre argument must be finite, got {x!r}")
-        return _kernels.laguerre_scalar(n, float(x))
+        lk, _, e = _recurrence_scalar(n, float(x))
+        m, shift = math.frexp(lk)
+        return m, e + shift
     xs = np.ascontiguousarray(x, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
         raise ValueError("Laguerre argument must be finite")
-    if n > 128:
-        # the numpy recurrence pipelines across elements and overtakes the
-        # serial per-element compiled chain at large order
-        return _laguerre_py.laguerre_array(n, xs)
-    return _kernels.laguerre_array(n, xs)
+    lk, _, e = _recurrence(n, xs)
+    m, shift = np.frexp(lk)
+    return m, e + shift
 
 
-def laguerre_roots(n, x_max=None, grid_points=None):
-    """Positive real roots of L_n below ``x_max``, isolated by bisection.
+def laguerre(n, x):
+    """Evaluate the (unassociated) Laguerre polynomial L_n(x).
 
-    All n roots lie in (0, 4n+2); a sign-change scan on a dense grid
-    brackets them and 80 bisection steps polish each bracket.
+    Uses the upward recurrence; accepts a scalar or an array of arguments.
+    ``n`` must be an integer in [0, 10_000] and ``x`` finite.  Raises
+    ``OverflowError`` where |L_n(x)| exceeds the float range; the bounded
+    e^{-x/2} L_n(x) is available through :func:`laguerre_scaled`.
     """
+    m, e = laguerre_scaled(n, x)
+    with np.errstate(over="ignore"):
+        val = np.ldexp(m, e)
+    if not np.all(np.isfinite(val)):
+        raise OverflowError(f"L_{n}(x) exceeds the float range; use laguerre_scaled")
+    return float(val) if np.ndim(x) == 0 else val
+
+
+def laguerre_roots(n, x_max=None):
+    """The n positive roots of L_n in ascending order, those above ``x_max``
+    dropped.
+
+    Golub-Welsch (Math. Comp. 23, 221 (1969)): the roots are the eigenvalues
+    of the symmetric tridiagonal Jacobi matrix with diagonal 2k+1 and
+    off-diagonal k, polished by one Newton step on the scaled recurrence.
+    """
+    n = _check_order(n)
     if n == 0:
         return np.array([])
-    hi = 4.0 * n + 2.0
+    k = np.arange(n, dtype=float)
+    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
+    roots = np.linalg.eigvalsh(jacobi)
+    # L_n' = n (L_n - L_{n-1}) / x; the common exponent cancels in the ratio
+    ln, lnm1, _ = _recurrence(n, roots)
+    roots = roots - roots * ln / (n * (ln - lnm1))
     if x_max is not None:
-        hi = min(hi, float(x_max))
-    if hi <= 0.0:
-        return np.array([])
-    m = grid_points if grid_points is not None else max(4000, 200 * n)
-    xs = np.linspace(0.0, hi, m + 1)
-    vals = laguerre(n, xs)
-    vals[0] = 1.0  # L_n(0) = 1 exactly
-    roots = [xs[i] for i in np.nonzero(vals == 0.0)[0]]  # roots hit by the grid
-    sign_flip = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
-    for i in sign_flip:
-        a, b = xs[i], xs[i + 1]
-        fa = vals[i]
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            fm = laguerre(n, mid)
-            if fa * fm <= 0.0:
-                b = mid
-            else:
-                a, fa = mid, fm
-        roots.append(0.5 * (a + b))
-    return np.sort(np.array(roots))
+        roots = roots[roots <= x_max]
+    return roots
 
 
 def thermal_weights(nbar, ncut):

@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
+from degjc import oracle
 from degjc.model import QubitBasis, QubitPairState
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(173905)
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Replace the oracle stages that allocate O(F^2) or more, so a test of
+    the memory guard fails instead of allocating if the guard lets it by."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("allocating stage reached past the memory guard")
+
+    for name in ("field_components", "_single_sector", "_eigh"):
+        monkeypatch.setattr(oracle, name, reached)
 
 
 def random_density_matrix(rng, dim=4):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from degjc import cli, oracle
 from degjc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -11,6 +12,7 @@ from degjc.cli import (
     parse_bell,
     parse_field,
 )
+from degjc.entanglement import negativity
 from degjc.model import BellState, Coherent, Number, Thermal, Vacuum
 
 PI = math.pi
@@ -281,6 +283,80 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main(argv + ["--steps", "5", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestOverflowFreeSweeps:
+    def test_number_sweep_beyond_float_range(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(["concurrence-sweep", "--field", "number:n=200", "--beta", "10",
+                   "--out", str(out)])
+        assert rc == 0
+        _, _, rows = read_csv(out)
+        vals = [float(r[1]) for r in rows]
+        assert len(vals) == 257
+        assert all(0.0 <= v <= 1.0 for v in vals)
+
+    def test_number_beta_sweep_beyond_float_range(self, tmp_path):
+        out = tmp_path / "x.csv"
+        rc = main(["beta-sweep", "--field", "number:n=200", "--beta", "10",
+                   "--out", str(out)])
+        assert rc == 0
+        _, names, rows = read_csv(out)
+        vals = [float(r[names.index("number")]) for r in rows]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+class TestMemoryBudget:
+    """The estimates are in petabytes, so these fail on any machine; the
+    allocating stages are replaced so that none is ever reached."""
+
+    def test_oracle_sweep_exits_3(self, tmp_path, capsys, no_allocation):
+        rc = main(["concurrence-sweep", "--field", "thermal:nbar=1e6", "--compare-oracle",
+                   "--steps", "5", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "physical memory" in capsys.readouterr().err
+
+    def test_separability_exits_3(self, tmp_path, capsys, no_allocation):
+        rc = main(["separability", "--omega0", "0.7", "--ncut", "1000000000",
+                   "--steps", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        assert "physical memory" in capsys.readouterr().err
+
+
+class TestWitnessStaysLocal:
+    """No scenario builds the dense F^2 x F^2 field-field matrix: the dense
+    reference is never called and every negativity is of a matrix of at
+    most 16 x 16."""
+
+    @pytest.fixture
+    def dims(self, monkeypatch):
+        seen = []
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense field-field matrix built on a CLI path")
+
+        def spy(rho, dims):
+            seen.append(dims[0] * dims[1])
+            return negativity(rho, dims)
+
+        monkeypatch.setattr(oracle, "field_field_reduced", dense)
+        monkeypatch.setattr(oracle, "negativity", spy)
+        monkeypatch.setattr(cli, "negativity", spy)
+        return seen
+
+    def test_separability(self, tmp_path, dims):
+        for omega0 in ("0", "0.7"):
+            rc = main(["separability", "--omega0", omega0, "--field", "number:n=5",
+                       "--steps", "5", "--out", str(tmp_path / "x.csv")])
+            assert rc == 0
+        assert len(dims) == 10 and max(dims) <= 16
+
+    def test_validate(self, tmp_path, dims):
+        rc = main(["validate", "--field", "vacuum", "--beta", "0.1", "--steps", "5",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 0
+        # 4 configs x 9 points, plus the Bell-state control
+        assert len(dims) == 37 and max(dims) <= 16
 
 
 class TestMetadata:

@@ -374,3 +374,81 @@ class TestSpinCoherentEvolution:
         amp_down, _ = evolve_spin_coherent(alpha, False, beta, wt)
         rot = np.exp(-1j * wt)
         assert amp_down == pytest.approx((alpha - beta) * rot + beta, abs=1e-14)
+
+
+class TestNonFiniteInputs:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda b, wt: modulation_factor(b, wt),
+            lambda b, wt: single_qubit_coherence(0.5, Number(3), b, wt),
+            lambda b, wt: coherence_factor(Vacuum(), b, wt),
+            lambda b, wt: two_qubit_offdiagonal(BellState.PHI_PLUS, Thermal(1.0), b, wt),
+            lambda b, wt: concurrence_closed(BellState.PHI_PLUS, Number(2), b, wt),
+            lambda b, wt: concurrence_closed(BellState.PSI_MINUS, Coherent(1.0), b, wt),
+            lambda b, wt: esd_concurrence_closed(b, 2.0, wt),
+            lambda b, wt: evolved_vacuum_state_amplitude(b, wt),
+            lambda b, wt: evolve_spin_coherent(0.3, True, b, wt),
+            lambda b, wt: characteristic_integral(Number(2), b, gamma(wt)),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "beta, omega_t",
+        [
+            (NAN, 1.0),
+            (INF, 1.0),
+            (-0.1, 1.0),
+            (0.3, INF),
+            (0.3, NAN),
+            (0.3, np.array([0.0, 1.0, INF])),
+        ],
+    )
+    def test_rejected(self, call, beta, omega_t):
+        with pytest.raises(ValueError):
+            call(beta, omega_t)
+
+
+class TestNumberStateOverflow:
+    """e^{-x} L_N(x)^2 lies in [0, 1] although L_N(x) leaves the float range."""
+
+    @staticmethod
+    def _reference(n, beta, wt):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = 4 * mpmath.mpf(beta) ** 2 * (2 - 2 * mpmath.cos(mpmath.mpf(float(wt))))
+            return float(mpmath.exp(-x) * mpmath.laguerre(n, 0, x) ** 2)
+
+    def test_half_period_against_mpmath(self):
+        for n, beta in ((200, 10.0), (1000, 10.0), (200, 3.0)):
+            val = concurrence_at_half_period(Number(n), beta)
+            assert isinstance(val, np.floating)
+            assert val == pytest.approx(self._reference(n, beta, PI), rel=1e-12, abs=1e-300)
+
+    def test_sweep_against_mpmath(self):
+        wt = np.linspace(0.0, 4 * PI, 257)
+        vals = concurrence_closed(BellState.PHI_PLUS, Number(200), 10.0, wt)
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        for i in range(0, 257, 16):
+            assert vals[i] == pytest.approx(self._reference(200, 10.0, wt[i]), abs=1e-13)
+
+    def test_largest_order_stays_finite(self):
+        wt = np.linspace(0.0, 2 * PI, 65)
+        vals = concurrence_closed(BellState.PHI_PLUS, Number(10_000), 20.0, wt)
+        assert np.all(np.isfinite(vals))
+        assert np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12))
+
+    def test_coherence_and_offdiagonal_fold_the_same_law(self):
+        wt = np.linspace(0.1, 2 * PI - 0.1, 33)
+        c = concurrence_closed(BellState.PHI_PLUS, Number(200), 10.0, wt)
+        coh = single_qubit_coherence(0.5, Number(200), 10.0, wt)
+        off = two_qubit_offdiagonal(BellState.PHI_MINUS, Number(200), 10.0, wt)
+        assert np.all(np.isfinite(coh)) and np.all(np.isfinite(off))
+        # where L_N(x) is finite but exp(-x/2) underflows, the plain product
+        # is kept (0 instead of at most ~1e-16)
+        np.testing.assert_allclose(4.0 * np.abs(coh) ** 2, c, rtol=1e-11, atol=1e-15)
+        np.testing.assert_allclose(2.0 * np.abs(off), c, rtol=1e-11, atol=1e-15)
+        with pytest.raises(OverflowError):
+            characteristic_integral(Number(200), 20.0, gamma(wt))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from degjc import oracle
 from degjc.closedform import (
     concurrence_closed,
     esd_concurrence_closed,
@@ -21,6 +22,7 @@ from degjc.model import (
     QubitBasis,
     Thermal,
     Vacuum,
+    bell_ket,
     make_bell,
     make_esd_mixture,
 )
@@ -34,7 +36,7 @@ from degjc.oracle import (
     default_ncut,
     field_components,
     field_field_reduced,
-    four_party_purities,
+    field_field_witness,
     low_spectrum,
     propagate_state,
     two_qubit_reduced,
@@ -424,15 +426,85 @@ class TestFieldField:
 
     def test_purities(self):
         prop, trunc = self._prop(0.75, Vacuum())
-        qp, fp = four_party_purities(prop, BellState.PHI_PLUS, Vacuum(), trunc, PI)
-        assert qp == pytest.approx(0.5, abs=1e-12)
+        witness = field_field_witness(prop, BellState.PHI_PLUS, Vacuum(), trunc, PI)
+        assert witness.qubit_purity == pytest.approx(0.5, abs=1e-12)
         # field branches +-b(t) with |b| = 2 beta: purity 1/2 + e^{-4|b|^2}/2
-        assert fp == pytest.approx(0.5 + 0.5 * math.exp(-9.0), abs=1e-10)
+        assert witness.field_purity == pytest.approx(0.5 + 0.5 * math.exp(-9.0), abs=1e-10)
+
+    @staticmethod
+    def _dense_purities(prop, bell, field, trunc, wt):
+        """Qubit and field purities from the dense (2, F, 2, F) four-party
+        state."""
+        rails = oracle._evolved_rails(prop, field, trunc, wt)
+        c2 = bell_ket(bell, QubitBasis.SIGMA_X).reshape(2, 2)
+        psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails)
+        psi /= np.linalg.norm(psi)
+        rho_q = np.einsum("rmsn,Rmsn->rR", psi, psi.conj())
+        rho_f = np.einsum("rmsn,rMsn->mM", psi, psi.conj())
+        return np.trace(rho_q @ rho_q).real, np.trace(rho_f @ rho_f).real
+
+    @pytest.mark.parametrize(
+        "field, beta, omega0, bell, support",
+        [
+            (Vacuum(), 0.75, 0.0, BellState.PHI_PLUS, 2),
+            (Coherent(1.0 + 0.5j), 0.5, 0.0, BellState.PHI_MINUS, 2),
+            (Number(1), 0.3, 0.0, BellState.PSI_MINUS, 2),
+            (Vacuum(), 0.75, 0.7, BellState.PHI_PLUS, 4),
+            (Number(1), 0.3, 0.7, BellState.PSI_MINUS, 4),
+            (Coherent(0.5 + 0.25j), 0.5, 0.7, BellState.PSI_PLUS, 4),
+        ],
+    )
+    def test_local_support_matches_dense(self, field, beta, omega0, bell, support):
+        params = ModelParams.from_beta(beta, omega0=omega0)
+        trunc = TruncationSpec(default_ncut(field, beta))
+        prop = build_hamiltonian(params, trunc)
+        f = prop.fock_dim
+        largest = 0.0
+        for wt in np.linspace(0.0, 2 * PI, 7):
+            witness = field_field_witness(prop, bell, field, trunc, wt)
+            rho = field_field_reduced(prop, bell, field, trunc, wt)
+            qp, fp = self._dense_purities(prop, bell, field, trunc, wt)
+            assert witness.support_dim == support
+            assert witness.negativity == pytest.approx(negativity(rho, (f, f)), abs=1e-12)
+            assert witness.qubit_purity == pytest.approx(qp, abs=1e-12)
+            assert witness.field_purity == pytest.approx(fp, abs=1e-12)
+            largest = max(largest, witness.negativity)
+        # the detuned fields do entangle; the degenerate ones stay PPT
+        assert (largest > 0.05) == (omega0 != 0.0)
 
     def test_mixed_field_rejected(self):
         prop, trunc = self._prop(0.3, Vacuum())
         with pytest.raises(ValueError):
             field_field_reduced(prop, BellState.PHI_PLUS, Thermal(1.0), trunc, 1.0)
+        with pytest.raises(ValueError):
+            field_field_witness(prop, BellState.PHI_PLUS, Thermal(1.0), trunc, 1.0)
+
+
+class TestMemoryBudget:
+    """Inputs whose estimate is in petabytes: they fail on any machine, and
+    the stages that would allocate are replaced so none is ever reached."""
+
+    def test_trace_rejected_before_allocating(self, no_allocation):
+        field = Thermal(1e6)
+        with pytest.raises(TruncationError, match="physical memory"):
+            concurrence_trace(
+                ModelParams.from_beta(0.1), field,
+                make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), np.array([0.0, 1.0]),
+            )
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    def test_eigensolve_rejected_before_allocating(self, no_allocation, omega0):
+        params = ModelParams.from_beta(0.5, omega0=omega0)
+        with pytest.raises(TruncationError, match="physical memory"):
+            build_hamiltonian(params, TruncationSpec(10**9))
+
+    def test_estimate_covers_the_doubled_run(self):
+        params = ModelParams.from_beta(0.1, omega0=0.7)
+        trunc = TruncationSpec(1000)
+        once = oracle._trace_bytes(params, Thermal(5.0), trunc, check_convergence=False)
+        both = oracle._trace_bytes(params, Thermal(5.0), trunc)
+        assert both == oracle._trace_bytes(params, Thermal(5.0), trunc.doubled(), False)
+        assert both > 3 * once
 
 
 class TestDefaultNcut:

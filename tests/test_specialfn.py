@@ -6,8 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from degjc import _laguerre_py, specialfn
-from degjc.specialfn import coherent_overlap, laguerre, laguerre_roots, thermal_weights
+from degjc.specialfn import (
+    coherent_overlap,
+    laguerre,
+    laguerre_roots,
+    laguerre_scaled,
+    thermal_weights,
+)
 
 
 def laguerre_exact(n, x):
@@ -62,21 +67,6 @@ def test_array_evaluation_matches_scalar():
         assert v == pytest.approx(laguerre(12, x), rel=1e-14, abs=1e-300)
 
 
-def test_backends_agree():
-    xs = np.linspace(0.0, 50.0, 201)
-    for n in (0, 1, 7, 25, 120):
-        compiled = laguerre(n, xs)
-        fallback = _laguerre_py.laguerre_array(n, xs)
-        np.testing.assert_allclose(compiled, fallback, rtol=1e-13, atol=1e-300)
-        assert _laguerre_py.laguerre_scalar(n, 3.25) == pytest.approx(
-            laguerre(n, 3.25), rel=1e-13
-        )
-
-
-def test_backend_reported():
-    assert specialfn.KERNEL_BACKEND in ("cython", "python")
-
-
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         laguerre(-1, 1.0)
@@ -108,6 +98,57 @@ def test_roots_below_cutoff():
     assert len(laguerre_roots(1, 0.5)) == 0
     assert len(laguerre_roots(1, 4.0)) == 1
     assert laguerre_roots(1, 4.0)[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def _plain_recurrence(n, x):
+    """The unscaled upward recurrence, step for step as the library runs it."""
+    if n == 0:
+        return 1.0
+    lkm1, lk = 1.0, 1.0 - x
+    for k in range(1, n):
+        lkm1, lk = lk, ((2 * k + 1 - x) * lk - k * lkm1) * (1.0 / (k + 1))
+    return lk
+
+
+def test_scaled_recurrence_bit_identical_where_plain_is_finite():
+    xs = np.linspace(0.0, 1600.0, 401)
+    for n in (0, 1, 5, 25, 200, 1000):
+        m, e = laguerre_scaled(n, xs)
+        for x, mi, ei in zip(xs, m, e):
+            plain = _plain_recurrence(n, float(x))
+            if math.isfinite(plain):
+                assert math.ldexp(mi, int(ei)) == plain
+                assert laguerre_scaled(n, float(x)) == (mi, ei)
+
+
+def test_scaled_matches_exact_beyond_float_range():
+    # L_200(1600) ~ 1e265 and L_3(1e200) ~ -1.7e599: the mantissa and the
+    # exponent carry the exact rational value to a few ulps
+    for n, x in ((200, 1600), (3, 10**200), (1000, 3000)):
+        m, e = laguerre_scaled(n, float(x))
+        assert 0.5 <= abs(m) < 1.0
+        exact = laguerre_exact(n, x)
+        assert abs(Fraction(m) * Fraction(2) ** e - exact) <= Fraction(1e-13) * abs(exact)
+    with pytest.raises(OverflowError):
+        laguerre(3, 1e200)
+    with pytest.raises(OverflowError):
+        laguerre(200, np.array([1.0, 1e200]))
+
+
+def test_roots_of_order_400_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    n = 400
+    roots = laguerre_roots(n)
+    assert len(roots) == n
+    assert np.all(np.diff(roots) > 0.0)
+    # L_400 evaluated at 40 digits changes sign within 1e-12 relative of
+    # every node; n disjoint brackets hold all n roots of the polynomial
+    with mpmath.workdps(40):
+        delta = mpmath.mpf("1e-12")
+        for r in roots:
+            lo = mpmath.laguerre(n, 0, mpmath.mpf(r) * (1 - delta))
+            hi = mpmath.laguerre(n, 0, mpmath.mpf(r) * (1 + delta))
+            assert lo * hi < 0, r
 
 
 def test_thermal_weights_vacuum_limit():
