@@ -178,15 +178,27 @@ def _fmt(value):
 
 
 def write_csv(out, metadata, columns):
-    """Deterministic CSV: sorted '#' metadata, header, %.17g rows."""
+    """Deterministic CSV: sorted '#' metadata, header, %.17g rows.
+
+    Each column becomes Python objects once; every row is then formatted
+    with one template, '%.17g' for a float column and '%s' for the
+    ``_fmt`` strings of any other column.
+    """
     lines = [f"# degjc {__version__}"]
     for key in sorted(metadata):
         lines.append(f"# {key}={_fmt(metadata[key])}")
-    names = [name for name, _ in columns]
-    arrays = [np.asarray(a) for _, a in columns]
-    lines.append(",".join(names))
-    for i in range(len(arrays[0])):
-        lines.append(",".join(_fmt(a[i]) for a in arrays))
+    lines.append(",".join(name for name, _ in columns))
+    specs, cells = [], []
+    for _, column in columns:
+        a = np.asarray(column)
+        if a.dtype.kind == "f":
+            specs.append("%.17g")
+            cells.append(a.tolist())
+        else:
+            specs.append("%s")
+            cells.append([_fmt(v) for v in a.tolist()])
+    template = ",".join(specs)
+    lines.extend(template % row for row in zip(*cells))
     text = "\n".join(lines) + "\n"
     if out is None:
         sys.stdout.write(text)
@@ -347,15 +359,9 @@ def run_beta_sweep(cfg):
     thermal_nbar = cfg.field.nbar if isinstance(cfg.field, Thermal) else 1.0
     cols = [
         ("beta", betas),
-        ("coherent", np.array([concurrence_at_half_period(Vacuum(), b) for b in betas])),
-        (
-            "number",
-            np.array([concurrence_at_half_period(Number(number_n), b) for b in betas]),
-        ),
-        (
-            "thermal",
-            np.array([concurrence_at_half_period(Thermal(thermal_nbar), b) for b in betas]),
-        ),
+        ("coherent", concurrence_at_half_period(Vacuum(), betas)),
+        ("number", concurrence_at_half_period(Number(number_n), betas)),
+        ("thermal", concurrence_at_half_period(Thermal(thermal_nbar), betas)),
     ]
     md = _base_metadata(
         cfg, beta_max=beta_max, steps=steps, number_n=number_n, thermal_nbar=thermal_nbar

@@ -11,12 +11,13 @@ normally-ordered characteristic function of the initial field evaluated at
 -2 beta gamma; two-qubit corner coherences carry the doubled exponent
 4 beta^2 |gamma|^2 and the characteristic factor squared.
 
-All functions accept scalar or array ``omega_t`` and are pure; a NaN or
+All functions accept scalar or array ``omega_t`` and are pure;
+``concurrence_at_half_period`` also takes an array of ``beta``.  A NaN or
 infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``.
 Number-state laws, exp(-x/2) L_N(x) and its square with
 x = 4 beta^2 |gamma|^2, are bounded by 1 although L_N(x) alone may leave
-the float range; there the binary exponent of the scaled Laguerre
-recurrence is folded into the exponential.
+the float range and exp(-x/2) alone may underflow; there the binary
+exponent of the scaled Laguerre recurrence is folded into the exponential.
 """
 
 import cmath
@@ -29,16 +30,17 @@ from .model import BellState, Coherent, Number, Thermal, Vacuum
 from .specialfn import laguerre, laguerre_scaled
 
 _LN2 = math.log(2.0)
+_TINY = np.finfo(float).tiny
 
 
-def _scalar(omega_t):
-    return isinstance(omega_t, float) or np.ndim(omega_t) == 0
+def _scalar(value):
+    return isinstance(value, float) or np.ndim(value) == 0
 
 
 def _check_inputs(beta, omega_t, nbar=0.0):
-    """The closed forms' shared argument check: ``beta`` and ``nbar``
-    finite and >= 0, every ``omega_t`` finite."""
-    if not (math.isfinite(beta) and beta >= 0):
+    """The closed forms' shared argument check: ``nbar`` and every
+    ``beta`` finite and >= 0, every ``omega_t`` finite."""
+    if not np.all(np.isfinite(beta) & (np.asarray(beta) >= 0)):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
@@ -68,13 +70,17 @@ def _number_terms(n, x):
     return lag, m * np.exp(np.minimum(e * _LN2 - 0.5 * x, 1.0))
 
 
-def _finite_or(plain, folded):
-    """``plain`` where it is finite, else ``folded``; a scalar stays a numpy
-    scalar (the scalar branch keeps per-point loops such as the beta sweep
-    cheap)."""
+def _plain_or_folded(plain, folded, env):
+    """``plain``, the product of the exponential factor ``env`` and powers
+    of L_n(x), where it is finite and both it and ``env`` are normal; else
+    ``folded`` unless that is 0.  The plain product overflows with L_n(x);
+    a subnormal ``env`` has lost bits even where the product is normal.
+    A scalar stays a numpy scalar."""
+    lost = (np.abs(plain) < _TINY) | (env < _TINY)
+    fold = ~np.isfinite(plain) | (lost & (folded != 0))
     if isinstance(plain, np.generic):
-        return plain if np.isfinite(plain) else type(plain)(folded)
-    return np.where(np.isfinite(plain), plain, folded)
+        return type(plain)(folded) if fold else plain
+    return np.where(fold, folded, plain)
 
 
 @dataclass(frozen=True)
@@ -167,7 +173,7 @@ def single_qubit_coherence(q0, field, beta, omega_t):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
         with np.errstate(over="ignore", invalid="ignore"):
             plain = q0 * env * (complex(lag) if _scalar(lag) else lag.astype(complex))
-        return _finite_or(plain, q0 * damped)
+        return _plain_or_folded(plain, q0 * damped, env)
     return q0 * env * characteristic_integral(field, beta, g)
 
 
@@ -210,7 +216,7 @@ def two_qubit_offdiagonal(bell, field, beta, omega_t):
             val = 0.5 * env * ci * ci
         else:
             val = 0.5 * env * np.abs(ci) ** 2
-    return _finite_or(val, 0.5 * damped**2) if number else val
+    return _plain_or_folded(val, 0.5 * damped**2, env) if number else val
 
 
 def concurrence_closed(bell, field, beta, omega_t):
@@ -230,9 +236,10 @@ def concurrence_closed(bell, field, beta, omega_t):
         return np.exp(-4.0 * beta**2 * g.abs2)
     if isinstance(field, Number):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
+        env = np.exp(-4.0 * beta**2 * g.abs2)
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = np.exp(-4.0 * beta**2 * g.abs2) * lag**2
-        return _finite_or(plain, damped**2)
+            plain = env * lag**2
+        return _plain_or_folded(plain, damped**2, env)
     if isinstance(field, Thermal):
         return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * g.abs2)
     raise TypeError(f"unsupported field class: {field!r}")
@@ -242,9 +249,13 @@ def concurrence_at_half_period(field, beta):
     """Concurrence at w t = pi, where 4 beta^2 |gamma|^2 peaks at 16 beta^2.
 
     Coherent: exp(-16 b^2); Number(N): exp(-16 b^2) L_N(16 b^2)^2;
-    Thermal(nbar): exp(-16 b^2 (1+2 nbar)).  Coincides bit-for-bit with
-    ``concurrence_closed`` at omega_t = pi because |gamma(pi)|^2 == 4.
+    Thermal(nbar): exp(-16 b^2 (1+2 nbar)).  ``beta`` is a scalar or an
+    array; an array gives one value per element in one evaluation (one
+    array Laguerre recurrence for a number state).  Coincides bit-for-bit
+    with ``concurrence_closed`` at omega_t = pi because |gamma(pi)|^2 == 4.
     """
+    if not _scalar(beta):
+        beta = np.asarray(beta, dtype=float)
     return concurrence_closed(BellState.PHI_PLUS, field, beta, math.pi)
 
 

@@ -62,12 +62,17 @@ def _recurrence_scalar(n, x):
 
 
 def _recurrence(n, xs):
-    """:func:`_recurrence_scalar` over an array, with one exponent per element."""
+    """:func:`_recurrence_scalar` over an array, with one exponent per element.
+
+    Each step runs the scalar step's operations in the same order, written
+    into the buffer of L_{k-1} (no longer needed) and a work buffer, so no
+    step allocates.
+    """
     e = np.zeros(xs.shape, dtype=np.int64)
     if n == 0:
         return np.ones_like(xs), np.zeros_like(xs), e
     steps, threshold = _schedule(n, float(np.max(np.abs(xs), initial=0.0)))
-    lkm1, lk = np.ones_like(xs), 1.0 - xs
+    lkm1, lk, work = np.ones_like(xs), 1.0 - xs, np.empty_like(xs)
     for start in range(1, n, steps):
         big = np.maximum(np.abs(lk), np.abs(lkm1))
         over = big > threshold
@@ -77,7 +82,13 @@ def _recurrence(n, xs):
             lkm1[over] = np.ldexp(lkm1[over], -shift)
             e[over] += shift
         for k in range(start, min(start + steps, n)):
-            lkm1, lk = lk, ((2 * k + 1 - xs) * lk - k * lkm1) * (1.0 / (k + 1))
+            # L_{k+1} = ((2k+1 - x) L_k - k L_{k-1}) / (k+1)
+            np.subtract(2 * k + 1, xs, out=work)
+            np.multiply(work, lk, out=work)
+            np.multiply(k, lkm1, out=lkm1)
+            np.subtract(work, lkm1, out=work)
+            np.multiply(work, 1.0 / (k + 1), out=work)
+            lkm1, lk, work = lk, work, lkm1
     return lk, lkm1, e
 
 

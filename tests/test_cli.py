@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from degjc import cli, oracle
+from degjc import __version__, cli, oracle
 from degjc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -173,6 +174,20 @@ class TestBetaSweep:
         assert vals[0.25][1] == 0.0  # L_1 root at 16 b^2 = 1
         assert vals[0.25][2] == pytest.approx(math.exp(-3.0), rel=1e-12)
         assert vals[0.0] == [1.0, 1.0, 1.0]
+
+
+    def test_one_half_period_call_per_column(self, tmp_path, monkeypatch):
+        betas = []
+        original = cli.concurrence_at_half_period
+
+        def spy(field, beta):
+            betas.append(np.shape(beta))
+            return original(field, beta)
+
+        monkeypatch.setattr(cli, "concurrence_at_half_period", spy)
+        out = tmp_path / "b.csv"
+        assert main(["beta-sweep", "--steps", "2001", "--out", str(out)]) == 0
+        assert betas == [(2001,)] * 3
 
 
 class TestEsd:
@@ -374,6 +389,78 @@ class TestMetadata:
         stub = tmp_path / "o.csv.plot.py"
         assert stub.exists()
         assert "matplotlib" in stub.read_text()
+
+
+def _fmt_cell(value):
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def _per_cell_csv(metadata, columns):
+    """The CSV built one cell at a time by numpy-scalar indexing, the way
+    earlier versions of ``write_csv`` built it."""
+    lines = [f"# degjc {__version__}"]
+    lines += [f"# {key}={_fmt_cell(metadata[key])}" for key in sorted(metadata)]
+    arrays = [np.asarray(a) for _, a in columns]
+    lines.append(",".join(name for name, _ in columns))
+    for i in range(len(arrays[0])):
+        lines.append(",".join(_fmt_cell(a[i]) for a in arrays))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    """``write_csv`` formats whole rows with one template; its bytes equal
+    the per-cell reference."""
+
+    META = {"scenario": "test", "beta": 0.1, "steps": 3, "flag": True}
+
+    @staticmethod
+    def _written(tmp_path, metadata, columns):
+        out = tmp_path / "w.csv"
+        text = cli.write_csv(str(out), metadata, columns)
+        assert out.read_text() == text
+        return text
+
+    def test_special_floats(self, tmp_path):
+        special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1.7976931348623157e308,
+                            -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 123456789.0])
+        grid = np.linspace(0.0, 4.0 * PI, special.size)
+        columns = [("x", grid), ("special", special), ("neg", -special[::-1])]
+        text = self._written(tmp_path, self.META, columns)
+        assert text == _per_cell_csv(self.META, columns)
+        cells = [line.split(",")[1] for line in text.splitlines()[6:12]]
+        assert cells == ["-0", "0", "inf", "-inf", "nan", "4.9406564584124654e-324"]
+
+    def test_every_exponent(self, tmp_path):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(-2**63, 2**63 - 1, size=4000, dtype=np.int64)
+        columns = [("a", bits.view(np.float64)), ("b", np.linspace(-1.0, 1.0, bits.size)),
+                   ("c", rng.standard_normal(bits.size).astype(np.float32))]
+        assert self._written(tmp_path, {}, columns) == _per_cell_csv({}, columns)
+
+    def test_mixed_columns_as_in_the_validate_report(self, tmp_path):
+        columns = [
+            ("check", np.array(["envelope", "oracle-grid", "separability"])),
+            ("max_error", np.array([1.2e-16, 2.0336e-10, -0.0])),
+            ("tolerance", np.array([1e-12, 1e-8, 1e-6])),
+            ("pass", np.array(["true", "false", "true"])),
+            ("passed", np.array([True, False, True])),
+            ("count", np.array([3, -1, 2**40])),
+            ("label", [Number(5), Vacuum(), 0.25]),
+        ]
+        assert self._written(tmp_path, self.META, columns) == _per_cell_csv(self.META, columns)
+
+    def test_zero_rows(self, tmp_path):
+        columns = [("check", np.array([], dtype=str)), ("max_error", np.array([]))]
+        text = self._written(tmp_path, self.META, columns)
+        assert text == _per_cell_csv(self.META, columns)
+        assert text.endswith("\ncheck,max_error\n")
 
 
 @pytest.mark.slow

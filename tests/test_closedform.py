@@ -409,6 +409,14 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             call(beta, omega_t)
 
+    @pytest.mark.parametrize("bad", [NAN, INF, -INF, -0.1])
+    @pytest.mark.parametrize("field", [Vacuum(), Number(3), Thermal(1.0)])
+    def test_array_beta_rejected(self, field, bad):
+        with pytest.raises(ValueError):
+            concurrence_at_half_period(field, np.array([0.0, 0.5, bad]))
+        with pytest.raises(ValueError):
+            concurrence_at_half_period(field, [bad])
+
 
 class TestNumberStateOverflow:
     """e^{-x} L_N(x)^2 lies in [0, 1] although L_N(x) leaves the float range."""
@@ -446,9 +454,47 @@ class TestNumberStateOverflow:
         coh = single_qubit_coherence(0.5, Number(200), 10.0, wt)
         off = two_qubit_offdiagonal(BellState.PHI_MINUS, Number(200), 10.0, wt)
         assert np.all(np.isfinite(coh)) and np.all(np.isfinite(off))
-        # where L_N(x) is finite but exp(-x/2) underflows, the plain product
-        # is kept (0 instead of at most ~1e-16)
         np.testing.assert_allclose(4.0 * np.abs(coh) ** 2, c, rtol=1e-11, atol=1e-15)
         np.testing.assert_allclose(2.0 * np.abs(off), c, rtol=1e-11, atol=1e-15)
         with pytest.raises(OverflowError):
             characteristic_integral(Number(200), 20.0, gamma(wt))
+
+
+class TestNumberStateUnderflow:
+    """Where exp(-x/2) underflows or is subnormal while L_N(x) is finite, the
+    plain product is 0, subnormal or short of bits; the folded form keeps
+    every normal value to its relative accuracy."""
+
+    @staticmethod
+    def _references(n, beta, wt):
+        """(Q_updown/q0, C = 2 |off-diagonal|) at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            x = 4 * mpmath.mpf(beta) ** 2 * (2 - 2 * mpmath.cos(mpmath.mpf(float(wt))))
+            lag = mpmath.laguerre(n, 0, x)
+            return float(mpmath.exp(-x / 2) * lag), float(mpmath.exp(-x) * lag**2)
+
+    @pytest.mark.parametrize("n, beta", [(200, 10.0), (25, 8.0)])
+    def test_three_laws_against_mpmath(self, n, beta):
+        wt = np.linspace(0.05, 2 * PI - 0.05, 41)
+        coh = single_qubit_coherence(0.5, Number(n), beta, wt) / 0.5
+        off = {b: 2.0 * two_qubit_offdiagonal(b, Number(n), beta, wt) for b in BellState}
+        c = concurrence_closed(BellState.PHI_PLUS, Number(n), beta, wt)
+        for i, w in enumerate(wt):
+            ref_coh, ref_c = self._references(n, beta, w)
+            assert coh[i] == pytest.approx(ref_coh, rel=1e-10, abs=1e-300)
+            for b in BellState:
+                assert off[b][i] == pytest.approx(ref_c, rel=1e-10, abs=1e-300)
+            assert c[i] == pytest.approx(ref_c, rel=1e-10, abs=1e-300)
+
+    def test_scalar_points(self):
+        # the plain products give 0j and 0j (true values 6.6e-94 and
+        # 8.7e-187), and C = 9.4e-308 from a subnormal exp(-720)
+        coh = single_qubit_coherence(0.5, Number(200), 10.0, 3.0) / 0.5
+        off = 2.0 * two_qubit_offdiagonal(BellState.PHI_PLUS, Number(200), 10.0, 3.0)
+        c = concurrence_at_half_period(Number(1), math.sqrt(45.0))
+        ref_coh, ref_off = self._references(200, 10.0, 3.0)
+        _, ref_c = self._references(1, math.sqrt(45.0), PI)
+        for value, ref in ((coh, ref_coh), (off, ref_off), (c, ref_c)):
+            assert isinstance(value, np.number)
+            assert abs(value - ref) <= 1e-10 * abs(ref)

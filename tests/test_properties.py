@@ -1,0 +1,96 @@
+"""Invariants of the closed forms over generated parameters (hypothesis).
+
+Every test is derandomized and bounded, so the suite stays deterministic.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from degjc.closedform import (
+    concurrence_at_half_period,
+    concurrence_closed,
+    single_qubit_coherence,
+    two_qubit_offdiagonal,
+)
+from degjc.model import BellState, Coherent, Number, Thermal, Vacuum
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+finite = dict(allow_nan=False, allow_infinity=False)
+betas = st.floats(0.0, 3.0, **finite)
+phases = st.floats(-20.0, 20.0, **finite)
+alphas = st.complex_numbers(max_magnitude=10.0, **finite)
+bells = st.sampled_from(list(BellState))
+fields = st.one_of(
+    st.just(Vacuum()),
+    st.builds(Coherent, alphas),
+    st.builds(Number, st.integers(0, 60)),
+    st.builds(Thermal, st.floats(0.0, 30.0, **finite)),
+)
+
+
+@PROPERTY
+@given(bells, fields, st.floats(0.0, 10.0, **finite), phases)
+def test_concurrence_in_unit_interval(bell, field, beta, omega_t):
+    c = concurrence_closed(bell, field, beta, omega_t)
+    assert 0.0 <= c <= 1.0
+
+
+@PROPERTY
+@given(fields, betas, st.floats(-4 * math.pi, 4 * math.pi, **finite))
+def test_two_pi_periodic(field, beta, omega_t):
+    # |gamma|^2 = 2 - 2 cos(w t) is periodic up to the rounding of w t + 2 pi
+    c = concurrence_closed(BellState.PHI_PLUS, field, beta, omega_t)
+    shifted = concurrence_closed(BellState.PHI_PLUS, field, beta, omega_t + 2 * math.pi)
+    assert shifted == pytest.approx(c, abs=1e-12)
+
+
+@PROPERTY
+@given(fields, betas, phases)
+def test_bell_equivalence(field, beta, omega_t):
+    cs = [concurrence_closed(b, field, beta, omega_t) for b in BellState]
+    assert cs.count(cs[0]) == len(cs)
+    for b in BellState:
+        off = 2.0 * abs(two_qubit_offdiagonal(b, field, beta, omega_t))
+        assert off == pytest.approx(cs[0], rel=1e-12, abs=1e-300)
+
+
+@PROPERTY
+@given(alphas, betas, phases)
+def test_alpha0_independence(alpha0, beta, omega_t):
+    c = concurrence_closed(BellState.PHI_PLUS, Coherent(alpha0), beta, omega_t)
+    assert c == concurrence_closed(BellState.PHI_PLUS, Vacuum(), beta, omega_t)
+    coh = single_qubit_coherence(0.5, Coherent(alpha0), beta, omega_t)
+    vac = single_qubit_coherence(0.5, Vacuum(), beta, omega_t)
+    assert abs(coh) == pytest.approx(abs(vac), rel=1e-12, abs=1e-300)
+
+
+@PROPERTY
+@given(st.floats(0.0, 30.0, **finite), betas, phases)
+def test_thermal_is_coherent_at_enhanced_coupling(nbar, beta, omega_t):
+    # C_thermal(nbar, beta) = C_coherent(beta sqrt(1 + 2 nbar))
+    thermal = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, omega_t)
+    coherent = concurrence_closed(
+        BellState.PHI_PLUS, Vacuum(), beta * math.sqrt(1.0 + 2.0 * nbar), omega_t)
+    assert thermal == pytest.approx(coherent, rel=1e-12, abs=1e-300)
+
+
+half_period_fields = st.one_of(
+    fields,
+    st.sampled_from([Number(200), Number(1000)]),
+)
+
+
+@PROPERTY
+@given(half_period_fields,
+       st.lists(st.floats(0.0, 10.0, **finite), min_size=1, max_size=40))
+def test_array_half_period_matches_scalar_calls(field, beta_list):
+    beta = np.array(beta_list)
+    together = concurrence_at_half_period(field, beta)
+    assert together.shape == beta.shape
+    one_by_one = np.array([concurrence_at_half_period(field, b) for b in beta])
+    assert np.all(np.abs(together - one_by_one) <= 1e-15)

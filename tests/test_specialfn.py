@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from degjc import specialfn
 from degjc.specialfn import (
     coherent_overlap,
     laguerre,
@@ -119,6 +120,37 @@ def test_scaled_recurrence_bit_identical_where_plain_is_finite():
             if math.isfinite(plain):
                 assert math.ldexp(mi, int(ei)) == plain
                 assert laguerre_scaled(n, float(x)) == (mi, ei)
+
+
+def _allocating_recurrence(n, xs):
+    """The array recurrence with one new array per operation: the step
+    expression the in-place buffers must reproduce bit for bit."""
+    e = np.zeros(xs.shape, dtype=np.int64)
+    steps, threshold = specialfn._schedule(n, float(np.max(np.abs(xs))))
+    lkm1, lk = np.ones_like(xs), 1.0 - xs
+    for start in range(1, n, steps):
+        big = np.maximum(np.abs(lk), np.abs(lkm1))
+        over = big > threshold
+        if np.any(over):
+            _, shift = np.frexp(big[over])
+            lk[over] = np.ldexp(lk[over], -shift)
+            lkm1[over] = np.ldexp(lkm1[over], -shift)
+            e[over] += shift
+        for k in range(start, min(start + steps, n)):
+            lkm1, lk = lk, ((2 * k + 1 - xs) * lk - k * lkm1) * (1.0 / (k + 1))
+    return lk, lkm1, e
+
+
+def test_in_place_recurrence_bit_identical():
+    # rescaled: x = 1e15 at n = 25, x >= 727.5 at n = 1000
+    xs = np.concatenate([np.linspace(0.0, 3000.0, 2001), [0.25, 1e8, 1e15]])
+    for n in (1, 25, 1000):
+        lk, lkm1, e = specialfn._recurrence(n, xs)
+        ref_lk, ref_lkm1, ref_e = _allocating_recurrence(n, xs)
+        assert np.array_equal(lk, ref_lk) and np.array_equal(lkm1, ref_lkm1)
+        assert np.array_equal(e, ref_e)
+        if n > 1:
+            assert np.any(e > 0)
 
 
 def test_scaled_matches_exact_beyond_float_range():
