@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation failure, 2 bad configuration,
 """
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -758,8 +759,14 @@ def make_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return make_parser()
+
+
 def main(argv=None):
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = build_config(args)
         if cfg.scenario == "validate":

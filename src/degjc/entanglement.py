@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import QubitBasis, change_basis
+from .model import HADAMARD2, QubitBasis
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -33,21 +33,40 @@ def wootters_concurrence(state):
     """Concurrence C = max(0, s1 - s2 - s3 - s4) of a two-qubit state.
 
     The s_i are the descending square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).  The complex conjugation is taken in the
-    sigma_z product basis (the basis in which the spin flip sy x sy is
-    defined), so the state is converted there first; the result is
-    invariant under local unitaries.  With the rank-revealing factor
-    rho = X X' (eigenvalues below RANK_TOL of the largest dropped) the s_i
-    are the singular values of tau = X^T (sy x sy) X, padded with zeros to
-    four (Wootters, PRL 80, 2245 (1998)).
+    rho (sy x sy) rho* (sy x sy).  This is the one-matrix case of
+    :func:`wootters_concurrences`.
     """
-    rho = change_basis(state, QubitBasis.SIGMA_Z).rho
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vals > RANK_TOL * vals[-1]
-    x = vecs[:, keep] * np.sqrt(vals[keep])
-    s = np.zeros(4)
-    s[: x.shape[1]] = np.linalg.svd(x.T @ _SYSY @ x, compute_uv=False)
-    return ConcurrenceResult(max(0.0, s[0] - s[1] - s[2] - s[3]), "general", s)
+    values, spectra = wootters_concurrences(state.rho[None], state.basis)
+    return ConcurrenceResult(float(values[0]), "general", spectra[0])
+
+
+def wootters_concurrences(rhos, basis):
+    """Concurrences (n,) and descending spectra s (n, 4) of a validated
+    (n, 4, 4) stack of two-qubit density matrices in ``basis``.
+
+    The complex conjugation is taken in the sigma_z product basis (the
+    basis in which the spin flip sy x sy is defined), so the stack is
+    converted there first; the result is invariant under local unitaries.
+    With the rank-revealing factor rho = X X' (eigenvalues below RANK_TOL
+    of the largest dropped) the s_i are the singular values of
+    tau = X^T (sy x sy) X, padded with zeros to four (Wootters, PRL 80,
+    2245 (1998)).  One stacked eigh covers the stack and one stacked svd
+    each group of equal rank, so no dropped column is ever zero-padded
+    into a product.
+    """
+    if basis is not QubitBasis.SIGMA_Z:
+        rhos = HADAMARD2 @ rhos @ HADAMARD2  # change_basis, per-qubit Hadamard
+    vals, vecs = np.linalg.eigh(rhos)
+    # eigh sorts ascending, so the kept eigenvalues are the last ``rank``
+    rank = np.count_nonzero(vals > RANK_TOL * vals[:, -1:], axis=1)
+    s = np.zeros((len(rhos), 4))
+    for r in np.unique(rank):
+        group = np.flatnonzero(rank == r)
+        x = vecs[group, :, 4 - r:] * np.sqrt(vals[group, None, 4 - r:])
+        tau = x.swapaxes(-1, -2) @ _SYSY @ x
+        s[group, :r] = np.linalg.svd(tau, compute_uv=False)
+    margin = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
+    return np.where(margin > 0.0, margin, 0.0), s
 
 
 def xstate_concurrence(state):

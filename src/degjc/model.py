@@ -145,17 +145,28 @@ class QubitPairState:
         if rho.shape != (4, 4):
             raise ValueError(f"two-qubit density matrix must be 4x4, got shape {rho.shape}")
         if self.validate:
-            herm = np.max(np.abs(rho - rho.conj().T))
-            if herm > HERMITICITY_TOL:
-                raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
-            tr = np.trace(rho)
-            if abs(tr - 1.0) > TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr!r} differs from 1")
-            lo = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-            if lo < PSD_TOL:
-                raise ValueError(f"density matrix not positive semidefinite: min eig {lo:.3e}")
+            validate_density_matrices(rho[None])
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
+
+
+def validate_density_matrices(rhos):
+    """Raise ValueError unless every matrix of the (n, d, d) stack ``rhos``
+    is Hermitian, of unit trace and positive semidefinite within
+    HERMITICITY_TOL, TRACE_TOL and PSD_TOL (a NaN entry fails the first
+    check); the message quotes the worst deviation (the first wrong trace)."""
+    if len(rhos) == 0:
+        return
+    herm = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)))
+    if not herm <= HERMITICITY_TOL:
+        raise ValueError(f"density matrix not Hermitian: deviation {herm:.3e}")
+    tr = np.trace(rhos, axis1=-2, axis2=-1)
+    wrong = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
+    if wrong.size:
+        raise ValueError(f"density matrix trace {tr[wrong[0]]!r} differs from 1")
+    lo = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2))).min()
+    if lo < PSD_TOL:
+        raise ValueError(f"density matrix not positive semidefinite: min eig {lo:.3e}")
 
 
 _BELL_KETS_Z = {

@@ -23,13 +23,15 @@ Qubit matrices are written in the sigma_x eigenbasis (up, down), matching
 the two-qubit index convention of :mod:`degjc.model`.
 """
 
+import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import negativity, wootters_concurrence
+from .entanglement import negativity, wootters_concurrences
 from .model import (
     Coherent,
     ModelParams,
@@ -39,6 +41,7 @@ from .model import (
     Thermal,
     Vacuum,
     bell_ket,
+    validate_density_matrices,
 )
 from .specialfn import thermal_weights
 
@@ -78,18 +81,26 @@ class SubsystemPropagator:
     ``energies`` holds the dimensionless eigenvalues E/omega of the block
     and ``modes`` the matching orthonormal eigenvector matrix, so that
     U(w t) = modes exp(-i energies w t) modes'; ``modes`` is assembled on
-    request and is not used for propagation.
+    request and is not used for propagation.  ``eigensolver`` names the
+    routine that diagonalized the sector: ``"dstevd"`` (LAPACK's
+    tridiagonal divide and conquer) or ``"eigh"`` (numpy's dense solver).
     """
 
     params: ModelParams
     trunc: TruncationSpec
     sector_energies: np.ndarray
     sector_modes: np.ndarray
+    eigensolver: str
 
     @property
     def split(self):
         """True when the two sigma_x sectors are stored as one F x F sector."""
-        return self.sector_modes.shape[0] == self.fock_dim
+        return self.sector_dim == self.fock_dim
+
+    @property
+    def sector_dim(self):
+        """Dimension of the diagonalized sector: F at omega0 = 0, else 2F."""
+        return self.sector_modes.shape[0]
 
     @property
     def energies(self):
@@ -131,6 +142,63 @@ def _eigh(h, params):
         ) from exc
 
 
+@functools.cache
+def _lapack_dstevd():
+    """LAPACK ``dstevd`` of the OpenBLAS that numpy links its linear algebra
+    against (ILP64, exported as ``scipy_dstevd_64_``), looked up once; None
+    where numpy uses another LAPACK, such as MKL or a system library."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dstevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO by reference
+    # (64-bit integers), then the hidden length of the JOBZ string
+    i64, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    routine.argtypes = [ctypes.c_char_p, i64, buf, buf, buf, i64, buf, i64, buf, i64, i64,
+                        ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+def _tridiagonal_eigh(diag, off, params):
+    """Eigenvalues, C-contiguous eigenvectors and solver name of the real
+    symmetric tridiagonal matrix with diagonal ``diag`` and off-diagonal
+    ``off``.
+
+    ``dstevd`` (Cuppen, Numer. Math. 36, 177 (1981); Gu & Eisenstat, SIAM
+    J. Matrix Anal. Appl. 16, 172 (1995)) works on the two diagonals and
+    skips the O(F^3) Householder reduction that ``eigh`` applies to the
+    dense matrix; for numpy's OpenBLAS both give the same bits.  Without
+    the routine the dense matrix goes to ``eigh``.
+    """
+    stevd = _lapack_dstevd()
+    if stevd is None:
+        energies, modes = _eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), params)
+        return energies, modes, "eigh"
+    n = diag.size
+    d = np.array(diag, dtype=float)  # overwritten by the eigenvalues
+    e = np.zeros(n)  # off-diagonal, destroyed; one spare entry
+    e[:-1] = off
+    z = np.empty((n, n), order="F")
+    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    info = ctypes.c_int64()
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int64(value))
+
+    stevd(b"V", ref(n), d.ctypes, e.ctypes, z.ctypes, ref(n), work.ctypes, ref(lwork),
+          iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
+    if info.value:
+        raise TruncationError(
+            f"eigensolver failed for dim={n}, beta={params.beta:g}, "
+            f"max|H|={np.max(np.abs(np.concatenate([diag, off]))):.3e}: dstevd info={info.value}"
+        )
+    return d, np.ascontiguousarray(z), "dstevd"
+
+
 def _single_sector(params, trunc):
     """Propagator from the dense real 2F x 2F block, valid for any omega0."""
     f = trunc.ncut + 1
@@ -145,7 +213,7 @@ def _single_sector(params, trunc):
         + (params.omega0 / (2.0 * params.omega)) * np.kron(sz, np.eye(f))
     )
     energies, modes = _eigh(h, params)
-    return SubsystemPropagator(params, trunc, energies, modes)
+    return SubsystemPropagator(params, trunc, energies, modes, "eigh")
 
 
 def _sector_dim(params, ncut):
@@ -155,7 +223,7 @@ def _sector_dim(params, ncut):
 def _eigensolve_bytes(params, ncut):
     """Peak bytes of :func:`build_hamiltonian`: the real d x d sector with
     its construction temporaries, the eigenvectors and LAPACK's workspace,
-    about six real d x d arrays."""
+    about six real d x d arrays (``dstevd`` needs three)."""
     d = _sector_dim(params, ncut)
     return 6 * 8 * d * d
 
@@ -200,19 +268,17 @@ def build_hamiltonian(params, trunc):
     """Subsystem Hamiltonian, eigendecomposed once.
 
     At omega0 = 0 only the real tridiagonal up sector n + beta x is
-    diagonalized; otherwise the whole real 2F x 2F block.  Raises
-    :class:`TruncationError` before allocating when the eigensolve would
-    not fit in physical memory.
+    diagonalized, by :func:`_tridiagonal_eigh`; otherwise the whole real
+    2F x 2F block.  Raises :class:`TruncationError` before allocating when
+    the eigensolve would not fit in physical memory.
     """
     _require_memory(_eigensolve_bytes(params, trunc.ncut), f"eigensolve at ncut={trunc.ncut}")
     if not params.degenerate:
         return _single_sector(params, trunc)
-    f = trunc.ncut + 1
-    n = np.arange(f, dtype=float)
-    off = params.beta * np.sqrt(n[1:])
-    h = np.diag(n) + np.diag(off, 1) + np.diag(off, -1)
-    energies, modes = _eigh(h, params)
-    return SubsystemPropagator(params, trunc, energies, modes)
+    n = np.arange(trunc.ncut + 1, dtype=float)
+    return SubsystemPropagator(
+        params, trunc, *_tridiagonal_eigh(n, params.beta * np.sqrt(n[1:]), params)
+    )
 
 
 def _dot(a, b):
@@ -224,8 +290,21 @@ def _dot(a, b):
     return a @ b
 
 
+def _finite_phases(omega_ts, ndim):
+    """``omega_ts`` as a float array; ValueError unless it has ``ndim``
+    dimensions (0 for one phase, 1 for a grid) and every phase is finite."""
+    omega_ts = np.asarray(omega_ts, dtype=float)
+    if omega_ts.ndim != ndim:
+        what = "a one-dimensional grid" if ndim else "one number"
+        raise ValueError(f"phase w t must be {what}, got shape {omega_ts.shape}")
+    if not np.all(np.isfinite(omega_ts)):
+        raise ValueError(f"phases w t must be finite, got {omega_ts[~np.isfinite(omega_ts)]}")
+    return omega_ts
+
+
 def propagate_state(prop, state, omega_t):
     """Apply U(w t) = V exp(-i E w t) V' to a subsystem state vector."""
+    _finite_phases(omega_t, 0)
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != prop.dim:
         raise ValueError(f"state dimension {state.shape[0]} != propagator dimension {prop.dim}")
@@ -320,8 +399,11 @@ class SubsystemConditionalMap:
 
 
 # Phase points per block of the bilinear map evaluation: one block holds
-# a (sector dim x points) complex phase matrix of at most this many bytes.
+# a (sector dim x points) complex phase matrix of at most this many bytes,
+# and at most this many bytes of the per-point stacks of the two-qubit
+# reduction and Wootters, which take up to _POINT_BYTES per point.
 _PHASE_BLOCK_BYTES = 1 << 23
+_POINT_BYTES = 4096
 
 # (i, k, p, q) entries evaluated on a single 2F sector; the rest of the 16
 # follow from M_ki = M_ik'.
@@ -329,6 +411,15 @@ _SINGLE_SECTOR_ENTRIES = tuple(
     (i, k, p, q) for i, k in ((0, 0), (0, 1), (1, 1)) for p in (0, 1) for q in (0, 1)
     if i != k or p <= q
 )
+
+
+def _unit_rows(vecs):
+    """Rows j with column c of ``vecs`` the unit Fock vector e_j, one per
+    column, or None when some column is not a unit vector."""
+    rows = np.argmax(vecs != 0, axis=0)
+    if np.count_nonzero(vecs) == vecs.shape[1] and np.all(vecs[rows, np.arange(rows.size)] == 1):
+        return rows
+    return None
 
 
 class _MapKernel:
@@ -346,26 +437,34 @@ class _MapKernel:
     In the sigma_x sectors (omega0 = 0) each rail stays in its sector, so
     M_uu and M_dd are the constant field norm on their own rail and only
     M_ud[up, down] needs the bilinear form, with R_u = V and R_d = P V.
+    Where every mixture component is a unit Fock vector e_j (vacuum,
+    number and thermal fields) the overlaps Y are rows j of R, sliced
+    rather than multiplied.
     """
 
     def __init__(self, prop, field, trunc):
         weights, vecs, self.tail = field_components(field, trunc)
         if not np.any(vecs.imag):
             vecs = vecs.real
+        rows = _unit_rows(vecs)
         v = prop.sector_modes
         self.energies = prop.sector_energies
-        self.block = max(1, _PHASE_BLOCK_BYTES // (16 * self.energies.size))
+        self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
         if prop.split:
             p = _parity(prop.fock_dim)
             norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            y_up, y_down = _dot(v.T, vecs), _dot(v.T, p[:, None] * vecs)
+            if rows is None:
+                y_up, y_down = _dot(v.T, vecs), _dot(v.T, p[:, None] * vecs)
+            else:
+                y_up = np.take(v.T, rows, axis=1)
+                y_down = y_up * p[rows]
             self.terms = [((0, 1, 0, 1), (v.T * p) @ v, (y_up * weights) @ y_down.conj().T)]
             return
         f = prop.fock_dim
         rails = (v[:f], v[f:])
-        y = [_dot(r.T, vecs) for r in rails]
+        y = [_dot(r.T, vecs) if rows is None else np.take(r.T, rows, axis=1) for r in rails]
         rail_gram, field_gram = {}, {}
         for a in (0, 1):
             for b in (a, 1):
@@ -377,10 +476,16 @@ class _MapKernel:
             for i, k, p, q in _SINGLE_SECTOR_ENTRIES
         ]
 
+    def blocks(self, omega_ts):
+        """(n, 2, 2, 2, 2) stacks ops[:, i, k, p, q] = M_ik[p, q], one per
+        block of at most ``block`` points."""
+        for start in range(0, len(omega_ts), self.block):
+            yield self._block_ops(omega_ts[start:start + self.block])
+
     def ops(self, omega_ts):
         """Per-point (2, 2, 2, 2) arrays ops[i, k, p, q] = M_ik[p, q]."""
-        for start in range(0, len(omega_ts), self.block):
-            yield from self._block_ops(omega_ts[start:start + self.block])
+        for block in self.blocks(omega_ts):
+            yield from block
 
     def _block_ops(self, omega_ts):
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
@@ -396,9 +501,10 @@ class _MapKernel:
 
 def conditional_maps(prop, field, trunc, omega_t):
     """Conditional maps of one subsystem for a given initial field."""
+    omega_t = float(_finite_phases(omega_t, 0))
     kernel = _MapKernel(prop, field, trunc)
-    (ops,) = kernel.ops(np.array([float(omega_t)]))
-    return SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=float(omega_t))
+    (ops,) = kernel.ops(np.array([omega_t]))
+    return SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=omega_t)
 
 
 def two_qubit_reduced(map_a, map_b, initial):
@@ -409,16 +515,26 @@ def two_qubit_reduced(map_a, map_b, initial):
     in the sigma_x basis and describe qubits that are uncorrelated with
     the fields.  The truncated-mixture trace deficit (bounded by the tail
     masses) is renormalized away; tail masses stay reported on the maps.
+    This is the one-point case of :func:`_reduced_stack`.
     """
+    q = _reduced_stack(map_a.ops[None], map_b.ops[None], initial)
+    return QubitPairState(q[0], QubitBasis.SIGMA_X, validate=False)
+
+
+def _reduced_stack(ops_a, ops_b, initial):
+    """Validated (n, 4, 4) stack of Q(t) from (n, 2, 2, 2, 2) stacks of
+    conditional maps of subsystems A and B (see :func:`two_qubit_reduced`)."""
     if initial.basis is not QubitBasis.SIGMA_X:
         raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
+    n = len(ops_a)
     # Q[(pr), (qs)] = sum A[(ik), (pr)] rho[(ik), (jl)] B[(jl), (qs)]
     rho = initial.rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    q = map_a.ops.reshape(4, 4).T @ rho @ map_b.ops.reshape(4, 4)
-    q = q.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    q = 0.5 * (q + q.conj().T)
-    q /= np.trace(q).real
-    return QubitPairState(q, QubitBasis.SIGMA_X)
+    q = ops_a.reshape(n, 4, 4).swapaxes(-1, -2) @ rho @ ops_b.reshape(n, 4, 4)
+    q = q.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
+    q = 0.5 * (q + q.conj().swapaxes(-1, -2))
+    q /= np.trace(q, axis1=1, axis2=2).real[:, None, None]
+    validate_density_matrices(q)
+    return q
 
 
 def _evolved_rails(prop, field, trunc, omega_t):
@@ -544,6 +660,8 @@ class OracleTrace:
     ``doubling_error`` is the largest entrywise disagreement between the
     reconstructed two-qubit matrices at ncut and 2*ncut on the checked
     subgrid (an extraction-noise-free measure of truncation convergence).
+    ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
+    the run at ``ncut`` was diagonalized; no CSV writes them.
     """
 
     omega_ts: np.ndarray
@@ -552,19 +670,26 @@ class OracleTrace:
     tail_mass: float
     doubling_error: float
     doubling_points: int
+    eigensolver: str
+    sector_dim: int
 
 
 def _reconstruct(params, field, initial, omega_ts, trunc):
+    """Concurrences and two-qubit matrices on ``omega_ts`` at one cutoff,
+    one stacked reduction and Wootters evaluation per phase block; also
+    returns the tail mass and the eigensolver's name and sector dimension
+    (not the propagator, so the doubled run does not hold it)."""
     prop = build_hamiltonian(params, trunc)
     kernel = _MapKernel(prop, field, trunc)
     values = np.empty(len(omega_ts))
     qmats = np.empty((len(omega_ts), 4, 4), dtype=complex)
-    for i, (wt, ops) in enumerate(zip(omega_ts, kernel.ops(omega_ts))):
-        maps = SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=float(wt))
-        q = two_qubit_reduced(maps, maps, initial)
-        qmats[i] = q.rho
-        values[i] = wootters_concurrence(q).value
-    return values, qmats, kernel.tail
+    start = 0
+    for ops in kernel.blocks(omega_ts):
+        block = slice(start, start + len(ops))
+        qmats[block] = _reduced_stack(ops, ops, initial)
+        values[block], _ = wootters_concurrences(qmats[block], QubitBasis.SIGMA_X)
+        start = block.stop
+    return values, qmats, kernel.tail, (prop.eigensolver, prop.sector_dim)
 
 
 def concurrence_trace(
@@ -583,22 +708,24 @@ def concurrence_trace(
     of the grid at twice the cutoff; entrywise matrix disagreement beyond
     ``convergence_tol`` raises :class:`TruncationError`, and so does a run
     whose estimated peak memory exceeds physical memory, before it
-    allocates.
+    allocates.  A non-finite phase raises ValueError before any
+    eigensolve; an empty grid gives an empty trace.
     """
-    omega_ts = np.asarray(omega_ts, dtype=float)
+    omega_ts = _finite_phases(omega_ts, 1)
     if trunc is None:
         trunc = TruncationSpec(default_ncut(field, params.beta))
     _require_memory(
         _trace_bytes(params, field, trunc, check_convergence),
         f"concurrence trace at ncut={trunc.ncut}",
     )
-    values, qmats, tail = _reconstruct(params, field, initial, omega_ts, trunc)
+    values, qmats, tail, (solver, sector_dim) = _reconstruct(
+        params, field, initial, omega_ts, trunc)
     doubling_error = 0.0
     n_check = 0
-    if check_convergence:
+    if check_convergence and len(omega_ts):
         n_check = min(len(omega_ts), max_doubling_points)
         idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
-        _, qcheck, _ = _reconstruct(params, field, initial, omega_ts[idx], trunc.doubled())
+        _, qcheck, _, _ = _reconstruct(params, field, initial, omega_ts[idx], trunc.doubled())
         doubling_error = float(np.max(np.abs(qcheck - qmats[idx])))
         if doubling_error > convergence_tol:
             raise TruncationError(
@@ -612,4 +739,6 @@ def concurrence_trace(
         tail_mass=tail,
         doubling_error=doubling_error,
         doubling_points=n_check,
+        eigensolver=solver,
+        sector_dim=sector_dim,
     )

@@ -115,6 +115,45 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_validate_report_without_dstevd(self, tmp_path, monkeypatch):
+        # the dense eigh fallback writes the same bytes as LAPACK dstevd
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["validate", "--out", str(a)]) == 0
+        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        assert main(["validate", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+
+class TestParserOnce:
+    def test_two_calls_build_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        real = cli.make_parser
+
+        def spy():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "make_parser", spy)
+        cli._parser.cache_clear()
+        try:
+            a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+            args = ["envelope", "--steps", "33"]
+            assert main(args + ["--out", str(a)]) == 0
+            assert main(args + ["--out", str(b)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["envelope", "--steps", "x"], ["nonsense"], []])
+    def test_bad_argument_exits_2(self, argv, capsys):
+        for _ in range(2):  # the shared parser is unchanged by a failed parse
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: degjc" in capsys.readouterr().err
+
+
 class TestConcurrenceSweep:
     def test_closed_and_oracle_columns(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,6 +1,7 @@
 """Truncated-Fock propagator: invariants and closed-form cross-checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from degjc.closedform import (
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
-from degjc.entanglement import negativity
+from degjc.entanglement import negativity, wootters_concurrence, wootters_concurrences
 from degjc.model import (
     BellState,
     Coherent,
@@ -25,6 +26,7 @@ from degjc.model import (
     bell_ket,
     make_bell,
     make_esd_mixture,
+    validate_density_matrices,
 )
 from degjc.oracle import (
     TruncationError,
@@ -41,7 +43,13 @@ from degjc.oracle import (
     propagate_state,
     two_qubit_reduced,
 )
-from degjc.oracle import _PHASE_BLOCK_BYTES, _MapKernel, _single_sector
+from degjc.oracle import (
+    _PHASE_BLOCK_BYTES,
+    _MapKernel,
+    _reduced_stack,
+    _single_sector,
+    _tridiagonal_eigh,
+)
 
 PI = math.pi
 
@@ -99,6 +107,53 @@ class TestHamiltonian:
         h = (dense.modes * dense.energies) @ dense.modes.T
         rebuilt = (prop.modes * prop.energies) @ prop.modes.T
         assert np.max(np.abs(rebuilt - h)) <= 1e-12
+
+
+class TestTridiagonalEigensolve:
+    @staticmethod
+    def _chain(f, beta):
+        n = np.arange(f, dtype=float)
+        return n, beta * np.sqrt(n[1:])
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 3.0])
+    @pytest.mark.parametrize("f", [2, 5, 24, 26, 173, 618, 1235])
+    def test_dstevd_equals_dense_eigh(self, f, beta):
+        if oracle._lapack_dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no dstevd")
+        diag, off = self._chain(f, beta)
+        energies, modes, solver = _tridiagonal_eigh(diag, off, ModelParams.from_beta(beta))
+        dense_energies, dense_modes = np.linalg.eigh(
+            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert solver == "dstevd"
+        assert modes.flags.c_contiguous
+        assert np.array_equal(energies, dense_energies)
+        assert np.array_equal(modes, dense_modes)
+
+    def test_fallback_without_the_routine(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        params = ModelParams.from_beta(0.5)
+        prop = build_hamiltonian(params, TruncationSpec(40))
+        assert prop.eigensolver == "eigh"
+        diag, off = self._chain(41, 0.5)
+        energies, modes = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        assert np.array_equal(prop.sector_energies, energies)
+        assert np.array_equal(prop.sector_modes, modes)
+
+    def test_solver_failure_is_truncation_error(self, monkeypatch):
+        def failing(*args):
+            args[10]._obj.value = 7  # INFO > 0: no convergence
+
+        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: failing)
+        with pytest.raises(TruncationError, match="dstevd info=7"):
+            build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(10))
+
+    def test_peak_bytes_within_estimate(self):
+        params, trunc = ModelParams.from_beta(0.5), TruncationSpec(617)
+        tracemalloc.start()
+        build_hamiltonian(params, trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= oracle._eigensolve_bytes(params, trunc.ncut)
 
 
 class TestPropagation:
@@ -369,6 +424,83 @@ class TestTwoQubitReduced:
         assert abs(np.trace(q.rho) - 1.0) <= 1e-12
 
 
+class TestStackedReduction:
+    """The per-block reduction and Wootters give the bits of the per-point
+    ``two_qubit_reduced`` + ``wootters_concurrence``."""
+
+    CASES = [
+        (Vacuum(), make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), 0.5, 0.0),
+        (Coherent(1 + 0.5j), make_bell(BellState.PSI_MINUS, QubitBasis.SIGMA_X), 0.5, 0.0),
+        (Number(5), make_bell(BellState.PHI_MINUS, QubitBasis.SIGMA_X), 0.3, 0.0),
+        (Thermal(2.0), make_bell(BellState.PSI_PLUS, QubitBasis.SIGMA_X), 0.3, 0.0),
+        (Thermal(2.0), make_esd_mixture(), 0.5, 0.0),
+        (Thermal(1.0), make_esd_mixture(), 0.3, 0.7),
+    ]
+
+    @staticmethod
+    def _block(field, beta, omega0, grid):
+        params = ModelParams.from_beta(beta, omega0=omega0)
+        trunc = TruncationSpec(default_ncut(field, beta))
+        kernel = _MapKernel(build_hamiltonian(params, trunc), field, trunc)
+        (ops,) = kernel.blocks(grid)
+        return ops, kernel.tail
+
+    @pytest.mark.parametrize("field, initial, beta, omega0", CASES)
+    def test_stack_equals_per_point(self, field, initial, beta, omega0):
+        # w t = 0 and 2 pi give rank-1 states for the pure Bell inputs
+        grid = np.concatenate([[0.0, 2 * PI], np.linspace(0.1, 6.0, 23)])
+        ops, tail = self._block(field, beta, omega0, grid)
+        qmats = _reduced_stack(ops, ops, initial)
+        values, spectra = wootters_concurrences(qmats, QubitBasis.SIGMA_X)
+        for i, wt in enumerate(grid):
+            maps = oracle.SubsystemConditionalMap(ops=ops[i], tail_mass=tail, omega_t=wt)
+            q = two_qubit_reduced(maps, maps, initial)
+            result = wootters_concurrence(q)
+            assert np.array_equal(qmats[i], q.rho)
+            assert values[i] == result.value
+            assert np.array_equal(spectra[i], result.spectrum)
+
+    def test_one_point_and_empty_block(self):
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+        ops, _ = self._block(Thermal(1.0), 0.4, 0.0, np.array([0.0, 1.3]))
+        one = _reduced_stack(ops[1:], ops[1:], initial)
+        assert one.shape == (1, 4, 4)
+        assert np.array_equal(one, _reduced_stack(ops, ops, initial)[1:])
+        values, spectra = wootters_concurrences(one, QubitBasis.SIGMA_X)
+        assert values.shape == (1,) and spectra.shape == (1, 4)
+        empty = _reduced_stack(ops[:0], ops[:0], initial)
+        assert empty.shape == (0, 4, 4)
+        values, spectra = wootters_concurrences(empty, QubitBasis.SIGMA_X)
+        assert values.shape == (0,) and spectra.shape == (0, 4)
+
+    def test_concurrence_trace_uses_the_stack(self):
+        field, initial, beta, _ = self.CASES[4]
+        grid = np.linspace(0.0, 2 * PI, 17)
+        trace = concurrence_trace(ModelParams.from_beta(beta), field, initial, grid)
+        ops, _ = self._block(field, beta, 0.0, grid)
+        expected, _ = wootters_concurrences(_reduced_stack(ops, ops, initial), QubitBasis.SIGMA_X)
+        assert np.array_equal(trace.values, expected)
+
+    @pytest.mark.parametrize("member", [0, 2])
+    def test_stack_validation_matches_single_state(self, member):
+        good = make_esd_mixture().rho
+        negative = good.copy()
+        negative[0, 3] = negative[3, 0] = 0.5  # eigenvalue 3/8 - 1/2 < 0
+        bad = {
+            "Hermitian": good + np.diag([0.0, 1e-9j, 0.0, 0.0]),
+            "trace": good * 1.001,
+            "positive": negative,
+        }
+        for word, rho in bad.items():
+            stack = np.array([good, good, good])
+            stack[member] = rho
+            with pytest.raises(ValueError, match=word) as one:
+                validate_density_matrices(rho[None])
+            with pytest.raises(ValueError) as many:
+                validate_density_matrices(stack)
+            assert str(many.value) == str(one.value)
+
+
 class TestConcurrenceTrace:
     def test_vacuum_grid_against_closed_form(self):
         grid = np.linspace(0.0, 2 * PI, 33)
@@ -405,6 +537,53 @@ class TestConcurrenceTrace:
                 trunc=TruncationSpec(3, tail_tol=0.5),
                 convergence_tol=1e-10,
             )
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected_before_eigensolve(self, bad, no_allocation):
+        with pytest.raises(ValueError, match="finite"):
+            concurrence_trace(
+                ModelParams.from_beta(0.3), Vacuum(),
+                make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, bad, 1.0],
+            )
+
+    def test_empty_grid_gives_empty_trace(self):
+        trace = concurrence_trace(
+            ModelParams.from_beta(0.3), Thermal(1.0), make_esd_mixture(), [])
+        assert trace.omega_ts.shape == trace.values.shape == (0,)
+        assert trace.doubling_points == 0 and trace.doubling_error == 0.0
+        closed = concurrence_closed(BellState.PHI_PLUS, Thermal(1.0), 0.3, np.array([]))
+        assert closed.shape == trace.values.shape
+
+    @pytest.mark.parametrize("omega0, solver, dims", [(0.0, "dstevd", 1), (0.7, "eigh", 2)])
+    def test_trace_names_its_eigensolve(self, omega0, solver, dims, monkeypatch):
+        if solver == "dstevd" and oracle._lapack_dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no dstevd")
+        trace = concurrence_trace(
+            ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
+            make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
+            trunc=TruncationSpec(30),
+        )
+        assert (trace.eigensolver, trace.sector_dim) == (solver, dims * 31)
+        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        fallback = concurrence_trace(
+            ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
+            make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
+            trunc=TruncationSpec(30),
+        )
+        assert fallback.eigensolver == "eigh"
+        assert np.array_equal(fallback.values, trace.values)
+
+    def test_long_grid_at_small_cutoff_within_estimate(self):
+        # the per-point stacks of a block are bounded, not only its phases
+        params, trunc = ModelParams.from_beta(0.05), TruncationSpec(3, tail_tol=0.5)
+        grid = np.linspace(0.0, 2 * PI, 40001)
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+        tracemalloc.start()
+        concurrence_trace(params, Vacuum(), initial, grid, trunc=trunc, check_convergence=False)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc, check_convergence=False)
 
 
 class TestFieldField:

@@ -1,4 +1,5 @@
-"""Invariants of the closed forms over generated parameters (hypothesis).
+"""Invariants of the closed forms and of the oracle over generated
+parameters (hypothesis).
 
 Every test is derandomized and bounded, so the suite stays deterministic.
 """
@@ -16,7 +17,26 @@ from degjc.closedform import (
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
-from degjc.model import BellState, Coherent, Number, Thermal, Vacuum
+from degjc.model import (
+    BellState,
+    Coherent,
+    ModelParams,
+    Number,
+    QubitBasis,
+    Thermal,
+    Vacuum,
+    make_bell,
+)
+from degjc.oracle import (
+    TruncationError,
+    TruncationSpec,
+    build_hamiltonian,
+    concurrence_trace,
+    conditional_maps,
+    field_field_reduced,
+    field_field_witness,
+    propagate_state,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -94,3 +114,66 @@ def test_array_half_period_matches_scalar_calls(field, beta_list):
     assert together.shape == beta.shape
     one_by_one = np.array([concurrence_at_half_period(field, b) for b in beta])
     assert np.all(np.abs(together - one_by_one) <= 1e-15)
+
+
+ORACLE_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+oracle_fields = st.one_of(
+    st.just(Vacuum()),
+    st.builds(Coherent, st.complex_numbers(max_magnitude=2.0, **finite)),
+    st.builds(Number, st.integers(0, 5)),
+    st.builds(Thermal, st.floats(0.0, 2.0, **finite)),
+)
+
+
+@ORACLE_PROPERTY
+@given(bells, oracle_fields, st.floats(0.0, 0.75, **finite),
+       st.lists(phases, min_size=1, max_size=6))
+def test_oracle_matches_closed_form(bell, field, beta, omega_ts):
+    # the oracle-grid tolerance of the acceptance criteria
+    omega_ts = np.array(omega_ts)
+    trace = concurrence_trace(
+        ModelParams.from_beta(beta), field, make_bell(bell, QubitBasis.SIGMA_X), omega_ts)
+    closed = concurrence_closed(bell, field, beta, omega_ts)
+    assert np.max(np.abs(trace.values - closed)) <= 1e-7
+
+
+def _call_oracle(entry, omega0, omega_t):
+    """Call one oracle entry point with phase (or grid) ``omega_t``."""
+    params, trunc = ModelParams.from_beta(0.4, omega0=omega0), TruncationSpec(12)
+    bell = BellState.PHI_PLUS
+    if entry == "concurrence_trace":
+        return concurrence_trace(params, Vacuum(), make_bell(bell, QubitBasis.SIGMA_X),
+                                 omega_t, trunc=trunc).values
+    prop = build_hamiltonian(params, trunc)
+    if entry == "conditional_maps":
+        return conditional_maps(prop, Thermal(0.5), trunc, omega_t).ops
+    if entry == "propagate_state":
+        return propagate_state(prop, np.eye(prop.dim)[:, :2], omega_t)
+    if entry == "field_field_witness":
+        return field_field_witness(prop, bell, Vacuum(), trunc, omega_t).negativity
+    return field_field_reduced(prop, bell, Vacuum(), trunc, omega_t)
+
+
+oracle_entries = st.sampled_from([
+    "concurrence_trace", "conditional_maps", "propagate_state",
+    "field_field_witness", "field_field_reduced",
+])
+bad_phases = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(oracle_entries, st.sampled_from([0.0, 0.7]), bad_phases, st.booleans())
+def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
+    if empty:
+        omega_t = np.array([])
+    else:
+        omega_t = [0.5, bad] if entry == "concurrence_trace" else bad
+    try:
+        result = _call_oracle(entry, omega0, omega_t)
+    except (ValueError, TruncationError) as exc:
+        assert not isinstance(exc, np.linalg.LinAlgError)
+        return
+    # only an empty grid may pass, and it gives an empty trace
+    assert entry == "concurrence_trace" and empty
+    assert result.shape == (0,)
