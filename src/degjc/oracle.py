@@ -6,14 +6,17 @@ Hamiltonian
     H / omega = a'a + beta (a' + a) sigma_x + (omega0 / 2 omega) sigma_z
 
 on C^2 x C^(ncut+1) once and propagates by phase multiplication in the
-eigenbasis.  At omega0 = 0 sigma_x is conserved, so only the real
-tridiagonal sector n + beta x is diagonalized; the other sector is its
-parity image.  All two-qubit observables are reconstructed from
-single-subsystem conditional maps, which are bilinear forms in the
-eigenphases evaluated blockwise over the phase grid; the joint four-party
-state is only materialized (as a vector) for the field-field separability
-witness.  Nothing here references the closed forms: agreement between the
-two routes is the correctness argument.
+eigenbasis.  H conserves the parity (-1)^(a'a) sigma_z at every omega0
+(Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107, 100401 (2011)),
+so it splits into two real tridiagonal F x F chains with diagonal
+n +- (omega0 / 2 omega) (-1)^n and off-diagonal beta sqrt(n); at
+omega0 = 0 both are the sigma_x sector n + beta x and one is solved.  All
+two-qubit observables are reconstructed from single-subsystem conditional
+maps, which are bilinear forms in the eigenphases evaluated blockwise over
+the phase grid; the joint four-party state is only materialized (as a
+vector) for the field-field separability witness.  Nothing here
+references the closed forms: agreement between the two routes is the
+correctness argument.
 
 The truncation policy (default cutoff heuristic, thermal mixture cutoff
 from the tail tolerance, cutoff-doubling convergence check) is a library
@@ -69,54 +72,45 @@ class TruncationSpec:
 
 @dataclass(frozen=True)
 class SubsystemPropagator:
-    """Eigendecomposition of one qubit-oscillator block.
+    """Eigendecomposition of one qubit-oscillator block as two parity chains.
 
-    At omega0 = 0 the block splits into the sigma_x sectors n + beta x
-    (rail up) and n - beta x = P (n + beta x) P (rail down), with parity
-    P = diag((-1)^n): ``sector_modes`` is the real F x F eigenvector matrix
-    V of the up sector, the down sector's is P V, and both share
-    ``sector_energies``.  Otherwise ``sector_modes`` is the real 2F x 2F
-    eigenvector matrix of the whole block.
+    In rail coordinates (u, d) of the sigma_x basis and with P =
+    diag((-1)^n), the chain coordinate c_s = u + s P d of parity s = +1, -1
+    evolves under the real tridiagonal F x F chain n + s (omega0 / 2 omega)
+    P + beta x.  ``chains`` holds (energies, modes) of chain s = +1, then
+    s = -1, ``modes`` being the real eigenvector matrix V_s; the eigenvector
+    (s, a) of the block has rail-up rows V_s / sqrt(2) and rail-down rows
+    s P V_s / sqrt(2).  At omega0 = 0 both chains are the sigma_x sector
+    n + beta x, solved once and held once: ``chains`` names the same pair
+    twice.
 
     ``energies`` holds the dimensionless eigenvalues E/omega of the block
     and ``modes`` the matching orthonormal eigenvector matrix, so that
     U(w t) = modes exp(-i energies w t) modes'; ``modes`` is assembled on
     request and is not used for propagation.  ``eigensolver`` names the
-    routine that diagonalized the sector: ``"dstevd"`` (LAPACK's
+    routine that diagonalized the chains: ``"dstevd"`` (LAPACK's
     tridiagonal divide and conquer) or ``"eigh"`` (numpy's dense solver).
     """
 
     params: ModelParams
     trunc: TruncationSpec
-    sector_energies: np.ndarray
-    sector_modes: np.ndarray
+    chains: tuple
     eigensolver: str
 
     @property
-    def split(self):
-        """True when the two sigma_x sectors are stored as one F x F sector."""
-        return self.sector_dim == self.fock_dim
-
-    @property
-    def sector_dim(self):
-        """Dimension of the diagonalized sector: F at omega0 = 0, else 2F."""
-        return self.sector_modes.shape[0]
+    def distinct_chains(self):
+        """The chains, each once: one at omega0 = 0, else both."""
+        return self.chains[:1] if self.chains[0] is self.chains[1] else self.chains
 
     @property
     def energies(self):
-        if self.split:
-            return np.concatenate([self.sector_energies, self.sector_energies])
-        return self.sector_energies
+        return np.concatenate([energies for energies, _ in self.chains])
 
     @property
     def modes(self):
-        if not self.split:
-            return self.sector_modes
-        f = self.fock_dim
-        modes = np.zeros((2 * f, 2 * f))
-        modes[:f, :f] = self.sector_modes
-        modes[f:, f:] = _parity(f)[:, None] * self.sector_modes
-        return modes
+        (_, even), (_, odd) = self.chains
+        p = _parity(self.fock_dim)[:, None]
+        return np.block([[even, odd], [p * even, -p * odd]]) / math.sqrt(2.0)
 
     @property
     def dim(self):
@@ -130,16 +124,6 @@ class SubsystemPropagator:
 def _parity(f):
     """Diagonal of P = (-1)^(a'a) on F Fock states."""
     return 1.0 - 2.0 * (np.arange(f) % 2)
-
-
-def _eigh(h, params):
-    try:
-        return np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise TruncationError(
-            f"eigensolver failed for dim={h.shape[0]}, beta={params.beta:g}, "
-            f"max|H|={np.max(np.abs(h)):.3e}: {exc}"
-        ) from exc
 
 
 @functools.cache
@@ -173,9 +157,17 @@ def _tridiagonal_eigh(diag, off, params):
     dense matrix; for numpy's OpenBLAS both give the same bits.  Without
     the routine the dense matrix goes to ``eigh``.
     """
+    def failure(detail):
+        return TruncationError(
+            f"eigensolver failed for dim={diag.size}, beta={params.beta:g}, "
+            f"max|H|={np.max(np.abs(np.concatenate([diag, off]))):.3e}: {detail}")
+
     stevd = _lapack_dstevd()
     if stevd is None:
-        energies, modes = _eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), params)
+        try:
+            energies, modes = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        except np.linalg.LinAlgError as exc:
+            raise failure(exc) from exc
         return energies, modes, "eigh"
     n = diag.size
     d = np.array(diag, dtype=float)  # overwritten by the eigenvalues
@@ -192,63 +184,40 @@ def _tridiagonal_eigh(diag, off, params):
     stevd(b"V", ref(n), d.ctypes, e.ctypes, z.ctypes, ref(n), work.ctypes, ref(lwork),
           iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
     if info.value:
-        raise TruncationError(
-            f"eigensolver failed for dim={n}, beta={params.beta:g}, "
-            f"max|H|={np.max(np.abs(np.concatenate([diag, off]))):.3e}: dstevd info={info.value}"
-        )
+        raise failure(f"dstevd info={info.value}")
     return d, np.ascontiguousarray(z), "dstevd"
 
 
-def _single_sector(params, trunc):
-    """Propagator from the dense real 2F x 2F block, valid for any omega0."""
-    f = trunc.ncut + 1
-    n = np.arange(f, dtype=float)
-    ad_a = np.diag(n)
-    x_op = np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
-    sx = np.diag([1.0, -1.0])  # sigma_x in its own eigenbasis
-    sz = np.array([[0.0, 1.0], [1.0, 0.0]])  # sigma_z flips up <-> down
-    h = (
-        np.kron(np.eye(2), ad_a)
-        + params.beta * np.kron(sx, x_op)
-        + (params.omega0 / (2.0 * params.omega)) * np.kron(sz, np.eye(f))
-    )
-    energies, modes = _eigh(h, params)
-    return SubsystemPropagator(params, trunc, energies, modes, "eigh")
-
-
-def _sector_dim(params, ncut):
-    return (ncut + 1) * (1 if params.degenerate else 2)
-
-
 def _eigensolve_bytes(params, ncut):
-    """Peak bytes of :func:`build_hamiltonian`: the real d x d sector with
+    """Peak bytes of :func:`build_hamiltonian`: one real F x F chain with
     its construction temporaries, the eigenvectors and LAPACK's workspace,
-    about six real d x d arrays (``dstevd`` needs three)."""
-    d = _sector_dim(params, ncut)
-    return 6 * 8 * d * d
+    about six real F x F arrays (``dstevd`` needs three), and at omega0 != 0
+    the eigenvectors of the first chain while the second is solved."""
+    f = ncut + 1
+    return (6 if params.degenerate else 7) * 8 * f * f
 
 
 def _trace_bytes(params, field, trunc, check_convergence=True):
     """Peak bytes of :func:`concurrence_trace`, from (ncut, K, omega0) alone.
 
-    Each run holds the eigenvectors and the :class:`_MapKernel` factors:
-    at omega0 = 0 one real rail Gram matrix, one field Gram matrix and
-    their product, all d x d; on a single 2F sector three rail and three
-    field Gram matrices plus the product.  Field factors are complex only
-    for a coherent amplitude off the real axis.  The K mixture components
-    add a few d x K arrays and the phase blocks a few times
-    ``_PHASE_BLOCK_BYTES``.  The doubled-cutoff re-run is usually the
-    larger of the two runs.
+    Each run holds the F x F eigenvectors of its chains and the
+    :class:`_MapKernel` factors: at omega0 = 0 one real rail Gram matrix,
+    one field Gram matrix and their product; otherwise four real rail Gram
+    matrices, up to twelve field Gram matrices and the product.  Field
+    factors are complex only for a coherent amplitude off the real axis.
+    The K mixture components add a few F x K overlaps and the phase blocks
+    a few times ``_PHASE_BLOCK_BYTES``.  The doubled-cutoff re-run is
+    usually the larger of the two runs.
     """
     word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
     peak = 0
     for spec in (trunc, trunc.doubled()) if check_convergence else (trunc,):
-        d = _sector_dim(params, spec.ncut)
+        f = spec.ncut + 1
         k = 1
         if isinstance(field, Thermal):
             k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
-        grams = (8 + 2 * word) if params.degenerate else (3 * 8 + 4 * word)
-        kernel = (8 + grams) * d * d + 5 * word * d * k + 4 * _PHASE_BLOCK_BYTES
+        factors, overlaps = (16 + 2 * word, 5) if params.degenerate else (56 + 13 * word, 9)
+        kernel = factors * f * f + overlaps * word * f * k + 4 * _PHASE_BLOCK_BYTES
         peak = max(peak, _eigensolve_bytes(params, spec.ncut), kernel)
     return peak
 
@@ -265,20 +234,19 @@ def _require_memory(nbytes, what):
 
 
 def build_hamiltonian(params, trunc):
-    """Subsystem Hamiltonian, eigendecomposed once.
+    """Subsystem Hamiltonian, eigendecomposed once as its parity chains.
 
-    At omega0 = 0 only the real tridiagonal up sector n + beta x is
-    diagonalized, by :func:`_tridiagonal_eigh`; otherwise the whole real
-    2F x 2F block.  Raises :class:`TruncationError` before allocating when
-    the eigensolve would not fit in physical memory.
+    Each chain goes to :func:`_tridiagonal_eigh`; at omega0 = 0 the chains
+    coincide and one is solved.  Raises :class:`TruncationError` before
+    allocating when the eigensolve would not fit in physical memory.
     """
     _require_memory(_eigensolve_bytes(params, trunc.ncut), f"eigensolve at ncut={trunc.ncut}")
-    if not params.degenerate:
-        return _single_sector(params, trunc)
     n = np.arange(trunc.ncut + 1, dtype=float)
-    return SubsystemPropagator(
-        params, trunc, *_tridiagonal_eigh(n, params.beta * np.sqrt(n[1:]), params)
-    )
+    shift = (params.omega0 / (2.0 * params.omega)) * _parity(n.size)
+    diagonals = [n] if params.degenerate else [n + shift, n - shift]
+    solved = [_tridiagonal_eigh(d, params.beta * np.sqrt(n[1:]), params) for d in diagonals]
+    chains = [(energies, modes) for energies, modes, _ in solved]
+    return SubsystemPropagator(params, trunc, (chains[0], chains[-1]), solved[0][2])
 
 
 def _dot(a, b):
@@ -303,22 +271,28 @@ def _finite_phases(omega_ts, ndim):
 
 
 def propagate_state(prop, state, omega_t):
-    """Apply U(w t) = V exp(-i E w t) V' to a subsystem state vector."""
+    """Apply U(w t) to a subsystem state vector (or matrix of columns).
+
+    Chain s evolves the rails [u, P d] by V_s exp(-i E_s w t) V_s', which
+    gives its coordinate u + s P d, and the rails are recombined with an
+    exact 1/2, so at omega0 = 0 a one-rail state stays exactly on its rail.
+    """
     _finite_phases(omega_t, 0)
     state = np.asarray(state, dtype=complex)
     if state.shape[0] != prop.dim:
         raise ValueError(f"state dimension {state.shape[0]} != propagator dimension {prop.dim}")
-    v = prop.sector_modes
-    phases = np.exp(-1j * prop.sector_energies * omega_t)
+    f = prop.fock_dim
     psi = state.reshape(prop.dim, -1)
-    if not prop.split:
-        return _dot(v, phases[:, None] * _dot(v.T, psi)).reshape(state.shape)
-    # both rails in the up sector's eigenbasis: rail down is seen through P
-    f, m = prop.fock_dim, psi.shape[1]
+    m = psi.shape[1]
     p = _parity(f)[:, None]
     rails = np.hstack([psi[:f], p * psi[f:]])
-    out = _dot(v, phases[:, None] * _dot(v.T, rails))
-    return np.vstack([out[:, :m], p * out[:, m:]]).reshape(state.shape)
+    evolved = [
+        _dot(v, np.exp(-1j * energies * omega_t)[:, None] * _dot(v.T, rails))
+        for energies, v in prop.distinct_chains
+    ]
+    even = evolved[0][:, :m] + evolved[0][:, m:]
+    odd = evolved[-1][:, :m] - evolved[-1][:, m:]
+    return np.vstack([0.5 * (even + odd), p * (0.5 * (even - odd))]).reshape(state.shape)
 
 
 def coherent_fock_vector(alpha, ncut):
@@ -405,14 +379,6 @@ class SubsystemConditionalMap:
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 
-# (i, k, p, q) entries evaluated on a single 2F sector; the rest of the 16
-# follow from M_ki = M_ik'.
-_SINGLE_SECTOR_ENTRIES = tuple(
-    (i, k, p, q) for i, k in ((0, 0), (0, 1), (1, 1)) for p in (0, 1) for q in (0, 1)
-    if i != k or p <= q
-)
-
-
 def _unit_rows(vecs):
     """Rows j with column c of ``vecs`` the unit Fock vector e_j, one per
     column, or None when some column is not a unit vector."""
@@ -432,14 +398,20 @@ class _MapKernel:
         M_ik(t)[p, q] = sum_ab phi_a phi_b* S^{ik,pq}_ab,
         S^{ik,pq} = (R_p' R_q) o (Y_i W Y_k^H).
 
-    The factors are built once per eigensolve; a grid is evaluated in
-    blocks of ``block`` points, one matrix product per entry and block.
-    In the sigma_x sectors (omega0 = 0) each rail stays in its sector, so
-    M_uu and M_dd are the constant field norm on their own rail and only
-    M_ud[up, down] needs the bilinear form, with R_u = V and R_d = P V.
-    Where every mixture component is a unit Fock vector e_j (vacuum,
-    number and thermal fields) the overlaps Y are rows j of R, sliced
-    rather than multiplied.
+    Chain s has rail rows V_s / sqrt(2) and s P V_s / sqrt(2), so S splits
+    into F x F blocks, one per pair of chains (s, t):
+    S^{ik,pq}_st = s^([p = d] + [i = d]) t^([q = d] + [k = d]) (V_s' X V_t)
+    o (Y^i_s W Y^k_t^H) / 4, with X = I for p = q and P otherwise, and
+    overlaps Y^u_s = V_s' C, Y^d_s = V_s' P C.  A block with s = t and
+    p = q has V_s' V_s = I and adds the constant (field norm) / 2 to
+    M_ii[p, p].  Where the chains coincide (omega0 = 0) the chain pairs
+    collapse into the sigma_x sector form: M_uu and M_dd are the field norm
+    on their own rail and only M_ud[up, down] is a bilinear form, with
+    S = (V' P V) o (Y^u W Y^d^H).  The factors are built once per
+    eigensolve; a grid is evaluated in blocks of ``block`` points, one
+    matrix product per block of S and block of points.  Where every
+    mixture component is a unit Fock vector e_j (vacuum, number and thermal
+    fields) the overlaps are rows j of V_s, sliced rather than multiplied.
     """
 
     def __init__(self, prop, field, trunc):
@@ -447,34 +419,51 @@ class _MapKernel:
         if not np.any(vecs.imag):
             vecs = vecs.real
         rows = _unit_rows(vecs)
-        v = prop.sector_modes
-        self.energies = prop.sector_energies
+        parity = _parity(prop.fock_dim)
+        modes = [v for _, v in prop.distinct_chains]
+        self.chain_count = len(modes)
+        self.energies = np.concatenate([energies for energies, _ in prop.distinct_chains])
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
-        self.const = np.zeros((2, 2, 2, 2), dtype=complex)
-        if prop.split:
-            p = _parity(prop.fock_dim)
-            norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
-            self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
+        norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
+        scaled = weights if len(modes) == 1 else 0.25 * weights  # the 1/4 of each block
+
+        def overlaps(v):  # V' C and V' P C
             if rows is None:
-                y_up, y_down = _dot(v.T, vecs), _dot(v.T, p[:, None] * vecs)
-            else:
-                y_up = np.take(v.T, rows, axis=1)
-                y_down = y_up * p[rows]
-            self.terms = [((0, 1, 0, 1), (v.T * p) @ v, (y_up * weights) @ y_down.conj().T)]
+                return _dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)
+            y = np.take(v.T, rows, axis=1)
+            return y, y * parity[rows]
+
+        y = list(zip(*[overlaps(v) for v in modes]))  # y[i][s]: rail i, chain s
+
+        def rail_gram(s, t, flip):  # V_s' V_t, or V_s' P V_t
+            return (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
+
+        def field_gram(i, s, k, t):  # Y^i_s W Y^k_t^H, scaled
+            return (y[i][s] * scaled) @ y[k][t].conj().T
+
+        self.const = np.zeros((2, 2, 2, 2), dtype=complex)
+        if len(modes) == 1:
+            self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
+            self.terms = [((0, 1, 0, 1), 0, 0, 1, rail_gram(0, 0, True), field_gram(0, 0, 1, 0))]
             return
-        f = prop.fock_dim
-        rails = (v[:f], v[f:])
-        y = [_dot(r.T, vecs) if rows is None else np.take(r.T, rows, axis=1) for r in rails]
-        rail_gram, field_gram = {}, {}
-        for a in (0, 1):
-            for b in (a, 1):
-                rail_gram[a, b] = rails[a].T @ rails[b]
-                field_gram[a, b] = (y[a] * weights) @ y[b].conj().T
-        rail_gram[1, 0] = rail_gram[0, 1].T
-        self.terms = [
-            ((i, k, p, q), rail_gram[p, q], field_gram[i, k])
-            for i, k, p, q in _SINGLE_SECTOR_ENTRIES
-        ]
+        rails = {(s, t, flip): rail_gram(s, t, flip)
+                 for s, t, flip in ((0, 0, True), (0, 1, False), (0, 1, True), (1, 1, True))}
+        rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
+        self.terms = []
+        for i, k in ((0, 0), (0, 1), (1, 1)):
+            fields = {(s, t): field_gram(i, s, k, t) for s in (0, 1) for t in (0, 1)
+                      if i != k or s <= t}
+            if i == k:
+                fields[1, 0] = fields[0, 1].conj().T
+            for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                if i == k and p > q:
+                    continue  # M_ii[d, u] = M_ii[u, d]*
+                if i == k and p == q:
+                    self.const[i, k, p, q] = 0.5 * norm
+                for (s, t), gram in fields.items():
+                    if s != t or p != q:
+                        sign = (-1) ** (s * (p + i) + t * (q + k))
+                        self.terms.append(((i, k, p, q), s, t, sign, rails[s, t, p != q], gram))
 
     def blocks(self, omega_ts):
         """(n, 2, 2, 2, 2) stacks ops[:, i, k, p, q] = M_ik[p, q], one per
@@ -489,10 +478,12 @@ class _MapKernel:
 
     def _block_ops(self, omega_ts):
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
-        right = phases.conj()
+        left = np.split(phases, self.chain_count)
+        right = np.split(phases.conj(), self.chain_count)
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
-        for (i, k, p, q), rail_gram, field_gram in self.terms:
-            ops[:, i, k, p, q] += np.sum(phases * _dot(rail_gram * field_gram, right), axis=0)
+        for (i, k, p, q), s, t, sign, rail_gram, field_gram in self.terms:
+            value = np.sum(left[s] * _dot(rail_gram * field_gram, right[t]), axis=0)
+            ops[:, i, k, p, q] += value if sign > 0 else -value
         for i in (0, 1):
             ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
         ops[:, 1, 0] = ops[:, 0, 1].conj().swapaxes(-1, -2)
@@ -689,7 +680,7 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
         qmats[block] = _reduced_stack(ops, ops, initial)
         values[block], _ = wootters_concurrences(qmats[block], QubitBasis.SIGMA_X)
         start = block.stop
-    return values, qmats, kernel.tail, (prop.eigensolver, prop.sector_dim)
+    return values, qmats, kernel.tail, (prop.eigensolver, prop.fock_dim)
 
 
 def concurrence_trace(

@@ -18,7 +18,7 @@ def no_allocation(monkeypatch):
     def reached(*args, **kwargs):
         raise AssertionError("allocating stage reached past the memory guard")
 
-    for name in ("field_components", "_single_sector", "_eigh", "_tridiagonal_eigh"):
+    for name in ("field_components", "_tridiagonal_eigh"):
         monkeypatch.setattr(oracle, name, reached)
 
 

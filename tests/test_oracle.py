@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -47,11 +48,44 @@ from degjc.oracle import (
     _PHASE_BLOCK_BYTES,
     _MapKernel,
     _reduced_stack,
-    _single_sector,
     _tridiagonal_eigh,
 )
 
 PI = math.pi
+
+
+def _dense_block(params, trunc):
+    """Energies and eigenvectors of the dense real 2F x 2F block, valid for
+    any omega0: the reference the parity chains are checked against."""
+    f = trunc.ncut + 1
+    n = np.arange(f, dtype=float)
+    x_op = np.diag(np.sqrt(n[1:]), 1) + np.diag(np.sqrt(n[1:]), -1)
+    sx = np.diag([1.0, -1.0])  # sigma_x in its own eigenbasis
+    sz = np.array([[0.0, 1.0], [1.0, 0.0]])  # sigma_z flips up <-> down
+    h = (
+        np.kron(np.eye(2), np.diag(n))
+        + params.beta * np.kron(sx, x_op)
+        + (params.omega0 / (2.0 * params.omega)) * np.kron(sz, np.eye(f))
+    )
+    return np.linalg.eigh(h)
+
+
+def _dense_propagate(dense, psi, omega_t):
+    energies, modes = dense
+    return modes @ (np.exp(-1j * energies * omega_t)[:, None] * (modes.T @ psi))
+
+
+def _dense_maps(dense, field, trunc, omega_t):
+    """ops[i, k, p, q] = M_ik[p, q] from the propagated mixture components."""
+    f = trunc.ncut + 1
+    weights, vecs, _ = field_components(field, trunc)
+    rails = []
+    for i in (0, 1):
+        psi0 = np.zeros((2 * f, vecs.shape[1]), dtype=complex)
+        psi0[i * f:(i + 1) * f] = vecs
+        rails.append(_dense_propagate(dense, psi0, omega_t).reshape(2, f, -1))
+    rails = np.array(rails)  # [initial rail, qubit out, field out, component]
+    return np.einsum("ipmn,kqmn,n->ikpq", rails, rails.conj(), weights)
 
 
 def _spin_field_vector(prop, alpha, spin_up):
@@ -98,15 +132,19 @@ class TestHamiltonian:
         assert np.max(np.abs(gram - np.eye(prop.dim))) <= 1e-10
 
     def test_sector_modes_and_energies_diagonalize_the_block(self):
-        params = ModelParams.from_beta(0.7)
         trunc = TruncationSpec(25)
-        prop = build_hamiltonian(params, trunc)
-        dense = _single_sector(params, trunc)
-        assert prop.split
-        assert np.max(np.abs(prop.modes.T @ prop.modes - np.eye(prop.dim))) <= 1e-10
-        h = (dense.modes * dense.energies) @ dense.modes.T
-        rebuilt = (prop.modes * prop.energies) @ prop.modes.T
-        assert np.max(np.abs(rebuilt - h)) <= 1e-12
+        for omega0 in (0.0, 0.7):
+            params = ModelParams.from_beta(0.7, omega0=omega0)
+            prop = build_hamiltonian(params, trunc)
+            energies, modes = _dense_block(params, trunc)
+            # at omega0 = 0 one chain is solved and held for both parities
+            assert (prop.chains[0] is prop.chains[1]) == (omega0 == 0.0)
+            assert len(prop.distinct_chains) == (1 if omega0 == 0.0 else 2)
+            assert np.max(np.abs(prop.modes.T @ prop.modes - np.eye(prop.dim))) <= 1e-10
+            h = (modes * energies) @ modes.T
+            rebuilt = (prop.modes * prop.energies) @ prop.modes.T
+            assert np.max(np.abs(rebuilt - h)) <= 1e-12
+            assert np.max(np.abs(np.sort(prop.energies) - energies)) <= 1e-12
 
 
 class TestTridiagonalEigensolve:
@@ -136,8 +174,8 @@ class TestTridiagonalEigensolve:
         assert prop.eigensolver == "eigh"
         diag, off = self._chain(41, 0.5)
         energies, modes = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        assert np.array_equal(prop.sector_energies, energies)
-        assert np.array_equal(prop.sector_modes, modes)
+        assert np.array_equal(prop.chains[0][0], energies)
+        assert np.array_equal(prop.chains[0][1], modes)
 
     def test_solver_failure_is_truncation_error(self, monkeypatch):
         def failing(*args):
@@ -148,12 +186,13 @@ class TestTridiagonalEigensolve:
             build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(10))
 
     def test_peak_bytes_within_estimate(self):
-        params, trunc = ModelParams.from_beta(0.5), TruncationSpec(617)
-        tracemalloc.start()
-        build_hamiltonian(params, trunc)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= oracle._eigensolve_bytes(params, trunc.ncut)
+        for omega0 in (0.0, 0.7):
+            params, trunc = ModelParams.from_beta(0.5, omega0=omega0), TruncationSpec(617)
+            tracemalloc.start()
+            build_hamiltonian(params, trunc)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            assert peak <= oracle._eigensolve_bytes(params, trunc.ncut)
 
 
 class TestPropagation:
@@ -322,18 +361,45 @@ class TestMapKernel:
         "field", [Vacuum(), Coherent(1.0 + 0.5j), Number(5), Thermal(2.0)], ids=str
     )
     def test_sigma_x_sectors_match_single_sector(self, field, rng):
-        params = ModelParams.from_beta(0.5)
+        # the parity chains against the dense 2F block, at and off omega0 = 0
         trunc = TruncationSpec(default_ncut(field, 0.5))
-        split = build_hamiltonian(params, trunc)
-        single = _single_sector(params, trunc)
-        assert split.split and not single.split
-        psi = rng.normal(size=(split.dim, 3)) + 1j * rng.normal(size=(split.dim, 3))
-        for wt in rng.uniform(0.0, 2 * PI, size=4):
-            a = conditional_maps(split, field, trunc, wt).ops
-            b = conditional_maps(single, field, trunc, wt).ops
-            assert np.max(np.abs(a - b)) <= 1e-12
-            moved = propagate_state(split, psi, wt) - propagate_state(single, psi, wt)
-            assert np.max(np.abs(moved)) <= 1e-12
+        for omega0 in (0.0, 0.3, 0.7, 3.0):
+            params = ModelParams.from_beta(0.5, omega0=omega0)
+            prop = build_hamiltonian(params, trunc)
+            dense = _dense_block(params, trunc)
+            psi = rng.normal(size=(prop.dim, 3)) + 1j * rng.normal(size=(prop.dim, 3))
+            for wt in rng.uniform(0.0, 2 * PI, size=4):
+                ops = conditional_maps(prop, field, trunc, wt).ops
+                assert np.max(np.abs(ops - _dense_maps(dense, field, trunc, wt))) <= 1e-12
+                moved = propagate_state(prop, psi, wt) - _dense_propagate(dense, psi, wt)
+                assert np.max(np.abs(moved)) <= 1e-12
+
+    @pytest.mark.slow
+    def test_chain_rails_match_mpmath_truth(self):
+        # 40-digit eigendecomposition of the dense block, built from H alone;
+        # the dense double-precision eigh is off by about 1.2e-14 here
+        beta, omega0, ncut = 0.75, 0.7, 23
+        f = ncut + 1
+        with mpmath.workdps(40):
+            h = mpmath.zeros(2 * f, 2 * f)
+            for n in range(f):
+                h[n, n] = h[f + n, f + n] = n
+                h[n, f + n] = h[f + n, n] = mpmath.mpf(omega0) / 2
+                if n + 1 < f:
+                    x = mpmath.mpf(beta) * mpmath.sqrt(n + 1)
+                    h[n, n + 1] = h[n + 1, n] = x
+                    h[f + n, f + n + 1] = h[f + n + 1, f + n] = -x
+            energies, modes = mpmath.eigsy(h)
+            phases = [mpmath.expj(-2 * mpmath.pi * e) for e in energies]
+            truth = np.array([
+                [complex(mpmath.fsum(modes[r, a] * phases[a] * modes[p * f, a]
+                                     for a in range(2 * f)))
+                 for r in range(2 * f)]
+                for p in (0, 1)
+            ]).reshape(2, 2, f)
+        params, trunc = ModelParams.from_beta(beta, omega0=omega0), TruncationSpec(ncut)
+        rails = oracle._evolved_rails(build_hamiltonian(params, trunc), Vacuum(), trunc, 2 * PI)
+        assert np.max(np.abs(rails - truth)) <= 2e-15
 
     def test_detuned_thermal_matches_propagated_components(self, rng):
         params = ModelParams.from_beta(0.4, omega0=0.3)
@@ -555,16 +621,17 @@ class TestConcurrenceTrace:
         closed = concurrence_closed(BellState.PHI_PLUS, Thermal(1.0), 0.3, np.array([]))
         assert closed.shape == trace.values.shape
 
-    @pytest.mark.parametrize("omega0, solver, dims", [(0.0, "dstevd", 1), (0.7, "eigh", 2)])
-    def test_trace_names_its_eigensolve(self, omega0, solver, dims, monkeypatch):
-        if solver == "dstevd" and oracle._lapack_dstevd() is None:
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    def test_trace_names_its_eigensolve(self, omega0, monkeypatch):
+        # every omega0 solves F x F tridiagonal chains
+        if oracle._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trace = concurrence_trace(
             ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
             make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
             trunc=TruncationSpec(30),
         )
-        assert (trace.eigensolver, trace.sector_dim) == (solver, dims * 31)
+        assert (trace.eigensolver, trace.sector_dim) == ("dstevd", 31)
         monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
         fallback = concurrence_trace(
             ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
