@@ -775,7 +775,7 @@ def main(argv=None):
         _RUNNERS[cfg.scenario](cfg)
         _maybe_plot_script(cfg)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TruncationError as exc:

@@ -29,6 +29,7 @@ the two-qubit index convention of :mod:`degjc.model`.
 import ctypes
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -61,6 +62,8 @@ class TruncationSpec:
     tail_tol: float = 1e-10
 
     def __post_init__(self):
+        if isinstance(self.ncut, bool) or not isinstance(self.ncut, numbers.Integral):
+            raise ValueError(f"ncut must be an integer, got {self.ncut!r}")
         if self.ncut < 1:
             raise ValueError(f"ncut must be >= 1, got {self.ncut!r}")
         if not (0 < self.tail_tol < 1):
@@ -227,8 +230,9 @@ def _require_memory(nbytes, what):
     the machine's physical memory."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > limit:
+        gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf
         raise TruncationError(
-            f"{what} needs about {nbytes / 2**30:.3g} GiB, more than the "
+            f"{what} needs about {gib:.3g} GiB, more than the "
             f"{limit / 2**30:.3g} GiB of physical memory; lower ncut"
         )
 
@@ -310,6 +314,8 @@ def thermal_component_count(nbar, tail_tol):
     if nbar == 0.0:
         return 0
     r = nbar / (1.0 + nbar)
+    if r == 1.0:
+        raise TruncationError(f"thermal mixture nbar={nbar:g} has no truncation in double precision")
     k = max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1)
     while r ** (k + 1) > tail_tol:
         k += 1
@@ -622,7 +628,10 @@ def _purity(x):
 
 
 def low_spectrum(prop, k):
-    """Lowest k dimensionless eigenvalues shifted so the ground level is 0."""
+    """Lowest k >= 1 dimensionless eigenvalues shifted so the ground level
+    is 0."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     e = np.sort(prop.energies)[:k]
     return e - e[0]
 
@@ -638,7 +647,10 @@ def default_ncut(field, beta, tail_tol=1e-10):
     a0 = abs(field.alpha0) if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
     nn = field.n if isinstance(field, Number) else 0
-    ncut = math.ceil((a0 + 2.0 * beta + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
+    try:
+        ncut = math.ceil((a0 + 2.0 * beta + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
+    except OverflowError as exc:
+        raise TruncationError(f"no representable cutoff for {field} at beta={beta:g}") from exc
     if nb > 0:
         ncut = max(ncut, thermal_component_count(nb, tail_tol) + 30)
     return max(ncut, 1)
@@ -663,6 +675,26 @@ class OracleTrace:
     doubling_points: int
     eigensolver: str
     sector_dim: int
+
+
+def _require_phase_accuracy(params, ncut, omega_ts, tol):
+    """ValueError when the roundoff of the eigenphases E w t, about
+    eps max|E| max|w t|, can exceed ``tol``.
+
+    max|E| is bounded by Gershgorin on the chains at ``ncut``:
+    ncut + omega0 / 2 omega + 2 beta sqrt(ncut).  No cutoff removes this
+    error, and w t is never reduced mod 2 pi, which would take the
+    period from the analytic spectrum.
+    """
+    if not len(omega_ts):
+        return
+    bound = ncut + params.omega0 / (2.0 * params.omega) + 2.0 * params.beta * math.sqrt(ncut)
+    roundoff = np.finfo(float).eps * bound * float(np.max(np.abs(omega_ts)))
+    if roundoff > tol:
+        raise ValueError(
+            f"phase roundoff eps * max|E| * max|w t| = {roundoff:.3e} at ncut={ncut} "
+            f"exceeds the tolerance {tol:g}; shorten the phase range"
+        )
 
 
 def _reconstruct(params, field, initial, omega_ts, trunc):
@@ -699,8 +731,10 @@ def concurrence_trace(
     of the grid at twice the cutoff; entrywise matrix disagreement beyond
     ``convergence_tol`` raises :class:`TruncationError`, and so does a run
     whose estimated peak memory exceeds physical memory, before it
-    allocates.  A non-finite phase raises ValueError before any
-    eigensolve; an empty grid gives an empty trace.
+    allocates.  A non-finite phase, or a grid whose eigenphase roundoff
+    exceeds ``convergence_tol`` (see :func:`_require_phase_accuracy`),
+    raises ValueError before any eigensolve; an empty grid gives an empty
+    trace.
     """
     omega_ts = _finite_phases(omega_ts, 1)
     if trunc is None:
@@ -709,6 +743,8 @@ def concurrence_trace(
         _trace_bytes(params, field, trunc, check_convergence),
         f"concurrence trace at ncut={trunc.ncut}",
     )
+    largest = trunc.doubled() if check_convergence else trunc
+    _require_phase_accuracy(params, largest.ncut, omega_ts, convergence_tol)
     values, qmats, tail, (solver, sector_dim) = _reconstruct(
         params, field, initial, omega_ts, trunc)
     doubling_error = 0.0

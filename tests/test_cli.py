@@ -339,6 +339,28 @@ class TestExitCodes:
         assert not out.exists()
 
 
+class TestOracleLimits:
+    @pytest.mark.parametrize("argv", [
+        ["concurrence-sweep", "--field", "coherent:alpha=1e200", "--compare-oracle"],
+        ["separability", "--field", "coherent:alpha=1e200"],
+        ["concurrence-sweep", "--field", "thermal:nbar=1e300", "--compare-oracle"],
+        ["concurrence-sweep", "--beta", "1e100", "--compare-oracle"],
+    ])
+    def test_unrepresentable_cutoff_exits_3(self, argv, tmp_path, capsys, no_allocation):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--steps", "3", "--out", str(out)]) == 3
+        assert "truncation/solver error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_phase_roundoff_exits_2(self, tmp_path, capsys, no_allocation):
+        out = tmp_path / "x.csv"
+        rc = main(["concurrence-sweep", "--beta", "0.3", "--omega-t-max", "1e9", "--steps", "3",
+                   "--compare-oracle", "--out", str(out)])
+        assert rc == 2
+        assert "phase roundoff" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestOverflowFreeSweeps:
     def test_number_sweep_beyond_float_range(self, tmp_path):
         out = tmp_path / "x.csv"

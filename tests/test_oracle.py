@@ -641,6 +641,24 @@ class TestConcurrenceTrace:
         assert fallback.eigensolver == "eigh"
         assert np.array_equal(fallback.values, trace.values)
 
+    def test_phase_roundoff_rejected_before_allocating(self, no_allocation):
+        # eps * max|E| * max|w t| at the doubled cutoff: about 1e-5 here
+        with pytest.raises(ValueError, match="phase roundoff"):
+            concurrence_trace(
+                ModelParams.from_beta(0.3), Vacuum(),
+                make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 5e8, 1e9],
+            )
+
+    def test_phase_bound_covers_every_eigenvalue(self):
+        params, trunc = ModelParams.from_beta(3.0, omega0=5.0), TruncationSpec(200)
+        prop = build_hamiltonian(params, trunc)
+        bound = trunc.ncut + 5.0 / 2.0 + 2.0 * 3.0 * math.sqrt(trunc.ncut)
+        assert np.max(np.abs(prop.energies)) <= bound
+        phase = 1e-8 / (np.finfo(float).eps * bound)
+        oracle._require_phase_accuracy(params, trunc.ncut, np.array([-0.99 * phase]), 1e-8)
+        with pytest.raises(ValueError, match="phase roundoff"):
+            oracle._require_phase_accuracy(params, trunc.ncut, np.array([-1.01 * phase]), 1e-8)
+
     def test_long_grid_at_small_cutoff_within_estimate(self):
         # the per-point stacks of a block are bounded, not only its phases
         params, trunc = ModelParams.from_beta(0.05), TruncationSpec(3, tail_tol=0.5)

@@ -35,6 +35,7 @@ from degjc.oracle import (
     conditional_maps,
     field_field_reduced,
     field_field_witness,
+    low_spectrum,
     propagate_state,
 )
 
@@ -177,3 +178,20 @@ def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
     # only an empty grid may pass, and it gives an empty trace
     assert entry == "concurrence_trace" and empty
     assert result.shape == (0,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TruncationSpec(2.5),
+    lambda: TruncationSpec(True),
+    lambda: TruncationSpec(np.float64(20.0)),
+    lambda: concurrence_trace(ModelParams.from_beta(0.4), Vacuum(),
+                              make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
+                              trunc=TruncationSpec(20.5)),
+    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), 0),
+    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), 2.5),
+    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), True),
+], ids=["ncut-2.5", "ncut-bool", "ncut-float", "trace-ncut-20.5", "spectrum-0",
+        "spectrum-2.5", "spectrum-bool"])
+def test_oracle_rejects_non_integral_cutoffs(call):
+    with pytest.raises(ValueError, match="integer"):
+        call()
