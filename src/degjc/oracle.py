@@ -315,7 +315,7 @@ def thermal_component_count(nbar, tail_tol):
         return 0
     r = nbar / (1.0 + nbar)
     if r == 1.0:
-        raise TruncationError(f"thermal mixture nbar={nbar:g} has no truncation in double precision")
+        raise TruncationError(f"thermal mixture nbar={nbar:g} cannot be truncated in doubles")
     k = max(0, math.ceil(math.log(tail_tol) / math.log(r)) - 1)
     while r ** (k + 1) > tail_tol:
         k += 1
@@ -483,12 +483,13 @@ class _MapKernel:
             yield from block
 
     def _block_ops(self, omega_ts):
+        # phases[s]: the (F, points) eigenphases of chain s
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
-        left = np.split(phases, self.chain_count)
-        right = np.split(phases.conj(), self.chain_count)
+        phases = phases.reshape(self.chain_count, -1, len(omega_ts))
+        right = phases.conj()
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
         for (i, k, p, q), s, t, sign, rail_gram, field_gram in self.terms:
-            value = np.sum(left[s] * _dot(rail_gram * field_gram, right[t]), axis=0)
+            value = np.sum(phases[s] * _dot(rail_gram * field_gram, right[t]), axis=0)
             ops[:, i, k, p, q] += value if sign > 0 else -value
         for i in (0, 1):
             ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
