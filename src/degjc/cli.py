@@ -7,15 +7,15 @@ concurrence-sweep   concurrence trace for one Bell state + field class
 beta-sweep          concurrence at the half period versus coupling
 esd                 the 3/4-1/8-1/8 mixture under thermal fields
 separability        field-field negativity witness and reduced purities
-validate            closed-form vs oracle acceptance grid, report + exit code
+validate            the acceptance checks of ``degjc.validation``, report + exit code
 
 All time axes are the dimensionless phase w*t; ``--omega`` adds an
 absolute-time column.  Output is deterministic CSV: '#'-prefixed metadata
 lines (effective configuration, cutoff, tail mass, version), then a header
 row, then ``%.17g``-formatted values.
 
-Exit codes: 0 success, 1 validation failure, 2 bad configuration,
-3 truncation or solver failure.
+Exit codes: 0 success, 1 validation failure (``validate`` only, when a check
+breaches its tolerance), 2 bad configuration, 3 truncation or solver failure.
 """
 
 import argparse
@@ -33,10 +33,8 @@ from .closedform import (
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
-    evolve_spin_coherent,
     modulation_factor,
 )
-from .entanglement import negativity
 from .model import (
     BellState,
     Coherent,
@@ -48,18 +46,8 @@ from .model import (
     make_bell,
     make_esd_mixture,
 )
-from .oracle import (
-    TruncationError,
-    TruncationSpec,
-    build_hamiltonian,
-    coherent_fock_vector,
-    concurrence_trace,
-    default_ncut,
-    field_field_witness,
-    low_spectrum,
-    propagate_state,
-)
-from .specialfn import laguerre, laguerre_roots
+from .oracle import TruncationError, build_hamiltonian, concurrence_trace, field_field_witness
+from .validation import convergence_tol, truncation, validation_rows
 
 SCENARIOS = ("envelope", "concurrence-sweep", "beta-sweep", "esd", "separability", "validate")
 
@@ -110,17 +98,6 @@ def parse_bell(text):
         raise ConfigError(
             f"bad bell spec {text!r}; expected one of {', '.join(_BELL_NAMES)} or {ESD_MIXTURE}"
         ) from None
-
-
-def _field_label(field):
-    """Comma-free field tag for report row names."""
-    if isinstance(field, Vacuum):
-        return "vacuum"
-    if isinstance(field, Coherent):
-        return f"coherent{field.alpha0}"
-    if isinstance(field, Number):
-        return f"number({field.n})"
-    return f"thermal({field.nbar:g})"
 
 
 @dataclass
@@ -264,18 +241,13 @@ def _require_degenerate(cfg):
         raise ConfigError(
             f"scenario {cfg.scenario!r} evaluates closed forms, which require "
             f"omega0 == 0 (got {cfg.omega0:g}); nonzero omega0 is supported only "
-            f"with --compare-oracle on concurrence-sweep"
+            f"by separability and by concurrence-sweep with --compare-oracle"
         )
 
 
 def _params(cfg, beta):
     omega = cfg.omega if cfg.omega is not None else 1.0
     return ModelParams(omega=omega, omega0=cfg.omega0 * omega, lam=beta * omega)
-
-
-def _trunc(cfg, field, beta):
-    ncut = cfg.ncut if cfg.ncut is not None else default_ncut(field, beta)
-    return TruncationSpec(ncut)
 
 
 def run_envelope(cfg):
@@ -301,10 +273,9 @@ def _initial_state(bell):
 
 
 def _oracle_columns(cfg, params, field, initial, omega_ts, closed):
-    trunc = _trunc(cfg, field, params.beta)
     trace = concurrence_trace(
-        params, field, initial, omega_ts, trunc=trunc,
-        convergence_tol=max(cfg.tolerance / 10.0, 1e-9),
+        params, field, initial, omega_ts, trunc=truncation(field, params.beta, cfg.ncut),
+        convergence_tol=convergence_tol(cfg.tolerance),
     )
     cols = [("concurrence_oracle", trace.values)]
     md = {
@@ -409,7 +380,7 @@ def run_separability(cfg):
         raise ConfigError("separability witness requires a pure Bell state")
     omega_ts = _grid(cfg, 2.0 * math.pi, 17)
     params = _params(cfg, beta)
-    trunc = _trunc(cfg, field, beta)
+    trunc = truncation(field, beta, cfg.ncut)
     prop = build_hamiltonian(params, trunc)
     points = [field_field_witness(prop, bell, field, trunc, wt) for wt in omega_ts]
     negs = np.array([w.negativity for w in points])
@@ -435,201 +406,9 @@ def run_separability(cfg):
 # validate
 
 
-@dataclass
-class CheckRow:
-    name: str
-    max_error: float
-    tolerance: float
-
-    @property
-    def passed(self):
-        return self.max_error <= self.tolerance
-
-
-def _validate_rows(cfg):
-    rows = []
-    rng = np.random.default_rng(20240817)
-    tol_oracle = cfg.tolerance
-
-    # Envelope minima and periodicity of all closed forms.
-    err = max(
-        abs(modulation_factor(0.75, math.pi) - math.exp(-4.5)),
-        abs(modulation_factor(0.1, math.pi) - math.exp(-0.08)),
-    )
-    rows.append(CheckRow("envelope-minima", err, 1e-12))
-    wt = np.linspace(0.0, 2.0 * math.pi, 199)
-    err = max(
-        float(np.max(np.abs(modulation_factor(b, wt + 2.0 * math.pi) - modulation_factor(b, wt))))
-        for b in (0.75, 0.1)
-    )
-    rows.append(CheckRow("envelope-periodicity", err, 1e-12))
-
-    # Closed form against the truncated-Fock oracle.
-    fields = (
-        [cfg.field]
-        if cfg.field is not None
-        else [Vacuum(), Coherent(1.0 + 0.5j), Number(1), Number(5), Thermal(1.0), Thermal(2.0)]
-    )
-    betas = [cfg.beta] if cfg.beta is not None else [0.1, 0.5]
-    grid = np.linspace(0.0, 2.0 * math.pi, cfg.steps if cfg.steps is not None else 64)
-    initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
-    revival_err = 0.0
-    for field in fields:
-        for beta in betas:
-            params = ModelParams.from_beta(beta)
-            trace = concurrence_trace(
-                params,
-                field,
-                initial,
-                grid,
-                trunc=_trunc(cfg, field, beta),
-                convergence_tol=max(tol_oracle / 10.0, 1e-9),
-            )
-            closed = concurrence_closed(BellState.PHI_PLUS, field, beta, grid)
-            err = float(np.max(np.abs(trace.values - closed)))
-            rows.append(CheckRow(f"oracle-grid:{_field_label(field)}:beta={beta:g}", err, tol_oracle))
-            revival_err = max(revival_err, abs(trace.values[-1] - 1.0))
-    rows.append(CheckRow("oracle-revival", revival_err, tol_oracle))
-    err = max(
-        float(np.max(np.abs(concurrence_closed(BellState.PHI_PLUS, f, b, 2.0 * math.pi) - 1.0)))
-        for f in fields
-        for b in betas
-    )
-    rows.append(CheckRow("closed-revival", err, 1e-12))
-
-    # Propagated spin-coherent branches against the analytic displaced states.
-    err = 0.0
-    for _ in range(16):
-        alpha = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        beta = rng.uniform(0.0, 0.8)
-        wt_r = rng.uniform(0.0, 2.0 * math.pi)
-        spin_up = bool(rng.integers(0, 2))
-        err = max(err, _analytic_propagation_error(alpha, spin_up, beta, wt_r))
-    rows.append(CheckRow("analytic-propagation", err, 1e-8))
-
-    # Degenerate spectrum {0, 0, 1, 1, ...} after ground shift.
-    target = np.repeat(np.arange(5, dtype=float), 2)
-    err = 0.0
-    for beta in (0.25, 0.5, 1.0):
-        prop = build_hamiltonian(ModelParams.from_beta(beta), TruncationSpec(60))
-        err = max(err, float(np.max(np.abs(low_spectrum(prop, 10) - target))))
-    rows.append(CheckRow("spectrum-degenerate", err, 1e-8))
-
-    # Closed-form invariances on dense grids.
-    dense = np.linspace(0.0, 2.0 * math.pi, 1000)
-    base = concurrence_closed(BellState.PHI_PLUS, Vacuum(), 0.3, dense)
-    err = max(
-        float(np.max(np.abs(concurrence_closed(BellState.PHI_PLUS, Coherent(a), 0.3, dense) - base)))
-        for a in (0.0, 1.0, 10.0 + 3.0j, 100.0)
-    )
-    rows.append(CheckRow("alpha0-independence", err, 1e-12))
-    field = Thermal(1.0)
-    traces = [concurrence_closed(b, field, 0.4, dense) for b in BellState]
-    err = max(float(np.max(np.abs(t - traces[0]))) for t in traces[1:])
-    rows.append(CheckRow("bell-equivalence", err, 1e-12))
-    err = 0.0
-    for beta, nbar in ((0.1, 1.0), (0.3, 2.0), (0.5, 25.0)):
-        th = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, dense)
-        coh = concurrence_closed(
-            BellState.PHI_PLUS, Vacuum(), beta * math.sqrt(1.0 + 2.0 * nbar), dense
-        )
-        err = max(err, float(np.max(np.abs(th - coh))))
-    rows.append(CheckRow("thermal-coupling-identity", err, 1e-12))
-    # C_th = exp(-4 (1+2 nbar) b^2 |gamma|^2) is positive for every finite
-    # exponent; assert strict float positivity wherever exp is representable.
-    bad = 0.0
-    for beta in (0.1, 0.5, 1.0, 2.0):
-        for nbar in (1.0, 5.0, 25.0):
-            expo = 4.0 * (1.0 + 2.0 * nbar) * beta**2 * (2.0 - 2.0 * np.cos(dense))
-            vals = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, dense)
-            if not np.all(np.isfinite(expo)) or np.any(vals[expo < 700.0] <= 0.0):
-                bad = 1.0
-    rows.append(CheckRow("thermal-no-esd", bad, 0.5))
-
-    # ESD dichotomy of the mixed state, oracle-confirmed.
-    esd_grid = np.linspace(0.0, 2.0 * math.pi, min(cfg.steps, 17) if cfg.steps is not None else 17)
-    mixture = make_esd_mixture()
-    for beta, nbar in ((0.1, 25.0), (0.1, 2.0), (0.5, 2.0), (0.25, 1.0)):
-        closed = np.asarray(esd_concurrence_closed(beta, nbar, esd_grid))
-        trace = concurrence_trace(
-            ModelParams.from_beta(beta),
-            Thermal(nbar),
-            mixture,
-            esd_grid,
-            trunc=_trunc(cfg, Thermal(nbar), beta),
-            convergence_tol=max(tol_oracle / 10.0, 1e-9),
-        )
-        err = float(np.max(np.abs(trace.values - closed)))
-        rows.append(CheckRow(f"esd-oracle-agreement:beta={beta:g}:nbar={nbar:g}", err, tol_oracle))
-        should_die = 16.0 * (1.0 + 2.0 * nbar) * beta**2 >= math.log(3.0)
-        died = bool(np.any(trace.values <= tol_oracle))
-        rows.append(
-            CheckRow(
-                f"esd-dichotomy:beta={beta:g}:nbar={nbar:g}",
-                0.0 if died == should_die else 1.0,
-                0.5,
-            )
-        )
-
-    # Zero-crossing counts for number-state fields.
-    for n in (1, 2, 5, 25):
-        for beta in (0.1, 0.5):
-            counted = _count_concurrence_zeros(n, beta)
-            expected = len(laguerre_roots(n, 16.0 * beta**2))
-            bad = counted != 2 * expected or counted > 2 * n
-            rows.append(
-                CheckRow(f"zero-crossings:N={n}:beta={beta:g}", 0.0 if not bad else 1.0, 0.5)
-            )
-
-    # Field-field separability witness and its harness control.
-    sep_grid = np.linspace(0.0, 2.0 * math.pi, 9)
-    err = 0.0
-    for field in (Vacuum(), Number(1)):
-        for beta in (0.3, 0.75):
-            trunc = _trunc(cfg, field, beta)
-            prop = build_hamiltonian(ModelParams.from_beta(beta), trunc)
-            for wt_s in sep_grid:
-                witness = field_field_witness(prop, BellState.PHI_PLUS, field, trunc, wt_s)
-                err = max(err, witness.negativity)
-    rows.append(CheckRow("field-field-separability", err, 1e-9))
-    bell_neg = negativity(make_bell(BellState.PHI_PLUS).rho, (2, 2))
-    rows.append(CheckRow("negativity-control", abs(bell_neg - 0.5), 1e-12))
-
-    return rows
-
-
-def _analytic_propagation_error(alpha, spin_up, beta, omega_t):
-    """|<analytic|numeric> - 1| for the evolved |spin, alpha> state."""
-    params = ModelParams.from_beta(beta)
-    trunc = TruncationSpec(default_ncut(Coherent(alpha), beta))
-    prop = build_hamiltonian(params, trunc)
-    f = prop.fock_dim
-    vec0, _ = coherent_fock_vector(alpha, trunc.ncut)
-    rail = slice(0, f) if spin_up else slice(f, 2 * f)
-    psi0 = np.zeros(prop.dim, dtype=complex)
-    psi0[rail] = vec0
-    evolved = propagate_state(prop, psi0, omega_t)
-    amp, phase = evolve_spin_coherent(alpha, spin_up, beta, omega_t)
-    # The propagator omits the constant level shift; its states carry the
-    # extra global factor exp(i beta^2 w t) relative to the analytic phases.
-    phase *= np.exp(1j * beta**2 * omega_t)
-    ref_field, _ = coherent_fock_vector(amp, trunc.ncut)
-    ref = np.zeros(prop.dim, dtype=complex)
-    ref[rail] = phase * ref_field
-    return abs(np.vdot(ref, evolved) - 1.0)
-
-
-def _count_concurrence_zeros(n, beta):
-    """Zeros of the number-state concurrence in one period, located as roots
-    of L_n(4 b^2 |gamma|^2) along the phase axis."""
-    wt = np.linspace(1e-9, 2.0 * math.pi - 1e-9, 8192)
-    x = 4.0 * beta**2 * (2.0 - 2.0 * np.cos(wt))
-    vals = laguerre(n, x)
-    return int(np.sum(vals[:-1] * vals[1:] < 0.0) + np.sum(vals == 0.0))
-
-
 def run_validate(cfg):
-    rows = _validate_rows(cfg)
+    _require_degenerate(cfg)
+    rows = validation_rows(cfg.field, cfg.beta, cfg.steps, cfg.ncut, cfg.tolerance)
     ok = all(r.passed for r in rows)
     md = _base_metadata(cfg, checks=len(rows), passed=sum(r.passed for r in rows))
     cols = [

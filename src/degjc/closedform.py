@@ -13,7 +13,8 @@ normally-ordered characteristic function of the initial field evaluated at
 
 All functions accept scalar or array ``omega_t`` and are pure;
 ``concurrence_at_half_period`` also takes an array of ``beta``.  A NaN or
-infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``.
+infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``, and so
+does a finite pair whose exponent bound 16 (1 + 2 nbar) beta^2 overflows.
 Number-state laws, exp(-x/2) L_N(x) and its square with
 x = 4 beta^2 |gamma|^2, are bounded by 1 although L_N(x) alone may leave
 the float range and exp(-x/2) alone may underflow; there the binary
@@ -39,11 +40,15 @@ def _scalar(value):
 
 def _check_inputs(beta, omega_t, nbar=0.0):
     """The closed forms' shared argument check: ``nbar`` and every
-    ``beta`` finite and >= 0, every ``omega_t`` finite."""
+    ``beta`` finite and >= 0, every ``omega_t`` finite, and every
+    16 (1 + 2 nbar) beta^2, the largest exponent any law forms, finite."""
     if not np.all(np.isfinite(beta) & (np.asarray(beta) >= 0)):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
+    b = float(np.max(beta, initial=0.0))  # Python floats: overflow gives inf, no warning
+    if not math.isfinite(16.0 * (1.0 + 2.0 * float(nbar)) * (b * b)):
+        raise ValueError(f"16 (1 + 2 nbar) beta^2 overflows (beta={beta!r}, nbar={nbar!r})")
     finite = math.isfinite(omega_t) if _scalar(omega_t) else np.all(np.isfinite(omega_t))
     if not finite:
         raise ValueError("omega_t must be finite")
@@ -113,20 +118,26 @@ class CoherenceFactor:
         return modulation_factor(self.beta, self.omega_t)
 
 
+def _abs2(omega_t):
+    """|gamma|^2 = 2 - 2 cos(w t) alone; a float for a scalar phase."""
+    abs2 = 2.0 - 2.0 * np.cos(omega_t)
+    return float(abs2) if _scalar(omega_t) else abs2
+
+
 def gamma(omega_t):
     """The circulating displacement factor exp(i w t) - 1."""
     _check_inputs(0.0, omega_t)
     g = np.exp(1j * np.asarray(omega_t, dtype=float)) - 1.0
-    abs2 = 2.0 - 2.0 * np.cos(omega_t)
+    abs2 = _abs2(omega_t)
     if _scalar(omega_t):
-        return GammaValue(float(omega_t), complex(g), float(abs2))
+        return GammaValue(float(omega_t), complex(g), abs2)
     return GammaValue(np.asarray(omega_t, dtype=float), g, abs2)
 
 
 def modulation_factor(beta, omega_t):
     """Field-independent single-qubit coherence envelope exp(-2 b^2 |gamma|^2)."""
     _check_inputs(beta, omega_t)
-    return np.exp(-2.0 * beta**2 * gamma(omega_t).abs2)
+    return np.exp(-2.0 * beta**2 * _abs2(omega_t))
 
 
 def characteristic_integral(field, beta, g):
@@ -141,7 +152,7 @@ def characteristic_integral(field, beta, g):
 
     Raises ``OverflowError`` where L_N leaves the float range.
     """
-    _check_inputs(beta, g.omega_t)
+    _check_inputs(beta, g.omega_t, getattr(field, "nbar", 0.0))
     if isinstance(field, Vacuum):
         if _scalar(g.abs2):
             return 1.0 + 0.0j
@@ -230,18 +241,18 @@ def concurrence_closed(bell, field, beta, omega_t):
     """
     if bell not in BellState:
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    _check_inputs(beta, omega_t)
-    g = gamma(omega_t)
+    _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    abs2 = _abs2(omega_t)
     if isinstance(field, (Vacuum, Coherent)):
-        return np.exp(-4.0 * beta**2 * g.abs2)
+        return np.exp(-4.0 * beta**2 * abs2)
     if isinstance(field, Number):
-        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
-        env = np.exp(-4.0 * beta**2 * g.abs2)
+        lag, damped = _number_terms(field.n, 4.0 * beta**2 * abs2)
+        env = np.exp(-4.0 * beta**2 * abs2)
         with np.errstate(over="ignore", invalid="ignore"):
             plain = env * lag**2
         return _plain_or_folded(plain, damped**2, env)
     if isinstance(field, Thermal):
-        return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * g.abs2)
+        return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * abs2)
     raise TypeError(f"unsupported field class: {field!r}")
 
 
@@ -271,8 +282,7 @@ def esd_concurrence_closed(beta, nbar, omega_t):
     Validated against the truncated-Fock propagator in the test suite.
     """
     _check_inputs(beta, omega_t, nbar)
-    g = gamma(omega_t)
-    val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * g.abs2) - 0.25
+    val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * _abs2(omega_t)) - 0.25
     return np.maximum(0.0, val)
 
 

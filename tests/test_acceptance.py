@@ -1,7 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
-Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s``); the
-oracle-backed criteria share session-scoped computations.
+Each test prints one [PASS]/[FAIL] line (visible with ``pytest -s``).
+Criteria 2, 5, 7 and 9 read the rows of one run of the ``degjc validate``
+check program, asserted at the tolerances stated here.
 """
 
 import math
@@ -11,41 +12,29 @@ import numpy as np
 import pytest
 
 from degjc.cli import main
-from degjc.closedform import (
-    concurrence_closed,
-    esd_concurrence_closed,
-    evolve_spin_coherent,
-    modulation_factor,
-    two_qubit_offdiagonal,
-)
+from degjc.closedform import concurrence_closed, modulation_factor, two_qubit_offdiagonal
 from degjc.entanglement import negativity
-from degjc.model import (
-    BellState,
-    Coherent,
-    ModelParams,
-    Number,
-    QubitBasis,
-    Thermal,
-    Vacuum,
-    make_bell,
-    make_esd_mixture,
-)
+from degjc.model import BellState, Coherent, ModelParams, Number, Thermal, Vacuum, make_bell
 from degjc.oracle import (
     TruncationSpec,
     build_hamiltonian,
-    coherent_fock_vector,
-    concurrence_trace,
     default_ncut,
     field_field_reduced,
     low_spectrum,
-    propagate_state,
 )
-from degjc.specialfn import laguerre, laguerre_roots
+from degjc.validation import analytic_propagation_error, validation_rows
 
 PI = math.pi
 
-GRID_FIELDS = [Vacuum(), Coherent(1.0 + 0.5j), Number(1), Number(5), Thermal(1.0), Thermal(2.0)]
-GRID_BETAS = [0.1, 0.5]
+# The report's check families in report order, with their row counts.
+REPORT_FAMILIES = [
+    ("envelope-minima", 1), ("envelope-periodicity", 1), ("oracle-grid", 12),
+    ("oracle-revival", 1), ("closed-revival", 1), ("analytic-propagation", 1),
+    ("spectrum-degenerate", 1), ("alpha0-independence", 1), ("bell-equivalence", 1),
+    ("thermal-coupling-identity", 1), ("thermal-no-esd", 1), ("esd-oracle-agreement", 4),
+    ("esd-dichotomy", 4), ("zero-crossings", 8), ("field-field-separability", 1),
+    ("negativity-control", 1),
+]
 
 
 def report(num, name, ok, detail=""):
@@ -54,34 +43,15 @@ def report(num, name, ok, detail=""):
 
 
 @pytest.fixture(scope="session")
-def oracle_grid():
-    """Criterion-2 computation, shared with the revival criterion."""
-    grid = np.linspace(0.0, 2.0 * PI, 64)
-    initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+def validation_report():
+    """The default ``degjc validate`` rows, computed once, and their seconds."""
     start = time.monotonic()
-    results = {}
-    for field in GRID_FIELDS:
-        for beta in GRID_BETAS:
-            trace = concurrence_trace(
-                ModelParams.from_beta(beta), field, initial, grid, convergence_tol=1e-8
-            )
-            closed = concurrence_closed(BellState.PHI_PLUS, field, beta, grid)
-            results[(str(field), beta)] = (trace, closed)
-    elapsed = time.monotonic() - start
-    return grid, results, elapsed
+    rows = validation_rows()
+    return rows, time.monotonic() - start
 
 
-@pytest.fixture(scope="session")
-def esd_oracle_traces():
-    grid = np.linspace(0.0, 2.0 * PI, 17)
-    mixture = make_esd_mixture()
-    out = {}
-    for beta, nbar in ((0.1, 25.0), (0.1, 2.0), (0.5, 2.0), (0.25, 1.0)):
-        trace = concurrence_trace(
-            ModelParams.from_beta(beta), Thermal(nbar), mixture, grid, convergence_tol=1e-8
-        )
-        out[(beta, nbar)] = trace.values
-    return grid, out
+def family(rows, name):
+    return [r for r in rows if r.name.split(":")[0] == name]
 
 
 def test_criterion_1_envelope(tmp_path):
@@ -107,14 +77,20 @@ def test_criterion_1_envelope(tmp_path):
            f"(err={err:.2e}, periodicity={per:.2e}, {elapsed:.2f}s)")
 
 
-def test_criterion_2_oracle_grid(oracle_grid):
-    _, results, elapsed = oracle_grid
-    worst = 0.0
-    for (field, beta), (trace, closed) in results.items():
-        worst = max(worst, float(np.max(np.abs(trace.values - closed))))
-    ok = worst <= 1e-7 and elapsed < 120.0
+def test_report_families(validation_report):
+    rows, _ = validation_report
+    families = [r.name.split(":")[0] for r in rows]
+    assert len(rows) == 40
+    assert [(f, families.count(f)) for f in dict.fromkeys(families)] == REPORT_FAMILIES
+
+
+def test_criterion_2_oracle_grid(validation_report):
+    rows, elapsed = validation_report
+    grid = family(rows, "oracle-grid")
+    worst = max(r.max_error for r in grid)
+    ok = len(grid) == 12 and worst <= 1e-7 and elapsed < 120.0
     report(2, "closed form vs oracle on the field/coupling grid", ok,
-           f"(max|dC|={worst:.2e} over {len(results)} configs, {elapsed:.1f}s)")
+           f"(max|dC|={worst:.2e} over {len(grid)} configs, {elapsed:.1f}s for the report)")
 
 
 def test_criterion_3_analytic_propagation():
@@ -125,21 +101,7 @@ def test_criterion_3_analytic_propagation():
         beta = rng.uniform(0.0, 0.8)
         wt = rng.uniform(0.0, 2.0 * PI)
         spin_up = bool(rng.integers(0, 2))
-        trunc = TruncationSpec(default_ncut(Coherent(alpha), beta))
-        prop = build_hamiltonian(ModelParams.from_beta(beta), trunc)
-        f = prop.fock_dim
-        vec0, _ = coherent_fock_vector(alpha, trunc.ncut)
-        psi0 = np.zeros(prop.dim, dtype=complex)
-        rail = slice(0, f) if spin_up else slice(f, 2 * f)
-        psi0[rail] = vec0
-        evolved = propagate_state(prop, psi0, wt)
-        amp, phase = evolve_spin_coherent(alpha, spin_up, beta, wt)
-        phase *= np.exp(1j * beta**2 * wt)  # omitted-constant level shift
-        ref_field, _ = coherent_fock_vector(amp, trunc.ncut)
-        ref = np.zeros(prop.dim, dtype=complex)
-        ref[rail] = phase * ref_field
-        overlap = np.vdot(ref, evolved)
-        worst = max(worst, abs(overlap - 1.0))
+        worst = max(worst, analytic_propagation_error(alpha, spin_up, beta, wt))
     ok = worst <= 1e-8  # |<ref|psi> - 1| <= 1e-8 implies fidelity >= 1 - 1e-8
     report(3, "propagated spin-coherent states match the analytic branches", ok,
            f"(max|overlap-1|={worst:.2e}, 16 random triples)")
@@ -156,14 +118,10 @@ def test_criterion_4_spectrum():
            f"(max dev={worst:.2e} in units of w)")
 
 
-def test_criterion_5_revival(oracle_grid):
-    _, results, _ = oracle_grid
-    worst_oracle = max(abs(t.values[-1] - 1.0) for t, _ in results.values())
-    worst_closed = 0.0
-    for field in GRID_FIELDS:
-        for beta in GRID_BETAS:
-            val = concurrence_closed(BellState.PHI_PLUS, field, beta, 2.0 * PI)
-            worst_closed = max(worst_closed, abs(float(val) - 1.0))
+def test_criterion_5_revival(validation_report):
+    rows, _ = validation_report
+    (oracle_row,), (closed_row,) = family(rows, "oracle-revival"), family(rows, "closed-revival")
+    worst_oracle, worst_closed = oracle_row.max_error, closed_row.max_error
     ok = worst_oracle <= 1e-7 and worst_closed <= 1e-12
     report(5, "complete revival at w t = 2 pi", ok,
            f"(oracle={worst_oracle:.2e}, closed={worst_closed:.2e})")
@@ -194,31 +152,19 @@ def test_criterion_6_invariances():
            f"(alpha0={err_alpha:.2e}, bell={err_bell:.2e}, thermal={err_thermal:.2e})")
 
 
-def test_criterion_7_esd_dichotomy(esd_oracle_traces):
-    grid, traces = esd_oracle_traces
+def test_criterion_7_esd_dichotomy(validation_report):
+    rows, _ = validation_report
     # pure Bell + thermal never dies: strict positivity wherever exp is
     # representable, finite exponent everywhere
-    wt = np.linspace(0.0, 2.0 * PI, 1000)
-    no_esd_ok = True
-    for beta in (0.1, 0.5, 1.0, 2.0):
-        for nbar in (1.0, 5.0, 25.0):
-            expo = 4.0 * (1.0 + 2.0 * nbar) * beta**2 * (2.0 - 2.0 * np.cos(wt))
-            vals = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, wt)
-            if not np.all(np.isfinite(expo)) or np.any(vals[expo < 700.0] <= 0.0):
-                no_esd_ok = False
+    (no_esd,) = family(rows, "thermal-no-esd")
+    no_esd_ok = no_esd.max_error == 0.0
     # the mixture dies iff 16 (1+2 nbar) b^2 >= ln 3, oracle-confirmed
-    dichotomy_ok = True
-    worst = 0.0
-    for (beta, nbar), values in traces.items():
-        closed = np.asarray(esd_concurrence_closed(beta, nbar, grid))
-        worst = max(worst, float(np.max(np.abs(values - closed))))
-        should_die = 16.0 * (1.0 + 2.0 * nbar) * beta**2 >= math.log(3.0)
-        died = bool(np.any(values <= 1e-7))
-        if died != should_die:
-            dichotomy_ok = False
-    ok = no_esd_ok and dichotomy_ok and worst <= 1e-7
+    agreement, dichotomy = family(rows, "esd-oracle-agreement"), family(rows, "esd-dichotomy")
+    dichotomy_ok = len(dichotomy) == 4 and all(r.max_error == 0.0 for r in dichotomy)
+    worst = max(r.max_error for r in agreement)
+    ok = no_esd_ok and dichotomy_ok and len(agreement) == 4 and worst <= 1e-7
     report(7, "no ESD for pure Bell inputs; mixture threshold oracle-confirmed", ok,
-           f"(max|dC|={worst:.2e} at 4 parameter points)")
+           f"(max|dC|={worst:.2e} at {len(agreement)} parameter points)")
 
 
 def test_criterion_8_separability():
@@ -238,21 +184,12 @@ def test_criterion_8_separability():
            f"(max negativity={worst:.2e}, control={control:.12f})")
 
 
-def test_criterion_9_zero_crossings():
-    ok = True
-    details = []
-    wt = np.linspace(1e-9, 2.0 * PI - 1e-9, 8192)
-    for n in (1, 2, 5, 25):
-        for beta in (0.1, 0.5):
-            x = 4.0 * beta**2 * (2.0 - 2.0 * np.cos(wt))
-            vals = laguerre(n, x)
-            counted = int(np.sum(vals[:-1] * vals[1:] < 0.0) + np.sum(vals == 0.0))
-            expected = 2 * len(laguerre_roots(n, 16.0 * beta**2))
-            if counted != expected or counted > 2 * n:
-                ok = False
-                details.append(f"N={n},b={beta}: {counted}!={expected}")
+def test_criterion_9_zero_crossings(validation_report):
+    rows = family(validation_report[0], "zero-crossings")
+    failed = [r.name for r in rows if r.max_error != 0.0]
+    ok = len(rows) == 8 and not failed
     report(9, "concurrence zeros = 2 x (Laguerre roots below 16 b^2), at most 2N", ok,
-           "; ".join(details) if details else "(8 parameter pairs)")
+           "; ".join(failed) if failed else f"({len(rows)} parameter pairs)")
 
 
 def test_criterion_10_determinism(tmp_path):

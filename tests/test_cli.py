@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from degjc import __version__, cli, oracle
+from degjc import __version__, cli, oracle, validation
 from degjc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -322,6 +322,12 @@ class TestExitCodes:
     def test_envelope_rejects_nonzero_splitting(self, tmp_path):
         assert main(["envelope", "--omega0", "0.5", "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_validate_rejects_nonzero_splitting(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["validate", "--omega0", "0.7", "--out", str(out)]) == 2
+        assert "omega0 == 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -331,6 +337,13 @@ class TestExitCodes:
             ["concurrence-sweep", "--beta", "nan"],
             ["concurrence-sweep", "--omega0", "nan", "--compare-oracle"],
             ["concurrence-sweep", "--omega", "inf"],
+            # finite inputs whose exponent 16 (1 + 2 nbar) beta^2 overflows
+            ["envelope", "--beta", "1e154"],
+            ["esd", "--field", "thermal:nbar=1e308"],
+            ["concurrence-sweep", "--field", "thermal:nbar=1e308"],
+            ["envelope", "--beta", "1e200"],
+            ["esd", "--beta", "1e200"],
+            ["concurrence-sweep", "--beta", "1e200"],
         ],
     )
     def test_non_finite_inputs_are_config_errors(self, argv, tmp_path):
@@ -417,7 +430,7 @@ class TestWitnessStaysLocal:
 
         monkeypatch.setattr(oracle, "field_field_reduced", dense)
         monkeypatch.setattr(oracle, "negativity", spy)
-        monkeypatch.setattr(cli, "negativity", spy)
+        monkeypatch.setattr(validation, "negativity", spy)
         return seen
 
     def test_separability(self, tmp_path, dims):

@@ -12,8 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degjc.closedform import (
+    characteristic_integral,
     concurrence_at_half_period,
     concurrence_closed,
+    esd_concurrence_closed,
+    gamma,
+    modulation_factor,
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
@@ -115,6 +119,30 @@ def test_array_half_period_matches_scalar_calls(field, beta_list):
     assert together.shape == beta.shape
     one_by_one = np.array([concurrence_at_half_period(field, b) for b in beta])
     assert np.all(np.abs(together - one_by_one) <= 1e-15)
+
+
+@PROPERTY
+@given(st.floats(0.0, **finite), st.floats(0.0, **finite), phases)
+def test_closed_forms_finite_or_rejected(beta, nbar, omega_t):
+    # over the whole float range: a value in [0, 1], or ValueError exactly where
+    # 16 (1 + 2 nbar) beta^2 overflows; |complex| may round a few ulps above 1
+    real = [lambda: modulation_factor(beta, omega_t),
+            lambda: esd_concurrence_closed(beta, nbar, omega_t),
+            lambda: concurrence_at_half_period(Thermal(nbar), beta)]
+    complex_ = [lambda: characteristic_integral(Thermal(nbar), beta, gamma(omega_t))]
+    for f in (Vacuum(), Coherent(1.0 + 0.5j), Number(3), Thermal(nbar)):
+        real.append(lambda f=f: concurrence_closed(BellState.PHI_MINUS, f, beta, omega_t))
+        complex_ += [lambda f=f: 2.0 * two_qubit_offdiagonal(BellState.PHI_PLUS, f, beta, omega_t),
+                     lambda f=f: 2.0 * single_qubit_coherence(0.5, f, beta, omega_t)]
+    overflows = not math.isfinite(16.0 * (1.0 + 2.0 * nbar) * (beta * beta))
+    for law, top in [(law, 1.0) for law in real] + [
+            (lambda law=law: abs(law()), 1.0 + 1e-15) for law in complex_]:
+        try:
+            value = law()
+        except ValueError:
+            assert overflows
+            continue
+        assert math.isfinite(value) and 0.0 <= value <= top
 
 
 ORACLE_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=30)
