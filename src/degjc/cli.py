@@ -408,9 +408,20 @@ def run_separability(cfg):
 
 def run_validate(cfg):
     _require_degenerate(cfg)
+    unused = [flag for flag, given in (
+        ("--bell", cfg.bell is not None),
+        ("--omega-t-max", cfg.omega_t_max is not None),
+        ("--compare-oracle", cfg.compare_oracle),
+        ("--plot-script", cfg.plot_script),
+    ) if given]
+    if unused:
+        raise ConfigError(f"validate does not take {', '.join(unused)}: its checks fix "
+                          f"their own states and grids")
     rows = validation_rows(cfg.field, cfg.beta, cfg.steps, cfg.ncut, cfg.tolerance)
     ok = all(r.passed for r in rows)
-    md = _base_metadata(cfg, checks=len(rows), passed=sum(r.passed for r in rows))
+    narrowed = {"field": cfg.field, "beta": cfg.beta, "steps": cfg.steps, "ncut": cfg.ncut}
+    md = _base_metadata(cfg, checks=len(rows), passed=sum(r.passed for r in rows),
+                        **{key: value for key, value in narrowed.items() if value is not None})
     cols = [
         ("check", np.array([r.name for r in rows])),
         ("max_error", np.array([r.max_error for r in rows])),

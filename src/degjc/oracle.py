@@ -188,39 +188,43 @@ def _tridiagonal_eigh(diag, off, params):
           iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
     if info.value:
         raise failure(f"dstevd info={info.value}")
+    del work, iwork  # before the C-order copy, so two F x F arrays at most coexist
     return d, np.ascontiguousarray(z), "dstevd"
 
 
 def _eigensolve_bytes(params, ncut):
-    """Peak bytes of :func:`build_hamiltonian`: one real F x F chain with
-    its construction temporaries, the eigenvectors and LAPACK's workspace,
-    about six real F x F arrays (``dstevd`` needs three), and at omega0 != 0
-    the eigenvectors of the first chain while the second is solved."""
+    """Peak bytes of :func:`build_hamiltonian`: two real F x F arrays for
+    ``dstevd`` (its eigenvectors, then their C-order copy once the F x F
+    workspace is freed) or five for ``eigh``, one more at omega0 != 0 for
+    the first chain's eigenvectors, plus length-F vectors and some kB."""
     f = ncut + 1
-    return (6 if params.degenerate else 7) * 8 * f * f
+    solve = 2 if _lapack_dstevd() is not None else 5
+    return 8 * f * ((solve + (not params.degenerate)) * f + 64) + (1 << 15)
 
 
 def _trace_bytes(params, field, trunc, check_convergence=True):
     """Peak bytes of :func:`concurrence_trace`, from (ncut, K, omega0) alone.
 
-    Each run holds the F x F eigenvectors of its chains and the
-    :class:`_MapKernel` factors: at omega0 = 0 one real rail Gram matrix,
-    one field Gram matrix and their product; otherwise four real rail Gram
-    matrices, up to twelve field Gram matrices and the product.  Field
-    factors are complex only for a coherent amplitude off the real axis.
-    The K mixture components add a few F x K overlaps and the phase blocks
-    a few times ``_PHASE_BLOCK_BYTES``.  The doubled-cutoff re-run is
-    usually the larger of the two runs.
+    Each run holds the eigenvectors of its chains and the
+    :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
+    of V' P V (at most half an F x F array); otherwise four real rail Gram
+    matrices, the field Grams (seven for a unit-Fock field, ten for a
+    coherent one, twelve with the conjugate copies where its amplitude is
+    off the real axis and the field factors are complex) and one product.
+    The K mixture components add a few F x K arrays, vectors of length F a
+    few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
+    The doubled-cutoff re-run is usually the larger of the two runs.
     """
     word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
+    grams = 7 if not isinstance(field, Coherent) else 12 if word == 16 else 10
     peak = 0
     for spec in (trunc, trunc.doubled()) if check_convergence else (trunc,):
         f = spec.ncut + 1
         k = 1
         if isinstance(field, Thermal):
             k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
-        factors, overlaps = (16 + 2 * word, 5) if params.degenerate else (56 + 13 * word, 9)
-        kernel = factors * f * f + overlaps * word * f * k + 4 * _PHASE_BLOCK_BYTES
+        factors, overlaps = (12 + word, 3) if params.degenerate else (48 + (grams + 1) * word, 9)
+        kernel = factors * f * f + (overlaps * k + 32) * word * f + 4 * _PHASE_BLOCK_BYTES
         peak = max(peak, _eigensolve_bytes(params, spec.ncut), kernel)
     return peak
 
@@ -327,17 +331,19 @@ def field_components(field, trunc):
 
     Returns ``(weights, vectors, tail)`` with ``vectors`` of shape
     (ncut+1, K): coherent/number/vacuum give a single column, thermal
-    states a Fock-diagonal mixture truncated at the tail tolerance.
+    states a Fock-diagonal mixture truncated at the tail tolerance.  The
+    vectors are real unit Fock vectors except for a coherent field, whose
+    column is complex.
     """
     f = trunc.ncut + 1
     if isinstance(field, Vacuum):
-        v = np.zeros((f, 1), dtype=complex)
+        v = np.zeros((f, 1))
         v[0, 0] = 1.0
         return np.array([1.0]), v, 0.0
     if isinstance(field, Number):
         if field.n > trunc.ncut:
             raise TruncationError(f"Fock index {field.n} exceeds cutoff {trunc.ncut}")
-        v = np.zeros((f, 1), dtype=complex)
+        v = np.zeros((f, 1))
         v[field.n, 0] = 1.0
         return np.array([1.0]), v, 0.0
     if isinstance(field, Coherent):
@@ -356,7 +362,7 @@ def field_components(field, trunc):
                 f"thermal mixture nbar={field.nbar:g} has tail {tail:.3e} at "
                 f"ncut={trunc.ncut} (tolerance {trunc.tail_tol:g})"
             )
-        vecs = np.zeros((f, k + 1), dtype=complex)
+        vecs = np.zeros((f, k + 1))
         vecs[np.arange(k + 1), np.arange(k + 1)] = 1.0
         return weights, vecs, tail
     raise TypeError(f"unsupported field class: {field!r}")
@@ -381,15 +387,19 @@ class SubsystemConditionalMap:
 # Phase points per block of the bilinear map evaluation: one block holds
 # a (sector dim x points) complex phase matrix of at most this many bytes,
 # and at most this many bytes of the per-point stacks of the two-qubit
-# reduction and Wootters, which take up to _POINT_BYTES per point.
+# reduction and Wootters, which take up to _POINT_BYTES per point.  The
+# rows of V' P V are formed in chunks of at most a quarter of them, whose
+# two real (rows x F) arrays take at most this many bytes together.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 
 def _unit_rows(vecs):
-    """Rows j with column c of ``vecs`` the unit Fock vector e_j, one per
-    column, or None when some column is not a unit vector."""
-    rows = np.argmax(vecs != 0, axis=0)
-    if np.count_nonzero(vecs) == vecs.shape[1] and np.all(vecs[rows, np.arange(rows.size)] == 1):
+    """The slice of rows j0, j0 + 1, ... with column c of ``vecs`` the unit
+    Fock vector e_(j0 + c), or None when the columns are not such a run."""
+    k = vecs.shape[1]
+    start = int(np.argmax(vecs[:, 0] != 0))
+    rows = slice(start, start + k)
+    if np.count_nonzero(vecs) == k and np.array_equal(vecs[rows], np.eye(k)):
         return rows
     return None
 
@@ -410,66 +420,82 @@ class _MapKernel:
     o (Y^i_s W Y^k_t^H) / 4, with X = I for p = q and P otherwise, and
     overlaps Y^u_s = V_s' C, Y^d_s = V_s' P C.  A block with s = t and
     p = q has V_s' V_s = I and adds the constant (field norm) / 2 to
-    M_ii[p, p].  Where the chains coincide (omega0 = 0) the chain pairs
-    collapse into the sigma_x sector form: M_uu and M_dd are the field norm
-    on their own rail and only M_ud[up, down] is a bilinear form, with
-    S = (V' P V) o (Y^u W Y^d^H).  The factors are built once per
-    eigensolve; a grid is evaluated in blocks of ``block`` points, one
-    matrix product per block of S and block of points.  Where every
-    mixture component is a unit Fock vector e_j (vacuum, number and thermal
-    fields) the overlaps are rows j of V_s, sliced rather than multiplied.
+    M_ii[p, p].  Entries whose blocks have the same two factors share one
+    product and differ only in sign.  Where every mixture component is a
+    unit Fock vector e_j (vacuum, number and thermal fields) the overlaps
+    are rows j of V_s, sliced rather than multiplied, and the Gram
+    Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k) Y^u_t' depends on i + k alone, so
+    M_dd takes the products of M_uu.  Where the chains coincide (omega0 =
+    0) the chain pairs collapse into the sigma_x sector form: M_uu and M_dd
+    are the field norm on their own rail and only M_ud[up, down] is a
+    bilinear form, with S = (V' P V) o (Y^u W Y^d^H) built in place from
+    the field Gram and chunks of rows of V' P V.  The factors are built
+    once per eigensolve and share no memory with the eigenvectors; a grid
+    is evaluated in blocks of ``block`` points, one matrix product per
+    distinct factor and block of points.
     """
 
     def __init__(self, prop, field, trunc):
         weights, vecs, self.tail = field_components(field, trunc)
-        if not np.any(vecs.imag):
+        if np.iscomplexobj(vecs) and not np.any(vecs.imag):
             vecs = vecs.real
+        self.components = len(weights)
         rows = _unit_rows(vecs)
+        norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
         parity = _parity(prop.fock_dim)
         modes = [v for _, v in prop.distinct_chains]
         self.chain_count = len(modes)
         self.energies = np.concatenate([energies for energies, _ in prop.distinct_chains])
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
-        norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
-        scaled = weights if len(modes) == 1 else 0.25 * weights  # the 1/4 of each block
+        if rows is None:
+            y = [(_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)) for v in modes]
 
-        def overlaps(v):  # V' C and V' P C
-            if rows is None:
-                return _dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)
-            y = np.take(v.T, rows, axis=1)
-            return y, y * parity[rows]
+            def field_gram(i, s, k, t, scale):  # Y^i_s W Y^k_t^H
+                return (y[s][i] * scale) @ y[t][k].conj().T
+        else:
+            y = [v[rows].T for v in modes]  # views of the eigenvectors
+            signs = parity[rows]
 
-        y = list(zip(*[overlaps(v) for v in modes]))  # y[i][s]: rail i, chain s
-
-        def rail_gram(s, t, flip):  # V_s' V_t, or V_s' P V_t
-            return (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
-
-        def field_gram(i, s, k, t):  # Y^i_s W Y^k_t^H, scaled
-            return (y[i][s] * scaled) @ y[k][t].conj().T
+            def field_gram(i, s, k, t, scale):  # Y^u_s W P_j^(i + k) Y^u_t'
+                return (y[s] * (scale * signs if i != k else scale)) @ y[t].T
+        del vecs
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
         if len(modes) == 1:
+            (v,) = modes
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            self.terms = [((0, 1, 0, 1), 0, 0, 1, rail_gram(0, 0, True), field_gram(0, 0, 1, 0))]
+            weight = field_gram(0, 0, 1, 0, weights)
+            f = prop.fock_dim
+            step = max(1, min(f // 4, _PHASE_BLOCK_BYTES // (16 * f)))
+            for start in range(0, f, step):
+                chunk = slice(start, start + step)
+                weight[chunk] *= (v.T[chunk] * parity) @ v
+            self.terms = [(0, 0, (weight,), [((0, 1, 0, 1), 1)])]
             return
-        rails = {(s, t, flip): rail_gram(s, t, flip)
+        scaled = 0.25 * weights  # the 1/4 of each block
+        rails = {(s, t, flip): (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
                  for s, t, flip in ((0, 0, True), (0, 1, False), (0, 1, True), (1, 1, True))}
         rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
-        self.terms = []
+        fields, products = {}, {}
         for i, k in ((0, 0), (0, 1), (1, 1)):
-            fields = {(s, t): field_gram(i, s, k, t) for s in (0, 1) for t in (0, 1)
-                      if i != k or s <= t}
-            if i == k:
-                fields[1, 0] = fields[0, 1].conj().T
+            gram = (i != k) if rows is not None else (i, k)
+            # chain pairs in the order in which every entry has summed them
+            pairs = ((0, 0), (0, 1), (1, 1), (1, 0)) if i == k else ((0, 0), (0, 1), (1, 0), (1, 1))
+            for s, t in pairs:
+                if (gram, s, t) not in fields:
+                    fields[gram, s, t] = (fields[gram, t, s].conj().T if i == k and s > t
+                                          else field_gram(i, s, k, t, scaled))
             for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 if i == k and p > q:
                     continue  # M_ii[d, u] = M_ii[u, d]*
                 if i == k and p == q:
                     self.const[i, k, p, q] = 0.5 * norm
-                for (s, t), gram in fields.items():
+                for s, t in pairs:
                     if s != t or p != q:
                         sign = (-1) ** (s * (p + i) + t * (q + k))
-                        self.terms.append(((i, k, p, q), s, t, sign, rails[s, t, p != q], gram))
+                        products.setdefault((s, t, p != q, gram), []).append(((i, k, p, q), sign))
+        self.terms = [(s, t, (rails[s, t, flip], fields[gram, s, t]), targets)
+                      for (s, t, flip, gram), targets in products.items()]
 
     def blocks(self, omega_ts):
         """(n, 2, 2, 2, 2) stacks ops[:, i, k, p, q] = M_ik[p, q], one per
@@ -488,9 +514,12 @@ class _MapKernel:
         phases = phases.reshape(self.chain_count, -1, len(omega_ts))
         right = phases.conj()
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
-        for (i, k, p, q), s, t, sign, rail_gram, field_gram in self.terms:
-            value = np.sum(phases[s] * _dot(rail_gram * field_gram, right[t]), axis=0)
-            ops[:, i, k, p, q] += value if sign > 0 else -value
+        for s, t, factors, targets in self.terms:
+            # the one stored factor, or the product of two formed per block
+            weight = _dot(functools.reduce(np.multiply, factors), right[t])
+            value = np.sum(phases[s] * weight, axis=0)
+            for (i, k, p, q), sign in targets:
+                ops[:, i, k, p, q] += value if sign > 0 else -value
         for i in (0, 1):
             ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
         ops[:, 1, 0] = ops[:, 0, 1].conj().swapaxes(-1, -2)
@@ -665,7 +694,9 @@ class OracleTrace:
     reconstructed two-qubit matrices at ncut and 2*ncut on the checked
     subgrid (an extraction-noise-free measure of truncation convergence).
     ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
-    the run at ``ncut`` was diagonalized; no CSV writes them.
+    the run at ``ncut`` was diagonalized, ``components`` is the number K of
+    mixture components of its field, and ``doubled_ncut`` the cutoff of the
+    doubling re-run (0 when none ran); no CSV writes them.
     """
 
     omega_ts: np.ndarray
@@ -676,6 +707,8 @@ class OracleTrace:
     doubling_points: int
     eigensolver: str
     sector_dim: int
+    components: int
+    doubled_ncut: int
 
 
 def _require_phase_accuracy(params, ncut, omega_ts, tol):
@@ -701,10 +734,13 @@ def _require_phase_accuracy(params, ncut, omega_ts, tol):
 def _reconstruct(params, field, initial, omega_ts, trunc):
     """Concurrences and two-qubit matrices on ``omega_ts`` at one cutoff,
     one stacked reduction and Wootters evaluation per phase block; also
-    returns the tail mass and the eigensolver's name and sector dimension
-    (not the propagator, so the doubled run does not hold it)."""
+    returns the tail mass and the eigensolver's name, the sector dimension
+    and the number of mixture components.  The propagator is released once
+    the kernel holds its factors, before any phase block."""
     prop = build_hamiltonian(params, trunc)
     kernel = _MapKernel(prop, field, trunc)
+    how = (prop.eigensolver, prop.fock_dim, kernel.components)
+    del prop
     values = np.empty(len(omega_ts))
     qmats = np.empty((len(omega_ts), 4, 4), dtype=complex)
     start = 0
@@ -713,7 +749,7 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
         qmats[block] = _reduced_stack(ops, ops, initial)
         values[block], _ = wootters_concurrences(qmats[block], QubitBasis.SIGMA_X)
         start = block.stop
-    return values, qmats, kernel.tail, (prop.eigensolver, prop.fock_dim)
+    return values, qmats, kernel.tail, how
 
 
 def concurrence_trace(
@@ -746,14 +782,15 @@ def concurrence_trace(
     )
     largest = trunc.doubled() if check_convergence else trunc
     _require_phase_accuracy(params, largest.ncut, omega_ts, convergence_tol)
-    values, qmats, tail, (solver, sector_dim) = _reconstruct(
+    values, qmats, tail, (solver, sector_dim, components) = _reconstruct(
         params, field, initial, omega_ts, trunc)
     doubling_error = 0.0
-    n_check = 0
+    n_check = doubled_ncut = 0
     if check_convergence and len(omega_ts):
         n_check = min(len(omega_ts), max_doubling_points)
         idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
-        _, qcheck, _, _ = _reconstruct(params, field, initial, omega_ts[idx], trunc.doubled())
+        doubled_ncut = largest.ncut
+        _, qcheck, _, _ = _reconstruct(params, field, initial, omega_ts[idx], largest)
         doubling_error = float(np.max(np.abs(qcheck - qmats[idx])))
         if doubling_error > convergence_tol:
             raise TruncationError(
@@ -769,4 +806,6 @@ def concurrence_trace(
         doubling_points=n_check,
         eigensolver=solver,
         sector_dim=sector_dim,
+        components=components,
+        doubled_ncut=doubled_ncut,
     )

@@ -328,6 +328,40 @@ class TestExitCodes:
         assert "omega0 == 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--bell", "psi-"], ["--omega-t-max", "1"], ["--compare-oracle"], ["--plot-script"],
+    ])
+    def test_validate_rejects_flags_it_does_not_use(self, tmp_path, capsys, monkeypatch, flags):
+        def unreached(*args):
+            raise AssertionError("checks ran")
+
+        monkeypatch.setattr(cli, "validation_rows", unreached)
+        out = tmp_path / "x.csv"
+        assert main(["validate", "--out", str(out)] + flags) == 2
+        assert f"does not take {flags[0]}" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "x.csv.plot.py").exists()
+
+    def test_validate_records_the_flags_it_uses(self, tmp_path, monkeypatch):
+        seen = []
+
+        def rows(*args):
+            seen.append(args)
+            return [validation.CheckRow("stub", 0.0, 1.0)]
+
+        monkeypatch.setattr(cli, "validation_rows", rows)
+        out = tmp_path / "x.csv"
+        argv = ["validate", "--field", "thermal:nbar=2", "--beta", "0.3", "--steps", "9",
+                "--ncut", "70", "--out", str(out)]
+        assert main(argv) == 0
+        assert seen == [(Thermal(2.0), 0.3, 9, 70, 1e-7)]
+        meta, _, _ = read_csv(out)
+        assert (meta["field"], meta["beta"], meta["steps"], meta["ncut"]) == (
+            "thermal:nbar=2", "0.29999999999999999", "9", "70")
+        assert main(["validate", "--beta", "0.3", "--out", str(out)]) == 0
+        meta, _, _ = read_csv(out)
+        assert meta["beta"] == "0.29999999999999999"
+        assert not {"field", "steps", "ncut"} & set(meta)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -437,6 +437,38 @@ class TestMapKernel:
         assert sum(sizes) == len(grid)
         assert max(sizes) == kernel.block < len(grid)
 
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("field", [Vacuum(), Number(5), Thermal(2.0)], ids=str)
+    def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0, monkeypatch):
+        # sliced overlaps, the signed Gram and the shared products against
+        # the general path, which multiplies V' C and V' P C
+        trunc = TruncationSpec(default_ncut(field, 0.3))
+        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
+        grid = np.linspace(0.0, 2 * PI, 11)
+        (sliced,) = _MapKernel(prop, field, trunc).blocks(grid)
+        monkeypatch.setattr(oracle, "_unit_rows", lambda vecs: None)
+        (general,) = _MapKernel(prop, field, trunc).blocks(grid)
+        assert np.array_equal(sliced, general)
+
+    @pytest.mark.parametrize(
+        "field, omega0, products",
+        [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
+         (Thermal(2.0), 0.7, 12), (Coherent(1 + 0.5j), 0.7, 18)],
+        ids=str,
+    )
+    def test_entries_share_products(self, field, omega0, products):
+        # 28 signed block terms at omega0 != 0; for a unit-Fock field M_dd
+        # takes every product of M_uu
+        trunc = TruncationSpec(default_ncut(field, 0.3))
+        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
+        kernel = _MapKernel(prop, field, trunc)
+        assert len(kernel.terms) == products
+        assert sum(len(targets) for *_, targets in kernel.terms) == (1 if omega0 == 0 else 28)
+        # the factors are the kernel's own: the eigenvectors can be released
+        modes = [v for _, v in prop.distinct_chains]
+        factors = [a for _, _, pair, _ in kernel.terms for a in pair]
+        assert not any(np.shares_memory(a, v) for a in factors for v in modes)
+
 
 class TestTwoQubitReduced:
     def _maps(self, beta, field, wt, ncut=None):
@@ -641,6 +673,16 @@ class TestConcurrenceTrace:
         assert fallback.eigensolver == "eigh"
         assert np.array_equal(fallback.values, trace.values)
 
+    def test_trace_records_components_and_doubled_cutoff(self):
+        params, initial = ModelParams.from_beta(0.3), make_esd_mixture()
+        trunc = TruncationSpec(156)
+        trace = concurrence_trace(params, Thermal(5.0), initial, [0.0, 1.0], trunc=trunc)
+        k = oracle.thermal_component_count(5.0, trunc.tail_tol)
+        assert (trace.components, trace.doubled_ncut) == (k + 1, 312) == (127, 312)
+        once = concurrence_trace(params, Vacuum(), initial, [0.0, 1.0], trunc=trunc,
+                                 check_convergence=False)
+        assert (once.components, once.doubled_ncut) == (1, 0)
+
     def test_phase_roundoff_rejected_before_allocating(self, no_allocation):
         # eps * max|E| * max|w t| at the doubled cutoff: about 1e-5 here
         with pytest.raises(ValueError, match="phase roundoff"):
@@ -769,6 +811,32 @@ class TestMemoryBudget:
         both = oracle._trace_bytes(params, Thermal(5.0), trunc)
         assert both == oracle._trace_bytes(params, Thermal(5.0), trunc.doubled(), False)
         assert both > 3 * once
+
+    @staticmethod
+    def _peak(params, field, trunc):
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+        # modules imported on a first call are not the oracle's memory
+        concurrence_trace(params, Vacuum(), initial, [1.0], TruncationSpec(3), False)
+        tracemalloc.start()
+        concurrence_trace(params, field, initial, np.linspace(0.0, 2 * PI, 17), trunc=trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
+
+    def test_degenerate_trace_holds_three_f_squared_words(self):
+        # eigenvectors, the one factor S and a chunk of V' P V at F = 313
+        trunc = TruncationSpec(156)
+        f = trunc.doubled().ncut + 1
+        assert self._peak(ModelParams.from_beta(0.3), Thermal(5.0), trunc) <= 3 * 8 * f * f
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "field", [Vacuum(), Number(5), Thermal(5.0), Coherent(1 + 0.5j)], ids=str)
+    def test_trace_peak_within_estimate(self, field, omega0, monkeypatch):
+        # small phase blocks, so the F x F factors dominate the estimate
+        monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
+        params, trunc = ModelParams.from_beta(0.3, omega0=omega0), TruncationSpec(156)
+        assert self._peak(params, field, trunc) <= oracle._trace_bytes(params, field, trunc)
 
 
 class TestDefaultNcut:
