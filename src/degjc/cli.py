@@ -9,6 +9,13 @@ esd                 the 3/4-1/8-1/8 mixture under thermal fields
 separability        field-field negativity witness and reduced purities
 validate            the acceptance checks of ``degjc.validation``, report + exit code
 
+Each scenario parses only the flags it reads: ``_READS`` names them in the
+one flag table ``_FLAGS``, and every scenario also takes ``--out`` and
+``--config``.  Any other flag, on the command line or as a ``--config``
+key, is a configuration error before anything runs.  Only
+concurrence-sweep and separability take ``--omega0``: the closed forms of
+the others hold at omega0 = 0.
+
 All time axes are the dimensionless phase w*t; ``--omega`` adds an
 absolute-time column.  Output is deterministic CSV: '#'-prefixed metadata
 lines (effective configuration, cutoff, tail mass, version), then a header
@@ -48,8 +55,6 @@ from .model import (
 )
 from .oracle import TruncationError, build_hamiltonian, concurrence_trace, field_field_witness
 from .validation import convergence_tol, truncation, validation_rows
-
-SCENARIOS = ("envelope", "concurrence-sweep", "beta-sweep", "esd", "separability", "validate")
 
 ESD_MIXTURE = "esd-mixture"
 
@@ -126,6 +131,7 @@ class ScenarioConfig:
             ("omega0", self.omega0),
             ("omega", self.omega),
             ("omega-t-max", self.omega_t_max),
+            ("tolerance", self.tolerance),
         ):
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
@@ -139,6 +145,7 @@ class ScenarioConfig:
             raise ConfigError(f"beta must be >= 0, got {self.beta}")
         if self.omega0 < 0:
             raise ConfigError(f"omega0 must be >= 0, got {self.omega0}")
+        self.omega0 += 0.0  # -0 is recorded as 0
         if self.omega is not None and not self.omega > 0:
             raise ConfigError(f"omega must be > 0, got {self.omega}")
         if self.ncut is not None and self.ncut < 1:
@@ -236,22 +243,12 @@ def _time_columns(cfg, omega_ts):
     return cols
 
 
-def _require_degenerate(cfg):
-    if cfg.omega0 != 0.0:
-        raise ConfigError(
-            f"scenario {cfg.scenario!r} evaluates closed forms, which require "
-            f"omega0 == 0 (got {cfg.omega0:g}); nonzero omega0 is supported only "
-            f"by separability and by concurrence-sweep with --compare-oracle"
-        )
-
-
 def _params(cfg, beta):
     omega = cfg.omega if cfg.omega is not None else 1.0
     return ModelParams(omega=omega, omega0=cfg.omega0 * omega, lam=beta * omega)
 
 
 def run_envelope(cfg):
-    _require_degenerate(cfg)
     betas = [cfg.beta] if cfg.beta is not None else [0.75, 0.1]
     omega_ts = _grid(cfg, 4.0 * math.pi, 257)
     cols = _time_columns(cfg, omega_ts)
@@ -323,7 +320,6 @@ def run_concurrence_sweep(cfg):
 
 
 def run_beta_sweep(cfg):
-    _require_degenerate(cfg)
     steps = cfg.steps if cfg.steps is not None else 101
     beta_max = cfg.beta if cfg.beta is not None else 1.0
     betas = np.linspace(0.0, beta_max, steps)
@@ -346,7 +342,6 @@ def run_esd(cfg):
     field = cfg.field if cfg.field is not None else Thermal(2.0)
     if not isinstance(field, Thermal):
         raise ConfigError(f"esd scenario requires a thermal field, got {field}")
-    _require_degenerate(cfg)
     omega_ts = _grid(cfg, 2.0 * math.pi, 65)
     closed = np.asarray(esd_concurrence_closed(beta, field.nbar, omega_ts))
     cols = _time_columns(cfg, omega_ts) + [("concurrence_closed", closed)]
@@ -407,16 +402,6 @@ def run_separability(cfg):
 
 
 def run_validate(cfg):
-    _require_degenerate(cfg)
-    unused = [flag for flag, given in (
-        ("--bell", cfg.bell is not None),
-        ("--omega-t-max", cfg.omega_t_max is not None),
-        ("--compare-oracle", cfg.compare_oracle),
-        ("--plot-script", cfg.plot_script),
-    ) if given]
-    if unused:
-        raise ConfigError(f"validate does not take {', '.join(unused)}: its checks fix "
-                          f"their own states and grids")
     rows = validation_rows(cfg.field, cfg.beta, cfg.steps, cfg.ncut, cfg.tolerance)
     ok = all(r.passed for r in rows)
     narrowed = {"field": cfg.field, "beta": cfg.beta, "steps": cfg.steps, "ncut": cfg.ncut}
@@ -437,7 +422,35 @@ def run_validate(cfg):
 
 
 # ---------------------------------------------------------------------------
-# argument handling
+# argument handling: one table of flags, and the flags each scenario reads
+
+_FLAGS = {
+    "beta": dict(type=float, help="dimensionless coupling lambda/omega"),
+    "omega0": dict(type=float, help="qubit splitting in units of omega"),
+    "omega": dict(type=float, help="oscillator frequency; adds a time column"),
+    "field": dict(help="vacuum | coherent:alpha=RE[,IM] | number:n=K | thermal:nbar=F"),
+    "bell": dict(help="phi+ | phi- | psi+ | psi- | esd-mixture"),
+    "omega-t-max": dict(type=float, help="end of the phase grid"),
+    "steps": dict(type=int, help="number of grid points"),
+    "ncut": dict(type=int, help="Fock cutoff override"),
+    "compare-oracle": dict(action="store_true", help="add truncated-Fock oracle columns"),
+    "tolerance": dict(type=float, help="oracle agreement tolerance"),
+    "plot-script": dict(action="store_true", help="also write a matplotlib stub next to the CSV"),
+    "out": dict(help="output CSV path (default stdout)"),
+}
+
+# Every scenario also reads --out and --config.
+_READS = {
+    "envelope": "beta omega omega-t-max steps plot-script",
+    "concurrence-sweep": "beta omega0 omega field bell omega-t-max steps ncut compare-oracle "
+                         "tolerance plot-script",
+    "beta-sweep": "beta field steps plot-script",
+    "esd": "beta omega field omega-t-max steps ncut compare-oracle tolerance plot-script",
+    "separability": "beta omega0 omega field bell omega-t-max steps ncut plot-script",
+    "validate": "field beta steps ncut tolerance",
+}
+
+SCENARIOS = tuple(_READS)
 
 _RUNNERS = {
     "envelope": run_envelope,
@@ -448,104 +461,19 @@ _RUNNERS = {
 }
 
 
-def _add_common(p):
-    p.add_argument("--beta", type=float, default=None, help="dimensionless coupling lambda/omega")
-    p.add_argument("--omega0", type=float, default=None, help="qubit splitting in units of omega")
-    p.add_argument("--omega", type=float, default=None, help="oscillator frequency; adds a time column")
-    p.add_argument("--field", type=str, default=None,
-                   help="vacuum | coherent:alpha=RE[,IM] | number:n=K | thermal:nbar=F")
-    p.add_argument("--bell", type=str, default=None,
-                   help="phi+ | phi- | psi+ | psi- | esd-mixture")
-    p.add_argument("--omega-t-max", type=float, default=None, help="end of the phase grid")
-    p.add_argument("--steps", type=int, default=None, help="number of grid points")
-    p.add_argument("--ncut", type=int, default=None, help="Fock cutoff override")
-    p.add_argument("--compare-oracle", action="store_true", default=None,
-                   help="add truncated-Fock oracle columns")
-    p.add_argument("--tolerance", type=float, default=None, help="oracle agreement tolerance")
-    p.add_argument("--out", type=str, default=None, help="output CSV path (default stdout)")
-    p.add_argument("--plot-script", action="store_true", default=None,
-                   help="also write a matplotlib stub next to the CSV")
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
-
-
-def _read_config_file(path):
-    values = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, val = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
-        values[key.strip().replace("-", "_")] = val.strip()
-    return values
-
-_CONFIG_PARSERS = {
-    "beta": float,
-    "omega0": float,
-    "omega": float,
-    "field": str,
-    "bell": str,
-    "omega_t_max": float,
-    "steps": int,
-    "ncut": int,
-    "compare_oracle": lambda s: s.lower() in ("1", "true", "yes"),
-    "tolerance": float,
-    "out": str,
-    "plot_script": lambda s: s.lower() in ("1", "true", "yes"),
-}
-
-
-def build_config(args):
-    """Merge precedence: flags > config file > defaults."""
-    merged = {}
-    if args.config:
-        raw = _read_config_file(args.config)
-        for key, val in raw.items():
-            if key == "scenario":
-                continue
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"unknown config key {key!r}")
-            try:
-                merged[key] = _CONFIG_PARSERS[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"bad config value {key}={val!r}: {exc}") from exc
-    for key in _CONFIG_PARSERS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            merged[key] = flag_val
-    field = parse_field(merged["field"]) if isinstance(merged.get("field"), str) else merged.get("field")
-    bell = parse_bell(merged["bell"]) if isinstance(merged.get("bell"), str) else merged.get("bell")
-    return ScenarioConfig(
-        scenario=args.scenario,
-        beta=merged.get("beta"),
-        omega0=merged.get("omega0") or 0.0,
-        omega=merged.get("omega"),
-        field=field,
-        bell=bell,
-        omega_t_max=merged.get("omega_t_max"),
-        steps=merged.get("steps"),
-        ncut=merged.get("ncut"),
-        compare_oracle=bool(merged.get("compare_oracle")),
-        tolerance=merged.get("tolerance") if merged.get("tolerance") is not None else 1e-7,
-        out=merged.get("out"),
-        plot_script=bool(merged.get("plot_script")),
-    )
-
-
 def make_parser():
+    """One subparser per scenario, holding only the flags it reads; a flag
+    left unset is absent from the parsed namespace."""
     parser = argparse.ArgumentParser(
         prog="degjc",
         description="exact entanglement dynamics of degenerate qubits with local oscillators",
     )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in SCENARIOS:
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, reads in _READS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for flag in reads.split() + ["out"]:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.add_argument("--config", help="key=value file of flags, read before the command line")
     return parser
 
 
@@ -555,10 +483,65 @@ def _parser():
     return make_parser()
 
 
-def main(argv=None):
-    args = _parser().parse_args(argv)
+def _config_flags(path, scenario):
+    """The ``key=value`` lines of a config file as command-line flags.  A
+    boolean key is set by 1, true or yes and left unset by any other value,
+    unless the scenario does not read it: then its flag is passed on to be
+    rejected like any other."""
     try:
-        cfg = build_config(args)
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    flags = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {raw!r}")
+        key, val = key.strip().replace("_", "-"), val.strip()
+        if key == "scenario":
+            continue
+        if key not in _FLAGS:
+            raise ConfigError(f"unknown config key {key!r}")
+        if _FLAGS[key].get("action") != "store_true":
+            flags.append(f"--{key}={val}")
+        elif val.lower() in ("1", "true", "yes") or key not in _READS[scenario].split():
+            flags.append(f"--{key}")
+    return flags
+
+
+def _parse(argv):
+    """The flags given on ``argv``, with those of its ``--config`` file parsed
+    ahead of it, so that the command line wins.  A flag the scenario does not
+    read is a ConfigError."""
+    args, unread = _parser().parse_known_args(argv)
+    if "config" in args:
+        at = argv.index(args.scenario) + 1
+        flags = _config_flags(args.config, args.scenario)
+        args, unread = _parser().parse_known_args(argv[:at] + flags + argv[at:])
+    if unread:
+        names = [arg.partition("=")[0] for arg in unread if arg.startswith("--")] or unread
+        why = ("; its closed forms require omega0 == 0 (only concurrence-sweep and "
+               "separability take --omega0)") if "--omega0" in names else ""
+        raise ConfigError(f"{args.scenario} does not take {', '.join(names)}{why}")
+    return args
+
+
+def build_config(args):
+    """The ScenarioConfig of parsed flags; a flag not given takes its default."""
+    given = {key: value for key, value in vars(args).items() if key != "config"}
+    for key, parse in (("field", parse_field), ("bell", parse_bell)):
+        if key in given:
+            given[key] = parse(given[key])
+    return ScenarioConfig(**given)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        cfg = build_config(_parse(argv))
         if cfg.scenario == "validate":
             ok = run_validate(cfg)
             return 0 if ok else 1

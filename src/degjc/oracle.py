@@ -752,6 +752,10 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
     return values, qmats, kernel.tail, how
 
 
+# Phases of the cutoff-doubling re-run: an evenly spaced subsample of the grid.
+_DOUBLING_POINTS = 9
+
+
 def concurrence_trace(
     params,
     field,
@@ -760,7 +764,6 @@ def concurrence_trace(
     trunc=None,
     check_convergence=True,
     convergence_tol=1e-8,
-    max_doubling_points=9,
 ):
     """Oracle concurrence of ``initial`` (sigma_x basis) under identical fields.
 
@@ -770,10 +773,13 @@ def concurrence_trace(
     whose estimated peak memory exceeds physical memory, before it
     allocates.  A non-finite phase, or a grid whose eigenphase roundoff
     exceeds ``convergence_tol`` (see :func:`_require_phase_accuracy`),
-    raises ValueError before any eigensolve; an empty grid gives an empty
-    trace.
+    raises ValueError before any eigensolve, and so does a
+    ``convergence_tol`` that is not finite and positive; an empty grid gives
+    an empty trace.
     """
     omega_ts = _finite_phases(omega_ts, 1)
+    if not (math.isfinite(convergence_tol) and convergence_tol > 0):
+        raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
     if trunc is None:
         trunc = TruncationSpec(default_ncut(field, params.beta))
     _require_memory(
@@ -787,7 +793,7 @@ def concurrence_trace(
     doubling_error = 0.0
     n_check = doubled_ncut = 0
     if check_convergence and len(omega_ts):
-        n_check = min(len(omega_ts), max_doubling_points)
+        n_check = min(len(omega_ts), _DOUBLING_POINTS)
         idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
         doubled_ncut = largest.ncut
         _, qcheck, _, _ = _reconstruct(params, field, initial, omega_ts[idx], largest)

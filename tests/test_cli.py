@@ -1,6 +1,8 @@
 """CLI scenarios: output format, determinism, config handling, exit codes."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +65,11 @@ class TestParsing:
             ScenarioConfig(scenario="envelope", tolerance=0.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="nope")
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan])
+    def test_tolerance_must_be_finite(self, tolerance):
+        with pytest.raises(ConfigError, match="tolerance"):
+            ScenarioConfig(scenario="validate", tolerance=tolerance)
 
 
 class TestEnvelope:
@@ -378,12 +385,136 @@ class TestExitCodes:
             ["envelope", "--beta", "1e200"],
             ["esd", "--beta", "1e200"],
             ["concurrence-sweep", "--beta", "1e200"],
+            # a tolerance no cutoff-doubling disagreement can exceed
+            ["concurrence-sweep", "--compare-oracle", "--tolerance", "inf"],
+            ["esd", "--compare-oracle", "--tolerance", "inf"],
+            ["validate", "--tolerance", "inf"],
+            ["concurrence-sweep", "--compare-oracle", "--tolerance", "nan"],
         ],
     )
     def test_non_finite_inputs_are_config_errors(self, argv, tmp_path):
         out = tmp_path / "x.csv"
         assert main(argv + ["--steps", "5", "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# Every scenario/flag pair outside the flag table of ``cli``, written out by hand.
+UNREAD = [
+    ("envelope", "--omega0"), ("envelope", "--field"), ("envelope", "--bell"),
+    ("envelope", "--ncut"), ("envelope", "--compare-oracle"), ("envelope", "--tolerance"),
+    ("beta-sweep", "--omega0"), ("beta-sweep", "--omega"), ("beta-sweep", "--bell"),
+    ("beta-sweep", "--omega-t-max"), ("beta-sweep", "--ncut"),
+    ("beta-sweep", "--compare-oracle"), ("beta-sweep", "--tolerance"),
+    ("esd", "--omega0"), ("esd", "--bell"),
+    ("separability", "--compare-oracle"), ("separability", "--tolerance"),
+    ("validate", "--omega0"), ("validate", "--omega"), ("validate", "--bell"),
+    ("validate", "--omega-t-max"), ("validate", "--compare-oracle"), ("validate", "--plot-script"),
+]
+
+# A value each of those flags would accept where it is read.
+FLAG_VALUES = {
+    "--omega0": "0", "--omega": "2", "--field": "thermal:nbar=2", "--bell": "psi-",
+    "--omega-t-max": "1", "--ncut": "5", "--tolerance": "1e-7",
+}
+
+FLAGS = ["--beta", "--omega0", "--omega", "--field", "--bell", "--omega-t-max", "--steps",
+         "--ncut", "--compare-oracle", "--tolerance", "--plot-script"]
+
+
+def subparser_options(scenario, capsys):
+    """The long options of a scenario's ``--help``, without ``--help``."""
+    with pytest.raises(SystemExit):
+        cli.make_parser().parse_args([scenario, "--help"])
+    return set(re.findall(r"--[a-z0-9-]+", capsys.readouterr().out)) - {"--help"}
+
+
+class TestFlagTable:
+    """A scenario parses only the flags it reads: any other flag, on the
+    command line or as a config key, exits 2 before anything runs."""
+
+    @pytest.fixture
+    def nothing_runs(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        for name in cli._RUNNERS:
+            monkeypatch.setitem(cli._RUNNERS, name, unreached)
+        monkeypatch.setattr(cli, "validation_rows", unreached)
+        monkeypatch.setattr(cli, "write_csv", unreached)
+
+    @staticmethod
+    def assert_rejected(argv, scenario, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{scenario} does not take {flag}" in err
+        if flag == "--omega0":
+            assert "omega0 == 0" in err
+        assert not out.exists() and not (tmp_path / "x.csv.plot.py").exists()
+
+    @pytest.mark.parametrize("scenario, flag", UNREAD)
+    def test_unread_flag_exits_2(self, scenario, flag, tmp_path, capsys, nothing_runs):
+        argv = [scenario, flag] + ([FLAG_VALUES[flag]] if flag in FLAG_VALUES else [])
+        self.assert_rejected(argv, scenario, flag, tmp_path, capsys)
+
+    @pytest.mark.parametrize("scenario, line, flag", [
+        ("envelope", "field=vacuum", "--field"),
+        ("beta-sweep", "omega_t_max=1", "--omega-t-max"),
+        ("esd", "omega0=0", "--omega0"),
+        ("separability", "compare_oracle=false", "--compare-oracle"),
+        ("validate", "plot-script=no", "--plot-script"),
+    ])
+    def test_unread_config_key_exits_2(self, scenario, line, flag, tmp_path, capsys,
+                                       nothing_runs):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"steps=5\n{line}\n")
+        self.assert_rejected([scenario, "--config", str(cfgfile)], scenario, flag, tmp_path,
+                             capsys)
+
+    def test_every_flag_is_read_or_rejected(self, capsys):
+        for scenario in cli.SCENARIOS:
+            unread = {flag for name, flag in UNREAD if name == scenario}
+            options = subparser_options(scenario, capsys)
+            assert not unread & options
+            assert unread | options == set(FLAGS) | {"--out", "--config"}
+
+    def test_boolean_config_keys(self, tmp_path):
+        cfgfile, out = tmp_path / "run.cfg", tmp_path / "o.csv"
+        cfgfile.write_text("compare_oracle=true\nplot_script=yes\nsteps=5\n")
+        assert main(["concurrence-sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+        _, names, _ = read_csv(out)
+        assert names == ["omega_t", "concurrence_closed", "concurrence_oracle", "abs_error"]
+        assert "matplotlib" in (tmp_path / "o.csv.plot.py").read_text()
+        cfgfile.write_text("compare-oracle=no\nsteps=5\n")
+        assert main(["concurrence-sweep", "--config", str(cfgfile), "--out", str(out)]) == 0
+        _, names, _ = read_csv(out)
+        assert names == ["omega_t", "concurrence_closed"]
+
+
+def readme_flag_lists():
+    """Each scenario's flags in the README's CLI synopsis, and the flags it
+    says every scenario also takes."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = text.split("## CLI", 1)[1].split("```", 2)[1]
+    lists, scenario = {}, None
+    for line in synopsis.splitlines():
+        if line.startswith("degjc "):
+            scenario = line.split()[1]
+            lists[scenario] = set()
+        elif not line.startswith(" "):
+            scenario = None
+        if scenario:
+            lists[scenario] |= set(re.findall(r"--[a-z0-9-]+", line))
+    common = re.search(r"every scenario also takes(.*)", synopsis).group(1)
+    return lists, set(re.findall(r"--[a-z0-9-]+", common))
+
+
+def test_readme_flag_lists_match_the_parser(capsys):
+    lists, common = readme_flag_lists()
+    assert list(lists) == list(cli.SCENARIOS)
+    assert common == {"--out", "--config"}
+    for scenario, flags in lists.items():
+        assert flags | common == subparser_options(scenario, capsys), scenario
 
 
 class TestOracleLimits:

@@ -645,6 +645,16 @@ class TestConcurrenceTrace:
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, bad, 1.0],
             )
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_bad_convergence_tol_rejected_before_eigensolve(self, tol, no_allocation):
+        # an infinite tolerance would pass every cutoff-doubling check
+        with pytest.raises(ValueError, match="convergence_tol"):
+            concurrence_trace(
+                ModelParams.from_beta(0.3), Vacuum(),
+                make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
+                convergence_tol=tol,
+            )
+
     def test_empty_grid_gives_empty_trace(self):
         trace = concurrence_trace(
             ModelParams.from_beta(0.3), Thermal(1.0), make_esd_mixture(), [])
