@@ -19,7 +19,9 @@ the others hold at omega0 = 0.
 All time axes are the dimensionless phase w*t; ``--omega`` adds an
 absolute-time column.  Output is deterministic CSV: '#'-prefixed metadata
 lines (effective configuration, cutoff, tail mass, version), then a header
-row, then ``%.17g``-formatted values.
+row, then ``%.17g``-formatted values.  ``degjc.csvcells`` prints the float
+cells from numpy, a block at a time, with exactly the bytes of
+``'%.17g' % v``.
 
 Exit codes: 0 success, 1 validation failure (``validate`` only, when a check
 breaches its tolerance), 2 bad configuration, 3 truncation or solver failure.
@@ -29,7 +31,7 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
@@ -42,6 +44,7 @@ from .closedform import (
     esd_concurrence_closed,
     modulation_factor,
 )
+from .csvcells import csv_rows
 from .model import (
     BellState,
     Coherent,
@@ -107,7 +110,8 @@ def parse_bell(text):
 
 @dataclass
 class ScenarioConfig:
-    """Resolved run configuration; ``None`` means scenario default."""
+    """Resolved run configuration; ``None`` means scenario default.  A field
+    the scenario does not read (see ``_READS``) must keep its default."""
 
     scenario: str
     beta: Optional[float] = None
@@ -126,6 +130,11 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
+        reads = {"scenario", "out"}
+        reads |= {flag.replace("-", "_") for flag in _READS[self.scenario].split()}
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{self.scenario} does not take {f.name.replace('_', '-')}")
         for name, value in (
             ("beta", self.beta),
             ("omega0", self.omega0),
@@ -165,26 +174,20 @@ def _fmt(value):
 def write_csv(out, metadata, columns):
     """Deterministic CSV: sorted '#' metadata, header, %.17g rows.
 
-    Each column becomes Python objects once; every row is then formatted
-    with one template, '%.17g' for a float column and '%s' for the
-    ``_fmt`` strings of any other column.
+    A float column is printed by ``csvcells.csv_rows``, a block of cells at
+    a time, with the bytes of ``'%.17g' % v`` for every value; any other
+    column as the ``_fmt`` string of each value.
     """
     lines = [f"# degjc {__version__}"]
     for key in sorted(metadata):
         lines.append(f"# {key}={_fmt(metadata[key])}")
     lines.append(",".join(name for name, _ in columns))
-    specs, cells = [], []
+    cells = []
     for _, column in columns:
         a = np.asarray(column)
-        if a.dtype.kind == "f":
-            specs.append("%.17g")
-            cells.append(a.tolist())
-        else:
-            specs.append("%s")
-            cells.append([_fmt(v) for v in a.tolist()])
-    template = ",".join(specs)
-    lines.extend(template % row for row in zip(*cells))
-    text = "\n".join(lines) + "\n"
+        cells.append(a.astype(np.float64, copy=False) if a.dtype.kind == "f"
+                     else [_fmt(v) for v in a.tolist()])
+    text = "\n".join(lines) + "\n" + csv_rows(cells).decode()
     if out is None:
         sys.stdout.write(text)
     else:

@@ -1,0 +1,214 @@
+"""CSV rows from numpy columns: each float cell is exactly ``'%.17g' % v``.
+
+A float cell is printed from numpy arrays, a block of cells at a time.  For
+|v| in [1e-250, 1e250) the decimal exponent k = floor(log10 |v|) is found
+exactly, and v * 10**(16 - k) is formed as a double-double from a (hi, lo)
+table of powers of ten with Dekker's exact product (Numer. Math. 18, 224
+(1971)).  Its integer part and fraction give the 17-digit integer N,
+rounded to nearest.  Only a cell this cannot certify is printed by Python:
+a NaN, an infinity, a value outside that range, or a fraction within 2**-30
+of one half, a tie or a value the double-double could round the wrong way.
+This is the fast path with exact fallback of Grisu3 (Loitsch, PLDI 2010).
+
+Each cell is laid out in a row of 48 bytes that holds every character
+``%g`` can print, at fixed places::
+
+    0 '-'   1 '0'   2 '.'   3..5 '000'   6 d0   7 '.'
+    8..39   d1 '.' d2 '.' ... d16 '.'
+    40 'e'  41 exponent sign  42..44 exponent digits
+
+A keep mask, looked up by (sign, k, number of significant digits), selects
+the characters of the text.  The rows of a block, their separators and the
+cells of text columns are then joined by one compress of the masked bytes.
+"""
+
+import numpy as np
+
+_LOW, _HIGH = 1e-250, 1e250  # |v| range of the fast path
+# powers of ten in the table: 10**k and 10**(16 - k) for every k of that
+# range, with 10**p * _SPLIT finite
+_P_MIN, _P_MAX = -270, 270
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into 26- and 27-bit halves
+_BLOCK_CELLS = 4096
+_WIDTH = 48
+
+
+def _pow10_table():
+    """10**p ~ hi + lo for p in [_P_MIN, _P_MAX], from exact integers: hi is
+    10**p rounded to a double, lo the remainder rounded; ceil is the least
+    double >= 10**p; hh the high half of hi for Dekker's product."""
+    p = range(_P_MIN, _P_MAX + 1)
+    hi, lo = np.empty(len(p)), np.empty(len(p))
+    for i, e in enumerate(p):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi[i] = h = num / den
+        a, b = h.as_integer_ratio()
+        lo[i] = (num * b - a * den) / (den * b)
+    ceil = np.where(lo > 0, np.nextafter(hi, np.inf), hi)
+    c = hi * _SPLIT
+    return hi, lo, ceil, c - (c - hi)
+
+
+_HI, _LO, _CEIL, _HH = _pow10_table()
+
+
+def _words(byte_rows):
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint64).ravel()
+
+
+_DIGITS = np.stack(np.meshgrid(*[np.arange(10, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_DIGITS = _DIGITS.reshape(10000, 4)
+# bytes 0..7 of a row for each leading digit q
+_LEAD = _words([list(b"-0.000") + [48 + q, 46] for q in range(10)])
+# "d.d.d.d." for each group of four digits, and its trailing zeros
+_GROUP = _words(np.stack([48 + _DIGITS, np.full_like(_DIGITS, 46)], axis=2).reshape(-1, 8))
+_GROUP_TZ = sum(np.arange(10000) % d == 0 for d in (10, 100, 1000, 10000))
+del _DIGITS
+_K = np.arange(_P_MIN, _P_MAX + 1)
+# bytes 40..47 of a row for each decimal exponent k of the table
+_EXP = _words(np.stack([np.full_like(_K, 101), np.where(_K < 0, 45, 43)]
+                       + [48 + np.abs(_K) // d % 10 for d in (100, 10, 1)]
+                       + [np.full_like(_K, 32)] * 3, axis=1))
+# layout class: k + 4 for fixed notation (-4 <= k < 17), 21 and 22 for
+# scientific notation with two and three exponent digits
+_CLASS = np.where((_K < -4) | (_K > 16), 21 + (np.abs(_K) >= 100), _K + 4)
+
+
+def _keep_table():
+    """Keep masks for each (sign, class, m), m the number of significant
+    digits (1..17), flattened as index (sign * 23 + class) * 18 + m."""
+    s, c, m = np.meshgrid(np.arange(2), np.arange(23), np.arange(18), indexing="ij")
+    s, c, m = (v.reshape(-1, 1) for v in (s, c, m))
+    k = c - 4
+    sci = c > 20
+    fixed = ~sci & (k >= 0)
+    small = ~sci & (k < 0)
+    j = np.arange(_WIDTH)
+    digit = (j >= 6) & (j < 40) & (j % 2 == 0)
+    point = (j >= 7) & (j < 40) & (j % 2 == 1)
+    i = (j - 6) // 2  # digit index of a digit slot, and of the digit before a point slot
+    keep = (j == 0) & (s == 1)
+    keep |= small & ((j == 1) | (j == 2) | ((j >= 3) & (j < 6) & (j - 3 < -k - 1)))
+    keep |= digit & (i < np.where(fixed, np.maximum(m, k + 1), m))
+    keep |= point & fixed & (i == k) & (m > k + 1)
+    keep |= point & sci & (i == 0) & (m > 1)
+    keep |= sci & ((j == 40) | (j == 41) | ((j == 42) & (c == 22)) | (j == 43) | (j == 44))
+    return keep.view(np.uint64)
+
+
+_KEEP = _keep_table()
+
+
+def _exact(values):
+    """The fallback: Python's own ``'%.17g'`` of each value."""
+    return ["%.17g" % v for v in values]
+
+
+def _decimal(a):
+    """The 17 significant digits of each positive float a in the fast range,
+    as the integer n in [1e16, 1e17), the table index t of 10**k, and
+    whether the rounding to n is certain."""
+    # t indexes 10**k in the table; np.log10 may be one off next to 10**k.
+    t = np.floor(np.log10(a)).astype(np.intp) - _P_MIN
+    t -= a < _CEIL.take(t)
+    t += a >= _CEIL.take(t + 1)
+    # a * 10**(16 - k) = P + E in [1e16, 1e17): Dekker's exact product
+    # a * hi = P + e, plus a * lo
+    i = 16 - 2 * _P_MIN - t
+    hi = _HI.take(i)
+    hh = _HH.take(i)
+    hl = hi - hh
+    P = a * hi
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    E = (((ah * hh - P) + ah * hl + al * hh) + al * hl) + a * _LO.take(i)
+    f = np.floor(E)
+    frac = E - f
+    n = P.astype(np.int64) + f.astype(np.int64) + (frac > 0.5)
+    # the 17 digits of a carry to 10**17 are those of 10**16, one exponent up
+    carry = n == 10**17
+    n -= carry * (9 * 10**16)
+    t += carry
+    # E is good to about 1e-14: a fraction this close to 1/2 may round
+    # either way
+    return n, t, np.abs(frac - 0.5) >= 2.0**-30
+
+
+def _float_cells(x):
+    """Bytes and keep mask, one row of 48 for each value, of ``'%.17g' % v``
+    for the float64 array x."""
+    a = np.abs(x)
+    zero = a == 0
+    fast = (a >= _LOW) & (a < _HIGH)
+    n, t, certain = _decimal(np.where(fast, a, 1.0))
+    slow = ~((fast & certain) | zero)
+    n *= ~zero
+    q = n // 10**16
+    n -= q * 10**16
+    hi8 = n // 10**8
+    lo8 = n - hi8 * 10**8
+    g1 = hi8 // 10**4
+    g2 = hi8 - g1 * 10**4
+    g3 = lo8 // 10**4
+    g4 = lo8 - g3 * 10**4
+    # trailing zeros of the 17 digits, which %g drops
+    tz = np.where(g4, _GROUP_TZ.take(g4), 4 + np.where(
+        g3, _GROUP_TZ.take(g3), 4 + np.where(g2, _GROUP_TZ.take(g2), 4 + _GROUP_TZ.take(g1))))
+    words = np.empty((x.size, _WIDTH // 8), np.uint64)
+    words[:, 0] = _LEAD.take(q)
+    words[:, 1] = _GROUP.take(g1)
+    words[:, 2] = _GROUP.take(g2)
+    words[:, 3] = _GROUP.take(g3)
+    words[:, 4] = _GROUP.take(g4)
+    words[:, 5] = _EXP.take(t)
+    code = (np.signbit(x) * 23 + _CLASS.take(t)) * 18 + (17 - tz)
+    chars = words.view(np.uint8)
+    keep = np.take(_KEEP, code, axis=0).view(np.bool_)
+    at = np.flatnonzero(slow)
+    for row, text in zip(at.tolist(), _exact(x[at].tolist())):
+        chars[row, :len(text)] = np.frombuffer(text.encode(), np.uint8)
+        keep[row] = np.arange(_WIDTH) < len(text)
+    return chars, keep
+
+
+def _text_cells(strings):
+    """Bytes and keep mask of UTF-8 strings, one row each."""
+    encoded = [s.encode() for s in strings]
+    width = max([1, *map(len, encoded)])
+    chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
+    keep = np.arange(width) < np.array([len(s) for s in encoded], dtype=np.intp)[:, None]
+    return chars, keep
+
+
+def _float_columns(columns):
+    """Bytes and keep mask of each float64 column, printed in one pass."""
+    chars, keep = _float_cells(np.stack(columns, axis=1).ravel())
+    shape = (-1, len(columns), _WIDTH)
+    return zip(chars.reshape(shape).swapaxes(0, 1), keep.reshape(shape).swapaxes(0, 1))
+
+
+def csv_rows(columns):
+    """The CSV text, as bytes, of equal-length columns: each column is a
+    float64 array, printed as ``'%.17g' % v``, or a list of strings, printed
+    as they are.  Every row ends in a newline."""
+    if not columns:
+        return b""
+    text = [_text_cells(c) if isinstance(c, list) else None for c in columns]
+    floats = [c for c, t in zip(columns, text) if t is None]
+    step = max(1, _BLOCK_CELLS // len(columns))
+    parts = []
+    for start in range(0, len(columns[0]), step):
+        rows = slice(start, start + step)
+        cells = iter(_float_columns([c[rows] for c in floats]) if floats else ())
+        chars, keep = [], []
+        for t in text:
+            c, k = next(cells) if t is None else (t[0][rows], t[1][rows])
+            sep = np.full((len(c), 1), 44, np.uint8)
+            chars += [c, sep]
+            keep += [k, np.ones_like(sep, np.bool_)]
+        chars[-1][:] = 10
+        chars = np.concatenate(chars, axis=1)
+        keep = np.concatenate(keep, axis=1)
+        parts.append(np.compress(keep.ravel(), chars.ravel()).tobytes())
+    return b"".join(parts)

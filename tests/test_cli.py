@@ -1,13 +1,17 @@
 """CLI scenarios: output format, determinism, config handling, exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degjc import __version__, cli, oracle, validation
+from degjc import __version__, cli, csvcells, oracle, validation
 from degjc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -62,7 +66,7 @@ class TestParsing:
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="envelope", omega_t_max=0.0)
         with pytest.raises(ConfigError):
-            ScenarioConfig(scenario="envelope", tolerance=0.0)
+            ScenarioConfig(scenario="validate", tolerance=0.0)
         with pytest.raises(ConfigError):
             ScenarioConfig(scenario="nope")
 
@@ -159,6 +163,16 @@ class TestParserOnce:
                 main(argv)
             assert exc.value.code == 2
             assert "usage: degjc" in capsys.readouterr().err
+
+
+def test_python_m_degjc_prints_what_main_prints(capsys):
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-m", "degjc", "envelope", "--steps", "3"],
+                         capture_output=True, env={**os.environ, "PYTHONPATH": path},
+                         check=True, timeout=60)
+    assert main(["envelope", "--steps", "3"]) == 0
+    assert run.stdout == capsys.readouterr().out.encode()
 
 
 class TestConcurrenceSweep:
@@ -417,6 +431,12 @@ FLAG_VALUES = {
     "--omega-t-max": "1", "--ncut": "5", "--tolerance": "1e-7",
 }
 
+# A value other than the default for each ScenarioConfig field a scenario may not read.
+FIELD_VALUES = {
+    "omega0": 0.5, "omega": 2.0, "field": Thermal(2.0), "bell": BellState.PSI_MINUS,
+    "omega_t_max": 1.0, "ncut": 5, "compare_oracle": True, "tolerance": 1e-6, "plot_script": True,
+}
+
 FLAGS = ["--beta", "--omega0", "--omega", "--field", "--bell", "--omega-t-max", "--steps",
          "--ncut", "--compare-oracle", "--tolerance", "--plot-script"]
 
@@ -470,6 +490,12 @@ class TestFlagTable:
         cfgfile.write_text(f"steps=5\n{line}\n")
         self.assert_rejected([scenario, "--config", str(cfgfile)], scenario, flag, tmp_path,
                              capsys)
+
+    @pytest.mark.parametrize("scenario, flag", UNREAD)
+    def test_unread_config_field_is_rejected(self, scenario, flag):
+        name = flag[2:].replace("-", "_")
+        with pytest.raises(ConfigError, match=f"{scenario} does not take {flag[2:]}"):
+            ScenarioConfig(scenario=scenario, **{name: FIELD_VALUES[name]})
 
     def test_every_flag_is_read_or_rejected(self, capsys):
         for scenario in cli.SCENARIOS:
@@ -653,8 +679,8 @@ def _per_cell_csv(metadata, columns):
 
 
 class TestCsvWriter:
-    """``write_csv`` formats whole rows with one template; its bytes equal
-    the per-cell reference."""
+    """``write_csv`` prints float cells from numpy a block at a time; its
+    bytes equal the per-cell reference and ``'%.17g' % v``."""
 
     META = {"scenario": "test", "beta": 0.1, "steps": 3, "flag": True}
 
@@ -700,6 +726,78 @@ class TestCsvWriter:
         text = self._written(tmp_path, self.META, columns)
         assert text == _per_cell_csv(self.META, columns)
         assert text.endswith("\ncheck,max_error\n")
+
+    @staticmethod
+    def _edge_values():
+        tens = np.array([float(f"1e{p}") for p in range(-323, 309)])
+        edges = np.concatenate([
+            # every power of ten, in and beyond the fast range, with both neighbours
+            tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf),
+            # every power of two
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            # exact decimal ties of the 18th digit
+            [1000000000000000.25, 1000000000000000.75, 100000000000000.125, 0.5],
+            # 17-digit roundings that carry to a power of ten, and a value whose
+            # exponent is that of its truncated digits, not of their rounding
+            [99999999999999999.0, 9.9999999999999999e-5, 1e-14, 1e98, 9.9999999999999995e-179],
+            # the switches to scientific notation at k = -5/-4 and 16/17
+            [1e-5, 9.9999999999999991e-6, 0.0001, 0.00012345678901234567, 9999999999999998.0,
+             1e16, 12345678901234567.0, 1e17, 123456789012345678.0],
+            # zero, subnormals, the largest double and the non-finite values
+            [0.0, 5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, np.inf, np.nan],
+        ])
+        return np.concatenate([edges, -edges])
+
+    def test_edge_table(self, tmp_path):
+        # 1e-14 and 1e98 are doubles just below their power of ten
+        assert Fraction(1e-14) < Fraction(1, 10**14) and Fraction(1e98) < 10**98
+        edges = self._edge_values()
+        labels = np.array([f"row{i}" for i in range(edges.size)])
+        columns = [("v", edges), ("label", labels), ("w", edges[::-1])]
+        text = self._written(tmp_path, {}, columns)
+        assert text == _per_cell_csv({}, columns)
+        assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
+            "%.17g" % v for v in edges.tolist()]
+
+    def test_float32_columns(self, tmp_path):
+        tens = np.array([np.float32(f"1e{p}") for p in range(-45, 39)], dtype=np.float32)
+        edges = np.concatenate([
+            tens, np.nextafter(tens, np.float32(0)), np.nextafter(tens, np.float32(np.inf)),
+            np.ldexp(np.float32(1), np.arange(-149, 128)).astype(np.float32),
+            np.array([0.0, 1.4e-45, 3.4028235e38, 0.1, np.inf, np.nan], dtype=np.float32),
+        ])
+        columns = [("f32", np.concatenate([edges, -edges]))]
+        assert self._written(tmp_path, {}, columns) == _per_cell_csv({}, columns)
+
+
+class TestCsvFastPath:
+    """The closed-form scenarios print every cell on the numpy path: the
+    Python fallback would give the same bytes, only slower."""
+
+    @pytest.fixture
+    def fallback_cells(self, monkeypatch):
+        seen = []
+        exact = csvcells._exact
+
+        def spy(values):
+            seen.extend(values)
+            return exact(values)
+
+        monkeypatch.setattr(csvcells, "_exact", spy)
+        return seen
+
+    def test_sweep_and_envelope_need_no_fallback(self, tmp_path, fallback_cells):
+        for argv in (["concurrence-sweep"], ["envelope"]):
+            out = tmp_path / f"{argv[0]}.csv"
+            assert main(argv + ["--steps", "20001", "--out", str(out)]) == 0
+            assert len(out.read_text().splitlines()) > 20001
+        assert fallback_cells == []
+
+    def test_the_fallback_prints_what_numpy_cannot_certify(self, tmp_path, fallback_cells):
+        values = [np.inf, 1e-300, 1000000000000000.25, 0.0, -0.0, 0.5, 1e-250]
+        text = cli.write_csv(str(tmp_path / "f.csv"), {}, [("v", np.array(values))])
+        assert text.splitlines()[2:] == ["%.17g" % v for v in values]
+        assert fallback_cells == [np.inf, 1e-300, 1000000000000000.25]
 
 
 @pytest.mark.slow

@@ -21,6 +21,7 @@ from degjc.closedform import (
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
+from degjc.csvcells import csv_rows
 from degjc.model import (
     BellState,
     Coherent,
@@ -223,3 +224,21 @@ def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
 def test_oracle_rejects_non_integral_cutoffs(call):
     with pytest.raises(ValueError, match="integer"):
         call()
+
+
+def _percent_17g(values):
+    return "".join("%.17g\n" % v for v in values).encode()
+
+
+@PROPERTY
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                min_size=1, max_size=64))
+def test_csv_cells_are_percent_17g(values):
+    assert csv_rows([np.array(values, dtype=np.float64)]) == _percent_17g(values)
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_csv_cells_of_raw_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert csv_rows([values]) == _percent_17g(values.tolist())
