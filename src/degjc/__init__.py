@@ -8,10 +8,8 @@ Fock-space propagator.
 __version__ = "0.1.0"
 
 from .closedform import (
-    CoherenceFactor,
     GammaValue,
     characteristic_integral,
-    coherence_factor,
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
@@ -46,20 +44,16 @@ from .model import (
 from .oracle import (
     FieldFieldWitness,
     OracleTrace,
-    SubsystemConditionalMap,
     SubsystemPropagator,
     TruncationError,
     TruncationSpec,
     build_hamiltonian,
     coherent_fock_vector,
     concurrence_trace,
-    conditional_maps,
     default_ncut,
-    field_field_reduced,
     field_field_witness,
     low_spectrum,
     propagate_state,
-    two_qubit_reduced,
 )
 from .specialfn import (
     coherent_overlap,
@@ -72,7 +66,6 @@ from .specialfn import (
 __all__ = [
     "__version__",
     "BellState",
-    "CoherenceFactor",
     "Coherent",
     "ConcurrenceResult",
     "FieldFieldWitness",
@@ -83,7 +76,6 @@ __all__ = [
     "OracleTrace",
     "QubitBasis",
     "QubitPairState",
-    "SubsystemConditionalMap",
     "SubsystemPropagator",
     "Thermal",
     "TruncationError",
@@ -93,18 +85,15 @@ __all__ = [
     "build_hamiltonian",
     "change_basis",
     "characteristic_integral",
-    "coherence_factor",
     "coherent_fock_vector",
     "coherent_overlap",
     "concurrence_at_half_period",
     "concurrence_closed",
     "concurrence_trace",
-    "conditional_maps",
     "default_ncut",
     "esd_concurrence_closed",
     "evolve_spin_coherent",
     "evolved_vacuum_state_amplitude",
-    "field_field_reduced",
     "field_field_witness",
     "gamma",
     "laguerre",
@@ -119,7 +108,6 @@ __all__ = [
     "single_qubit_coherence",
     "thermal_weights",
     "two_qubit_offdiagonal",
-    "two_qubit_reduced",
     "wootters_concurrence",
     "xstate_concurrence",
 ]

@@ -61,15 +61,10 @@ def _number_terms(n, x):
     folds the exponent of L_n(x) = m 2^e into the exponential,
     m exp(e ln 2 - x/2), and stays finite: |L_n(x)| <= e^{x/2}.  m = 0 may
     carry any exponent, so the argument is capped at 1; elsewhere it is
-    below ln 2.
+    below ln 2.  The laws square both as products: a scalar ``** 2`` runs
+    C ``pow``, which can differ from an array's ``x * x`` in the last bit.
     """
     m, e = laguerre_scaled(n, x)
-    if isinstance(m, float):  # one point: math is cheaper than numpy scalars
-        try:
-            lag = np.float64(math.ldexp(m, e))
-        except OverflowError:
-            lag = np.float64(math.inf)
-        return lag, m * math.exp(min(e * _LN2 - 0.5 * x, 1.0))
     with np.errstate(over="ignore"):
         lag = np.ldexp(m, e)
     return lag, m * np.exp(np.minimum(e * _LN2 - 0.5 * x, 1.0))
@@ -95,27 +90,6 @@ class GammaValue:
     omega_t: object
     gamma: object
     abs2: object
-
-
-@dataclass(frozen=True)
-class CoherenceFactor:
-    """Magnitude and phase of Q_updown(t)/Q_updown(0) for a given field.
-
-    For fields with a nonnegative diagonal coherent-state weight (vacuum,
-    coherent, thermal) the magnitude never exceeds the field-independent
-    envelope exp(-2 beta^2 |gamma|^2).  Number states are nonclassical:
-    |L_N(x)| may exceed 1, but |L_N(x)| <= e^{x/2} keeps the magnitude <= 1.
-    """
-
-    magnitude: float
-    phase: float
-    field: object
-    beta: float
-    omega_t: float
-
-    @property
-    def envelope(self):
-        return modulation_factor(self.beta, self.omega_t)
 
 
 def _abs2(omega_t):
@@ -183,21 +157,9 @@ def single_qubit_coherence(q0, field, beta, omega_t):
     if isinstance(field, Number):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = q0 * env * (complex(lag) if _scalar(lag) else lag.astype(complex))
+            plain = q0 * env * lag.astype(complex)
         return _plain_or_folded(plain, q0 * damped, env)
     return q0 * env * characteristic_integral(field, beta, g)
-
-
-def coherence_factor(field, beta, omega_t):
-    """Package the unit-coherence evolution as magnitude and phase."""
-    val = single_qubit_coherence(0.5, field, beta, omega_t) / 0.5
-    return CoherenceFactor(
-        magnitude=float(np.abs(val)),
-        phase=float(np.angle(val)),
-        field=field,
-        beta=beta,
-        omega_t=float(omega_t),
-    )
 
 
 def two_qubit_offdiagonal(bell, field, beta, omega_t):
@@ -219,15 +181,15 @@ def two_qubit_offdiagonal(bell, field, beta, omega_t):
     number = isinstance(field, Number)
     if number:
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
-        ci = complex(lag) if _scalar(lag) else lag.astype(complex)
+        ci = lag.astype(complex)
     else:
         ci = characteristic_integral(field, beta, g)
     with np.errstate(over="ignore", invalid="ignore"):
         if bell in (BellState.PHI_PLUS, BellState.PSI_PLUS):
             val = 0.5 * env * ci * ci
         else:
-            val = 0.5 * env * np.abs(ci) ** 2
-    return _plain_or_folded(val, 0.5 * damped**2, env) if number else val
+            val = 0.5 * env * (np.abs(ci) * np.abs(ci))
+    return _plain_or_folded(val, 0.5 * (damped * damped), env) if number else val
 
 
 def concurrence_closed(bell, field, beta, omega_t):
@@ -249,8 +211,8 @@ def concurrence_closed(bell, field, beta, omega_t):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * abs2)
         env = np.exp(-4.0 * beta**2 * abs2)
         with np.errstate(over="ignore", invalid="ignore"):
-            plain = env * lag**2
-        return _plain_or_folded(plain, damped**2, env)
+            plain = env * (lag * lag)
+        return _plain_or_folded(plain, damped * damped, env)
     if isinstance(field, Thermal):
         return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * abs2)
     raise TypeError(f"unsupported field class: {field!r}")

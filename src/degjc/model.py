@@ -73,12 +73,6 @@ class ModelParams:
     def degenerate(self):
         return self.omega0 == 0.0
 
-    def require_degenerate(self):
-        if not self.degenerate:
-            raise ValueError(
-                f"closed-form results require omega0 == 0, got omega0={self.omega0!r}"
-            )
-
     @classmethod
     def from_beta(cls, beta, omega=1.0, omega0=0.0):
         return cls(omega=omega, omega0=omega0, lam=beta * omega)

@@ -26,6 +26,7 @@ Qubit matrices are written in the sigma_x eigenbasis (up, down), matching
 the two-qubit index convention of :mod:`degjc.model`.
 """
 
+import cmath
 import ctypes
 import functools
 import math
@@ -41,7 +42,6 @@ from .model import (
     ModelParams,
     Number,
     QubitBasis,
-    QubitPairState,
     Thermal,
     Vacuum,
     bell_ket,
@@ -87,12 +87,10 @@ class SubsystemPropagator:
     n + beta x, solved once and held once: ``chains`` names the same pair
     twice.
 
-    ``energies`` holds the dimensionless eigenvalues E/omega of the block
-    and ``modes`` the matching orthonormal eigenvector matrix, so that
-    U(w t) = modes exp(-i energies w t) modes'; ``modes`` is assembled on
-    request and is not used for propagation.  ``eigensolver`` names the
-    routine that diagonalized the chains: ``"dstevd"`` (LAPACK's
-    tridiagonal divide and conquer) or ``"eigh"`` (numpy's dense solver).
+    ``energies`` holds the dimensionless eigenvalues E/omega of the block,
+    chain s = +1 first.  ``eigensolver`` names the routine that
+    diagonalized the chains: ``"dstevd"`` (LAPACK's tridiagonal divide and
+    conquer) or ``"eigh"`` (numpy's dense solver).
     """
 
     params: ModelParams
@@ -108,12 +106,6 @@ class SubsystemPropagator:
     @property
     def energies(self):
         return np.concatenate([energies for energies, _ in self.chains])
-
-    @property
-    def modes(self):
-        (_, even), (_, odd) = self.chains
-        p = _parity(self.fock_dim)[:, None]
-        return np.block([[even, odd], [p * even, -p * odd]]) / math.sqrt(2.0)
 
     @property
     def dim(self):
@@ -304,8 +296,11 @@ def propagate_state(prop, state, omega_t):
 
 
 def coherent_fock_vector(alpha, ncut):
-    """Truncated Fock expansion of |alpha>; returns (vector, lost mass)."""
+    """Truncated Fock expansion of |alpha>; returns (vector, lost mass).
+    ValueError for a non-finite ``alpha``."""
     alpha = complex(alpha)
+    if not cmath.isfinite(alpha):
+        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
     c = np.empty(ncut + 1, dtype=complex)
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(ncut):
@@ -366,22 +361,6 @@ def field_components(field, trunc):
         vecs[np.arange(k + 1), np.arange(k + 1)] = 1.0
         return weights, vecs, tail
     raise TypeError(f"unsupported field class: {field!r}")
-
-
-@dataclass(frozen=True)
-class SubsystemConditionalMap:
-    """The four 2x2 qubit operators M_ik(t) = Tr_field[U (|i><k| x F) U'].
-
-    ``ops[i, k]`` is the 2x2 matrix M_ik; M_uu and M_dd are Hermitian with
-    trace equal to the (truncated) field norm, and M_ud = M_du'.
-    """
-
-    ops: np.ndarray
-    tail_mass: float
-    omega_t: float
-
-    def op(self, i, k):
-        return self.ops[i, k]
 
 
 # Phase points per block of the bilinear map evaluation: one block holds
@@ -503,11 +482,6 @@ class _MapKernel:
         for start in range(0, len(omega_ts), self.block):
             yield self._block_ops(omega_ts[start:start + self.block])
 
-    def ops(self, omega_ts):
-        """Per-point (2, 2, 2, 2) arrays ops[i, k, p, q] = M_ik[p, q]."""
-        for block in self.blocks(omega_ts):
-            yield from block
-
     def _block_ops(self, omega_ts):
         # phases[s]: the (F, points) eigenphases of chain s
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
@@ -526,31 +500,12 @@ class _MapKernel:
         return ops
 
 
-def conditional_maps(prop, field, trunc, omega_t):
-    """Conditional maps of one subsystem for a given initial field."""
-    omega_t = float(_finite_phases(omega_t, 0))
-    kernel = _MapKernel(prop, field, trunc)
-    (ops,) = kernel.ops(np.array([omega_t]))
-    return SubsystemConditionalMap(ops=ops, tail_mass=kernel.tail, omega_t=omega_t)
-
-
-def two_qubit_reduced(map_a, map_b, initial):
-    """Reduced two-qubit state Q(t) from per-subsystem conditional maps.
-
-    Valid because the two subsystem Hamiltonians commute, so
-    Q(t) = sum rho[(ij),(kl)] M^A_ik x M^B_jl.  ``initial`` must be given
-    in the sigma_x basis and describe qubits that are uncorrelated with
-    the fields.  The truncated-mixture trace deficit (bounded by the tail
-    masses) is renormalized away; tail masses stay reported on the maps.
-    This is the one-point case of :func:`_reduced_stack`.
-    """
-    q = _reduced_stack(map_a.ops[None], map_b.ops[None], initial)
-    return QubitPairState(q[0], QubitBasis.SIGMA_X, validate=False)
-
-
 def _reduced_stack(ops_a, ops_b, initial):
-    """Validated (n, 4, 4) stack of Q(t) from (n, 2, 2, 2, 2) stacks of
-    conditional maps of subsystems A and B (see :func:`two_qubit_reduced`)."""
+    """Validated (n, 4, 4) stack of two-qubit states Q(t) = sum
+    rho[(ij),(kl)] M^A_ik x M^B_jl from (n, 2, 2, 2, 2) stacks of conditional
+    maps, valid as the subsystem Hamiltonians commute.  ``initial`` is in
+    the sigma_x basis, with qubits uncorrelated with the fields; the
+    truncated-mixture trace deficit is renormalized away."""
     if initial.basis is not QubitBasis.SIGMA_X:
         raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
     n = len(ops_a)
@@ -576,24 +531,6 @@ def _evolved_rails(prop, field, trunc, omega_t):
     psi0[f:, 1] = vecs[:, 0]
     evolved = propagate_state(prop, psi0, omega_t)  # columns: rails up, down
     return evolved.T.reshape(2, 2, f)
-
-
-def field_field_reduced(prop, bell, field, trunc, omega_t):
-    """Reduced density matrix of the two fields, with both qubits traced out.
-
-    The initial state is the Bell state ``bell`` with identical pure fields
-    on both subsystems.  Returns the dense (F^2, F^2) matrix,
-    trace-normalized.  This is the reference that tests compare
-    :func:`field_field_witness` against; it costs O(F^4) memory and no
-    scenario calls it.
-    """
-    rails = _evolved_rails(prop, field, trunc, omega_t)
-    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
-    psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
-    f = prop.fock_dim
-    rho = np.einsum("rmsn,rMsN->mnMN", psi, psi.conj(), optimize=True).reshape(f * f, f * f)
-    rho /= np.trace(rho).real
-    return rho
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ recurrence returns a mantissa and a binary exponent, and callers that
 multiply by exp(-x/2) fold the exponent into the exponential.
 """
 
+import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -136,8 +138,11 @@ def laguerre_roots(n, x_max=None):
     Golub-Welsch (Math. Comp. 23, 221 (1969)): the roots are the eigenvalues
     of the symmetric tridiagonal Jacobi matrix with diagonal 2k+1 and
     off-diagonal k, polished by one Newton step on the scaled recurrence.
+    A NaN ``x_max`` raises ValueError; ``x_max=inf`` keeps every root.
     """
     n = _check_order(n)
+    if x_max is not None and math.isnan(x_max):
+        raise ValueError("x_max must not be NaN")
     if n == 0:
         return np.array([])
     k = np.arange(n, dtype=float)
@@ -157,11 +162,12 @@ def thermal_weights(nbar, ncut):
     Returns ``(weights, tail)`` for n = 0..ncut.  The weights are left
     unnormalized: ``tail`` is the exact probability mass beyond ncut,
     (nbar/(1+nbar))^(ncut+1), and feeds the truncation-error bound.
+    ``ncut`` must be an integer >= 0.
     """
     if nbar < 0 or not math.isfinite(nbar):
         raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
-    if ncut < 0:
-        raise ValueError(f"ncut must be >= 0, got {ncut!r}")
+    if isinstance(ncut, bool) or not isinstance(ncut, numbers.Integral) or ncut < 0:
+        raise ValueError(f"ncut must be an integer >= 0, got {ncut!r}")
     n = np.arange(ncut + 1)
     if nbar == 0.0:
         weights = np.zeros(ncut + 1)
@@ -174,7 +180,12 @@ def thermal_weights(nbar, ncut):
 
 
 def coherent_overlap(a, b):
-    """Inner product of two coherent states, <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b)."""
+    """Inner product of two coherent states, <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b).
+
+    ValueError for a non-finite amplitude.
+    """
     a = complex(a)
     b = complex(b)
+    if not (cmath.isfinite(a) and cmath.isfinite(b)):
+        raise ValueError(f"coherent amplitudes must be finite, got {a!r} and {b!r}")
     return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)

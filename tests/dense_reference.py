@@ -1,0 +1,37 @@
+"""Dense references for the oracle tests, too costly for the library.
+
+The oracle never forms the 2F x 2F eigenvector matrix of a subsystem block
+or the F^2 x F^2 field-field state; the tests build both here and compare
+the library's parity chains and local-support witness against them.
+"""
+
+import math
+
+import numpy as np
+
+from degjc import oracle
+from degjc.model import QubitBasis, bell_ket
+
+
+def dense_modes(prop):
+    """The orthonormal 2F x 2F eigenvector matrix of the block, ordered as
+    ``prop.energies``, so that U(w t) = modes exp(-i energies w t) modes'."""
+    (_, even), (_, odd) = prop.chains
+    p = oracle._parity(prop.fock_dim)[:, None]
+    return np.block([[even, odd], [p * even, -p * odd]]) / math.sqrt(2.0)
+
+
+def field_field_reduced(prop, bell, field, trunc, omega_t):
+    """Reduced density matrix of the two fields, with both qubits traced out.
+
+    The initial state is the Bell state ``bell`` with identical pure fields
+    on both subsystems.  Returns the dense (F^2, F^2) matrix,
+    trace-normalized; it costs O(F^4) memory.
+    """
+    rails = oracle._evolved_rails(prop, field, trunc, omega_t)
+    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
+    psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
+    f = prop.fock_dim
+    rho = np.einsum("rmsn,rMsN->mnMN", psi, psi.conj(), optimize=True).reshape(f * f, f * f)
+    rho /= np.trace(rho).real
+    return rho

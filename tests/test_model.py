@@ -41,12 +41,6 @@ def test_model_params_validation():
         ModelParams(omega=1.0, lam=-1.0)
 
 
-def test_require_degenerate():
-    ModelParams(omega=1.0).require_degenerate()
-    with pytest.raises(ValueError):
-        ModelParams(omega=1.0, omega0=0.1).require_degenerate()
-
-
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         Number(-1)

@@ -6,6 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from dense_reference import dense_modes, field_field_reduced
 
 from degjc import oracle
 from degjc.closedform import (
@@ -22,6 +23,7 @@ from degjc.model import (
     ModelParams,
     Number,
     QubitBasis,
+    QubitPairState,
     Thermal,
     Vacuum,
     bell_ket,
@@ -35,14 +37,11 @@ from degjc.oracle import (
     build_hamiltonian,
     coherent_fock_vector,
     concurrence_trace,
-    conditional_maps,
     default_ncut,
     field_components,
-    field_field_reduced,
     field_field_witness,
     low_spectrum,
     propagate_state,
-    two_qubit_reduced,
 )
 from degjc.oracle import (
     _PHASE_BLOCK_BYTES,
@@ -128,7 +127,8 @@ class TestHamiltonian:
 
     def test_modes_are_unitary(self):
         prop = build_hamiltonian(ModelParams.from_beta(0.7, omega0=0.3), TruncationSpec(25))
-        gram = prop.modes.conj().T @ prop.modes
+        modes = dense_modes(prop)
+        gram = modes.conj().T @ modes
         assert np.max(np.abs(gram - np.eye(prop.dim))) <= 1e-10
 
     def test_sector_modes_and_energies_diagonalize_the_block(self):
@@ -140,9 +140,10 @@ class TestHamiltonian:
             # at omega0 = 0 one chain is solved and held for both parities
             assert (prop.chains[0] is prop.chains[1]) == (omega0 == 0.0)
             assert len(prop.distinct_chains) == (1 if omega0 == 0.0 else 2)
-            assert np.max(np.abs(prop.modes.T @ prop.modes - np.eye(prop.dim))) <= 1e-10
+            chain_modes = dense_modes(prop)
+            assert np.max(np.abs(chain_modes.T @ chain_modes - np.eye(prop.dim))) <= 1e-10
             h = (modes * energies) @ modes.T
-            rebuilt = (prop.modes * prop.energies) @ prop.modes.T
+            rebuilt = (chain_modes * prop.energies) @ chain_modes.T
             assert np.max(np.abs(rebuilt - h)) <= 1e-12
             assert np.max(np.abs(np.sort(prop.energies) - energies)) <= 1e-12
 
@@ -281,6 +282,12 @@ class TestFieldComponents:
         assert abs(np.vdot(v[:, 0], v[:, 0]).real + tail - 1.0) <= 1e-12
         assert tail <= trunc.tail_tol
 
+    @pytest.mark.parametrize("bad", [complex("nan"), complex(1.0, math.inf), -math.inf])
+    def test_coherent_vector_rejects_non_finite_amplitude(self, bad):
+        # a NaN amplitude gave a NaN vector and a lost mass of 0.0
+        with pytest.raises(ValueError, match="finite"):
+            coherent_fock_vector(bad, 4)
+
     def test_coherent_truncation_error(self):
         with pytest.raises(TruncationError):
             field_components(Coherent(3.0), TruncationSpec(2))
@@ -297,63 +304,72 @@ class TestFieldComponents:
             field_components(Thermal(5.0), TruncationSpec(10))
 
 
+def _maps(prop, field, trunc, omega_ts):
+    """The (n, 2, 2, 2, 2) conditional maps ops[:, i, k, p, q] = M_ik[p, q]
+    on a grid that fits one block, and the field's tail mass."""
+    kernel = _MapKernel(prop, field, trunc)
+    (ops,) = kernel.blocks(np.asarray(omega_ts, dtype=float))
+    return ops, kernel.tail
+
+
 class TestConditionalMaps:
     def test_zero_time_identity_maps(self):
         params = ModelParams.from_beta(0.4)
         trunc = TruncationSpec(default_ncut(Thermal(1.0), 0.4))
         prop = build_hamiltonian(params, trunc)
-        maps = conditional_maps(prop, Thermal(1.0), trunc, 0.0)
-        norm = 1.0 - maps.tail_mass
+        (ops,), tail = _maps(prop, Thermal(1.0), trunc, [0.0])
+        norm = 1.0 - tail
         for i in range(2):
             for k in range(2):
                 expected = np.zeros((2, 2))
                 expected[i, k] = norm
-                np.testing.assert_allclose(maps.op(i, k), expected, atol=1e-12)
+                np.testing.assert_allclose(ops[i, k], expected, atol=1e-12)
 
     def test_structure_invariants(self, rng):
         params = ModelParams.from_beta(0.35, omega0=0.15)
         field = Coherent(0.8)
         trunc = TruncationSpec(default_ncut(field, 0.35))
         prop = build_hamiltonian(params, trunc)
-        for wt in rng.uniform(0.0, 2 * PI, size=5):
-            maps = conditional_maps(prop, field, trunc, wt)
-            m_uu, m_dd = maps.op(0, 0), maps.op(1, 1)
+        stack, tail = _maps(prop, field, trunc, rng.uniform(0.0, 2 * PI, size=5))
+        for ops in stack:
+            m_uu, m_dd = ops[0, 0], ops[1, 1]
             assert np.max(np.abs(m_uu - m_uu.conj().T)) <= 1e-12
             assert np.max(np.abs(m_dd - m_dd.conj().T)) <= 1e-12
-            assert np.trace(m_uu).real == pytest.approx(1.0 - maps.tail_mass, abs=1e-10)
-            assert np.trace(m_dd).real == pytest.approx(1.0 - maps.tail_mass, abs=1e-10)
-            np.testing.assert_allclose(maps.op(0, 1), maps.op(1, 0).conj().T, atol=1e-12)
+            assert np.trace(m_uu).real == pytest.approx(1.0 - tail, abs=1e-10)
+            assert np.trace(m_dd).real == pytest.approx(1.0 - tail, abs=1e-10)
+            np.testing.assert_allclose(ops[0, 1], ops[1, 0].conj().T, atol=1e-12)
 
     def test_degenerate_diagonal_maps_time_independent(self, rng):
         params = ModelParams.from_beta(0.5)
         field = Number(2)
         trunc = TruncationSpec(default_ncut(field, 0.5))
         prop = build_hamiltonian(params, trunc)
-        ref = conditional_maps(prop, field, trunc, 0.0)
-        for wt in rng.uniform(0.0, 2 * PI, size=5):
-            maps = conditional_maps(prop, field, trunc, wt)
-            assert np.max(np.abs(maps.op(0, 0) - ref.op(0, 0))) <= 1e-10
-            assert np.max(np.abs(maps.op(1, 1) - ref.op(1, 1))) <= 1e-10
+        (ref,), _ = _maps(prop, field, trunc, [0.0])
+        stack, _ = _maps(prop, field, trunc, rng.uniform(0.0, 2 * PI, size=5))
+        for ops in stack:
+            assert np.max(np.abs(ops[0, 0] - ref[0, 0])) <= 1e-10
+            assert np.max(np.abs(ops[1, 1] - ref[1, 1])) <= 1e-10
 
     def test_coherent_entry_matches_closed_form(self):
         params = ModelParams.from_beta(0.3)
         field = Coherent(1.0)
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(params, trunc)
-        maps = conditional_maps(prop, field, trunc, PI)
+        (ops,), _ = _maps(prop, field, trunc, [PI])
         closed = single_qubit_coherence(1.0, field, 0.3, PI)
-        assert abs(maps.op(0, 1)[0, 1] - closed) <= 1e-8
+        assert abs(ops[0, 1, 0, 1] - closed) <= 1e-8
 
     def test_thermal_entry_matches_closed_form(self):
         params = ModelParams.from_beta(0.3)
         field = Thermal(1.0)
         trunc = TruncationSpec(60)
         prop = build_hamiltonian(params, trunc)
-        for wt in (0.9, PI, 4.0):
-            maps = conditional_maps(prop, field, trunc, wt)
+        grid = (0.9, PI, 4.0)
+        stack, tail = _maps(prop, field, trunc, grid)
+        assert tail <= 1e-10
+        for ops, wt in zip(stack, grid):
             closed = single_qubit_coherence(1.0, field, 0.3, wt)
-            assert maps.tail_mass <= 1e-10
-            assert abs(maps.op(0, 1)[0, 1] - closed) <= 1e-7
+            assert abs(ops[0, 1, 0, 1] - closed) <= 1e-7
 
 
 class TestMapKernel:
@@ -368,8 +384,9 @@ class TestMapKernel:
             prop = build_hamiltonian(params, trunc)
             dense = _dense_block(params, trunc)
             psi = rng.normal(size=(prop.dim, 3)) + 1j * rng.normal(size=(prop.dim, 3))
-            for wt in rng.uniform(0.0, 2 * PI, size=4):
-                ops = conditional_maps(prop, field, trunc, wt).ops
+            grid = rng.uniform(0.0, 2 * PI, size=4)
+            stack, _ = _maps(prop, field, trunc, grid)
+            for ops, wt in zip(stack, grid):
                 assert np.max(np.abs(ops - _dense_maps(dense, field, trunc, wt))) <= 1e-12
                 moved = propagate_state(prop, psi, wt) - _dense_propagate(dense, psi, wt)
                 assert np.max(np.abs(moved)) <= 1e-12
@@ -408,7 +425,9 @@ class TestMapKernel:
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
         weights, vecs, _ = field_components(field, trunc)
-        for wt in rng.uniform(0.0, 2 * PI, size=3):
+        grid = rng.uniform(0.0, 2 * PI, size=3)
+        stack, _ = _maps(prop, field, trunc, grid)
+        for ops, wt in zip(stack, grid):
             rails = []
             for i in (0, 1):
                 psi0 = np.zeros((prop.dim, vecs.shape[1]), dtype=complex)
@@ -416,7 +435,6 @@ class TestMapKernel:
                 rails.append(propagate_state(prop, psi0, wt).reshape(2, f, -1))
             rails = np.array(rails)  # [initial rail, qubit out, field out, component]
             ref = np.einsum("ipmn,kqmn,n->ikpq", rails, rails.conj(), weights)
-            ops = conditional_maps(prop, field, trunc, wt).ops
             assert np.max(np.abs(ops - ref)) <= 1e-12
 
     def test_long_grid_is_evaluated_in_bounded_blocks(self, monkeypatch):
@@ -433,7 +451,7 @@ class TestMapKernel:
 
         monkeypatch.setattr(_MapKernel, "_block_ops", spy)
         grid = np.linspace(0.0, 2 * PI, 20001)
-        assert sum(1 for _ in kernel.ops(grid)) == len(grid)
+        assert sum(len(ops) for ops in kernel.blocks(grid)) == len(grid)
         assert sum(sizes) == len(grid)
         assert max(sizes) == kernel.block < len(grid)
 
@@ -471,35 +489,30 @@ class TestMapKernel:
 
 
 class TestTwoQubitReduced:
-    def _maps(self, beta, field, wt, ncut=None):
-        params = ModelParams.from_beta(beta)
-        trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta))
-        prop = build_hamiltonian(params, trunc)
-        return conditional_maps(prop, field, trunc, wt)
+    @staticmethod
+    def _reduced(beta, field, initial, omega_ts):
+        trunc = TruncationSpec(default_ncut(field, beta))
+        ops, _ = _maps(build_hamiltonian(ModelParams.from_beta(beta), trunc), field, trunc,
+                       omega_ts)
+        return _reduced_stack(ops, ops, initial)
 
     def test_corner_matches_closed_form(self, rng):
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
-        for wt in rng.uniform(0.0, 2 * PI, size=4):
-            maps = self._maps(0.4, Vacuum(), wt)
-            q = two_qubit_reduced(maps, maps, initial)
+        grid = rng.uniform(0.0, 2 * PI, size=4)
+        for q, wt in zip(self._reduced(0.4, Vacuum(), initial, grid), grid):
             closed = two_qubit_offdiagonal(BellState.PHI_PLUS, Vacuum(), 0.4, wt)
-            assert abs(q.rho[0, 3] - closed) <= 1e-9
+            assert abs(q[0, 3] - closed) <= 1e-9
 
     def test_psi_plus_corner_magnitude(self):
         initial = make_bell(BellState.PSI_PLUS, QubitBasis.SIGMA_X)
-        maps = self._maps(0.4, Vacuum(), 1.3)
-        q = two_qubit_reduced(maps, maps, initial)
+        (q,) = self._reduced(0.4, Vacuum(), initial, [1.3])
         closed = two_qubit_offdiagonal(BellState.PSI_PLUS, Vacuum(), 0.4, 1.3)
-        assert abs(abs(q.rho[0, 3]) - abs(closed)) <= 1e-9
+        assert abs(abs(q[0, 3]) - abs(closed)) <= 1e-9
 
     def test_diagonal_constant_in_time(self, rng):
         initial = make_esd_mixture()
-        for wt in rng.uniform(0.0, 2 * PI, size=4):
-            maps = self._maps(0.5, Coherent(0.7), wt)
-            q = two_qubit_reduced(maps, maps, initial)
-            np.testing.assert_allclose(
-                np.diag(q.rho).real, np.diag(initial.rho).real, atol=1e-10
-            )
+        for q in self._reduced(0.5, Coherent(0.7), initial, rng.uniform(0.0, 2 * PI, size=4)):
+            np.testing.assert_allclose(np.diag(q).real, np.diag(initial.rho).real, atol=1e-10)
 
     def test_esd_mixture_validates_derived_formula(self):
         # the validation gate for the derived mixed-state concurrence law
@@ -511,20 +524,19 @@ class TestTwoQubitReduced:
         assert np.max(np.abs(trace.values - closed)) <= 1e-7
 
     def test_requires_sigma_x_basis(self):
-        maps = self._maps(0.3, Vacuum(), 1.0)
-        with pytest.raises(ValueError):
-            two_qubit_reduced(maps, maps, make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_Z))
+        with pytest.raises(ValueError, match="sigma_x"):
+            self._reduced(0.3, Vacuum(), make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_Z), [1.0])
 
     def test_output_passes_state_invariants(self, rng):
-        # QubitPairState construction re-validates hermiticity/trace/psd
-        maps = self._maps(0.6, Thermal(1.0), rng.uniform(0, 2 * PI))
-        q = two_qubit_reduced(maps, maps, make_bell(BellState.PHI_MINUS, QubitBasis.SIGMA_X))
-        assert abs(np.trace(q.rho) - 1.0) <= 1e-12
+        # _reduced_stack validates hermiticity, trace and positivity
+        initial = make_bell(BellState.PHI_MINUS, QubitBasis.SIGMA_X)
+        (q,) = self._reduced(0.6, Thermal(1.0), initial, [rng.uniform(0, 2 * PI)])
+        assert abs(np.trace(q) - 1.0) <= 1e-12
 
 
 class TestStackedReduction:
-    """The per-block reduction and Wootters give the bits of the per-point
-    ``two_qubit_reduced`` + ``wootters_concurrence``."""
+    """The per-block reduction and Wootters give the bits of a one-point
+    ``_reduced_stack`` + ``wootters_concurrence``."""
 
     CASES = [
         (Vacuum(), make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), 0.5, 0.0),
@@ -541,26 +553,25 @@ class TestStackedReduction:
         trunc = TruncationSpec(default_ncut(field, beta))
         kernel = _MapKernel(build_hamiltonian(params, trunc), field, trunc)
         (ops,) = kernel.blocks(grid)
-        return ops, kernel.tail
+        return ops
 
     @pytest.mark.parametrize("field, initial, beta, omega0", CASES)
     def test_stack_equals_per_point(self, field, initial, beta, omega0):
         # w t = 0 and 2 pi give rank-1 states for the pure Bell inputs
         grid = np.concatenate([[0.0, 2 * PI], np.linspace(0.1, 6.0, 23)])
-        ops, tail = self._block(field, beta, omega0, grid)
+        ops = self._block(field, beta, omega0, grid)
         qmats = _reduced_stack(ops, ops, initial)
         values, spectra = wootters_concurrences(qmats, QubitBasis.SIGMA_X)
-        for i, wt in enumerate(grid):
-            maps = oracle.SubsystemConditionalMap(ops=ops[i], tail_mass=tail, omega_t=wt)
-            q = two_qubit_reduced(maps, maps, initial)
-            result = wootters_concurrence(q)
-            assert np.array_equal(qmats[i], q.rho)
+        for i in range(len(grid)):
+            (q,) = _reduced_stack(ops[i:i + 1], ops[i:i + 1], initial)
+            result = wootters_concurrence(QubitPairState(q, QubitBasis.SIGMA_X, validate=False))
+            assert np.array_equal(qmats[i], q)
             assert values[i] == result.value
             assert np.array_equal(spectra[i], result.spectrum)
 
     def test_one_point_and_empty_block(self):
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
-        ops, _ = self._block(Thermal(1.0), 0.4, 0.0, np.array([0.0, 1.3]))
+        ops = self._block(Thermal(1.0), 0.4, 0.0, np.array([0.0, 1.3]))
         one = _reduced_stack(ops[1:], ops[1:], initial)
         assert one.shape == (1, 4, 4)
         assert np.array_equal(one, _reduced_stack(ops, ops, initial)[1:])
@@ -575,7 +586,7 @@ class TestStackedReduction:
         field, initial, beta, _ = self.CASES[4]
         grid = np.linspace(0.0, 2 * PI, 17)
         trace = concurrence_trace(ModelParams.from_beta(beta), field, initial, grid)
-        ops, _ = self._block(field, beta, 0.0, grid)
+        ops = self._block(field, beta, 0.0, grid)
         expected, _ = wootters_concurrences(_reduced_stack(ops, ops, initial), QubitBasis.SIGMA_X)
         assert np.array_equal(trace.values, expected)
 
@@ -790,8 +801,6 @@ class TestFieldField:
 
     def test_mixed_field_rejected(self):
         prop, trunc = self._prop(0.3, Vacuum())
-        with pytest.raises(ValueError):
-            field_field_reduced(prop, BellState.PHI_PLUS, Thermal(1.0), trunc, 1.0)
         with pytest.raises(ValueError):
             field_field_witness(prop, BellState.PHI_PLUS, Thermal(1.0), trunc, 1.0)
 

@@ -37,8 +37,6 @@ from degjc.oracle import (
     TruncationSpec,
     build_hamiltonian,
     concurrence_trace,
-    conditional_maps,
-    field_field_reduced,
     field_field_witness,
     low_spectrum,
     propagate_state,
@@ -176,19 +174,12 @@ def _call_oracle(entry, omega0, omega_t):
         return concurrence_trace(params, Vacuum(), make_bell(bell, QubitBasis.SIGMA_X),
                                  omega_t, trunc=trunc).values
     prop = build_hamiltonian(params, trunc)
-    if entry == "conditional_maps":
-        return conditional_maps(prop, Thermal(0.5), trunc, omega_t).ops
     if entry == "propagate_state":
         return propagate_state(prop, np.eye(prop.dim)[:, :2], omega_t)
-    if entry == "field_field_witness":
-        return field_field_witness(prop, bell, Vacuum(), trunc, omega_t).negativity
-    return field_field_reduced(prop, bell, Vacuum(), trunc, omega_t)
+    return field_field_witness(prop, bell, Vacuum(), trunc, omega_t).negativity
 
 
-oracle_entries = st.sampled_from([
-    "concurrence_trace", "conditional_maps", "propagate_state",
-    "field_field_witness", "field_field_reduced",
-])
+oracle_entries = st.sampled_from(["concurrence_trace", "propagate_state", "field_field_witness"])
 bad_phases = st.sampled_from([math.nan, math.inf, -math.inf])
 
 

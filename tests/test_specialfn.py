@@ -101,6 +101,15 @@ def test_roots_below_cutoff():
     assert laguerre_roots(1, 4.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_roots_cutoff_nan_rejected_inf_keeps_all():
+    for n in (0, 5):
+        with pytest.raises(ValueError, match="NaN"):
+            laguerre_roots(n, float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            laguerre_roots(n, np.float64("nan"))
+    assert np.array_equal(laguerre_roots(5, float("inf")), laguerre_roots(5))
+
+
 def _plain_recurrence(n, x):
     """The unscaled upward recurrence, step for step as the library runs it."""
     if n == 0:
@@ -208,6 +217,22 @@ def test_thermal_weights_never_exceed_unity():
 def test_thermal_weights_reject_negative():
     with pytest.raises(ValueError):
         thermal_weights(-0.1, 5)
+
+
+def test_thermal_weights_need_an_integral_cutoff():
+    # a fractional cutoff gave 4 weights but the tail r^3.5
+    for ncut in (2.5, 2.0, -1, True, "3"):
+        with pytest.raises(ValueError, match="ncut"):
+            thermal_weights(1.0, ncut)
+    w, tail = thermal_weights(1.0, np.int64(2))
+    assert len(w) == 3 and tail == 0.125
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("nan+1j"), float("inf"), complex(0, -math.inf)])
+def test_overlap_rejects_non_finite_amplitude(bad):
+    for a, b in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            coherent_overlap(a, b)
 
 
 def test_overlap_normalization():
