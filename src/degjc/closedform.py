@@ -12,7 +12,9 @@ normally-ordered characteristic function of the initial field evaluated at
 4 beta^2 |gamma|^2 and the characteristic factor squared.
 
 All functions accept scalar or array ``omega_t`` and are pure;
-``concurrence_at_half_period`` also takes an array of ``beta``.  A NaN or
+``concurrence_at_half_period`` also takes an array of ``beta``.  Each law
+computes on an array of phases and reshapes its result once, so one phase
+gives a numpy scalar with the bits of the matching grid element.  A NaN or
 infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``, and so
 does a finite pair whose exponent bound 16 (1 + 2 nbar) beta^2 overflows.
 Number-state laws, exp(-x/2) L_N(x) and its square with
@@ -34,24 +36,29 @@ _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
 
 
-def _scalar(value):
-    return isinstance(value, float) or np.ndim(value) == 0
-
-
 def _check_inputs(beta, omega_t, nbar=0.0):
     """The closed forms' shared argument check: ``nbar`` and every
     ``beta`` finite and >= 0, every ``omega_t`` finite, and every
-    16 (1 + 2 nbar) beta^2, the largest exponent any law forms, finite."""
-    if not np.all(np.isfinite(beta) & (np.asarray(beta) >= 0)):
+    16 (1 + 2 nbar) beta^2, the largest exponent any law forms, finite.
+    Returns the phases as a float array of at least one dimension and the
+    shape of the result, that of ``beta`` and ``omega_t`` broadcast."""
+    b = np.asarray(beta)
+    hi = float(b.max(initial=0.0))  # a Python float: overflow gives inf, no warning
+    if not (b.min(initial=math.inf) >= 0 and math.isfinite(hi)):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
-    b = float(np.max(beta, initial=0.0))  # Python floats: overflow gives inf, no warning
-    if not math.isfinite(16.0 * (1.0 + 2.0 * float(nbar)) * (b * b)):
+    if not math.isfinite(16.0 * (1.0 + 2.0 * float(nbar)) * (hi * hi)):
         raise ValueError(f"16 (1 + 2 nbar) beta^2 overflows (beta={beta!r}, nbar={nbar!r})")
-    finite = math.isfinite(omega_t) if _scalar(omega_t) else np.all(np.isfinite(omega_t))
-    if not finite:
+    wt = np.asarray(omega_t, dtype=float)
+    if not np.isfinite(wt).all():
         raise ValueError("omega_t must be finite")
+    return np.atleast_1d(wt), np.broadcast(b, wt).shape
+
+
+def _shaped(value, shape):
+    """A law's array result in ``shape``: a numpy scalar for shape ()."""
+    return value.reshape(shape)[()]
 
 
 def _number_terms(n, x):
@@ -61,8 +68,7 @@ def _number_terms(n, x):
     folds the exponent of L_n(x) = m 2^e into the exponential,
     m exp(e ln 2 - x/2), and stays finite: |L_n(x)| <= e^{x/2}.  m = 0 may
     carry any exponent, so the argument is capped at 1; elsewhere it is
-    below ln 2.  The laws square both as products: a scalar ``** 2`` runs
-    C ``pow``, which can differ from an array's ``x * x`` in the last bit.
+    below ln 2.
     """
     m, e = laguerre_scaled(n, x)
     with np.errstate(over="ignore"):
@@ -74,13 +80,9 @@ def _plain_or_folded(plain, folded, env):
     """``plain``, the product of the exponential factor ``env`` and powers
     of L_n(x), where it is finite and both it and ``env`` are normal; else
     ``folded`` unless that is 0.  The plain product overflows with L_n(x);
-    a subnormal ``env`` has lost bits even where the product is normal.
-    A scalar stays a numpy scalar."""
+    a subnormal ``env`` has lost bits even where the product is normal."""
     lost = (np.abs(plain) < _TINY) | (env < _TINY)
-    fold = ~np.isfinite(plain) | (lost & (folded != 0))
-    if isinstance(plain, np.generic):
-        return type(plain)(folded) if fold else plain
-    return np.where(fold, folded, plain)
+    return np.where(~np.isfinite(plain) | (lost & (folded != 0)), folded, plain)
 
 
 @dataclass(frozen=True)
@@ -92,26 +94,22 @@ class GammaValue:
     abs2: object
 
 
-def _abs2(omega_t):
-    """|gamma|^2 = 2 - 2 cos(w t) alone; a float for a scalar phase."""
-    abs2 = 2.0 - 2.0 * np.cos(omega_t)
-    return float(abs2) if _scalar(omega_t) else abs2
+def _abs2(wt):
+    """|gamma|^2 = 2 - 2 cos(w t) alone."""
+    return 2.0 - 2.0 * np.cos(wt)
 
 
 def gamma(omega_t):
     """The circulating displacement factor exp(i w t) - 1."""
-    _check_inputs(0.0, omega_t)
-    g = np.exp(1j * np.asarray(omega_t, dtype=float)) - 1.0
-    abs2 = _abs2(omega_t)
-    if _scalar(omega_t):
-        return GammaValue(float(omega_t), complex(g), abs2)
-    return GammaValue(np.asarray(omega_t, dtype=float), g, abs2)
+    wt, shape = _check_inputs(0.0, omega_t)
+    g = (wt, np.exp(1j * wt) - 1.0, _abs2(wt))
+    return GammaValue(*(_shaped(v, shape) for v in g))
 
 
 def modulation_factor(beta, omega_t):
     """Field-independent single-qubit coherence envelope exp(-2 b^2 |gamma|^2)."""
-    _check_inputs(beta, omega_t)
-    return np.exp(-2.0 * beta**2 * _abs2(omega_t))
+    wt, shape = _check_inputs(beta, omega_t)
+    return _shaped(np.exp(-2.0 * beta**2 * _abs2(wt)), shape)
 
 
 def characteristic_integral(field, beta, g):
@@ -126,20 +124,19 @@ def characteristic_integral(field, beta, g):
 
     Raises ``OverflowError`` where L_N leaves the float range.
     """
-    _check_inputs(beta, g.omega_t, getattr(field, "nbar", 0.0))
+    _, shape = _check_inputs(beta, g.omega_t, getattr(field, "nbar", 0.0))
+    gam, abs2 = np.atleast_1d(g.gamma, g.abs2)
     if isinstance(field, Vacuum):
-        if _scalar(g.abs2):
-            return 1.0 + 0.0j
-        return np.ones_like(g.abs2, dtype=complex)
-    if isinstance(field, Coherent):
-        return np.exp(4j * beta * np.imag(field.alpha0 * np.conj(g.gamma)))
-    if isinstance(field, Number):
-        val = laguerre(field.n, 4.0 * beta**2 * g.abs2)
-        return complex(val) if _scalar(val) else val.astype(complex)
-    if isinstance(field, Thermal):
-        val = np.exp(-4.0 * field.nbar * beta**2 * g.abs2)
-        return complex(val) if _scalar(val) else val.astype(complex)
-    raise TypeError(f"unsupported field class: {field!r}")
+        val = np.ones(np.broadcast(beta, abs2).shape, dtype=complex)
+    elif isinstance(field, Coherent):
+        val = np.exp(4j * beta * np.imag(field.alpha0 * np.conj(gam)))
+    elif isinstance(field, Number):
+        val = laguerre(field.n, 4.0 * beta**2 * abs2).astype(complex)
+    elif isinstance(field, Thermal):
+        val = np.exp(-4.0 * field.nbar * beta**2 * abs2).astype(complex)
+    else:
+        raise TypeError(f"unsupported field class: {field!r}")
+    return _shaped(val, shape)
 
 
 def single_qubit_coherence(q0, field, beta, omega_t):
@@ -151,15 +148,15 @@ def single_qubit_coherence(q0, field, beta, omega_t):
     """
     if abs(q0) > 1.0 + 1e-12:
         raise ValueError(f"|q0| must be <= 1, got {abs(q0)!r}")
-    _check_inputs(beta, omega_t)
-    g = gamma(omega_t)
+    wt, shape = _check_inputs(beta, omega_t)
+    g = gamma(wt)
     env = np.exp(-2.0 * beta**2 * g.abs2)
     if isinstance(field, Number):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
         with np.errstate(over="ignore", invalid="ignore"):
             plain = q0 * env * lag.astype(complex)
-        return _plain_or_folded(plain, q0 * damped, env)
-    return q0 * env * characteristic_integral(field, beta, g)
+        return _shaped(_plain_or_folded(plain, q0 * damped, env), shape)
+    return _shaped(q0 * env * characteristic_integral(field, beta, g), shape)
 
 
 def two_qubit_offdiagonal(bell, field, beta, omega_t):
@@ -175,8 +172,8 @@ def two_qubit_offdiagonal(bell, field, beta, omega_t):
     """
     if bell not in BellState:
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    _check_inputs(beta, omega_t)
-    g = gamma(omega_t)
+    wt, shape = _check_inputs(beta, omega_t)
+    g = gamma(wt)
     env = np.exp(-4.0 * beta**2 * g.abs2)
     number = isinstance(field, Number)
     if number:
@@ -189,7 +186,7 @@ def two_qubit_offdiagonal(bell, field, beta, omega_t):
             val = 0.5 * env * ci * ci
         else:
             val = 0.5 * env * (np.abs(ci) * np.abs(ci))
-    return _plain_or_folded(val, 0.5 * (damped * damped), env) if number else val
+    return _shaped(_plain_or_folded(val, 0.5 * (damped * damped), env) if number else val, shape)
 
 
 def concurrence_closed(bell, field, beta, omega_t):
@@ -203,19 +200,21 @@ def concurrence_closed(bell, field, beta, omega_t):
     """
     if bell not in BellState:
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
-    abs2 = _abs2(omega_t)
+    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    abs2 = _abs2(wt)
     if isinstance(field, (Vacuum, Coherent)):
-        return np.exp(-4.0 * beta**2 * abs2)
-    if isinstance(field, Number):
+        val = np.exp(-4.0 * beta**2 * abs2)
+    elif isinstance(field, Number):
         lag, damped = _number_terms(field.n, 4.0 * beta**2 * abs2)
         env = np.exp(-4.0 * beta**2 * abs2)
         with np.errstate(over="ignore", invalid="ignore"):
             plain = env * (lag * lag)
-        return _plain_or_folded(plain, damped * damped, env)
-    if isinstance(field, Thermal):
-        return np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * abs2)
-    raise TypeError(f"unsupported field class: {field!r}")
+        val = _plain_or_folded(plain, damped * damped, env)
+    elif isinstance(field, Thermal):
+        val = np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * abs2)
+    else:
+        raise TypeError(f"unsupported field class: {field!r}")
+    return _shaped(val, shape)
 
 
 def concurrence_at_half_period(field, beta):
@@ -227,8 +226,8 @@ def concurrence_at_half_period(field, beta):
     array Laguerre recurrence for a number state).  Coincides bit-for-bit
     with ``concurrence_closed`` at omega_t = pi because |gamma(pi)|^2 == 4.
     """
-    if not _scalar(beta):
-        beta = np.asarray(beta, dtype=float)
+    # a scalar beta stays a scalar, whose beta**2 has the bits of a float's
+    beta = np.asarray(beta, dtype=float)[()]
     return concurrence_closed(BellState.PHI_PLUS, field, beta, math.pi)
 
 
@@ -243,9 +242,9 @@ def esd_concurrence_closed(beta, nbar, omega_t):
     which vanishes on a finite interval iff 16 (1+2 nbar) beta^2 >= ln 3.
     Validated against the truncated-Fock propagator in the test suite.
     """
-    _check_inputs(beta, omega_t, nbar)
-    val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * _abs2(omega_t)) - 0.25
-    return np.maximum(0.0, val)
+    wt, shape = _check_inputs(beta, omega_t, nbar)
+    val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * _abs2(wt)) - 0.25
+    return _shaped(np.maximum(0.0, val), shape)
 
 
 def evolved_vacuum_state_amplitude(beta, omega_t):
@@ -255,8 +254,8 @@ def evolved_vacuum_state_amplitude(beta, omega_t):
     (|up up, b(t), b(t)> + |down down, -b(t), -b(t)>)/sqrt(2) with
     b(t) = beta (exp(-i w t) - 1).
     """
-    _check_inputs(beta, omega_t)
-    return beta * np.conj(gamma(omega_t).gamma)
+    wt, shape = _check_inputs(beta, omega_t)
+    return _shaped(beta * np.conj(gamma(wt).gamma), shape)
 
 
 def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
@@ -278,19 +277,17 @@ def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
     (ground energy -beta^2 omega), so its states carry an extra global
     factor exp(i beta^2 w t); relative phases are convention-free.
     """
-    _check_inputs(beta, omega_t)
+    wt, shape = _check_inputs(beta, omega_t)
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    g = gamma(omega_t)
-    rot = np.exp(-1j * np.asarray(omega_t, dtype=float))
-    common = np.exp(-1j * beta**2 * np.sin(omega_t))
+    g = gamma(wt)
+    rot = np.exp(-1j * wt)
+    common = np.exp(-1j * beta**2 * np.sin(wt))
     if spin_up:
         amplitude = (alpha + beta) * rot - beta
         phase = common * np.exp(1j * beta * np.imag(alpha * np.conj(g.gamma)))
     else:
         amplitude = (alpha - beta) * rot + beta
         phase = common * np.exp(1j * beta * np.imag(np.conj(alpha) * g.gamma))
-    if _scalar(omega_t):
-        return complex(amplitude), complex(phase)
-    return amplitude, phase
+    return _shaped(amplitude, shape), _shaped(phase, shape)

@@ -16,7 +16,7 @@ matrix keeps the representation explicit.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -132,14 +132,12 @@ class QubitPairState:
 
     rho: np.ndarray
     basis: QubitBasis
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"two-qubit density matrix must be 4x4, got shape {rho.shape}")
-        if self.validate:
-            validate_density_matrices(rho[None])
+        validate_density_matrices(rho[None])
         rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 

@@ -26,7 +26,6 @@ Qubit matrices are written in the sigma_x eigenbasis (up, down), matching
 the two-qubit index convention of :mod:`degjc.model`.
 """
 
-import cmath
 import ctypes
 import functools
 import math
@@ -47,7 +46,9 @@ from .model import (
     bell_ket,
     validate_density_matrices,
 )
-from .specialfn import thermal_weights
+from .specialfn import _amplitude, thermal_weights
+
+_TAIL_TOL = 1e-10  # default truncated probability mass of a field's decomposition
 
 
 class TruncationError(RuntimeError):
@@ -59,7 +60,7 @@ class TruncationSpec:
     """Fock cutoff (states 0..ncut) and acceptable truncated probability mass."""
 
     ncut: int
-    tail_tol: float = 1e-10
+    tail_tol: float = _TAIL_TOL
 
     def __post_init__(self):
         if isinstance(self.ncut, bool) or not isinstance(self.ncut, numbers.Integral):
@@ -70,7 +71,10 @@ class TruncationSpec:
             raise ValueError(f"tail_tol must be in (0, 1), got {self.tail_tol!r}")
 
     def doubled(self):
-        return TruncationSpec(2 * self.ncut, self.tail_tol)
+        """The cutoff-doubling re-run's spec: twice the cutoff and a hundredth
+        of the tail mass (kept above 0), so it also resolves a thermal
+        mixture's truncation."""
+        return TruncationSpec(2 * self.ncut, max(self.tail_tol / 100, math.ulp(0.0)))
 
 
 @dataclass(frozen=True)
@@ -194,10 +198,11 @@ def _eigensolve_bytes(params, ncut):
     return 8 * f * ((solve + (not params.degenerate)) * f + 64) + (1 << 15)
 
 
-def _trace_bytes(params, field, trunc, check_convergence=True):
-    """Peak bytes of :func:`concurrence_trace`, from (ncut, K, omega0) alone.
+def _run_bytes(params, field, spec):
+    """Peak bytes of one run of :func:`concurrence_trace` at ``spec``, from
+    (ncut, K, omega0) alone.
 
-    Each run holds the eigenvectors of its chains and the
+    A run holds the eigenvectors of its chains and the
     :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
     of V' P V (at most half an F x F array); otherwise four real rail Gram
     matrices, the field Grams (seven for a unit-Fock field, ten for a
@@ -205,20 +210,22 @@ def _trace_bytes(params, field, trunc, check_convergence=True):
     off the real axis and the field factors are complex) and one product.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
-    The doubled-cutoff re-run is usually the larger of the two runs.
     """
     word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
     grams = 7 if not isinstance(field, Coherent) else 12 if word == 16 else 10
-    peak = 0
-    for spec in (trunc, trunc.doubled()) if check_convergence else (trunc,):
-        f = spec.ncut + 1
-        k = 1
-        if isinstance(field, Thermal):
-            k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
-        factors, overlaps = (12 + word, 3) if params.degenerate else (48 + (grams + 1) * word, 9)
-        kernel = factors * f * f + (overlaps * k + 32) * word * f + 4 * _PHASE_BLOCK_BYTES
-        peak = max(peak, _eigensolve_bytes(params, spec.ncut), kernel)
-    return peak
+    f = spec.ncut + 1
+    k = 1
+    if isinstance(field, Thermal):
+        k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
+    factors, overlaps = (12 + word, 3) if params.degenerate else (48 + (grams + 1) * word, 9)
+    kernel = factors * f * f + (overlaps * k + 32) * word * f + 4 * _PHASE_BLOCK_BYTES
+    return max(_eigensolve_bytes(params, spec.ncut), kernel)
+
+
+def _trace_bytes(params, field, trunc):
+    """Peak bytes of :func:`concurrence_trace`: its run at ``trunc`` or the
+    doubled-cutoff re-run, usually the larger."""
+    return max(_run_bytes(params, field, spec) for spec in (trunc, trunc.doubled()))
 
 
 def _require_memory(nbytes, what):
@@ -297,12 +304,10 @@ def propagate_state(prop, state, omega_t):
 
 def coherent_fock_vector(alpha, ncut):
     """Truncated Fock expansion of |alpha>; returns (vector, lost mass).
-    ValueError for a non-finite ``alpha``."""
-    alpha = complex(alpha)
-    if not cmath.isfinite(alpha):
-        raise ValueError(f"coherent amplitude must be finite, got {alpha!r}")
+    ValueError for an ``alpha`` that is not finite or not below 1e154."""
+    alpha, norm2 = _amplitude(alpha)
     c = np.empty(ncut + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    c[0] = math.exp(-0.5 * norm2)
     for n in range(ncut):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1)
     return c, max(0.0, 1.0 - float(np.vdot(c, c).real))
@@ -603,11 +608,11 @@ def low_spectrum(prop, k):
     return e - e[0]
 
 
-def default_ncut(field, beta, tail_tol=1e-10):
+def default_ncut(field, beta):
     """Starting cutoff: reach of the displaced dynamics plus margin.
 
     ceil((|alpha0| + 2 beta + 3 sqrt(nbar) + sqrt(N))^2) + 20, raised for
-    thermal states so the mixture tail fits the tolerance.  The
+    thermal states so the mixture tail fits the default tolerance.  The
     cutoff-doubling convergence check is the actual contract; this is only
     the initial guess.
     """
@@ -619,7 +624,7 @@ def default_ncut(field, beta, tail_tol=1e-10):
     except OverflowError as exc:
         raise TruncationError(f"no representable cutoff for {field} at beta={beta:g}") from exc
     if nb > 0:
-        ncut = max(ncut, thermal_component_count(nb, tail_tol) + 30)
+        ncut = max(ncut, thermal_component_count(nb, _TAIL_TOL) + 30)
     return max(ncut, 1)
 
 
@@ -633,7 +638,7 @@ class OracleTrace:
     ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
     the run at ``ncut`` was diagonalized, ``components`` is the number K of
     mixture components of its field, and ``doubled_ncut`` the cutoff of the
-    doubling re-run (0 when none ran); no CSV writes them.
+    doubling re-run (0 for an empty grid); no CSV writes them.
     """
 
     omega_ts: np.ndarray
@@ -693,43 +698,33 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
 _DOUBLING_POINTS = 9
 
 
-def concurrence_trace(
-    params,
-    field,
-    initial,
-    omega_ts,
-    trunc=None,
-    check_convergence=True,
-    convergence_tol=1e-8,
-):
+def concurrence_trace(params, field, initial, omega_ts, trunc=None, convergence_tol=1e-8):
     """Oracle concurrence of ``initial`` (sigma_x basis) under identical fields.
 
-    Runs at the requested cutoff and, unless disabled, re-runs a subsample
-    of the grid at twice the cutoff; entrywise matrix disagreement beyond
-    ``convergence_tol`` raises :class:`TruncationError`, and so does a run
-    whose estimated peak memory exceeds physical memory, before it
-    allocates.  A non-finite phase, or a grid whose eigenphase roundoff
-    exceeds ``convergence_tol`` (see :func:`_require_phase_accuracy`),
-    raises ValueError before any eigensolve, and so does a
-    ``convergence_tol`` that is not finite and positive; an empty grid gives
-    an empty trace.
+    Runs at the requested cutoff and re-runs a subsample of the grid at
+    ``trunc.doubled()``, twice the cutoff and a hundredth of the tail mass;
+    entrywise matrix disagreement beyond ``convergence_tol`` raises
+    :class:`TruncationError`, and so does a run whose estimated peak memory
+    exceeds physical memory, before it allocates.  A non-finite phase, or a
+    grid whose eigenphase roundoff exceeds ``convergence_tol`` (see
+    :func:`_require_phase_accuracy`), raises ValueError before any
+    eigensolve, and so does a ``convergence_tol`` that is not finite and
+    positive; an empty grid gives an empty trace.
     """
     omega_ts = _finite_phases(omega_ts, 1)
     if not (math.isfinite(convergence_tol) and convergence_tol > 0):
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
     if trunc is None:
         trunc = TruncationSpec(default_ncut(field, params.beta))
-    _require_memory(
-        _trace_bytes(params, field, trunc, check_convergence),
-        f"concurrence trace at ncut={trunc.ncut}",
-    )
-    largest = trunc.doubled() if check_convergence else trunc
+    what = f"concurrence trace at ncut={trunc.ncut}"
+    _require_memory(_trace_bytes(params, field, trunc), what)
+    largest = trunc.doubled()
     _require_phase_accuracy(params, largest.ncut, omega_ts, convergence_tol)
     values, qmats, tail, (solver, sector_dim, components) = _reconstruct(
         params, field, initial, omega_ts, trunc)
     doubling_error = 0.0
     n_check = doubled_ncut = 0
-    if check_convergence and len(omega_ts):
+    if len(omega_ts):
         n_check = min(len(omega_ts), _DOUBLING_POINTS)
         idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
         doubled_ncut = largest.ncut

@@ -98,18 +98,21 @@ def laguerre_scaled(n, x):
     """L_n(x) = m 2^e as ``(m, e)``, with |m| in [1/2, 1) or m = 0.
 
     Finite for every finite x, however large |L_n(x)| is; accepts a scalar
-    or an array of arguments.  ``n`` must be an integer in [0, 10_000].
+    or an array of arguments (a scalar gives a float and an int).  ``n``
+    must be an integer in [0, 10_000].  One argument, alone or in an array,
+    runs the float recurrence: the array recurrence's bits without its
+    per-step overhead.
     """
     n = _check_order(n)
-    if np.ndim(x) == 0:
-        if not math.isfinite(x):
-            raise ValueError(f"Laguerre argument must be finite, got {x!r}")
-        lk, _, e = _recurrence_scalar(n, float(x))
-        m, shift = math.frexp(lk)
-        return m, e + shift
-    xs = np.ascontiguousarray(x, dtype=np.float64)
+    xs = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
         raise ValueError("Laguerre argument must be finite")
+    if xs.size == 1:
+        lk, _, e = _recurrence_scalar(n, xs.item())
+        m, shift = math.frexp(lk)
+        if xs.ndim == 0:
+            return m, e + shift
+        return np.full(xs.shape, m), np.full(xs.shape, e + shift)
     lk, _, e = _recurrence(n, xs)
     m, shift = np.frexp(lk)
     return m, e + shift
@@ -179,13 +182,19 @@ def thermal_weights(nbar, ncut):
     return weights, tail
 
 
+def _amplitude(alpha):
+    """``(alpha, |alpha|^2)`` with ``alpha`` as a complex number; ValueError
+    naming it unless it is finite and |alpha| < 1e154, so |alpha|^2 is too."""
+    alpha = complex(alpha)
+    if cmath.isfinite(alpha) and abs(alpha) < 1e154:
+        return alpha, abs(alpha) ** 2
+    raise ValueError(f"coherent amplitude must be finite and below 1e154, got {alpha!r}")
+
+
 def coherent_overlap(a, b):
     """Inner product of two coherent states, <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b).
 
-    ValueError for a non-finite amplitude.
+    ValueError for an amplitude that is not finite or not below 1e154.
     """
-    a = complex(a)
-    b = complex(b)
-    if not (cmath.isfinite(a) and cmath.isfinite(b)):
-        raise ValueError(f"coherent amplitudes must be finite, got {a!r} and {b!r}")
-    return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
+    (a, a2), (b, b2) = _amplitude(a), _amplitude(b)
+    return np.exp(-0.5 * a2 - 0.5 * b2 + np.conj(a) * b)

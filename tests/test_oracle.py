@@ -288,6 +288,11 @@ class TestFieldComponents:
         with pytest.raises(ValueError, match="finite"):
             coherent_fock_vector(bad, 4)
 
+    def test_coherent_vector_rejects_overflowing_amplitude(self):
+        # |alpha|^2 overflowed in a bare OverflowError
+        with pytest.raises(ValueError, match=r"1e\+200"):
+            coherent_fock_vector(1e200, 4)
+
     def test_coherent_truncation_error(self):
         with pytest.raises(TruncationError):
             field_components(Coherent(3.0), TruncationSpec(2))
@@ -564,7 +569,7 @@ class TestStackedReduction:
         values, spectra = wootters_concurrences(qmats, QubitBasis.SIGMA_X)
         for i in range(len(grid)):
             (q,) = _reduced_stack(ops[i:i + 1], ops[i:i + 1], initial)
-            result = wootters_concurrence(QubitPairState(q, QubitBasis.SIGMA_X, validate=False))
+            result = wootters_concurrence(QubitPairState(q, QubitBasis.SIGMA_X))
             assert np.array_equal(qmats[i], q)
             assert values[i] == result.value
             assert np.array_equal(spectra[i], result.spectrum)
@@ -647,6 +652,23 @@ class TestConcurrenceTrace:
                 convergence_tol=1e-10,
             )
 
+    @pytest.mark.parametrize("nbar, beta, mixture", [
+        (1.0, 0.1, False), (2.0, 0.5, False), (2.0, 0.5, True), (1.0, 0.25, True)])
+    def test_doubling_error_sees_the_mixture_tail(self, nbar, beta, mixture):
+        # The closed-form error of a thermal trace, about 2 x tail_mass,
+        # comes from the truncated mixture.  A re-run with the same K
+        # thermal components agreed to about 1e-16, 1e5 times below it.
+        grid = np.linspace(0.0, 2 * PI, 64)
+        if mixture:
+            initial, closed = make_esd_mixture(), esd_concurrence_closed(beta, nbar, grid)
+        else:
+            initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+            closed = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, grid)
+        trace = concurrence_trace(ModelParams.from_beta(beta), Thermal(nbar), initial, grid)
+        error = float(np.max(np.abs(trace.values - closed)))
+        assert error > 1e-11
+        assert trace.doubling_error >= error / 100
+
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected_before_eigensolve(self, bad, no_allocation):
@@ -700,9 +722,13 @@ class TestConcurrenceTrace:
         trace = concurrence_trace(params, Thermal(5.0), initial, [0.0, 1.0], trunc=trunc)
         k = oracle.thermal_component_count(5.0, trunc.tail_tol)
         assert (trace.components, trace.doubled_ncut) == (k + 1, 312) == (127, 312)
-        once = concurrence_trace(params, Vacuum(), initial, [0.0, 1.0], trunc=trunc,
-                                 check_convergence=False)
-        assert (once.components, once.doubled_ncut) == (1, 0)
+        empty = concurrence_trace(params, Vacuum(), initial, [], trunc=trunc)
+        assert (empty.components, empty.doubled_ncut) == (1, 0)
+
+    def test_doubled_spec(self):
+        assert TruncationSpec(40, 1e-10).doubled() == TruncationSpec(80, 1e-12)
+        # a hundredth of the smallest tolerances would round to 0
+        assert TruncationSpec(40, 1e-323).doubled() == TruncationSpec(80, 5e-324)
 
     def test_phase_roundoff_rejected_before_allocating(self, no_allocation):
         # eps * max|E| * max|w t| at the doubled cutoff: about 1e-5 here
@@ -728,10 +754,10 @@ class TestConcurrenceTrace:
         grid = np.linspace(0.0, 2 * PI, 40001)
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
         tracemalloc.start()
-        concurrence_trace(params, Vacuum(), initial, grid, trunc=trunc, check_convergence=False)
+        concurrence_trace(params, Vacuum(), initial, grid, trunc=trunc)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc, check_convergence=False)
+        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
 
 
 class TestFieldField:
@@ -826,16 +852,16 @@ class TestMemoryBudget:
     def test_estimate_covers_the_doubled_run(self):
         params = ModelParams.from_beta(0.1, omega0=0.7)
         trunc = TruncationSpec(1000)
-        once = oracle._trace_bytes(params, Thermal(5.0), trunc, check_convergence=False)
+        once = oracle._run_bytes(params, Thermal(5.0), trunc)
         both = oracle._trace_bytes(params, Thermal(5.0), trunc)
-        assert both == oracle._trace_bytes(params, Thermal(5.0), trunc.doubled(), False)
+        assert both == oracle._run_bytes(params, Thermal(5.0), trunc.doubled())
         assert both > 3 * once
 
     @staticmethod
     def _peak(params, field, trunc):
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
         # modules imported on a first call are not the oracle's memory
-        concurrence_trace(params, Vacuum(), initial, [1.0], TruncationSpec(3), False)
+        concurrence_trace(params, Vacuum(), initial, [1.0])
         tracemalloc.start()
         concurrence_trace(params, field, initial, np.linspace(0.0, 2 * PI, 17), trunc=trunc)
         _, peak = tracemalloc.get_traced_memory()

@@ -235,6 +235,13 @@ def test_overlap_rejects_non_finite_amplitude(bad):
             coherent_overlap(a, b)
 
 
+def test_overlap_rejects_overflowing_amplitude():
+    # |a|^2 overflowed in a bare OverflowError
+    for a, b in ((1e200, 0), (0, 1e200j)):
+        with pytest.raises(ValueError, match="1e\\+200"):
+            coherent_overlap(a, b)
+
+
 def test_overlap_normalization():
     for z in (0.0, 1.0, 0.3 - 2.0j):
         assert coherent_overlap(z, z) == pytest.approx(1.0, abs=1e-15)
