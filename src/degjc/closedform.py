@@ -127,7 +127,7 @@ def characteristic_integral(field, beta, g):
     _, shape = _check_inputs(beta, g.omega_t, getattr(field, "nbar", 0.0))
     gam, abs2 = np.atleast_1d(g.gamma, g.abs2)
     if isinstance(field, Vacuum):
-        val = np.ones(np.broadcast(beta, abs2).shape, dtype=complex)
+        val = np.ones(shape, dtype=complex)
     elif isinstance(field, Coherent):
         val = np.exp(4j * beta * np.imag(field.alpha0 * np.conj(gam)))
     elif isinstance(field, Number):
