@@ -24,7 +24,6 @@ from .entanglement import (
     ConcurrenceResult,
     negativity,
     wootters_concurrence,
-    xstate_concurrence,
 )
 from .model import (
     BellState,
@@ -109,5 +108,4 @@ __all__ = [
     "thermal_weights",
     "two_qubit_offdiagonal",
     "wootters_concurrence",
-    "xstate_concurrence",
 ]

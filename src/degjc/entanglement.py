@@ -1,7 +1,6 @@
-"""Entanglement measures: Wootters concurrence, X-state shortcut, negativity."""
+"""Entanglement measures: Wootters concurrence and negativity."""
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -10,17 +9,14 @@ from .model import HADAMARD2, QubitBasis
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
 
-X_SHAPE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ConcurrenceResult:
-    """Concurrence value with the method used and (for the general method)
-    the four descending square-rooted eigenvalues of rho rho-tilde."""
+    """Concurrence value and the four descending square-rooted eigenvalues
+    of rho rho-tilde."""
 
     value: float
-    method: str
-    spectrum: Optional[np.ndarray] = None
+    spectrum: np.ndarray
 
 
 # Eigenvalues of rho below this fraction of the largest are dropped from
@@ -37,7 +33,7 @@ def wootters_concurrence(state):
     :func:`wootters_concurrences`.
     """
     values, spectra = wootters_concurrences(state.rho[None], state.basis)
-    return ConcurrenceResult(float(values[0]), "general", spectra[0])
+    return ConcurrenceResult(float(values[0]), spectra[0])
 
 
 def wootters_concurrences(rhos, basis):
@@ -67,26 +63,6 @@ def wootters_concurrences(rhos, basis):
         s[group, :r] = np.linalg.svd(tau, compute_uv=False)
     margin = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
     return np.where(margin > 0.0, margin, 0.0), s
-
-
-def xstate_concurrence(state):
-    """Closed-form concurrence for an X-shaped density matrix.
-
-    C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44)),
-    evaluated in the state's own basis.  Raises if any entry off the
-    diagonal and anti-diagonal exceeds 1e-12.
-    """
-    rho = state.rho
-    mask = np.zeros((4, 4), dtype=bool)
-    mask[np.arange(4), np.arange(4)] = True
-    mask[np.arange(4), 3 - np.arange(4)] = True
-    off = np.max(np.abs(rho[~mask])) if np.any(~mask) else 0.0
-    if off > X_SHAPE_TOL:
-        raise ValueError(f"density matrix is not X-shaped: off-X magnitude {off:.3e}")
-    d = np.clip(np.real(np.diag(rho)), 0.0, None)
-    c_corner = abs(rho[0, 3]) - np.sqrt(d[1] * d[2])
-    c_middle = abs(rho[1, 2]) - np.sqrt(d[0] * d[3])
-    return ConcurrenceResult(2.0 * max(0.0, c_corner, c_middle), "x-state")
 
 
 def negativity(rho, dims):

@@ -26,7 +26,6 @@ Qubit matrices are written in the sigma_x eigenbasis (up, down), matching
 the two-qubit index convention of :mod:`degjc.model`.
 """
 
-import ctypes
 import functools
 import math
 import numbers
@@ -46,7 +45,8 @@ from .model import (
     bell_ket,
     validate_density_matrices,
 )
-from .specialfn import _amplitude, thermal_weights
+from . import specialfn
+from .specialfn import _amplitude, _tridiagonal_eigh, thermal_weights
 
 _TAIL_TOL = 1e-10  # default truncated probability mass of a field's decomposition
 
@@ -125,76 +125,13 @@ def _parity(f):
     return 1.0 - 2.0 * (np.arange(f) % 2)
 
 
-@functools.cache
-def _lapack_dstevd():
-    """LAPACK ``dstevd`` of the OpenBLAS that numpy links its linear algebra
-    against (ILP64, exported as ``scipy_dstevd_64_``), looked up once; None
-    where numpy uses another LAPACK, such as MKL or a system library."""
-    try:
-        from numpy.linalg import _umath_linalg
-
-        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dstevd_64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO by reference
-    # (64-bit integers), then the hidden length of the JOBZ string
-    i64, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
-    routine.argtypes = [ctypes.c_char_p, i64, buf, buf, buf, i64, buf, i64, buf, i64, i64,
-                        ctypes.c_size_t]
-    routine.restype = None
-    return routine
-
-
-def _tridiagonal_eigh(diag, off, params):
-    """Eigenvalues, C-contiguous eigenvectors and solver name of the real
-    symmetric tridiagonal matrix with diagonal ``diag`` and off-diagonal
-    ``off``.
-
-    ``dstevd`` (Cuppen, Numer. Math. 36, 177 (1981); Gu & Eisenstat, SIAM
-    J. Matrix Anal. Appl. 16, 172 (1995)) works on the two diagonals and
-    skips the O(F^3) Householder reduction that ``eigh`` applies to the
-    dense matrix; for numpy's OpenBLAS both give the same bits.  Without
-    the routine the dense matrix goes to ``eigh``.
-    """
-    def failure(detail):
-        return TruncationError(
-            f"eigensolver failed for dim={diag.size}, beta={params.beta:g}, "
-            f"max|H|={np.max(np.abs(np.concatenate([diag, off]))):.3e}: {detail}")
-
-    stevd = _lapack_dstevd()
-    if stevd is None:
-        try:
-            energies, modes = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        except np.linalg.LinAlgError as exc:
-            raise failure(exc) from exc
-        return energies, modes, "eigh"
-    n = diag.size
-    d = np.array(diag, dtype=float)  # overwritten by the eigenvalues
-    e = np.zeros(n)  # off-diagonal, destroyed; one spare entry
-    e[:-1] = off
-    z = np.empty((n, n), order="F")
-    lwork, liwork = 1 + 4 * n + n * n, 3 + 5 * n
-    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
-    info = ctypes.c_int64()
-
-    def ref(value):
-        return ctypes.byref(ctypes.c_int64(value))
-
-    stevd(b"V", ref(n), d.ctypes, e.ctypes, z.ctypes, ref(n), work.ctypes, ref(lwork),
-          iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
-    if info.value:
-        raise failure(f"dstevd info={info.value}")
-    del work, iwork  # before the C-order copy, so two F x F arrays at most coexist
-    return d, np.ascontiguousarray(z), "dstevd"
-
-
 def _eigensolve_bytes(params, ncut):
     """Peak bytes of :func:`build_hamiltonian`: two real F x F arrays for
     ``dstevd`` (its eigenvectors, then their C-order copy once the F x F
     workspace is freed) or five for ``eigh``, one more at omega0 != 0 for
     the first chain's eigenvectors, plus length-F vectors and some kB."""
     f = ncut + 1
-    solve = 2 if _lapack_dstevd() is not None else 5
+    solve = 2 if specialfn._lapack_dstevd() is not None else 5
     return 8 * f * ((solve + (not params.degenerate)) * f + 64) + (1 << 15)
 
 
@@ -236,7 +173,7 @@ def _require_memory(nbytes, what):
         gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf
         raise TruncationError(
             f"{what} needs about {gib:.3g} GiB, more than the "
-            f"{limit / 2**30:.3g} GiB of physical memory; lower ncut"
+            f"{limit / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -251,7 +188,13 @@ def build_hamiltonian(params, trunc):
     n = np.arange(trunc.ncut + 1, dtype=float)
     shift = (params.omega0 / (2.0 * params.omega)) * _parity(n.size)
     diagonals = [n] if params.degenerate else [n + shift, n - shift]
-    solved = [_tridiagonal_eigh(d, params.beta * np.sqrt(n[1:]), params) for d in diagonals]
+    off = params.beta * np.sqrt(n[1:])
+    try:
+        solved = [_tridiagonal_eigh(d, off) for d in diagonals]
+    except np.linalg.LinAlgError as exc:
+        raise TruncationError(
+            f"eigensolver failed for dim={n.size}, beta={params.beta:g}, "
+            f"max|H|={np.max(np.abs(np.concatenate(diagonals + [off]))):.3e}: {exc}") from exc
     chains = [(energies, modes) for energies, modes, _ in solved]
     return SubsystemPropagator(params, trunc, (chains[0], chains[-1]), solved[0][2])
 
@@ -336,15 +279,12 @@ def field_components(field, trunc):
     column is complex.
     """
     f = trunc.ncut + 1
-    if isinstance(field, Vacuum):
+    if isinstance(field, (Vacuum, Number)):
+        n = field.n if isinstance(field, Number) else 0
+        if n > trunc.ncut:
+            raise TruncationError(f"Fock index {n} exceeds cutoff {trunc.ncut}")
         v = np.zeros((f, 1))
-        v[0, 0] = 1.0
-        return np.array([1.0]), v, 0.0
-    if isinstance(field, Number):
-        if field.n > trunc.ncut:
-            raise TruncationError(f"Fock index {field.n} exceeds cutoff {trunc.ncut}")
-        v = np.zeros((f, 1))
-        v[field.n, 0] = 1.0
+        v[n, 0] = 1.0
         return np.array([1.0]), v, 0.0
     if isinstance(field, Coherent):
         c, tail = coherent_fock_vector(field.alpha0, trunc.ncut)
@@ -612,20 +552,32 @@ def default_ncut(field, beta):
     """Starting cutoff: reach of the displaced dynamics plus margin.
 
     ceil((|alpha0| + 2 beta + 3 sqrt(nbar) + sqrt(N))^2) + 20, raised for
-    thermal states so the mixture tail fits the default tolerance.  The
-    cutoff-doubling convergence check is the actual contract; this is only
-    the initial guess.
+    thermal states so the mixture tail fits the default tolerance, and for
+    vacuum and coherent states so a coherent state of the largest amplitude
+    the dynamics reach, |alpha0 +- beta| + beta, loses at most that mass.
+    The cutoff-doubling convergence check is the actual contract; this is
+    only the initial guess.
     """
-    a0 = abs(field.alpha0) if isinstance(field, Coherent) else 0.0
+    alpha0 = field.alpha0 if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
     nn = field.n if isinstance(field, Number) else 0
     try:
-        ncut = math.ceil((a0 + 2.0 * beta + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
+        ncut = math.ceil((abs(alpha0) + 2.0 * beta + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
     except OverflowError as exc:
         raise TruncationError(f"no representable cutoff for {field} at beta={beta:g}") from exc
     if nb > 0:
         ncut = max(ncut, thermal_component_count(nb, _TAIL_TOL) + 30)
+    reach = max(abs(alpha0 + beta), abs(alpha0 - beta)) + beta
+    if isinstance(field, (Vacuum, Coherent)) and math.exp(-0.5 * reach**2) > 0.0:
+        # lost mass at every cutoff up to one far beyond the Poisson tail
+        c, _ = coherent_fock_vector(reach, math.ceil(reach**2 + 10.0 * reach) + 40)
+        ncut = max(ncut, int(np.argmax(1.0 - np.cumsum(np.abs(c) ** 2) <= _TAIL_TOL)))
     return max(ncut, 1)
+
+
+def truncation(field, beta, ncut=None):
+    """The oracle cutoff: ``ncut`` where given, else ``default_ncut``."""
+    return TruncationSpec(ncut if ncut is not None else default_ncut(field, beta))
 
 
 @dataclass(frozen=True)
@@ -715,7 +667,7 @@ def concurrence_trace(params, field, initial, omega_ts, trunc=None, convergence_
     if not (math.isfinite(convergence_tol) and convergence_tol > 0):
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
     if trunc is None:
-        trunc = TruncationSpec(default_ncut(field, params.beta))
+        trunc = truncation(field, params.beta)
     what = f"concurrence trace at ncut={trunc.ncut}"
     _require_memory(_trace_bytes(params, field, trunc), what)
     largest = trunc.doubled()

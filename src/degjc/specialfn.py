@@ -1,4 +1,5 @@
-"""Scalar special functions used by the closed-form dynamics.
+"""Special functions of the closed-form dynamics, and the tridiagonal
+eigensolver behind both the Laguerre roots and the oracle's parity chains.
 
 Laguerre polynomials come from the upward three-term recurrence, rescaled
 by exact powers of two so that no order or argument overflows: the
@@ -7,6 +8,8 @@ multiply by exp(-x/2) fold the exponent into the exponential.
 """
 
 import cmath
+import ctypes
+import functools
 import math
 import numbers
 
@@ -134,14 +137,73 @@ def laguerre(n, x):
     return float(val) if np.ndim(x) == 0 else val
 
 
+@functools.cache
+def _lapack_dstevd():
+    """LAPACK ``dstevd`` of the OpenBLAS that numpy links its linear algebra
+    against (ILP64, exported as ``scipy_dstevd_64_``), looked up once; None
+    where numpy uses another LAPACK, such as MKL or a system library."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        routine = ctypes.CDLL(_umath_linalg.__file__).scipy_dstevd_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO by reference
+    # (64-bit integers), then the hidden length of the JOBZ string
+    i64, buf = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p
+    routine.argtypes = [ctypes.c_char_p, i64, buf, buf, buf, i64, buf, i64, buf, i64, i64,
+                        ctypes.c_size_t]
+    routine.restype = None
+    return routine
+
+
+def _tridiagonal_eigh(diag, off, vectors=True):
+    """Ascending eigenvalues, C-contiguous eigenvectors (None unless
+    ``vectors``) and solver name of the real symmetric tridiagonal matrix
+    with diagonal ``diag`` and off-diagonal ``off``.
+
+    ``dstevd`` (Cuppen, Numer. Math. 36, 177 (1981); Gu & Eisenstat, SIAM
+    J. Matrix Anal. Appl. 16, 172 (1995)) works on the two diagonals and
+    skips the O(n^3) Householder reduction that ``eigh`` applies to the
+    dense matrix; for numpy's OpenBLAS both give the same bits.  Without
+    the routine the dense matrix goes to ``eigh`` (``eigvalsh`` for the
+    values alone).  Raises ``np.linalg.LinAlgError`` when the solver fails.
+    """
+    stevd = _lapack_dstevd()
+    if stevd is None:
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        values, modes = np.linalg.eigh(dense) if vectors else (np.linalg.eigvalsh(dense), None)
+        return values, modes, "eigh"
+    n = diag.size
+    d = np.array(diag, dtype=float)  # overwritten by the eigenvalues
+    e = np.zeros(n)  # off-diagonal, destroyed; one spare entry
+    e[:-1] = off
+    # the values alone take O(1) workspace and no eigenvector matrix
+    z = np.empty((n, n) if vectors else 1, order="F")
+    lwork, liwork = (1 + 4 * n + n * n, 3 + 5 * n) if vectors else (1, 1)
+    work, iwork = np.empty(lwork), np.empty(liwork, dtype=np.int64)
+    info = ctypes.c_int64()
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int64(value))
+
+    stevd(b"V" if vectors else b"N", ref(n), d.ctypes, e.ctypes, z.ctypes, ref(n),
+          work.ctypes, ref(lwork), iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"dstevd info={info.value}")
+    del work, iwork  # before the C-order copy, so two n x n arrays at most coexist
+    return d, np.ascontiguousarray(z) if vectors else None, "dstevd"
+
+
 def laguerre_roots(n, x_max=None):
     """The n positive roots of L_n in ascending order, those above ``x_max``
     dropped.
 
     Golub-Welsch (Math. Comp. 23, 221 (1969)): the roots are the eigenvalues
     of the symmetric tridiagonal Jacobi matrix with diagonal 2k+1 and
-    off-diagonal k, polished by one Newton step on the scaled recurrence.
-    A NaN ``x_max`` raises ValueError; ``x_max=inf`` keeps every root.
+    off-diagonal k, found by :func:`_tridiagonal_eigh` without eigenvectors
+    and polished by one Newton step on the scaled recurrence.  A NaN
+    ``x_max`` raises ValueError; ``x_max=inf`` keeps every root.
     """
     n = _check_order(n)
     if x_max is not None and math.isnan(x_max):
@@ -149,8 +211,7 @@ def laguerre_roots(n, x_max=None):
     if n == 0:
         return np.array([])
     k = np.arange(n, dtype=float)
-    jacobi = np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1)
-    roots = np.linalg.eigvalsh(jacobi)
+    roots, _, _ = _tridiagonal_eigh(2.0 * k + 1.0, k[1:], vectors=False)
     # L_n' = n (L_n - L_{n-1}) / x; the common exponent cancels in the ratio
     ln, lnm1, _ = _recurrence(n, roots)
     roots = roots - roots * ln / (n * (ln - lnm1))

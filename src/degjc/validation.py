@@ -2,9 +2,8 @@
 
 ``validation_rows`` runs every check once and returns one ``CheckRow`` per
 check, in report order; ``degjc validate`` writes them as its report and
-the acceptance tests read the same rows.  ``truncation`` and
-``convergence_tol`` set the cutoff and the cutoff-doubling tolerance of
-every oracle run the CLI makes.
+the acceptance tests read the same rows.  ``convergence_tol`` sets the
+cutoff-doubling tolerance of every oracle run the CLI makes.
 """
 
 import math
@@ -19,8 +18,8 @@ from .model import (
     BellState, Coherent, ModelParams, Number, QubitBasis, Thermal, Vacuum, make_bell,
     make_esd_mixture)
 from .oracle import (
-    TruncationSpec, build_hamiltonian, coherent_fock_vector, concurrence_trace, default_ncut,
-    field_field_witness, low_spectrum, propagate_state)
+    TruncationSpec, build_hamiltonian, coherent_fock_vector, concurrence_trace,
+    field_field_witness, low_spectrum, propagate_state, truncation)
 from .specialfn import laguerre, laguerre_roots
 
 
@@ -44,11 +43,6 @@ def _field_label(field):
     if isinstance(field, Number):
         return f"number({field.n})"
     return f"thermal({field.nbar:g})"
-
-
-def truncation(field, beta, ncut=None):
-    """The oracle cutoff: ``ncut`` where given, else ``default_ncut``."""
-    return TruncationSpec(ncut if ncut is not None else default_ncut(field, beta))
 
 
 def convergence_tol(tolerance):

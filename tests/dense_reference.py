@@ -1,15 +1,16 @@
-"""Dense references for the oracle tests, too costly for the library.
+"""Dense references for the tests, too costly for the library.
 
 The oracle never forms the 2F x 2F eigenvector matrix of a subsystem block
-or the F^2 x F^2 field-field state; the tests build both here and compare
-the library's parity chains and local-support witness against them.
+or the F^2 x F^2 field-field state, and ``laguerre_roots`` never forms the
+n x n Jacobi matrix; the tests build all three here and compare the
+library's parity chains, local-support witness and roots against them.
 """
 
 import math
 
 import numpy as np
 
-from degjc import oracle
+from degjc import oracle, specialfn
 from degjc.model import QubitBasis, bell_ket
 
 
@@ -35,3 +36,15 @@ def field_field_reduced(prop, bell, field, trunc, omega_t):
     rho = np.einsum("rmsn,rMsN->mnMN", psi, psi.conj(), optimize=True).reshape(f * f, f * f)
     rho /= np.trace(rho).real
     return rho
+
+
+def laguerre_roots_dense(n, x_max=None):
+    """The roots of L_n from ``eigvalsh`` of the dense n x n Jacobi matrix
+    (diagonal 2k+1, off-diagonal k), then the library's one Newton step."""
+    if n == 0:
+        return np.array([])
+    k = np.arange(n, dtype=float)
+    roots = np.linalg.eigvalsh(np.diag(2.0 * k + 1.0) + np.diag(k[1:], 1) + np.diag(k[1:], -1))
+    ln, lnm1, _ = specialfn._recurrence(n, roots)
+    roots = roots - roots * ln / (n * (ln - lnm1))
+    return roots if x_max is None else roots[roots <= x_max]

@@ -14,7 +14,7 @@ PUBLIC = [
     "field_field_witness", "gamma", "laguerre", "laguerre_roots", "laguerre_scaled",
     "low_spectrum", "make_bell", "make_esd_mixture", "modulation_factor", "negativity",
     "propagate_state", "single_qubit_coherence", "thermal_weights", "two_qubit_offdiagonal",
-    "wootters_concurrence", "xstate_concurrence",
+    "wootters_concurrence",
 ]
 
 

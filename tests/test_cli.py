@@ -5,13 +5,15 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degjc import __version__, cli, csvcells, oracle, validation
+from degjc import __version__, cli, csvcells, oracle, specialfn, validation
 from degjc.cli import (
     ConfigError,
     ScenarioConfig,
@@ -20,7 +22,7 @@ from degjc.cli import (
     parse_field,
 )
 from degjc.entanglement import negativity
-from degjc.model import BellState, Coherent, Number, Thermal, Vacuum
+from degjc.model import BellState, Coherent, FieldSpec, Number, Thermal, Vacuum
 
 PI = math.pi
 
@@ -56,9 +58,9 @@ class TestParsing:
     def test_bell_specs(self):
         assert parse_bell("phi+") is BellState.PHI_PLUS
         assert parse_bell("psi-") is BellState.PSI_MINUS
-        assert parse_bell("esd-mixture") == "esd-mixture"
-        with pytest.raises(ConfigError):
-            parse_bell("bell")
+        for bad in ("bell", "esd-mixture"):
+            with pytest.raises(ConfigError):
+                parse_bell(bad)
 
     def test_scenario_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -128,11 +130,24 @@ class TestDeterminism:
 
     def test_validate_report_without_dstevd(self, tmp_path, monkeypatch):
         # the dense eigh fallback writes the same bytes as LAPACK dstevd
+        solvers = []
+        solve = specialfn._tridiagonal_eigh
+
+        def spy(*args, **kwargs):
+            solved = solve(*args, **kwargs)
+            solvers.append(solved[2])
+            return solved
+
+        monkeypatch.setattr(specialfn, "_tridiagonal_eigh", spy)  # the Laguerre roots
+        monkeypatch.setattr(oracle, "_tridiagonal_eigh", spy)  # the parity chains
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["validate", "--out", str(a)]) == 0
-        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        assert set(solvers) == {"dstevd" if specialfn._lapack_dstevd() else "eigh"}
+        solvers.clear()
+        monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         assert main(["validate", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+        assert set(solvers) == {"eigh"}
 
 
 class TestParserOnce:
@@ -543,6 +558,54 @@ def test_readme_flag_lists_match_the_parser(capsys):
         assert flags | common == subparser_options(scenario, capsys), scenario
 
 
+class TestInputThatWouldDoNothing:
+    """Input that would print inf, fail under a name the user never gave,
+    or change no output exits 2 with a message that names its flag."""
+
+    @pytest.mark.parametrize("argv, flags", [
+        (["envelope", "--omega", "1e-310", "--steps", "3"], ["--omega"]),
+        (["concurrence-sweep", "--omega", "1e300", "--beta", "2e10", "--compare-oracle"],
+         ["--beta", "--omega"]),
+        (["separability", "--omega", "1e300", "--omega0", "1e10"], ["--omega0", "--omega"]),
+        (["envelope", "--plot-script"], ["--plot-script", "--out"]),
+        (["beta-sweep", "--field", "vacuum"], ["--field"]),
+        (["beta-sweep", "--field", "coherent:alpha=1"], ["--field"]),
+    ])
+    def test_exits_2_naming_the_flag(self, argv, flags, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in flags), captured.err
+
+
+# Every --bell name the CLI advertises, and one spec of each field kind.
+BELL_NAMES = cli._FLAGS["bell"]["help"].split(" | ")
+FIELD_KINDS = ("vacuum", "coherent:alpha=1,0.5", "number:n=2", "thermal:nbar=1")
+
+
+class TestEveryValueRuns:
+    """Every --bell name and every field kind runs to exit 0 in at least one
+    scenario that reads its flag, and exits 2 in the others (1 from a
+    validate report whose 2-point grids breach a check)."""
+
+    def test_values_cover_every_bell_state_and_field_class(self):
+        assert sorted(BELL_NAMES) == sorted(cli._BELL_NAMES)
+        assert {type(parse_field(spec)) for spec in FIELD_KINDS} == set(typing.get_args(FieldSpec))
+
+    @pytest.mark.parametrize("flag, value", [("bell", name) for name in BELL_NAMES]
+                             + [("field", spec) for spec in FIELD_KINDS])
+    def test_some_reading_scenario_runs_it(self, flag, value, tmp_path, capsys):
+        codes = {
+            scenario: main([scenario, f"--{flag}", value, "--steps", "2",
+                            "--out", str(tmp_path / f"{scenario}.csv")])
+            for scenario, reads in cli._READS.items() if flag in reads.split()
+        }
+        assert len(codes) >= 2
+        assert 0 in codes.values(), codes
+        assert all(code in (0, 2) or (scenario, code) == ("validate", 1)
+                   for scenario, code in codes.items()), codes
+
+
 class TestOracleLimits:
     @pytest.mark.parametrize("argv", [
         ["concurrence-sweep", "--field", "coherent:alpha=1e200", "--compare-oracle"],
@@ -588,7 +651,23 @@ class TestOverflowFreeSweeps:
 
 class TestMemoryBudget:
     """The estimates are in petabytes, so these fail on any machine; the
-    allocating stages are replaced so that none is ever reached."""
+    allocating stages are replaced, or the peak is traced, so that none is
+    ever reached."""
+
+    @pytest.mark.parametrize("argv", [[scenario] for scenario in cli.SCENARIOS]
+                             + [["concurrence-sweep", "--compare-oracle"]])
+    def test_grid_exits_3_before_allocating(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        tracemalloc.start()
+        try:
+            rc = main(argv + ["--steps", "1000000000000", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 3
+        assert peak < 1 << 20
+        assert "a grid of 1000000000000 steps" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_sweep_exits_3(self, tmp_path, capsys, no_allocation):
         rc = main(["concurrence-sweep", "--field", "thermal:nbar=1e6", "--compare-oracle",

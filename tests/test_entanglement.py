@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix, random_pair_state, random_unitary, random_x_state
-from degjc.entanglement import negativity, wootters_concurrence, xstate_concurrence
+from degjc.entanglement import negativity, wootters_concurrence
 from degjc.model import (
     BellState,
     QubitBasis,
@@ -33,6 +33,15 @@ def concurrence_spectrum_sqrt(state):
     rt = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
     m = rt @ (SYSY @ rho.conj() @ SYSY) @ rt
     return np.sqrt(np.clip(np.linalg.eigvalsh(0.5 * (m + m.conj().T)), 0.0, None))[::-1]
+
+
+def xstate_formula(rho):
+    """Closed form for an X-shaped density matrix (Yu & Eberly, Quantum Inf.
+    Comput. 7, 459 (2007)), in the state's own basis:
+    C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))."""
+    d = np.clip(np.real(np.diag(rho)), 0.0, None)
+    corner, middle = abs(rho[0, 3]) - np.sqrt(d[1] * d[2]), abs(rho[1, 2]) - np.sqrt(d[0] * d[3])
+    return 2.0 * max(0.0, corner, middle)
 
 
 def werner(p):
@@ -87,7 +96,6 @@ class TestWootters:
     def test_spectrum_is_descending_and_consistent(self, rng):
         state = random_pair_state(rng)
         res = wootters_concurrence(state)
-        assert res.method == "general"
         s = res.spectrum
         assert np.all(np.diff(s) <= 1e-15)
         assert res.value == pytest.approx(max(0.0, s[0] - s[1] - s[2] - s[3]), abs=1e-15)
@@ -118,28 +126,24 @@ class TestWootters:
 
 
 class TestXStateShortcut:
+    """Wootters on X-shaped states against the X-state formula."""
+
     def test_pure_bell_corner_rule(self):
         state = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
-        res = xstate_concurrence(state)
-        assert res.method == "x-state"
-        assert res.value == pytest.approx(2 * abs(state.rho[0, 3]), abs=1e-14)
+        assert xstate_formula(state.rho) == pytest.approx(2 * abs(state.rho[0, 3]), abs=1e-14)
+        assert wootters_concurrence(state).value == pytest.approx(1.0, abs=1e-12)
 
     def test_esd_mixture(self):
-        assert xstate_concurrence(make_esd_mixture()).value == pytest.approx(0.5, abs=1e-15)
+        rho = make_esd_mixture().rho
+        assert xstate_formula(rho) == pytest.approx(0.5, abs=1e-15)
+        assert wootters_concurrence(make_esd_mixture()).value == pytest.approx(0.5, abs=1e-12)
 
     def test_agreement_with_general_method(self, rng):
         worst = 0.0
         for _ in range(1000):
             state = random_x_state(rng)
-            a = xstate_concurrence(state).value
-            b = wootters_concurrence(state).value
-            worst = max(worst, abs(a - b))
+            worst = max(worst, abs(xstate_formula(state.rho) - wootters_concurrence(state).value))
         assert worst <= 1e-10
-
-    def test_rejects_non_x_input(self, rng):
-        state = random_pair_state(rng)
-        with pytest.raises(ValueError):
-            xstate_concurrence(state)
 
 
 class TestNegativity:

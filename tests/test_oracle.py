@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from dense_reference import dense_modes, field_field_reduced
 
-from degjc import oracle
+from degjc import oracle, specialfn
 from degjc.closedform import (
     concurrence_closed,
     esd_concurrence_closed,
@@ -157,24 +157,36 @@ class TestTridiagonalEigensolve:
     @pytest.mark.parametrize("beta", [0.1, 0.5, 3.0])
     @pytest.mark.parametrize("f", [2, 5, 24, 26, 173, 618, 1235])
     def test_dstevd_equals_dense_eigh(self, f, beta):
-        if oracle._lapack_dstevd() is None:
+        if specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         diag, off = self._chain(f, beta)
-        energies, modes, solver = _tridiagonal_eigh(diag, off, ModelParams.from_beta(beta))
-        dense_energies, dense_modes = np.linalg.eigh(
-            np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        energies, modes, solver = _tridiagonal_eigh(diag, off)
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        dense_energies, dense_modes = np.linalg.eigh(dense)
         assert solver == "dstevd"
         assert modes.flags.c_contiguous
         assert np.array_equal(energies, dense_energies)
         assert np.array_equal(modes, dense_modes)
+        values, none, solver = _tridiagonal_eigh(diag, off, vectors=False)
+        assert (none, solver) == (None, "dstevd")
+        assert np.array_equal(values, np.linalg.eigvalsh(dense))
 
     def test_fallback_without_the_routine(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        dense_calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            dense_calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         params = ModelParams.from_beta(0.5)
         prop = build_hamiltonian(params, TruncationSpec(40))
         assert prop.eigensolver == "eigh"
+        assert dense_calls == [(41, 41)]
         diag, off = self._chain(41, 0.5)
-        energies, modes = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        energies, modes = eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
         assert np.array_equal(prop.chains[0][0], energies)
         assert np.array_equal(prop.chains[0][1], modes)
 
@@ -182,9 +194,11 @@ class TestTridiagonalEigensolve:
         def failing(*args):
             args[10]._obj.value = 7  # INFO > 0: no convergence
 
-        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: failing)
+        monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: failing)
         with pytest.raises(TruncationError, match="dstevd info=7"):
             build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(10))
+        with pytest.raises(np.linalg.LinAlgError, match="dstevd info=7"):
+            _tridiagonal_eigh(np.arange(3.0), np.ones(2), vectors=False)
 
     def test_peak_bytes_within_estimate(self):
         for omega0 in (0.0, 0.7):
@@ -699,7 +713,7 @@ class TestConcurrenceTrace:
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     def test_trace_names_its_eigensolve(self, omega0, monkeypatch):
         # every omega0 solves F x F tridiagonal chains
-        if oracle._lapack_dstevd() is None:
+        if specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trace = concurrence_trace(
             ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
@@ -707,7 +721,7 @@ class TestConcurrenceTrace:
             trunc=TruncationSpec(30),
         )
         assert (trace.eigensolver, trace.sector_dim) == ("dstevd", 31)
-        monkeypatch.setattr(oracle, "_lapack_dstevd", lambda: None)
+        monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         fallback = concurrence_trace(
             ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
             make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
@@ -892,6 +906,18 @@ class TestDefaultNcut:
         assert default_ncut(Thermal(25.0), 0.1) > default_ncut(Thermal(1.0), 0.1)
         assert default_ncut(Number(25), 0.1) > default_ncut(Number(1), 0.1)
         assert default_ncut(Coherent(3.0), 0.1) > default_ncut(Coherent(0.5), 0.1)
+
+    @pytest.mark.parametrize("alpha", [3.0, -5.0, 10.0])
+    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    def test_coherent_default_passes_its_checks(self, alpha, beta):
+        # the cutoff holds the tail of the field displaced to |alpha +- beta| + beta
+        grid = np.linspace(0.0, 2 * PI, 33)
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+        trace = concurrence_trace(ModelParams.from_beta(beta), Coherent(alpha), initial, grid)
+        assert trace.ncut == default_ncut(Coherent(alpha), beta)
+        assert trace.tail_mass <= 1e-10 and trace.doubling_error <= 1e-8
+        closed = concurrence_closed(BellState.PHI_PLUS, Coherent(alpha), beta, grid)
+        assert np.max(np.abs(trace.values - closed)) <= 1e-7
 
     def test_thermal_tail_fits(self):
         for nbar in (0.5, 1.0, 2.0, 25.0):

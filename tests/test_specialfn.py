@@ -1,10 +1,12 @@
 """Special-function tests against exact rational oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense_reference import laguerre_roots_dense
 
 from degjc import specialfn
 from degjc.specialfn import (
@@ -108,6 +110,35 @@ def test_roots_cutoff_nan_rejected_inf_keeps_all():
         with pytest.raises(ValueError, match="NaN"):
             laguerre_roots(n, np.float64("nan"))
     assert np.array_equal(laguerre_roots(5, float("inf")), laguerre_roots(5))
+
+
+@pytest.mark.parametrize("dstevd", [True, False])
+def test_roots_equal_the_dense_jacobi_reference(dstevd, monkeypatch):
+    # the values-only tridiagonal solve gives the dense eigvalsh bits
+    if dstevd and specialfn._lapack_dstevd() is None:
+        pytest.skip("numpy's LAPACK exports no dstevd")
+    if not dstevd:
+        monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+    for n in [*range(201), 400, 1000]:
+        assert np.array_equal(laguerre_roots(n), laguerre_roots_dense(n)), n
+    for n, x_max in ((25, 30.0), (400, 100.0), (1000, 4.0)):
+        assert np.array_equal(laguerre_roots(n, x_max), laguerre_roots_dense(n, x_max))
+
+
+def test_roots_of_the_largest_order_form_no_dense_matrix():
+    if specialfn._lapack_dstevd() is None:
+        pytest.skip("numpy's LAPACK exports no dstevd")
+    n = specialfn.MAX_LAGUERRE_ORDER
+    tracemalloc.start()
+    try:
+        roots = laguerre_roots(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the dense n x n Jacobi matrix alone takes 800 MB
+    assert len(roots) == n and np.all(np.diff(roots) > 0.0)
+    # the roots sum to the trace of the Jacobi matrix, sum(2k + 1) = n^2
+    assert math.fsum(roots) == pytest.approx(n * n, rel=1e-12)
 
 
 def _plain_recurrence(n, x):
