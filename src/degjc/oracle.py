@@ -141,10 +141,12 @@ def _run_bytes(params, field, spec):
 
     A run holds the eigenvectors of its chains and the
     :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
-    of V' P V (at most half an F x F array); otherwise four real rail Gram
-    matrices, the field Grams (seven for a unit-Fock field, ten for a
-    coherent one, twelve with the conjugate copies where its amplitude is
-    off the real axis and the field factors are complex) and one product.
+    of rows of 2 E (at most a quarter of an F x F array; the estimate
+    allows half); otherwise four real rail Gram matrices (of which E_01,
+    O_01 and their sum coexist while the cross pair is formed), the field
+    Grams (seven for a unit-Fock field, ten for a coherent one, twelve with
+    the conjugate copies where its amplitude is off the real axis and the
+    field factors are complex) and one product.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
     """
@@ -312,8 +314,9 @@ def field_components(field, trunc):
 # a (sector dim x points) complex phase matrix of at most this many bytes,
 # and at most this many bytes of the per-point stacks of the two-qubit
 # reduction and Wootters, which take up to _POINT_BYTES per point.  The
-# rows of V' P V are formed in chunks of at most a quarter of them, whose
-# two real (rows x F) arrays take at most this many bytes together.
+# rows of 2 E = 2 V_e' V_e, from the even Fock rows V_e of the eigenvectors,
+# are formed in chunks of at most a quarter of them, each one real
+# (rows x F) array of at most this many bytes.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 
@@ -323,7 +326,8 @@ def _unit_rows(vecs):
     k = vecs.shape[1]
     start = int(np.argmax(vecs[:, 0] != 0))
     rows = slice(start, start + k)
-    if np.count_nonzero(vecs) == k and np.array_equal(vecs[rows], np.eye(k)):
+    run = vecs[rows].diagonal()  # entries (start + c, c), the only nonzeros if a run
+    if len(run) == k and np.count_nonzero(vecs) == k and np.all(run == 1.0):
         return rows
     return None
 
@@ -344,19 +348,28 @@ class _MapKernel:
     o (Y^i_s W Y^k_t^H) / 4, with X = I for p = q and P otherwise, and
     overlaps Y^u_s = V_s' C, Y^d_s = V_s' P C.  A block with s = t and
     p = q has V_s' V_s = I and adds the constant (field norm) / 2 to
-    M_ii[p, p].  Entries whose blocks have the same two factors share one
-    product and differ only in sign.  Where every mixture component is a
-    unit Fock vector e_j (vacuum, number and thermal fields) the overlaps
-    are rows j of V_s, sliced rather than multiplied, and the Gram
-    Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k) Y^u_t' depends on i + k alone, so
-    M_dd takes the products of M_uu.  Where the chains coincide (omega0 =
-    0) the chain pairs collapse into the sigma_x sector form: M_uu and M_dd
-    are the field norm on their own rail and only M_ud[up, down] is a
-    bilinear form, with S = (V' P V) o (Y^u W Y^d^H) built in place from
-    the field Gram and chunks of rows of V' P V.  The factors are built
-    once per eigensolve and share no memory with the eigenvectors; a grid
-    is evaluated in blocks of ``block`` points, one matrix product per
-    distinct factor and block of points.
+    M_ii[p, p].  With P = diag((-1)^n), every eigenvector Gram is a sum or
+    difference of the products E_st = V_s[even]' V_t[even] and O_st =
+    V_s[odd]' V_t[odd] of the even and odd Fock rows: V_s' V_t = E + O and
+    V_s' P V_t = E - O, and within one chain E + O = I, so V_s' P V_s =
+    2 E_ss - I.  So the four rail Grams take the products E_00, E_11, E_01
+    and O_01, each over half the rows.  Entries whose blocks have the same
+    two factors share one product and differ only in sign.  Where every
+    mixture component is a unit Fock vector e_j (vacuum, number and thermal
+    fields) the overlaps are rows j of V_s, sliced rather than multiplied,
+    and the Gram Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k) Y^u_t' depends on
+    i + k alone, so M_dd takes the products of M_uu.  Where the chains
+    coincide (omega0 = 0) the chain pairs collapse into the sigma_x sector
+    form: M_uu and M_dd are the field norm on their own rail and only
+    M_ud[up, down] is a bilinear form, with S = (2 E - I) o (Y^u W Y^d^H) built in place: the
+    field Gram G first, then chunks of rows of the symmetric 2 E on and
+    above the diagonal, each multiplied into its rows of G and, mirrored,
+    into its columns below the diagonal, and last the diagonal of G
+    subtracted.  G itself is never mirrored: G_ab and G_ba are different
+    products in floating point.  The factors are built once per eigensolve
+    and share no memory with the eigenvectors; a grid is evaluated in
+    blocks of ``block`` points, one matrix product per distinct factor and
+    block of points.
     """
 
     def __init__(self, prop, field, trunc):
@@ -365,7 +378,10 @@ class _MapKernel:
             vecs = vecs.real
         self.components = len(weights)
         rows = _unit_rows(vecs)
-        norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
+        if rows is None:
+            norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
+        else:  # a run of unit Fock vectors: every squared column norm is exactly 1
+            norm = float(weights @ np.ones(len(weights)))
         parity = _parity(prop.fock_dim)
         modes = [v for _, v in prop.distinct_chains]
         self.chain_count = len(modes)
@@ -385,20 +401,36 @@ class _MapKernel:
         del vecs
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
+        f = prop.fock_dim
+        even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
         if len(modes) == 1:
-            (v,) = modes
+            (ve,) = even
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
             weight = field_gram(0, 0, 1, 0, weights)
-            f = prop.fock_dim
-            step = max(1, min(f // 4, _PHASE_BLOCK_BYTES // (16 * f)))
+            diagonal = weight.diagonal().copy()
+            step = max(1, min(f // 4, _PHASE_BLOCK_BYTES // (8 * f)))
             for start in range(0, f, step):
-                chunk = slice(start, start + step)
-                weight[chunk] *= (v.T[chunk] * parity) @ v
+                end = min(start + step, f)
+                twice = ve[:, start:end].T @ ve[:, start:]
+                twice *= 2.0
+                weight[start:end, start:] *= twice
+                weight[end:, start:end] *= twice[:, end - start:].T
+                del twice
+            weight.flat[::f + 1] -= diagonal
             self.terms = [(0, 0, (weight,), [((0, 1, 0, 1), 1)])]
             return
         scaled = 0.25 * weights  # the 1/4 of each block
-        rails = {(s, t, flip): (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
-                 for s, t, flip in ((0, 0, True), (0, 1, False), (0, 1, True), (1, 1, True))}
+        cross = even[0].T @ even[1]
+        odd = modes[0][1::2].T @ modes[1][1::2]
+        rails = {(0, 1, False): cross + odd}
+        cross -= odd
+        del odd
+        rails[0, 1, True] = cross
+        for s, ve in enumerate(even):
+            like = ve.T @ ve
+            like *= 2.0
+            like.flat[::f + 1] -= 1.0
+            rails[s, s, True] = like
         rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
         fields, products = {}, {}
         for i, k in ((0, 0), (0, 1), (1, 1)):

@@ -4,6 +4,8 @@ The oracle never forms the 2F x 2F eigenvector matrix of a subsystem block
 or the F^2 x F^2 field-field state, and ``laguerre_roots`` never forms the
 n x n Jacobi matrix; the tests build all three here and compare the
 library's parity chains, local-support witness and roots against them.
+The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
+odd Fock rows, are formed here as the direct products.
 """
 
 import math
@@ -20,6 +22,21 @@ def dense_modes(prop):
     (_, even), (_, odd) = prop.chains
     p = oracle._parity(prop.fock_dim)[:, None]
     return np.block([[even, odd], [p * even, -p * odd]]) / math.sqrt(2.0)
+
+
+def parity_gram(v):
+    """V' P V of one chain, P = diag((-1)^n), as one direct product."""
+    return (v.T * oracle._parity(len(v))) @ v
+
+
+def rail_grams(modes):
+    """The rail Grams V_s' X V_t of the two chains ``modes``, keyed
+    (s, t, flip) with X = P where ``flip`` and X = I otherwise."""
+    parity = oracle._parity(len(modes[0]))
+    rails = {(s, t, flip): (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
+             for s, t, flip in ((0, 0, True), (0, 1, False), (0, 1, True), (1, 1, True))}
+    rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
+    return rails
 
 
 def field_field_reduced(prop, bell, field, trunc, omega_t):

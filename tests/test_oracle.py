@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from dense_reference import dense_modes, field_field_reduced
+from dense_reference import dense_modes, field_field_reduced, parity_gram, rail_grams
 
 from degjc import oracle, specialfn
 from degjc.closedform import (
@@ -42,12 +42,14 @@ from degjc.oracle import (
     field_field_witness,
     low_spectrum,
     propagate_state,
+    truncation,
 )
 from degjc.oracle import (
     _PHASE_BLOCK_BYTES,
     _MapKernel,
     _reduced_stack,
     _tridiagonal_eigh,
+    _unit_rows,
 )
 
 PI = math.pi
@@ -487,6 +489,80 @@ class TestMapKernel:
         (general,) = _MapKernel(prop, field, trunc).blocks(grid)
         assert np.array_equal(sliced, general)
 
+    @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("f, tail_tol", [(22, 0.5), (313, 1e-5), (1235, 1e-12)])
+    def test_split_grams_match_the_direct_products(self, f, tail_tol, omega0, solver,
+                                                   monkeypatch):
+        # the factors from even and odd Fock rows against V' P V and the
+        # four rail products formed directly; at F = 1235, K = 705 thermal
+        # components as in the doubled run of the README's ESD example
+        if solver == "eigh":
+            monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+        elif specialfn._lapack_dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no dstevd")
+        trunc = TruncationSpec(f - 1, tail_tol)
+        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
+        assert prop.eigensolver == solver
+        modes = [v for _, v in prop.distinct_chains]
+        if omega0:
+            rails = rail_grams(modes)
+        else:
+            (v,), parity = modes, oracle._parity(f)
+            vpv = parity_gram(v)
+        fields = [Vacuum(), Number(5), Thermal(25.0), Coherent(1 + 0.5j), Coherent(0.5j)]
+        if omega0 and f > 1000:
+            # a complex kernel off omega0 = 0 holds about 30 F^2 words, 370 MB
+            # here, and its rail factors do not depend on the field
+            fields = fields[:3]
+        for field in fields:
+            kernel = _MapKernel(prop, field, trunc)
+            if omega0:
+                # S^st = (V_s' X V_t) o (field Gram): the rail factor of each product
+                got = {(s, t, p != q): factors[0] for s, t, factors, (((_, _, p, q), _), *_)
+                       in kernel.terms}
+                assert len(got) == 6
+                pairs = [(got[key], rails[key]) for key in got]
+            else:
+                weights, vecs, _ = field_components(field, trunc)
+                gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
+                    v.T, parity[:, None] * vecs).conj().T
+                ((_, _, (factor,), _),) = kernel.terms
+                assert np.iscomplexobj(factor) == np.iscomplexobj(vecs)
+                pairs = [(factor, vpv * gram)]
+            for got, expected in pairs:
+                bound = 1e-13 * np.max(np.abs(expected))
+                assert np.max(np.abs(got - expected)) <= bound, field
+            del kernel, pairs
+
+    def test_unit_rows_find_a_run_of_unit_fock_vectors(self):
+        vecs = np.zeros((6, 3))
+        vecs[1:4] = np.eye(3)
+        assert _unit_rows(vecs) == slice(1, 4)
+        assert _unit_rows(vecs[:, :1]) == slice(1, 2)
+
+    @pytest.mark.parametrize(
+        "defect", ["permuted identity", "two nonzeros", "two nonzeros and an empty column",
+                   "one in the wrong row", "run past the last row", "not one"])
+    def test_unit_rows_reject_every_other_matrix(self, defect):
+        vecs = np.zeros((6, 3))
+        vecs[1:4] = np.eye(3)
+        if defect == "permuted identity":
+            vecs[1:4] = np.eye(3)[:, [0, 2, 1]]
+        elif defect == "two nonzeros":
+            vecs[5, 1] = 1.0
+        elif defect == "two nonzeros and an empty column":
+            vecs[5, 1], vecs[3, 2] = 1.0, 0.0
+        elif defect == "one in the wrong row":
+            vecs[3, 2], vecs[5, 2] = 0.0, 1.0
+        elif defect == "run past the last row":
+            vecs = np.zeros((4, 3))
+            vecs[2, 0] = vecs[3, 1] = 1.0
+            vecs[0, 2] = 1.0
+        else:
+            vecs[2, 1] = -1.0
+        assert _unit_rows(vecs) is None
+
     @pytest.mark.parametrize(
         "field, omega0, products",
         [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
@@ -883,10 +959,20 @@ class TestMemoryBudget:
         return peak
 
     def test_degenerate_trace_holds_three_f_squared_words(self):
-        # eigenvectors, the one factor S and a chunk of V' P V at F = 313
+        # eigenvectors, the one factor S and a chunk of rows of 2 E at F = 313
         trunc = TruncationSpec(156)
         f = trunc.doubled().ncut + 1
         assert self._peak(ModelParams.from_beta(0.3), Thermal(5.0), trunc) <= 3 * 8 * f * f
+
+    def test_readme_esd_trace_peak(self):
+        # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
+        # K = 705 components; the peak is the eigenvectors, G and the F x K
+        # overlaps while G is formed, 2.575 F^2 words, then S and a chunk of 2 E
+        params, field = ModelParams.from_beta(0.1), Thermal(25.0)
+        trunc = truncation(field, 0.1)
+        f = trunc.doubled().ncut + 1
+        assert f == 1235
+        assert self._peak(params, field, trunc) <= 2.6 * 8 * f * f
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize(
