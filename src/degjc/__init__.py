@@ -8,13 +8,11 @@ Fock-space propagator.
 __version__ = "0.1.0"
 
 from .closedform import (
-    GammaValue,
     characteristic_integral,
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
     evolve_spin_coherent,
-    evolved_vacuum_state_amplitude,
     gamma,
     modulation_factor,
     single_qubit_coherence,
@@ -69,7 +67,6 @@ __all__ = [
     "ConcurrenceResult",
     "FieldFieldWitness",
     "FieldSpec",
-    "GammaValue",
     "ModelParams",
     "Number",
     "OracleTrace",
@@ -92,7 +89,6 @@ __all__ = [
     "default_ncut",
     "esd_concurrence_closed",
     "evolve_spin_coherent",
-    "evolved_vacuum_state_amplitude",
     "field_field_witness",
     "gamma",
     "laguerre",

@@ -5,11 +5,11 @@ times time).  The single time-dependent control variable is
 
     gamma(t) = exp(i w t) - 1,       |gamma|^2 = 2 - 2 cos(w t) in [0, 4],
 
-a circle of radius 1 around -1 in the complex plane.  A qubit coherence
-picks up the field-independent envelope exp(-2 beta^2 |gamma|^2) times the
-normally-ordered characteristic function of the initial field evaluated at
--2 beta gamma; two-qubit corner coherences carry the doubled exponent
-4 beta^2 |gamma|^2 and the characteristic factor squared.
+a circle of radius 1 around -1 in the complex plane.  Every law comes from
+one factor, the unit qubit coherence kappa = exp(-2 beta^2 |gamma|^2) I:
+the field-independent envelope times the normally-ordered characteristic
+function I of the initial field at -2 beta gamma.  Two-qubit sigma_x corner
+coherences carry kappa^2 and middle ones |kappa|^2.
 
 All functions accept scalar or array ``omega_t`` and are pure;
 ``concurrence_at_half_period`` also takes an array of ``beta``.  Each law
@@ -17,15 +17,14 @@ computes on an array of phases and reshapes its result once, so one phase
 gives a numpy scalar with the bits of the matching grid element.  A NaN or
 infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``, and so
 does a finite pair whose exponent bound 16 (1 + 2 nbar) beta^2 overflows.
-Number-state laws, exp(-x/2) L_N(x) and its square with
-x = 4 beta^2 |gamma|^2, are bounded by 1 although L_N(x) alone may leave
-the float range and exp(-x/2) alone may underflow; there the binary
-exponent of the scaled Laguerre recurrence is folded into the exponential.
+Number-state laws, exp(-p x/2) L_N(x)^p with x = 4 beta^2 |gamma|^2 and
+p = 1 or 2, are bounded by 1 although L_N(x) alone may leave the float
+range and exp(-x/2) alone may underflow; there the binary exponent of the
+scaled Laguerre recurrence is folded into the exponential.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,49 +60,54 @@ def _shaped(value, shape):
     return value.reshape(shape)[()]
 
 
-def _number_terms(n, x):
-    """``(L_n(x), exp(-x/2) L_n(x))`` for x >= 0.
+def _abs2(wt):
+    """|gamma|^2 = 2 - 2 cos(w t)."""
+    return 2.0 - 2.0 * np.cos(wt)
 
-    The first is inf where |L_n(x)| leaves the float range.  The second
-    folds the exponent of L_n(x) = m 2^e into the exponential,
-    m exp(e ln 2 - x/2), and stays finite: |L_n(x)| <= e^{x/2}.  m = 0 may
-    carry any exponent, so the argument is capped at 1; elsewhere it is
-    below ln 2.
-    """
+
+def _number_fold(n, x, p):
+    """exp(-p x/2) L_n(x)^p for x >= 0 and p = 1 or 2: the plain product
+    where it is finite and it and the exponential are normal, else, unless
+    0, the folded (m exp(e ln 2 - x/2))^p of L_n(x) = m 2^e, finite as
+    |L_n(x)| <= e^{x/2}.  A subnormal exponential has lost bits even where
+    the plain product is normal.  m = 0 may carry any exponent, so the
+    folded argument is capped at 1; elsewhere it is below ln 2."""
     m, e = laguerre_scaled(n, x)
-    with np.errstate(over="ignore"):
-        lag = np.ldexp(m, e)
-    return lag, m * np.exp(np.minimum(e * _LN2 - 0.5 * x, 1.0))
-
-
-def _plain_or_folded(plain, folded, env):
-    """``plain``, the product of the exponential factor ``env`` and powers
-    of L_n(x), where it is finite and both it and ``env`` are normal; else
-    ``folded`` unless that is 0.  The plain product overflows with L_n(x);
-    a subnormal ``env`` has lost bits even where the product is normal."""
+    env = np.exp(-0.5 * p * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = env * np.ldexp(m, e) ** p
+    folded = (m * np.exp(np.minimum(e * _LN2 - 0.5 * x, 1.0))) ** p
     lost = (np.abs(plain) < _TINY) | (env < _TINY)
     return np.where(~np.isfinite(plain) | (lost & (folded != 0)), folded, plain)
 
 
-@dataclass(frozen=True)
-class GammaValue:
-    """exp(i w t) - 1 together with |gamma|^2 = 2 - 2 cos(w t)."""
+def _integral(field, beta, wt):
+    """The characteristic integral I(-2 beta gamma) on the phase array ``wt``."""
+    x = 4.0 * beta**2 * _abs2(wt)
+    if isinstance(field, Vacuum):
+        return np.ones_like(x, dtype=complex)
+    if isinstance(field, Coherent):
+        return np.exp(4j * beta * np.imag(field.alpha0 * np.conj(np.exp(1j * wt) - 1.0)))
+    if isinstance(field, Number):
+        return laguerre(field.n, x).astype(complex)
+    if isinstance(field, Thermal):
+        return np.exp(-field.nbar * x).astype(complex)
+    raise TypeError(f"unsupported field class: {field!r}")
 
-    omega_t: object
-    gamma: object
-    abs2: object
 
-
-def _abs2(wt):
-    """|gamma|^2 = 2 - 2 cos(w t) alone."""
-    return 2.0 - 2.0 * np.cos(wt)
+def _kappa(field, beta, wt):
+    """kappa = exp(-2 beta^2 |gamma|^2) I(-2 beta gamma) on the phase array
+    ``wt``; a number state takes the fold, finite where L_N is not."""
+    x = 4.0 * beta**2 * _abs2(wt)
+    if isinstance(field, Number):
+        return _number_fold(field.n, x, 1).astype(complex)
+    return np.exp(-0.5 * x) * _integral(field, beta, wt)
 
 
 def gamma(omega_t):
     """The circulating displacement factor exp(i w t) - 1."""
     wt, shape = _check_inputs(0.0, omega_t)
-    g = (wt, np.exp(1j * wt) - 1.0, _abs2(wt))
-    return GammaValue(*(_shaped(v, shape) for v in g))
+    return _shaped(np.exp(1j * wt) - 1.0, shape)
 
 
 def modulation_factor(beta, omega_t):
@@ -112,7 +116,7 @@ def modulation_factor(beta, omega_t):
     return _shaped(np.exp(-2.0 * beta**2 * _abs2(wt)), shape)
 
 
-def characteristic_integral(field, beta, g):
+def characteristic_integral(field, beta, omega_t):
     """Fourier transform of the field's diagonal coherent-state weight.
 
     Equals the normally-ordered characteristic function at -2 beta gamma:
@@ -124,69 +128,44 @@ def characteristic_integral(field, beta, g):
 
     Raises ``OverflowError`` where L_N leaves the float range.
     """
-    _, shape = _check_inputs(beta, g.omega_t, getattr(field, "nbar", 0.0))
-    gam, abs2 = np.atleast_1d(g.gamma, g.abs2)
-    if isinstance(field, Vacuum):
-        val = np.ones(shape, dtype=complex)
-    elif isinstance(field, Coherent):
-        val = np.exp(4j * beta * np.imag(field.alpha0 * np.conj(gam)))
-    elif isinstance(field, Number):
-        val = laguerre(field.n, 4.0 * beta**2 * abs2).astype(complex)
-    elif isinstance(field, Thermal):
-        val = np.exp(-4.0 * field.nbar * beta**2 * abs2).astype(complex)
-    else:
-        raise TypeError(f"unsupported field class: {field!r}")
-    return _shaped(val, shape)
+    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    return _shaped(_integral(field, beta, wt), shape)
 
 
 def single_qubit_coherence(q0, field, beta, omega_t):
     """Evolved off-diagonal element of one qubit's reduced density matrix.
 
-    Q_updown(t) = q0 * exp(-2 beta^2 |gamma|^2) * characteristic_integral.
-    A density-matrix coherence satisfies |q0| <= 1/2; q0 = 1 is accepted and
-    returns the bare propagation factor.
+    Q_updown(t) = q0 * kappa, kappa = exp(-2 beta^2 |gamma|^2) *
+    characteristic_integral.  A density-matrix coherence satisfies
+    |q0| <= 1/2; q0 = 1 is accepted and returns kappa itself.
     """
     if abs(q0) > 1.0 + 1e-12:
         raise ValueError(f"|q0| must be <= 1, got {abs(q0)!r}")
-    wt, shape = _check_inputs(beta, omega_t)
-    g = gamma(wt)
-    env = np.exp(-2.0 * beta**2 * g.abs2)
-    if isinstance(field, Number):
-        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = q0 * env * lag.astype(complex)
-        return _shaped(_plain_or_folded(plain, q0 * damped, env), shape)
-    return _shaped(q0 * env * characteristic_integral(field, beta, g), shape)
+    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    return _shaped(q0 * _kappa(field, beta, wt), shape)
 
 
 def two_qubit_offdiagonal(bell, field, beta, omega_t):
     """The single nonvanishing off-diagonal element of the evolved pair state.
 
-    For Phi+ (sigma_x corner up-up/down-down):
-        (1/2) exp(-4 beta^2 |gamma|^2) * I^2,
-    for Phi- (sigma_x middle up-down/down-up):
-        (1/2) exp(-4 beta^2 |gamma|^2) * |I|^2,
-    with I the characteristic integral of the (identical) initial fields.
-    Psi+- evolve into local-unitary images of Phi+- and are mapped to the
-    same values; only the magnitude enters the concurrence.
+    In the sigma_x basis (up up, up down, down up, down down) Phi+- and
+    Psi+- start with the element +1/2 or -1/2 in one place:
+
+    * Phi+ (corner up-up/down-down):  (1/2) kappa^2,
+    * Phi- (middle up-down/down-up):  (1/2) |kappa|^2,
+    * Psi+ (corner):                 -(1/2) kappa^2,
+    * Psi- (middle):                 -(1/2) |kappa|^2,
+
+    with kappa = ``single_qubit_coherence(1, field, beta, omega_t)`` of the
+    (identical) initial fields.
     """
-    if bell not in BellState:
+    if not isinstance(bell, BellState):
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    wt, shape = _check_inputs(beta, omega_t)
-    g = gamma(wt)
-    env = np.exp(-4.0 * beta**2 * g.abs2)
-    number = isinstance(field, Number)
-    if number:
-        lag, damped = _number_terms(field.n, 4.0 * beta**2 * g.abs2)
-        ci = lag.astype(complex)
-    else:
-        ci = characteristic_integral(field, beta, g)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if bell in (BellState.PHI_PLUS, BellState.PSI_PLUS):
-            val = 0.5 * env * ci * ci
-        else:
-            val = 0.5 * env * (np.abs(ci) * np.abs(ci))
-    return _shaped(_plain_or_folded(val, 0.5 * (damped * damped), env) if number else val, shape)
+    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    k = _kappa(field, beta, wt)
+    half = 0.5 if bell in (BellState.PHI_PLUS, BellState.PHI_MINUS) else -0.5
+    corner = bell in (BellState.PHI_PLUS, BellState.PSI_PLUS)
+    return _shaped(half * (k * k if corner else np.abs(k) ** 2), shape)
 
 
 def concurrence_closed(bell, field, beta, omega_t):
@@ -194,24 +173,19 @@ def concurrence_closed(bell, field, beta, omega_t):
 
     Identical for all four Bell inputs.  Per field class:
 
-    * Coherent / Vacuum:  exp(-4 beta^2 |gamma|^2),
+    * Coherent / Vacuum:  exp(-4 beta^2 |gamma|^2), the thermal law at nbar = 0,
     * Number(N):          exp(-4 beta^2 |gamma|^2) L_N(4 beta^2 |gamma|^2)^2,
     * Thermal(nbar):      exp(-4 (1+2 nbar) beta^2 |gamma|^2).
     """
-    if bell not in BellState:
+    if not isinstance(bell, BellState):
         raise TypeError(f"unsupported Bell state: {bell!r}")
-    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
+    nbar = getattr(field, "nbar", 0.0)
+    wt, shape = _check_inputs(beta, omega_t, nbar)
     abs2 = _abs2(wt)
-    if isinstance(field, (Vacuum, Coherent)):
-        val = np.exp(-4.0 * beta**2 * abs2)
-    elif isinstance(field, Number):
-        lag, damped = _number_terms(field.n, 4.0 * beta**2 * abs2)
-        env = np.exp(-4.0 * beta**2 * abs2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            plain = env * (lag * lag)
-        val = _plain_or_folded(plain, damped * damped, env)
-    elif isinstance(field, Thermal):
-        val = np.exp(-4.0 * (1.0 + 2.0 * field.nbar) * beta**2 * abs2)
+    if isinstance(field, Number):
+        val = _number_fold(field.n, 4.0 * beta**2 * abs2, 2)
+    elif isinstance(field, (Vacuum, Coherent, Thermal)):
+        val = np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * abs2)
     else:
         raise TypeError(f"unsupported field class: {field!r}")
     return _shaped(val, shape)
@@ -237,25 +211,14 @@ def esd_concurrence_closed(beta, nbar, omega_t):
     The diagonals stay at (3/8, 1/8, 1/8, 3/8) while the corner coherence
     follows the Phi+ thermal factor, giving the X-state value
 
-        max(0, (3/4) exp(-4 (1+2 nbar) beta^2 |gamma|^2) - 1/4),
+        max(0, (3/4) C - 1/4),   C = exp(-4 (1+2 nbar) beta^2 |gamma|^2),
 
-    which vanishes on a finite interval iff 16 (1+2 nbar) beta^2 >= ln 3.
-    Validated against the truncated-Fock propagator in the test suite.
+    the Phi+ concurrence, which vanishes on a finite interval iff
+    16 (1+2 nbar) beta^2 >= ln 3.  Validated against the truncated-Fock
+    propagator in the test suite.
     """
-    wt, shape = _check_inputs(beta, omega_t, nbar)
-    val = 0.75 * np.exp(-4.0 * (1.0 + 2.0 * nbar) * beta**2 * _abs2(wt)) - 0.25
-    return _shaped(np.maximum(0.0, val), shape)
-
-
-def evolved_vacuum_state_amplitude(beta, omega_t):
-    """Coherent amplitude beta * gamma*(t) of the vacuum-field evolved branches.
-
-    The Phi+ x vacuum x vacuum initial state evolves into
-    (|up up, b(t), b(t)> + |down down, -b(t), -b(t)>)/sqrt(2) with
-    b(t) = beta (exp(-i w t) - 1).
-    """
-    wt, shape = _check_inputs(beta, omega_t)
-    return _shaped(beta * np.conj(gamma(wt).gamma), shape)
+    c = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, omega_t)
+    return np.maximum(0.0, 0.75 * c - 0.25)
 
 
 def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
@@ -270,7 +233,8 @@ def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
                    e^{-i beta^2 sin w t} e^{ i beta Im[alpha* gamma(t)]}.
 
     alpha = -beta (spin up) sits at the center of its displacement circle
-    and is a fixed point of the amplitude map.
+    and is a fixed point of the amplitude map; alpha = 0 gives the vacuum
+    branch amplitude beta gamma*(t) (-beta gamma*(t) for spin down).
 
     The phases are for the convention in which the subsystem ground energy
     is shifted to zero.  The numerical propagator omits that constant
@@ -281,13 +245,13 @@ def evolve_spin_coherent(alpha, spin_up, beta, omega_t):
     alpha = complex(alpha)
     if not cmath.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha!r}")
-    g = gamma(wt)
+    g = np.exp(1j * wt) - 1.0
     rot = np.exp(-1j * wt)
     common = np.exp(-1j * beta**2 * np.sin(wt))
     if spin_up:
         amplitude = (alpha + beta) * rot - beta
-        phase = common * np.exp(1j * beta * np.imag(alpha * np.conj(g.gamma)))
+        phase = common * np.exp(1j * beta * np.imag(alpha * np.conj(g)))
     else:
         amplitude = (alpha - beta) * rot + beta
-        phase = common * np.exp(1j * beta * np.imag(np.conj(alpha) * g.gamma))
+        phase = common * np.exp(1j * beta * np.imag(np.conj(alpha) * g))
     return _shaped(amplitude, shape), _shaped(phase, shape)

@@ -1,20 +1,22 @@
 """The public surface of ``degjc``, written out so that any change to it
 shows up in a diff."""
 
+import re
+from pathlib import Path
+
 import degjc
 
 PUBLIC = [
     "BellState", "Coherent", "ConcurrenceResult", "FieldFieldWitness", "FieldSpec",
-    "GammaValue", "ModelParams", "Number", "OracleTrace", "QubitBasis", "QubitPairState",
+    "ModelParams", "Number", "OracleTrace", "QubitBasis", "QubitPairState",
     "SubsystemPropagator", "Thermal", "TruncationError", "TruncationSpec", "Vacuum",
     "__version__", "bell_ket", "build_hamiltonian", "change_basis",
     "characteristic_integral", "coherent_fock_vector", "coherent_overlap",
     "concurrence_at_half_period", "concurrence_closed", "concurrence_trace", "default_ncut",
-    "esd_concurrence_closed", "evolve_spin_coherent", "evolved_vacuum_state_amplitude",
-    "field_field_witness", "gamma", "laguerre", "laguerre_roots", "laguerre_scaled",
-    "low_spectrum", "make_bell", "make_esd_mixture", "modulation_factor", "negativity",
-    "propagate_state", "single_qubit_coherence", "thermal_weights", "two_qubit_offdiagonal",
-    "wootters_concurrence",
+    "esd_concurrence_closed", "evolve_spin_coherent", "field_field_witness", "gamma",
+    "laguerre", "laguerre_roots", "laguerre_scaled", "low_spectrum", "make_bell",
+    "make_esd_mixture", "modulation_factor", "negativity", "propagate_state",
+    "single_qubit_coherence", "thermal_weights", "two_qubit_offdiagonal", "wootters_concurrence",
 ]
 
 
@@ -23,3 +25,15 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(degjc.__all__)) == len(degjc.__all__)
     missing = [name for name in degjc.__all__ if not hasattr(degjc, name)]
     assert not missing
+
+
+def test_readme_library_example_runs(capsys):
+    # the Python block of the README's Library section, run as written
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    kappa_line, trace_line = capsys.readouterr().out.splitlines()
+    assert float(kappa_line) <= 1e-14
+    error, ncut, doubling = trace_line.split()
+    assert float(error) <= 1e-8 and int(ncut) > 0 and float(doubling) <= 1e-8

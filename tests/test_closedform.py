@@ -1,6 +1,5 @@
 """Closed-form dynamics: frozen values and structural properties."""
 
-import dataclasses
 import inspect
 import math
 
@@ -14,7 +13,6 @@ from degjc.closedform import (
     concurrence_closed,
     esd_concurrence_closed,
     evolve_spin_coherent,
-    evolved_vacuum_state_amplitude,
     gamma,
     modulation_factor,
     single_qubit_coherence,
@@ -29,31 +27,23 @@ PI = math.pi
 
 class TestGamma:
     def test_zero(self):
-        g = gamma(0.0)
-        assert g.gamma == 0.0
-        assert g.abs2 == 0.0
+        assert gamma(0.0) == 0.0
 
     def test_half_period(self):
-        g = gamma(PI)
-        assert g.gamma == pytest.approx(-2.0 + 0.0j, abs=1e-15)
-        assert g.abs2 == 4.0
+        assert gamma(PI) == pytest.approx(-2.0 + 0.0j, abs=1e-15)
 
     def test_full_period(self):
-        g = gamma(2.0 * PI)
-        assert abs(g.gamma) < 1e-15
-        assert abs(g.abs2) < 1e-15
+        assert abs(gamma(2.0 * PI)) < 1e-15
 
     def test_circle_around_minus_one(self, rng):
         wt = rng.uniform(0.0, 20.0, size=200)
         g = gamma(wt)
-        np.testing.assert_allclose(np.abs(g.gamma + 1.0), 1.0, atol=1e-14)
-        assert np.all(g.abs2 >= 0.0)
-        assert np.all(g.abs2 <= 4.0 + 1e-14)
+        np.testing.assert_allclose(np.abs(g + 1.0), 1.0, atol=1e-14)
+        assert np.all(np.abs(g) <= 2.0 + 1e-14)
 
     def test_abs2_consistent_with_gamma(self, rng):
         wt = rng.uniform(0.0, 20.0, size=200)
-        g = gamma(wt)
-        np.testing.assert_allclose(np.abs(g.gamma) ** 2, g.abs2, atol=1e-14)
+        np.testing.assert_allclose(np.abs(gamma(wt)) ** 2, 2.0 - 2.0 * np.cos(wt), atol=1e-14)
 
 
 class TestModulationFactor:
@@ -86,26 +76,23 @@ class TestCharacteristicIntegral:
     def test_coherent_is_pure_phase(self, rng):
         for _ in range(20):
             a0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            g = gamma(rng.uniform(0, 2 * PI))
-            val = characteristic_integral(Coherent(a0), 0.4, g)
+            val = characteristic_integral(Coherent(a0), 0.4, rng.uniform(0, 2 * PI))
             assert abs(abs(val) - 1.0) < 1e-14
 
     def test_vacuum_and_number_zero(self):
-        g = gamma(1.3)
-        assert characteristic_integral(Vacuum(), 0.5, g) == 1.0 + 0.0j
-        assert characteristic_integral(Number(0), 0.5, g) == pytest.approx(1.0 + 0.0j, abs=1e-15)
+        assert characteristic_integral(Vacuum(), 0.5, 1.3) == 1.0 + 0.0j
+        assert characteristic_integral(Number(0), 0.5, 1.3) == pytest.approx(1.0 + 0.0j, abs=1e-15)
 
     def test_thermal_gaussian_value(self):
         # nbar=1, beta=0.5, wt=pi: exp(-4 * 1 * 0.25 * 4) = exp(-4)
-        val = characteristic_integral(Thermal(1.0), 0.5, gamma(PI))
+        val = characteristic_integral(Thermal(1.0), 0.5, PI)
         assert val.real == pytest.approx(math.exp(-4.0), rel=1e-14)
         assert val.imag == 0.0
 
     def test_number_is_laguerre(self):
-        g = gamma(2.1)
-        beta = 0.35
-        val = characteristic_integral(Number(4), beta, g)
-        assert val.real == pytest.approx(laguerre(4, 4 * beta**2 * g.abs2), rel=1e-14)
+        beta, wt = 0.35, 2.1
+        val = characteristic_integral(Number(4), beta, wt)
+        assert val.real == pytest.approx(laguerre(4, 4 * beta**2 * abs(gamma(wt)) ** 2), rel=1e-14)
 
 
 class TestSingleQubitCoherence:
@@ -120,7 +107,7 @@ class TestSingleQubitCoherence:
         for _ in range(10):
             beta, nbar, wt = rng.uniform(0, 1), rng.uniform(0, 4), rng.uniform(0, 2 * PI)
             val = single_qubit_coherence(0.5, Thermal(nbar), beta, wt)
-            expected = 0.5 * math.exp(-2 * (1 + 2 * nbar) * beta**2 * gamma(wt).abs2)
+            expected = 0.5 * math.exp(-2 * (1 + 2 * nbar) * beta**2 * abs(gamma(wt)) ** 2)
             assert val == pytest.approx(expected, rel=1e-12)
 
     def test_real_coherent_amplitude_no_phase_at_half_period(self):
@@ -158,34 +145,43 @@ class TestTwoQubitOffdiagonal:
             g = gamma(wt)
             expected = (
                 0.5
-                * np.exp(8j * beta * np.imag(a0 * np.conj(g.gamma)))
-                * math.exp(-4 * beta**2 * g.abs2)
+                * np.exp(8j * beta * np.imag(a0 * np.conj(g)))
+                * math.exp(-4 * beta**2 * abs(g) ** 2)
             )
             val = two_qubit_offdiagonal(BellState.PHI_PLUS, Coherent(a0), beta, wt)
             assert val == pytest.approx(expected, rel=1e-12)
 
     def test_revival_to_half(self):
+        # Phi+- start at +1/2 and Psi+- at -1/2 in the sigma_x basis
         for bell in BellState:
+            start = 0.5 if bell in (BellState.PHI_PLUS, BellState.PHI_MINUS) else -0.5
             for field in (Vacuum(), Coherent(1.0), Number(2), Thermal(0.7)):
                 val = two_qubit_offdiagonal(bell, field, 0.8, 2.0 * PI)
-                assert val == pytest.approx(0.5, abs=1e-12)
+                assert val == pytest.approx(start, abs=1e-12)
 
     def test_phi_minus_thermal_is_real_decay(self, rng):
         for _ in range(10):
             beta, nbar, wt = rng.uniform(0, 1), rng.uniform(0, 3), rng.uniform(0, 2 * PI)
             val = two_qubit_offdiagonal(BellState.PHI_MINUS, Thermal(nbar), beta, wt)
-            expected = 0.5 * math.exp(-4 * (1 + 2 * nbar) * beta**2 * gamma(wt).abs2)
+            expected = 0.5 * math.exp(-4 * (1 + 2 * nbar) * beta**2 * abs(gamma(wt)) ** 2)
             assert val == pytest.approx(expected, rel=1e-12)
 
     def test_psi_maps_to_phi(self, rng):
+        # Psi+ is (up up - down down)/sqrt(2) and Psi- (down up - up down)/sqrt(2)
+        # in the sigma_x basis: the Phi+ corner and Phi- middle, negated
         beta, wt = 0.45, 1.9
         field = Coherent(1.0 - 0.5j)
-        assert two_qubit_offdiagonal(BellState.PSI_PLUS, field, beta, wt) == pytest.approx(
-            two_qubit_offdiagonal(BellState.PHI_PLUS, field, beta, wt)
-        )
-        assert two_qubit_offdiagonal(BellState.PSI_MINUS, field, beta, wt) == pytest.approx(
-            two_qubit_offdiagonal(BellState.PHI_MINUS, field, beta, wt)
-        )
+        phi_plus = two_qubit_offdiagonal(BellState.PHI_PLUS, field, beta, wt)
+        phi_minus = two_qubit_offdiagonal(BellState.PHI_MINUS, field, beta, wt)
+        assert abs(np.angle(phi_plus)) > 0.5  # the corner carries the phase of kappa^2
+        assert two_qubit_offdiagonal(BellState.PSI_PLUS, field, beta, wt) == -phi_plus
+        assert two_qubit_offdiagonal(BellState.PSI_MINUS, field, beta, wt) == -phi_minus
+
+    @pytest.mark.parametrize("bell", ["phi+", None])
+    @pytest.mark.parametrize("law", [two_qubit_offdiagonal, concurrence_closed])
+    def test_rejects_what_is_no_bell_state(self, law, bell):
+        with pytest.raises(TypeError, match="Bell state"):
+            law(bell, Vacuum(), 0.3, 1.0)
 
     def test_concurrence_is_twice_magnitude(self, rng):
         for _ in range(20):
@@ -337,14 +333,20 @@ class TestEsdClosed:
 
 
 class TestEvolvedVacuumAmplitude:
+    """The vacuum branch amplitude beta gamma*(t): the spin-up map at alpha = 0."""
+
+    @staticmethod
+    def _amplitude(beta, omega_t):
+        return evolve_spin_coherent(0.0, True, beta, omega_t)[0]
+
     def test_zero_time(self):
-        assert evolved_vacuum_state_amplitude(0.6, 0.0) == 0.0
+        assert self._amplitude(0.6, 0.0) == 0.0
 
     def test_half_period(self):
-        assert evolved_vacuum_state_amplitude(0.6, PI) == pytest.approx(-1.2 + 0.0j, abs=1e-15)
+        assert self._amplitude(0.6, PI) == pytest.approx(-1.2 + 0.0j, abs=1e-15)
 
     def test_branch_overlap_becomes_small(self):
-        b = evolved_vacuum_state_amplitude(0.75, PI)
+        b = self._amplitude(0.75, PI)
         overlap = coherent_overlap(b, -b)
         assert abs(overlap) == pytest.approx(math.exp(-2 * abs(b) ** 2), rel=1e-13)
         assert abs(overlap) == pytest.approx(math.exp(-4.5), rel=1e-13)
@@ -391,9 +393,9 @@ class TestNonFiniteInputs:
             lambda b, wt: concurrence_closed(BellState.PHI_PLUS, Number(2), b, wt),
             lambda b, wt: concurrence_closed(BellState.PSI_MINUS, Coherent(1.0), b, wt),
             lambda b, wt: esd_concurrence_closed(b, 2.0, wt),
-            lambda b, wt: evolved_vacuum_state_amplitude(b, wt),
+            lambda b, wt: evolve_spin_coherent(0.0, True, b, wt),
             lambda b, wt: evolve_spin_coherent(0.3, True, b, wt),
-            lambda b, wt: characteristic_integral(Number(2), b, gamma(wt)),
+            lambda b, wt: characteristic_integral(Number(2), b, wt),
         ],
     )
     @pytest.mark.parametrize(
@@ -459,7 +461,7 @@ class TestNumberStateOverflow:
         np.testing.assert_allclose(4.0 * np.abs(coh) ** 2, c, rtol=1e-11, atol=1e-15)
         np.testing.assert_allclose(2.0 * np.abs(off), c, rtol=1e-11, atol=1e-15)
         with pytest.raises(OverflowError):
-            characteristic_integral(Number(200), 20.0, gamma(wt))
+            characteristic_integral(Number(200), 20.0, wt)
 
 
 class TestNumberStateUnderflow:
@@ -480,7 +482,7 @@ class TestNumberStateUnderflow:
     def test_three_laws_against_mpmath(self, n, beta):
         wt = np.linspace(0.05, 2 * PI - 0.05, 41)
         coh = single_qubit_coherence(0.5, Number(n), beta, wt) / 0.5
-        off = {b: 2.0 * two_qubit_offdiagonal(b, Number(n), beta, wt) for b in BellState}
+        off = {b: 2.0 * np.abs(two_qubit_offdiagonal(b, Number(n), beta, wt)) for b in BellState}
         c = concurrence_closed(BellState.PHI_PLUS, Number(n), beta, wt)
         for i, w in enumerate(wt):
             ref_coh, ref_c = self._references(n, beta, w)
@@ -528,16 +530,15 @@ class TestScalarMatchesArray:
     # Every public law of degjc.closedform, as a tuple of its outputs for
     # (field, omega_t); laws without a field take their parameter from it.
     PUBLIC_LAWS = {
-        "gamma": lambda f, wt: dataclasses.astuple(gamma(wt)),
+        "gamma": lambda f, wt: (gamma(wt),),
         "modulation_factor": lambda f, wt: (modulation_factor(0.3, wt),),
-        "characteristic_integral": lambda f, wt: (characteristic_integral(f, 0.3, gamma(wt)),),
+        "characteristic_integral": lambda f, wt: (characteristic_integral(f, 0.3, wt),),
         "single_qubit_coherence": lambda f, wt: (single_qubit_coherence(0.5, f, 0.3, wt),),
         "two_qubit_offdiagonal": lambda f, wt: tuple(
             two_qubit_offdiagonal(b, f, 0.3, wt) for b in BellState),
         "concurrence_closed": lambda f, wt: (concurrence_closed(BellState.PHI_PLUS, f, 0.3, wt),),
         "esd_concurrence_closed": lambda f, wt: (
             esd_concurrence_closed(0.3, getattr(f, "nbar", 0.0), wt),),
-        "evolved_vacuum_state_amplitude": lambda f, wt: (evolved_vacuum_state_amplitude(0.3, wt),),
         "evolve_spin_coherent": lambda f, wt: tuple(
             v for up in (True, False)
             for v in evolve_spin_coherent(getattr(f, "alpha0", 0.3 + 0.2j), up, 0.3, wt)),
@@ -567,4 +568,4 @@ def test_every_phase_law_is_checked_point_by_point():
         and "omega_t" in inspect.signature(fn).parameters
     }
     assert len(laws) == 8
-    assert laws <= set(TestScalarMatchesArray.PUBLIC_LAWS)
+    assert laws == set(TestScalarMatchesArray.PUBLIC_LAWS)

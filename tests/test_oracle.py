@@ -392,6 +392,18 @@ class TestConditionalMaps:
             closed = single_qubit_coherence(1.0, field, 0.3, wt)
             assert abs(ops[0, 1, 0, 1] - closed) <= 1e-7
 
+    @pytest.mark.parametrize(
+        "field", [Vacuum(), Coherent(1.0 + 0.5j), Coherent(0.5j), Number(3), Thermal(1.0)],
+        ids=str)
+    def test_kappa_phase_matches_the_map(self, field):
+        # M_ud[up, down] is kappa itself, phase included: a conjugated kappa
+        # misses by order 1 for an amplitude off the real axis
+        grid = np.linspace(0.4, 6.0, 7)
+        trunc = TruncationSpec(default_ncut(field, 0.4))
+        ops, _ = _maps(build_hamiltonian(ModelParams.from_beta(0.4), trunc), field, trunc, grid)
+        closed = single_qubit_coherence(1.0, field, 0.4, grid)
+        assert np.max(np.abs(ops[:, 0, 1, 0, 1] - closed)) <= 1e-10
+
 
 class TestMapKernel:
     @pytest.mark.parametrize(
@@ -597,6 +609,21 @@ class TestTwoQubitReduced:
         for q, wt in zip(self._reduced(0.4, Vacuum(), initial, grid), grid):
             closed = two_qubit_offdiagonal(BellState.PHI_PLUS, Vacuum(), 0.4, wt)
             assert abs(q[0, 3] - closed) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "field", [Vacuum(), Coherent(1.0 + 0.5j), Number(3), Thermal(1.0)], ids=str)
+    def test_every_bell_element_matches_the_reconstruction(self, field):
+        # Phi+ and Psi+ sit in the sigma_x corner, Phi- and Psi- in the middle
+        grid = np.linspace(0.4, 6.0, 7)
+        params = ModelParams.from_beta(0.4)
+        for bell in BellState:
+            initial = make_bell(bell, QubitBasis.SIGMA_X)
+            _, qmats, _, _ = oracle._reconstruct(params, field, initial, grid,
+                                                 truncation(field, 0.4))
+            corner = bell in (BellState.PHI_PLUS, BellState.PSI_PLUS)
+            element = qmats[:, 0, 3] if corner else qmats[:, 1, 2]
+            closed = two_qubit_offdiagonal(bell, field, 0.4, grid)
+            assert np.max(np.abs(element - closed)) <= 1e-10, bell
 
     def test_psi_plus_corner_magnitude(self):
         initial = make_bell(BellState.PSI_PLUS, QubitBasis.SIGMA_X)

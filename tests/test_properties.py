@@ -16,7 +16,6 @@ from degjc.closedform import (
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
-    gamma,
     modulation_factor,
     single_qubit_coherence,
     two_qubit_offdiagonal,
@@ -128,7 +127,7 @@ def test_closed_forms_finite_or_rejected(beta, nbar, omega_t):
     real = [lambda: modulation_factor(beta, omega_t),
             lambda: esd_concurrence_closed(beta, nbar, omega_t),
             lambda: concurrence_at_half_period(Thermal(nbar), beta)]
-    complex_ = [lambda: characteristic_integral(Thermal(nbar), beta, gamma(omega_t))]
+    complex_ = [lambda: characteristic_integral(Thermal(nbar), beta, omega_t)]
     for f in (Vacuum(), Coherent(1.0 + 0.5j), Number(3), Thermal(nbar)):
         real.append(lambda f=f: concurrence_closed(BellState.PHI_MINUS, f, beta, omega_t))
         complex_ += [lambda f=f: 2.0 * two_qubit_offdiagonal(BellState.PHI_PLUS, f, beta, omega_t),
