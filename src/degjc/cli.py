@@ -16,10 +16,12 @@ key, is a configuration error before anything runs.  Only
 concurrence-sweep and separability take ``--omega0``: the closed forms of
 the others hold at omega0 = 0.
 
-All time axes are the dimensionless phase w*t; ``--omega`` adds an
-absolute-time column.  Output is deterministic CSV: '#'-prefixed metadata
-lines (effective configuration, cutoff, tail mass, version), then a header
-row, then ``%.17g``-formatted values.  ``degjc.csvcells`` prints the float
+All time axes are the dimensionless phase w*t, and ``--beta`` and
+``--omega0`` are in units of omega; ``--omega`` only adds an absolute-time
+column.  Output is deterministic CSV: '#'-prefixed metadata lines
+(effective configuration, cutoff, tail mass, version, and the tolerance and
+truncation policy where a cutoff-doubling check ran), then a header row,
+then ``%.17g``-formatted values.  ``degjc.csvcells`` prints the float
 cells from numpy, a block at a time, with exactly the bytes of
 ``'%.17g' % v``.
 
@@ -57,16 +59,9 @@ from .model import (
     make_esd_mixture,
 )
 from .oracle import (
-    TruncationError, _require_memory, build_hamiltonian, concurrence_trace, field_field_witness,
-    truncation)
+    TruncationError, _require_memory, _require_phase_accuracy, build_hamiltonian,
+    concurrence_trace, field_field_witness, truncation)
 from .validation import convergence_tol, validation_rows
-
-_BELL_NAMES = {
-    "phi+": BellState.PHI_PLUS,
-    "phi-": BellState.PHI_MINUS,
-    "psi+": BellState.PSI_PLUS,
-    "psi-": BellState.PSI_MINUS,
-}
 
 
 class ConfigError(Exception):
@@ -98,9 +93,9 @@ def parse_field(text):
 
 def parse_bell(text):
     try:
-        return _BELL_NAMES[text.strip()]
-    except KeyError:
-        expected = ", ".join(_BELL_NAMES)
+        return BellState(text.strip())
+    except ValueError:
+        expected = ", ".join(b.value for b in BellState)
         raise ConfigError(f"bad bell spec {text!r}; expected one of {expected}") from None
 
 
@@ -213,13 +208,12 @@ plt.show()
 """
 
 
+# Metadata of a run checked by cutoff doubling: the oracle columns and validate.
+_TRUNCATION_POLICY = "library heuristic cutoff with cutoff-doubling check"
+
+
 def _base_metadata(cfg, **extra):
-    md = {
-        "scenario": cfg.scenario,
-        "omega0": cfg.omega0,
-        "tolerance": cfg.tolerance,
-        "truncation_policy": "library heuristic cutoff with cutoff-doubling check",
-    }
+    md = {"scenario": cfg.scenario, "omega0": cfg.omega0}
     if cfg.omega is not None:
         md["omega"] = cfg.omega
     md.update(extra)
@@ -246,14 +240,6 @@ def _time_columns(cfg, omega_ts):
     return cols
 
 
-def _params(cfg, beta):
-    omega = cfg.omega if cfg.omega is not None else 1.0
-    for flag, value in (("beta", beta), ("omega0", cfg.omega0)):
-        if not math.isfinite(value * omega):
-            raise ConfigError(f"--{flag} {value:g} times --omega {omega:g} overflows")
-    return ModelParams(omega=omega, omega0=cfg.omega0 * omega, lam=beta * omega)
-
-
 def run_envelope(cfg):
     betas = [cfg.beta] if cfg.beta is not None else [0.75, 0.1]
     omega_ts = _grid(cfg, 4.0 * math.pi, 257)
@@ -276,6 +262,8 @@ def _oracle_columns(cfg, params, field, initial, omega_ts, closed):
     )
     cols = [("concurrence_oracle", trace.values)]
     md = {
+        "tolerance": cfg.tolerance,
+        "truncation_policy": _TRUNCATION_POLICY,
         "ncut": trace.ncut,
         "tail_mass": trace.tail_mass,
         "doubling_error": trace.doubling_error,
@@ -291,7 +279,7 @@ def run_concurrence_sweep(cfg):
     field = cfg.field if cfg.field is not None else Vacuum()
     bell = cfg.bell if cfg.bell is not None else BellState.PHI_PLUS
     omega_ts = _grid(cfg, 4.0 * math.pi, 257)
-    params = _params(cfg, beta)
+    params = ModelParams(beta, cfg.omega0)
     closed = None
     cols = _time_columns(cfg, omega_ts)
     if params.degenerate:
@@ -359,7 +347,7 @@ def run_esd(cfg):
         esd_last_zero=omega_ts[zero[-1]] if zero.size else "none",
     )
     if cfg.compare_oracle:
-        params = _params(cfg, beta)
+        params = ModelParams(beta, cfg.omega0)
         ocols, omd = _oracle_columns(cfg, params, field, make_esd_mixture(), omega_ts, closed)
         cols.extend(ocols)
         md.update(omd)
@@ -373,10 +361,10 @@ def run_separability(cfg):
         raise ConfigError("separability witness requires a pure field (vacuum/coherent/number)")
     bell = cfg.bell if cfg.bell is not None else BellState.PHI_PLUS
     omega_ts = _grid(cfg, 2.0 * math.pi, 17)
-    params = _params(cfg, beta)
-    trunc = truncation(field, beta, cfg.ncut)
-    prop = build_hamiltonian(params, trunc)
-    points = [field_field_witness(prop, bell, field, trunc, wt) for wt in omega_ts]
+    params = ModelParams(beta, cfg.omega0)
+    prop = build_hamiltonian(params, truncation(field, beta, cfg.ncut))
+    _require_phase_accuracy(params, prop.trunc.ncut, omega_ts, convergence_tol(cfg.tolerance))
+    points = [field_field_witness(prop, bell, field, wt) for wt in omega_ts]
     negs = np.array([w.negativity for w in points])
     cols = _time_columns(cfg, omega_ts) + [
         ("negativity", negs),
@@ -390,7 +378,7 @@ def run_separability(cfg):
         bell=bell.value,
         steps=len(omega_ts),
         omega_t_max=omega_ts[-1],
-        ncut=trunc.ncut,
+        ncut=prop.trunc.ncut,
         max_negativity=float(np.max(negs)),
     )
     return write_csv(cfg.out, md, cols)
@@ -405,6 +393,7 @@ def run_validate(cfg):
     ok = all(r.passed for r in rows)
     narrowed = {"field": cfg.field, "beta": cfg.beta, "steps": cfg.steps, "ncut": cfg.ncut}
     md = _base_metadata(cfg, checks=len(rows), passed=sum(r.passed for r in rows),
+                        tolerance=cfg.tolerance, truncation_policy=_TRUNCATION_POLICY,
                         **{key: value for key, value in narrowed.items() if value is not None})
     cols = [
         ("check", np.array([r.name for r in rows])),

@@ -46,36 +46,26 @@ class BellState(Enum):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Oscillator frequency, qubit splitting and coupling (all rad/time).
+    """Coupling beta = lambda/omega and qubit splitting omega0, both in
+    units of the oscillator frequency omega, which sets the unit of energy
+    (time enters only through the phase w t).
 
-    ``beta`` is always recomputed as lam/omega, never stored.  Closed-form
-    results are only valid in the degenerate regime omega0 == 0; the
-    numerical propagator accepts any omega0 >= 0.
+    Closed-form results are only valid in the degenerate regime
+    omega0 == 0; the numerical propagator accepts any omega0 >= 0.
     """
 
-    omega: float
+    beta: float
     omega0: float = 0.0
-    lam: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0, got {self.omega!r}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
         if not (math.isfinite(self.omega0) and self.omega0 >= 0):
             raise ValueError(f"omega0 must be finite and >= 0, got {self.omega0!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam!r}")
-
-    @property
-    def beta(self):
-        return self.lam / self.omega
 
     @property
     def degenerate(self):
         return self.omega0 == 0.0
-
-    @classmethod
-    def from_beta(cls, beta, omega=1.0, omega0=0.0):
-        return cls(omega=omega, omega0=omega0, lam=beta * omega)
 
 
 @dataclass(frozen=True)

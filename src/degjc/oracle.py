@@ -3,13 +3,13 @@
 Diagonalizes the full (no rotating-wave approximation) qubit-oscillator
 Hamiltonian
 
-    H / omega = a'a + beta (a' + a) sigma_x + (omega0 / 2 omega) sigma_z
+    H / omega = a'a + beta (a' + a) sigma_x + (omega0 / 2) sigma_z
 
 on C^2 x C^(ncut+1) once and propagates by phase multiplication in the
 eigenbasis.  H conserves the parity (-1)^(a'a) sigma_z at every omega0
 (Casanova et al., PRL 105, 263603 (2010); Braak, PRL 107, 100401 (2011)),
 so it splits into two real tridiagonal F x F chains with diagonal
-n +- (omega0 / 2 omega) (-1)^n and off-diagonal beta sqrt(n); at
+n +- (omega0 / 2) (-1)^n and off-diagonal beta sqrt(n); at
 omega0 = 0 both are the sigma_x sector n + beta x and one is solved.  All
 two-qubit observables are reconstructed from single-subsystem conditional
 maps, which are bilinear forms in the eigenphases evaluated blockwise over
@@ -20,7 +20,7 @@ correctness argument.
 
 The truncation policy (default cutoff heuristic, thermal mixture cutoff
 from the tail tolerance, cutoff-doubling convergence check) is a library
-convention and is reported in all output metadata.
+convention and is reported in the metadata of every output it checked.
 
 Qubit matrices are written in the sigma_x eigenbasis (up, down), matching
 the two-qubit index convention of :mod:`degjc.model`.
@@ -37,7 +37,6 @@ import numpy as np
 from .entanglement import negativity, wootters_concurrences
 from .model import (
     Coherent,
-    ModelParams,
     Number,
     QubitBasis,
     Thermal,
@@ -83,8 +82,8 @@ class SubsystemPropagator:
 
     In rail coordinates (u, d) of the sigma_x basis and with P =
     diag((-1)^n), the chain coordinate c_s = u + s P d of parity s = +1, -1
-    evolves under the real tridiagonal F x F chain n + s (omega0 / 2 omega)
-    P + beta x.  ``chains`` holds (energies, modes) of chain s = +1, then
+    evolves under the real tridiagonal F x F chain n + s (omega0 / 2) P +
+    beta x.  ``chains`` holds (energies, modes) of chain s = +1, then
     s = -1, ``modes`` being the real eigenvector matrix V_s; the eigenvector
     (s, a) of the block has rail-up rows V_s / sqrt(2) and rail-down rows
     s P V_s / sqrt(2).  At omega0 = 0 both chains are the sigma_x sector
@@ -97,7 +96,6 @@ class SubsystemPropagator:
     conquer) or ``"eigh"`` (numpy's dense solver).
     """
 
-    params: ModelParams
     trunc: TruncationSpec
     chains: tuple
     eigensolver: str
@@ -188,7 +186,7 @@ def build_hamiltonian(params, trunc):
     """
     _require_memory(_eigensolve_bytes(params, trunc.ncut), f"eigensolve at ncut={trunc.ncut}")
     n = np.arange(trunc.ncut + 1, dtype=float)
-    shift = (params.omega0 / (2.0 * params.omega)) * _parity(n.size)
+    shift = (params.omega0 / 2.0) * _parity(n.size)
     diagonals = [n] if params.degenerate else [n + shift, n - shift]
     off = params.beta * np.sqrt(n[1:])
     try:
@@ -198,7 +196,7 @@ def build_hamiltonian(params, trunc):
             f"eigensolver failed for dim={n.size}, beta={params.beta:g}, "
             f"max|H|={np.max(np.abs(np.concatenate(diagonals + [off]))):.3e}: {exc}") from exc
     chains = [(energies, modes) for energies, modes, _ in solved]
-    return SubsystemPropagator(params, trunc, (chains[0], chains[-1]), solved[0][2])
+    return SubsystemPropagator(trunc, (chains[0], chains[-1]), solved[0][2])
 
 
 def _dot(a, b):
@@ -372,8 +370,8 @@ class _MapKernel:
     block of points.
     """
 
-    def __init__(self, prop, field, trunc):
-        weights, vecs, self.tail = field_components(field, trunc)
+    def __init__(self, prop, field):
+        weights, vecs, self.tail = field_components(field, prop.trunc)
         if np.iscomplexobj(vecs) and not np.any(vecs.imag):
             vecs = vecs.real
         self.components = len(weights)
@@ -496,12 +494,12 @@ def _reduced_stack(ops_a, ops_b, initial):
     return q
 
 
-def _evolved_rails(prop, field, trunc, omega_t):
+def _evolved_rails(prop, field, omega_t):
     """Evolved rail components ``rails[p, r, :]`` = <r|U(w t)|p, phi> of a
     pure field phi, as a (2, 2, F) array: initial rail p, qubit out r."""
     if isinstance(field, Thermal):
         raise ValueError("four-party pure-state construction requires a pure field")
-    _, vecs, _ = field_components(field, trunc)
+    _, vecs, _ = field_components(field, prop.trunc)
     f = prop.fock_dim
     psi0 = np.zeros((prop.dim, 2), dtype=complex)
     psi0[:f, 0] = vecs[:, 0]
@@ -530,7 +528,7 @@ class FieldFieldWitness:
     support_dim: int
 
 
-def field_field_witness(prop, bell, field, trunc, omega_t):
+def field_field_witness(prop, bell, field, omega_t):
     """Separability witness of the evolved four-party pure state.
 
     The initial state is the Bell state ``bell`` with identical pure fields
@@ -543,7 +541,7 @@ def field_field_witness(prop, bell, field, trunc, omega_t):
     (1996)), so the values are exact and need no rank threshold; the
     propagation costs O(F) memory beyond the propagator.
     """
-    rails = _evolved_rails(prop, field, trunc, omega_t).reshape(4, -1)
+    rails = _evolved_rails(prop, field, omega_t).reshape(4, -1)
     used = np.flatnonzero(np.any(rails != 0.0, axis=1))
     _, r = np.linalg.qr(rails[used].T)
     k = r.shape[0]
@@ -642,13 +640,13 @@ def _require_phase_accuracy(params, ncut, omega_ts, tol):
     eps max|E| max|w t|, can exceed ``tol``.
 
     max|E| is bounded by Gershgorin on the chains at ``ncut``:
-    ncut + omega0 / 2 omega + 2 beta sqrt(ncut).  No cutoff removes this
+    ncut + omega0 / 2 + 2 beta sqrt(ncut).  No cutoff removes this
     error, and w t is never reduced mod 2 pi, which would take the
     period from the analytic spectrum.
     """
     if not len(omega_ts):
         return
-    bound = ncut + params.omega0 / (2.0 * params.omega) + 2.0 * params.beta * math.sqrt(ncut)
+    bound = ncut + params.omega0 / 2.0 + 2.0 * params.beta * math.sqrt(ncut)
     roundoff = np.finfo(float).eps * bound * float(np.max(np.abs(omega_ts)))
     if roundoff > tol:
         raise ValueError(
@@ -664,7 +662,7 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
     and the number of mixture components.  The propagator is released once
     the kernel holds its factors, before any phase block."""
     prop = build_hamiltonian(params, trunc)
-    kernel = _MapKernel(prop, field, trunc)
+    kernel = _MapKernel(prop, field)
     how = (prop.eigensolver, prop.fock_dim, kernel.components)
     del prop
     values = np.empty(len(omega_ts))

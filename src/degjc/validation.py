@@ -85,7 +85,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     for f in fields:
         for b in betas:
             trace = concurrence_trace(
-                ModelParams.from_beta(b), f, initial, grid,
+                ModelParams(b), f, initial, grid,
                 trunc=truncation(f, b, ncut), convergence_tol=conv_tol,
             )
             closed = concurrence_closed(BellState.PHI_PLUS, f, b, grid)
@@ -114,7 +114,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     target = np.repeat(np.arange(5, dtype=float), 2)
     err = 0.0
     for b in (0.25, 0.5, 1.0):
-        prop = build_hamiltonian(ModelParams.from_beta(b), TruncationSpec(60))
+        prop = build_hamiltonian(ModelParams(b), TruncationSpec(60))
         err = max(err, float(np.max(np.abs(low_spectrum(prop, 10) - target))))
     rows.append(CheckRow("spectrum-degenerate", err, 1e-8))
 
@@ -153,7 +153,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     for b, nbar in ((0.1, 25.0), (0.1, 2.0), (0.5, 2.0), (0.25, 1.0)):
         closed = np.asarray(esd_concurrence_closed(b, nbar, esd_grid))
         trace = concurrence_trace(
-            ModelParams.from_beta(b), Thermal(nbar), mixture, esd_grid,
+            ModelParams(b), Thermal(nbar), mixture, esd_grid,
             trunc=truncation(Thermal(nbar), b, ncut), convergence_tol=conv_tol,
         )
         err = float(np.max(np.abs(trace.values - closed)))
@@ -176,10 +176,9 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     err = 0.0
     for f in (Vacuum(), Number(1)):
         for b in (0.3, 0.75):
-            trunc = truncation(f, b, ncut)
-            prop = build_hamiltonian(ModelParams.from_beta(b), trunc)
+            prop = build_hamiltonian(ModelParams(b), truncation(f, b, ncut))
             for wt_s in sep_grid:
-                witness = field_field_witness(prop, BellState.PHI_PLUS, f, trunc, wt_s)
+                witness = field_field_witness(prop, BellState.PHI_PLUS, f, wt_s)
                 err = max(err, witness.negativity)
     rows.append(CheckRow("field-field-separability", err, 1e-9))
     bell_neg = negativity(make_bell(BellState.PHI_PLUS).rho, (2, 2))
@@ -191,7 +190,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
 def analytic_propagation_error(alpha, spin_up, beta, omega_t):
     """|<analytic|numeric> - 1| for the evolved |spin, alpha> state."""
     trunc = truncation(Coherent(alpha), beta)
-    prop = build_hamiltonian(ModelParams.from_beta(beta), trunc)
+    prop = build_hamiltonian(ModelParams(beta), trunc)
     f = prop.fock_dim
     vec0, _ = coherent_fock_vector(alpha, trunc.ncut)
     rail = slice(0, f) if spin_up else slice(f, 2 * f)

@@ -39,14 +39,14 @@ def rail_grams(modes):
     return rails
 
 
-def field_field_reduced(prop, bell, field, trunc, omega_t):
+def field_field_reduced(prop, bell, field, omega_t):
     """Reduced density matrix of the two fields, with both qubits traced out.
 
     The initial state is the Bell state ``bell`` with identical pure fields
     on both subsystems.  Returns the dense (F^2, F^2) matrix,
     trace-normalized; it costs O(F^4) memory.
     """
-    rails = oracle._evolved_rails(prop, field, trunc, omega_t)
+    rails = oracle._evolved_rails(prop, field, omega_t)
     c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
     psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
     f = prop.fock_dim

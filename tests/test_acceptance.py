@@ -106,7 +106,7 @@ def test_criterion_4_spectrum():
     target = np.repeat(np.arange(5, dtype=float), 2)
     worst = 0.0
     for beta in (0.25, 0.5, 1.0):
-        prop = build_hamiltonian(ModelParams.from_beta(beta), TruncationSpec(40))
+        prop = build_hamiltonian(ModelParams(beta), TruncationSpec(40))
         worst = max(worst, float(np.max(np.abs(low_spectrum(prop, 10) - target))))
     ok = worst <= 1e-8
     report(4, "degenerate low spectrum is {0,0,w,w,...} after ground shift", ok,
@@ -168,10 +168,10 @@ def test_criterion_8_separability():
     for field in (Vacuum(), Number(1)):
         for beta in (0.3, 0.75):
             trunc = TruncationSpec(default_ncut(field, beta))
-            prop = build_hamiltonian(ModelParams.from_beta(beta), trunc)
+            prop = build_hamiltonian(ModelParams(beta), trunc)
             f = prop.fock_dim
             for wt in grid:
-                rho = field_field_reduced(prop, BellState.PHI_PLUS, field, trunc, wt)
+                rho = field_field_reduced(prop, BellState.PHI_PLUS, field, wt)
                 worst = max(worst, negativity(rho, (f, f)))
     control = negativity(make_bell(BellState.PHI_PLUS).rho, (2, 2))
     ok = worst <= 1e-9 and abs(control - 0.5) <= 1e-12

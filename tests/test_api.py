@@ -1,6 +1,8 @@
 """The public surface of ``degjc``, written out so that any change to it
 shows up in a diff."""
 
+import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -25,6 +27,15 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(degjc.__all__)) == len(degjc.__all__)
     missing = [name for name in degjc.__all__ if not hasattr(degjc, name)]
     assert not missing
+
+
+def test_model_params_and_witness_signature_are_pinned():
+    # beta and omega0 are in units of omega; the propagator carries its cutoff
+    assert [f.name for f in dataclasses.fields(degjc.ModelParams)] == ["beta", "omega0"]
+    assert [f.name for f in dataclasses.fields(degjc.SubsystemPropagator)] == [
+        "trunc", "chains", "eigensolver"]
+    assert list(inspect.signature(degjc.field_field_witness).parameters) == [
+        "prop", "bell", "field", "omega_t"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -109,6 +109,28 @@ class TestEnvelope:
         assert float(rows[3][1]) == pytest.approx(float(rows[3][0]) / 2.0, rel=1e-15)
 
 
+class TestOmegaIsTheUnit:
+    """--beta and --omega0 are in units of omega, so --omega adds the time
+    column and its metadata line and changes nothing else."""
+
+    @pytest.mark.parametrize("argv", [
+        ["concurrence-sweep", "--omega0", "0.7", "--compare-oracle", "--beta", "0.1"],
+        ["esd", "--compare-oracle", "--beta", "0.1"],
+        ["separability", "--omega0", "0.7"],
+    ])
+    def test_omega_changes_only_the_time_column(self, argv, tmp_path):
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        assert main(argv + ["--steps", "9", "--out", str(plain)]) == 0
+        assert main(argv + ["--steps", "9", "--omega", "3", "--out", str(timed)]) == 0
+        lines = timed.read_text().splitlines()
+        assert "# omega=3" in lines
+        body = [line for line in lines if not line.startswith("#")]
+        assert body[0].split(",")[1] == "time"
+        without_time = [",".join(line.split(",")[:1] + line.split(",")[2:]) for line in body]
+        meta = [line for line in lines if line.startswith("#") and line != "# omega=3"]
+        assert meta + without_time == plain.read_text().splitlines()
+
+
 class TestDeterminism:
     def test_envelope_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -564,9 +586,6 @@ class TestInputThatWouldDoNothing:
 
     @pytest.mark.parametrize("argv, flags", [
         (["envelope", "--omega", "1e-310", "--steps", "3"], ["--omega"]),
-        (["concurrence-sweep", "--omega", "1e300", "--beta", "2e10", "--compare-oracle"],
-         ["--beta", "--omega"]),
-        (["separability", "--omega", "1e300", "--omega0", "1e10"], ["--omega0", "--omega"]),
         (["envelope", "--plot-script"], ["--plot-script", "--out"]),
         (["beta-sweep", "--field", "vacuum"], ["--field"]),
         (["beta-sweep", "--field", "coherent:alpha=1"], ["--field"]),
@@ -589,7 +608,7 @@ class TestEveryValueRuns:
     validate report whose 2-point grids breach a check)."""
 
     def test_values_cover_every_bell_state_and_field_class(self):
-        assert sorted(BELL_NAMES) == sorted(cli._BELL_NAMES)
+        assert sorted(BELL_NAMES) == sorted(bell.value for bell in BellState)
         assert {type(parse_field(spec)) for spec in FIELD_KINDS} == set(typing.get_args(FieldSpec))
 
     @pytest.mark.parametrize("flag, value", [("bell", name) for name in BELL_NAMES]
@@ -617,6 +636,15 @@ class TestOracleLimits:
         out = tmp_path / "x.csv"
         assert main(argv + ["--steps", "3", "--out", str(out)]) == 3
         assert "truncation/solver error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_separability_phase_roundoff_exits_2(self, tmp_path, capsys):
+        # eps * max|E| * max|w t| = 6.8 at its cutoff 23, far above 1e-8
+        out = tmp_path / "x.csv"
+        rc = main(["separability", "--beta", "0.75", "--omega0", "0.7", "--omega-t-max", "1e15",
+                   "--steps", "3", "--out", str(out)])
+        assert rc == 2
+        assert "phase roundoff" in capsys.readouterr().err
         assert not out.exists()
 
     def test_phase_roundoff_exits_2(self, tmp_path, capsys, no_allocation):
@@ -720,7 +748,27 @@ class TestMetadata:
         text = out.read_text()
         assert text.startswith("# degjc 0.1.0\n")
         assert "# scenario=envelope" in text
-        assert "# truncation_policy=" in text
+        assert "# truncation_policy=" not in text
+
+    @pytest.mark.parametrize("argv, checked", [
+        (["envelope"], False),
+        (["concurrence-sweep"], False),
+        (["concurrence-sweep", "--compare-oracle"], True),
+        (["concurrence-sweep", "--omega0", "0.7", "--compare-oracle"], True),
+        (["beta-sweep"], False),
+        (["esd"], False),
+        (["esd", "--compare-oracle"], True),
+        (["separability"], False),
+        (["validate", "--field", "vacuum", "--beta", "0.1"], True),
+    ])
+    def test_doubling_keys_only_where_a_doubling_check_ran(self, argv, checked, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--steps", "5", "--out", str(out)]) == 0
+        keys = {line[2:].partition("=")[0] for line in out.read_text().splitlines()
+                if line.startswith("# ") and "=" in line}
+        doubling = {"tolerance", "truncation_policy"}
+        assert doubling & keys == (doubling if checked else set()), keys
+        assert ("doubling_error" in keys) == (checked and argv[0] != "validate")
 
     def test_plot_script_stub(self, tmp_path):
         out = tmp_path / "o.csv"

@@ -26,19 +26,17 @@ H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 H4 = np.kron(H1, H1)
 
 
-def test_model_params_beta_recomputed():
-    p = ModelParams(omega=2.0, lam=1.0)
-    assert p.beta == 0.5
-    assert ModelParams.from_beta(0.3, omega=4.0).lam == pytest.approx(1.2)
+def test_model_params_are_in_units_of_omega():
+    p = ModelParams(0.5)
+    assert (p.beta, p.omega0, p.degenerate) == (0.5, 0.0, True)
+    assert not ModelParams(0.5, omega0=0.7).degenerate
 
 
 def test_model_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(omega=0.0)
-    with pytest.raises(ValueError):
-        ModelParams(omega=1.0, omega0=-0.5)
-    with pytest.raises(ValueError):
-        ModelParams(omega=1.0, lam=-1.0)
+    for beta, omega0 in ((-1.0, 0.0), (0.5, -0.5), (math.nan, 0.0), (math.inf, 0.0),
+                         (0.5, math.nan), (0.5, math.inf)):
+        with pytest.raises(ValueError):
+            ModelParams(beta, omega0)
 
 
 def test_field_spec_validation():

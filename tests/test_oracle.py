@@ -66,7 +66,7 @@ def _dense_block(params, trunc):
     h = (
         np.kron(np.eye(2), np.diag(n))
         + params.beta * np.kron(sx, x_op)
-        + (params.omega0 / (2.0 * params.omega)) * np.kron(sz, np.eye(f))
+        + (params.omega0 / 2.0) * np.kron(sz, np.eye(f))
     )
     return np.linalg.eigh(h)
 
@@ -101,34 +101,34 @@ def _spin_field_vector(prop, alpha, spin_up):
 
 class TestHamiltonian:
     def test_free_spectrum_doubly_degenerate(self):
-        prop = build_hamiltonian(ModelParams(omega=1.0), TruncationSpec(30))
+        prop = build_hamiltonian(ModelParams(0.0), TruncationSpec(30))
         expected = np.repeat(np.arange(10, dtype=float), 2)
         np.testing.assert_allclose(np.sort(prop.energies)[:20], expected, atol=1e-12)
 
     def test_free_spectrum_with_splitting(self):
-        prop = build_hamiltonian(ModelParams(omega=1.0, omega0=0.4), TruncationSpec(30))
+        prop = build_hamiltonian(ModelParams(0.0, omega0=0.4), TruncationSpec(30))
         lowest = np.sort(prop.energies)[:4]
         np.testing.assert_allclose(lowest, [-0.2, 0.2, 0.8, 1.2], atol=1e-12)
 
     @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
     def test_degenerate_spectrum_is_equally_spaced(self, beta):
-        prop = build_hamiltonian(ModelParams.from_beta(beta), TruncationSpec(40))
+        prop = build_hamiltonian(ModelParams(beta), TruncationSpec(40))
         expected = np.repeat(np.arange(5, dtype=float), 2)
         np.testing.assert_allclose(low_spectrum(prop, 10), expected, atol=1e-8)
 
     def test_ground_energy_is_depth_of_displaced_well(self):
         beta = 0.5
-        prop = build_hamiltonian(ModelParams.from_beta(beta), TruncationSpec(40))
+        prop = build_hamiltonian(ModelParams(beta), TruncationSpec(40))
         assert np.min(prop.energies) == pytest.approx(-(beta**2), abs=1e-10)
 
     def test_cutoff_doubling_agreement(self):
-        a = build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(40))
-        b = build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(80))
+        a = build_hamiltonian(ModelParams(0.5), TruncationSpec(40))
+        b = build_hamiltonian(ModelParams(0.5), TruncationSpec(80))
         diff = np.abs(np.sort(a.energies)[:10] - np.sort(b.energies)[:10])
         assert np.max(diff) <= 1e-10
 
     def test_modes_are_unitary(self):
-        prop = build_hamiltonian(ModelParams.from_beta(0.7, omega0=0.3), TruncationSpec(25))
+        prop = build_hamiltonian(ModelParams(0.7, omega0=0.3), TruncationSpec(25))
         modes = dense_modes(prop)
         gram = modes.conj().T @ modes
         assert np.max(np.abs(gram - np.eye(prop.dim))) <= 1e-10
@@ -136,7 +136,7 @@ class TestHamiltonian:
     def test_sector_modes_and_energies_diagonalize_the_block(self):
         trunc = TruncationSpec(25)
         for omega0 in (0.0, 0.7):
-            params = ModelParams.from_beta(0.7, omega0=omega0)
+            params = ModelParams(0.7, omega0=omega0)
             prop = build_hamiltonian(params, trunc)
             energies, modes = _dense_block(params, trunc)
             # at omega0 = 0 one chain is solved and held for both parities
@@ -183,7 +183,7 @@ class TestTridiagonalEigensolve:
 
         monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-        params = ModelParams.from_beta(0.5)
+        params = ModelParams(0.5)
         prop = build_hamiltonian(params, TruncationSpec(40))
         assert prop.eigensolver == "eigh"
         assert dense_calls == [(41, 41)]
@@ -198,13 +198,13 @@ class TestTridiagonalEigensolve:
 
         monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: failing)
         with pytest.raises(TruncationError, match="dstevd info=7"):
-            build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(10))
+            build_hamiltonian(ModelParams(0.5), TruncationSpec(10))
         with pytest.raises(np.linalg.LinAlgError, match="dstevd info=7"):
             _tridiagonal_eigh(np.arange(3.0), np.ones(2), vectors=False)
 
     def test_peak_bytes_within_estimate(self):
         for omega0 in (0.0, 0.7):
-            params, trunc = ModelParams.from_beta(0.5, omega0=omega0), TruncationSpec(617)
+            params, trunc = ModelParams(0.5, omega0=omega0), TruncationSpec(617)
             tracemalloc.start()
             build_hamiltonian(params, trunc)
             _, peak = tracemalloc.get_traced_memory()
@@ -214,20 +214,20 @@ class TestTridiagonalEigensolve:
 
 class TestPropagation:
     def test_zero_time_is_identity(self, rng):
-        prop = build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(15))
+        prop = build_hamiltonian(ModelParams(0.4), TruncationSpec(15))
         psi = rng.normal(size=prop.dim) + 1j * rng.normal(size=prop.dim)
         psi /= np.linalg.norm(psi)
         np.testing.assert_allclose(propagate_state(prop, psi, 0.0), psi, atol=1e-12)
 
     def test_norm_preserved(self, rng):
-        prop = build_hamiltonian(ModelParams.from_beta(0.6, omega0=0.2), TruncationSpec(20))
+        prop = build_hamiltonian(ModelParams(0.6, omega0=0.2), TruncationSpec(20))
         psi = rng.normal(size=prop.dim) + 1j * rng.normal(size=prop.dim)
         psi /= np.linalg.norm(psi)
         out = propagate_state(prop, psi, 3.7)
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-10
 
     def test_composition(self, rng):
-        prop = build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(20))
+        prop = build_hamiltonian(ModelParams(0.5), TruncationSpec(20))
         psi = rng.normal(size=prop.dim) + 1j * rng.normal(size=prop.dim)
         psi /= np.linalg.norm(psi)
         once = propagate_state(prop, psi, 1.1 + 2.3)
@@ -235,7 +235,7 @@ class TestPropagation:
         assert np.max(np.abs(once - twice)) <= 1e-9
 
     def test_norm_drift_over_many_composed_steps(self, rng):
-        prop = build_hamiltonian(ModelParams.from_beta(0.5), TruncationSpec(8))
+        prop = build_hamiltonian(ModelParams(0.5), TruncationSpec(8))
         psi = rng.normal(size=prop.dim) + 1j * rng.normal(size=prop.dim)
         psi /= np.linalg.norm(psi)
         for _ in range(10_000):
@@ -243,7 +243,7 @@ class TestPropagation:
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
 
     def test_sigma_x_expectation_conserved(self, rng):
-        prop = build_hamiltonian(ModelParams.from_beta(0.45), TruncationSpec(25))
+        prop = build_hamiltonian(ModelParams(0.45), TruncationSpec(25))
         f = prop.fock_dim
         sx_op = np.kron(np.diag([1.0, -1.0]), np.eye(f))
         psi = rng.normal(size=prop.dim) + 1j * rng.normal(size=prop.dim)
@@ -254,7 +254,7 @@ class TestPropagation:
             assert abs(np.vdot(out, sx_op @ out).real - ref) <= 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        prop = build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(10))
+        prop = build_hamiltonian(ModelParams(0.4), TruncationSpec(10))
         with pytest.raises(ValueError):
             propagate_state(prop, np.zeros(7), 1.0)
 
@@ -262,7 +262,7 @@ class TestPropagation:
     def test_matches_analytic_displaced_state(self, spin_up, rng):
         # the propagator omits the constant level shift, hence the extra
         # global factor exp(i beta^2 w t) relative to the analytic phases
-        params = ModelParams.from_beta(0.3)
+        params = ModelParams(0.3)
         trunc = TruncationSpec(default_ncut(Coherent(0.4), 0.3))
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
@@ -325,20 +325,20 @@ class TestFieldComponents:
             field_components(Thermal(5.0), TruncationSpec(10))
 
 
-def _maps(prop, field, trunc, omega_ts):
+def _maps(prop, field, omega_ts):
     """The (n, 2, 2, 2, 2) conditional maps ops[:, i, k, p, q] = M_ik[p, q]
     on a grid that fits one block, and the field's tail mass."""
-    kernel = _MapKernel(prop, field, trunc)
+    kernel = _MapKernel(prop, field)
     (ops,) = kernel.blocks(np.asarray(omega_ts, dtype=float))
     return ops, kernel.tail
 
 
 class TestConditionalMaps:
     def test_zero_time_identity_maps(self):
-        params = ModelParams.from_beta(0.4)
+        params = ModelParams(0.4)
         trunc = TruncationSpec(default_ncut(Thermal(1.0), 0.4))
         prop = build_hamiltonian(params, trunc)
-        (ops,), tail = _maps(prop, Thermal(1.0), trunc, [0.0])
+        (ops,), tail = _maps(prop, Thermal(1.0), [0.0])
         norm = 1.0 - tail
         for i in range(2):
             for k in range(2):
@@ -347,11 +347,11 @@ class TestConditionalMaps:
                 np.testing.assert_allclose(ops[i, k], expected, atol=1e-12)
 
     def test_structure_invariants(self, rng):
-        params = ModelParams.from_beta(0.35, omega0=0.15)
+        params = ModelParams(0.35, omega0=0.15)
         field = Coherent(0.8)
         trunc = TruncationSpec(default_ncut(field, 0.35))
         prop = build_hamiltonian(params, trunc)
-        stack, tail = _maps(prop, field, trunc, rng.uniform(0.0, 2 * PI, size=5))
+        stack, tail = _maps(prop, field, rng.uniform(0.0, 2 * PI, size=5))
         for ops in stack:
             m_uu, m_dd = ops[0, 0], ops[1, 1]
             assert np.max(np.abs(m_uu - m_uu.conj().T)) <= 1e-12
@@ -361,32 +361,32 @@ class TestConditionalMaps:
             np.testing.assert_allclose(ops[0, 1], ops[1, 0].conj().T, atol=1e-12)
 
     def test_degenerate_diagonal_maps_time_independent(self, rng):
-        params = ModelParams.from_beta(0.5)
+        params = ModelParams(0.5)
         field = Number(2)
         trunc = TruncationSpec(default_ncut(field, 0.5))
         prop = build_hamiltonian(params, trunc)
-        (ref,), _ = _maps(prop, field, trunc, [0.0])
-        stack, _ = _maps(prop, field, trunc, rng.uniform(0.0, 2 * PI, size=5))
+        (ref,), _ = _maps(prop, field, [0.0])
+        stack, _ = _maps(prop, field, rng.uniform(0.0, 2 * PI, size=5))
         for ops in stack:
             assert np.max(np.abs(ops[0, 0] - ref[0, 0])) <= 1e-10
             assert np.max(np.abs(ops[1, 1] - ref[1, 1])) <= 1e-10
 
     def test_coherent_entry_matches_closed_form(self):
-        params = ModelParams.from_beta(0.3)
+        params = ModelParams(0.3)
         field = Coherent(1.0)
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(params, trunc)
-        (ops,), _ = _maps(prop, field, trunc, [PI])
+        (ops,), _ = _maps(prop, field, [PI])
         closed = single_qubit_coherence(1.0, field, 0.3, PI)
         assert abs(ops[0, 1, 0, 1] - closed) <= 1e-8
 
     def test_thermal_entry_matches_closed_form(self):
-        params = ModelParams.from_beta(0.3)
+        params = ModelParams(0.3)
         field = Thermal(1.0)
         trunc = TruncationSpec(60)
         prop = build_hamiltonian(params, trunc)
         grid = (0.9, PI, 4.0)
-        stack, tail = _maps(prop, field, trunc, grid)
+        stack, tail = _maps(prop, field, grid)
         assert tail <= 1e-10
         for ops, wt in zip(stack, grid):
             closed = single_qubit_coherence(1.0, field, 0.3, wt)
@@ -400,7 +400,7 @@ class TestConditionalMaps:
         # misses by order 1 for an amplitude off the real axis
         grid = np.linspace(0.4, 6.0, 7)
         trunc = TruncationSpec(default_ncut(field, 0.4))
-        ops, _ = _maps(build_hamiltonian(ModelParams.from_beta(0.4), trunc), field, trunc, grid)
+        ops, _ = _maps(build_hamiltonian(ModelParams(0.4), trunc), field, grid)
         closed = single_qubit_coherence(1.0, field, 0.4, grid)
         assert np.max(np.abs(ops[:, 0, 1, 0, 1] - closed)) <= 1e-10
 
@@ -413,12 +413,12 @@ class TestMapKernel:
         # the parity chains against the dense 2F block, at and off omega0 = 0
         trunc = TruncationSpec(default_ncut(field, 0.5))
         for omega0 in (0.0, 0.3, 0.7, 3.0):
-            params = ModelParams.from_beta(0.5, omega0=omega0)
+            params = ModelParams(0.5, omega0=omega0)
             prop = build_hamiltonian(params, trunc)
             dense = _dense_block(params, trunc)
             psi = rng.normal(size=(prop.dim, 3)) + 1j * rng.normal(size=(prop.dim, 3))
             grid = rng.uniform(0.0, 2 * PI, size=4)
-            stack, _ = _maps(prop, field, trunc, grid)
+            stack, _ = _maps(prop, field, grid)
             for ops, wt in zip(stack, grid):
                 assert np.max(np.abs(ops - _dense_maps(dense, field, trunc, wt))) <= 1e-12
                 moved = propagate_state(prop, psi, wt) - _dense_propagate(dense, psi, wt)
@@ -447,19 +447,19 @@ class TestMapKernel:
                  for r in range(2 * f)]
                 for p in (0, 1)
             ]).reshape(2, 2, f)
-        params, trunc = ModelParams.from_beta(beta, omega0=omega0), TruncationSpec(ncut)
-        rails = oracle._evolved_rails(build_hamiltonian(params, trunc), Vacuum(), trunc, 2 * PI)
+        params, trunc = ModelParams(beta, omega0=omega0), TruncationSpec(ncut)
+        rails = oracle._evolved_rails(build_hamiltonian(params, trunc), Vacuum(), 2 * PI)
         assert np.max(np.abs(rails - truth)) <= 2e-15
 
     def test_detuned_thermal_matches_propagated_components(self, rng):
-        params = ModelParams.from_beta(0.4, omega0=0.3)
+        params = ModelParams(0.4, omega0=0.3)
         field = Thermal(2.0)
         trunc = TruncationSpec(default_ncut(field, 0.4))
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
         weights, vecs, _ = field_components(field, trunc)
         grid = rng.uniform(0.0, 2 * PI, size=3)
-        stack, _ = _maps(prop, field, trunc, grid)
+        stack, _ = _maps(prop, field, grid)
         for ops, wt in zip(stack, grid):
             rails = []
             for i in (0, 1):
@@ -473,8 +473,8 @@ class TestMapKernel:
     def test_long_grid_is_evaluated_in_bounded_blocks(self, monkeypatch):
         field = Thermal(2.0)
         trunc = TruncationSpec(617)
-        prop = build_hamiltonian(ModelParams.from_beta(0.1), trunc)
-        kernel = _MapKernel(prop, field, trunc)
+        prop = build_hamiltonian(ModelParams(0.1), trunc)
+        kernel = _MapKernel(prop, field)
         assert kernel.block * kernel.energies.size * 16 <= _PHASE_BLOCK_BYTES
         sizes = []
 
@@ -494,11 +494,11 @@ class TestMapKernel:
         # sliced overlaps, the signed Gram and the shared products against
         # the general path, which multiplies V' C and V' P C
         trunc = TruncationSpec(default_ncut(field, 0.3))
-        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
+        prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
-        (sliced,) = _MapKernel(prop, field, trunc).blocks(grid)
+        (sliced,) = _MapKernel(prop, field).blocks(grid)
         monkeypatch.setattr(oracle, "_unit_rows", lambda vecs: None)
-        (general,) = _MapKernel(prop, field, trunc).blocks(grid)
+        (general,) = _MapKernel(prop, field).blocks(grid)
         assert np.array_equal(sliced, general)
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
@@ -514,7 +514,7 @@ class TestMapKernel:
         elif specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trunc = TruncationSpec(f - 1, tail_tol)
-        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
+        prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         assert prop.eigensolver == solver
         modes = [v for _, v in prop.distinct_chains]
         if omega0:
@@ -528,7 +528,7 @@ class TestMapKernel:
             # here, and its rail factors do not depend on the field
             fields = fields[:3]
         for field in fields:
-            kernel = _MapKernel(prop, field, trunc)
+            kernel = _MapKernel(prop, field)
             if omega0:
                 # S^st = (V_s' X V_t) o (field Gram): the rail factor of each product
                 got = {(s, t, p != q): factors[0] for s, t, factors, (((_, _, p, q), _), *_)
@@ -585,8 +585,8 @@ class TestMapKernel:
         # 28 signed block terms at omega0 != 0; for a unit-Fock field M_dd
         # takes every product of M_uu
         trunc = TruncationSpec(default_ncut(field, 0.3))
-        prop = build_hamiltonian(ModelParams.from_beta(0.3, omega0=omega0), trunc)
-        kernel = _MapKernel(prop, field, trunc)
+        prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
+        kernel = _MapKernel(prop, field)
         assert len(kernel.terms) == products
         assert sum(len(targets) for *_, targets in kernel.terms) == (1 if omega0 == 0 else 28)
         # the factors are the kernel's own: the eigenvectors can be released
@@ -599,7 +599,7 @@ class TestTwoQubitReduced:
     @staticmethod
     def _reduced(beta, field, initial, omega_ts):
         trunc = TruncationSpec(default_ncut(field, beta))
-        ops, _ = _maps(build_hamiltonian(ModelParams.from_beta(beta), trunc), field, trunc,
+        ops, _ = _maps(build_hamiltonian(ModelParams(beta), trunc), field,
                        omega_ts)
         return _reduced_stack(ops, ops, initial)
 
@@ -615,7 +615,7 @@ class TestTwoQubitReduced:
     def test_every_bell_element_matches_the_reconstruction(self, field):
         # Phi+ and Psi+ sit in the sigma_x corner, Phi- and Psi- in the middle
         grid = np.linspace(0.4, 6.0, 7)
-        params = ModelParams.from_beta(0.4)
+        params = ModelParams(0.4)
         for bell in BellState:
             initial = make_bell(bell, QubitBasis.SIGMA_X)
             _, qmats, _, _ = oracle._reconstruct(params, field, initial, grid,
@@ -640,7 +640,7 @@ class TestTwoQubitReduced:
         # the validation gate for the derived mixed-state concurrence law
         grid = np.linspace(0.0, 2 * PI, 17)
         trace = concurrence_trace(
-            ModelParams.from_beta(0.5), Thermal(2.0), make_esd_mixture(), grid
+            ModelParams(0.5), Thermal(2.0), make_esd_mixture(), grid
         )
         closed = np.asarray(esd_concurrence_closed(0.5, 2.0, grid))
         assert np.max(np.abs(trace.values - closed)) <= 1e-7
@@ -671,9 +671,9 @@ class TestStackedReduction:
 
     @staticmethod
     def _block(field, beta, omega0, grid):
-        params = ModelParams.from_beta(beta, omega0=omega0)
+        params = ModelParams(beta, omega0=omega0)
         trunc = TruncationSpec(default_ncut(field, beta))
-        kernel = _MapKernel(build_hamiltonian(params, trunc), field, trunc)
+        kernel = _MapKernel(build_hamiltonian(params, trunc), field)
         (ops,) = kernel.blocks(grid)
         return ops
 
@@ -707,7 +707,7 @@ class TestStackedReduction:
     def test_concurrence_trace_uses_the_stack(self):
         field, initial, beta, _ = self.CASES[4]
         grid = np.linspace(0.0, 2 * PI, 17)
-        trace = concurrence_trace(ModelParams.from_beta(beta), field, initial, grid)
+        trace = concurrence_trace(ModelParams(beta), field, initial, grid)
         ops = self._block(field, beta, 0.0, grid)
         expected, _ = wootters_concurrences(_reduced_stack(ops, ops, initial), QubitBasis.SIGMA_X)
         assert np.array_equal(trace.values, expected)
@@ -736,7 +736,7 @@ class TestConcurrenceTrace:
     def test_vacuum_grid_against_closed_form(self):
         grid = np.linspace(0.0, 2 * PI, 33)
         trace = concurrence_trace(
-            ModelParams.from_beta(0.5),
+            ModelParams(0.5),
             Vacuum(),
             make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X),
             grid,
@@ -749,7 +749,7 @@ class TestConcurrenceTrace:
         grid = np.linspace(0.0, 2 * PI, 5)
         with pytest.raises(TruncationError):
             concurrence_trace(
-                ModelParams.from_beta(0.1),
+                ModelParams(0.1),
                 Coherent(3.0),
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X),
                 grid,
@@ -761,7 +761,7 @@ class TestConcurrenceTrace:
         grid = np.linspace(0.0, 2 * PI, 5)
         with pytest.raises(TruncationError):
             concurrence_trace(
-                ModelParams.from_beta(1.0),
+                ModelParams(1.0),
                 Vacuum(),
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X),
                 grid,
@@ -781,7 +781,7 @@ class TestConcurrenceTrace:
         else:
             initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
             closed = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), beta, grid)
-        trace = concurrence_trace(ModelParams.from_beta(beta), Thermal(nbar), initial, grid)
+        trace = concurrence_trace(ModelParams(beta), Thermal(nbar), initial, grid)
         error = float(np.max(np.abs(trace.values - closed)))
         assert error > 1e-11
         assert trace.doubling_error >= error / 100
@@ -791,7 +791,7 @@ class TestConcurrenceTrace:
     def test_non_finite_phase_rejected_before_eigensolve(self, bad, no_allocation):
         with pytest.raises(ValueError, match="finite"):
             concurrence_trace(
-                ModelParams.from_beta(0.3), Vacuum(),
+                ModelParams(0.3), Vacuum(),
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, bad, 1.0],
             )
 
@@ -800,14 +800,14 @@ class TestConcurrenceTrace:
         # an infinite tolerance would pass every cutoff-doubling check
         with pytest.raises(ValueError, match="convergence_tol"):
             concurrence_trace(
-                ModelParams.from_beta(0.3), Vacuum(),
+                ModelParams(0.3), Vacuum(),
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
                 convergence_tol=tol,
             )
 
     def test_empty_grid_gives_empty_trace(self):
         trace = concurrence_trace(
-            ModelParams.from_beta(0.3), Thermal(1.0), make_esd_mixture(), [])
+            ModelParams(0.3), Thermal(1.0), make_esd_mixture(), [])
         assert trace.omega_ts.shape == trace.values.shape == (0,)
         assert trace.doubling_points == 0 and trace.doubling_error == 0.0
         closed = concurrence_closed(BellState.PHI_PLUS, Thermal(1.0), 0.3, np.array([]))
@@ -819,14 +819,14 @@ class TestConcurrenceTrace:
         if specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trace = concurrence_trace(
-            ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
+            ModelParams(0.3, omega0=omega0), Vacuum(),
             make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
             trunc=TruncationSpec(30),
         )
         assert (trace.eigensolver, trace.sector_dim) == ("dstevd", 31)
         monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         fallback = concurrence_trace(
-            ModelParams.from_beta(0.3, omega0=omega0), Vacuum(),
+            ModelParams(0.3, omega0=omega0), Vacuum(),
             make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
             trunc=TruncationSpec(30),
         )
@@ -834,7 +834,7 @@ class TestConcurrenceTrace:
         assert np.array_equal(fallback.values, trace.values)
 
     def test_trace_records_components_and_doubled_cutoff(self):
-        params, initial = ModelParams.from_beta(0.3), make_esd_mixture()
+        params, initial = ModelParams(0.3), make_esd_mixture()
         trunc = TruncationSpec(156)
         trace = concurrence_trace(params, Thermal(5.0), initial, [0.0, 1.0], trunc=trunc)
         k = oracle.thermal_component_count(5.0, trunc.tail_tol)
@@ -851,12 +851,12 @@ class TestConcurrenceTrace:
         # eps * max|E| * max|w t| at the doubled cutoff: about 1e-5 here
         with pytest.raises(ValueError, match="phase roundoff"):
             concurrence_trace(
-                ModelParams.from_beta(0.3), Vacuum(),
+                ModelParams(0.3), Vacuum(),
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 5e8, 1e9],
             )
 
     def test_phase_bound_covers_every_eigenvalue(self):
-        params, trunc = ModelParams.from_beta(3.0, omega0=5.0), TruncationSpec(200)
+        params, trunc = ModelParams(3.0, omega0=5.0), TruncationSpec(200)
         prop = build_hamiltonian(params, trunc)
         bound = trunc.ncut + 5.0 / 2.0 + 2.0 * 3.0 * math.sqrt(trunc.ncut)
         assert np.max(np.abs(prop.energies)) <= bound
@@ -867,7 +867,7 @@ class TestConcurrenceTrace:
 
     def test_long_grid_at_small_cutoff_within_estimate(self):
         # the per-point stacks of a block are bounded, not only its phases
-        params, trunc = ModelParams.from_beta(0.05), TruncationSpec(3, tail_tol=0.5)
+        params, trunc = ModelParams(0.05), TruncationSpec(3, tail_tol=0.5)
         grid = np.linspace(0.0, 2 * PI, 40001)
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
         tracemalloc.start()
@@ -879,33 +879,32 @@ class TestConcurrenceTrace:
 
 class TestFieldField:
     def _prop(self, beta, field):
-        trunc = TruncationSpec(default_ncut(field, beta))
-        return build_hamiltonian(ModelParams.from_beta(beta), trunc), trunc
+        return build_hamiltonian(ModelParams(beta), TruncationSpec(default_ncut(field, beta)))
 
     def test_zero_time_product_state(self):
-        prop, trunc = self._prop(0.5, Vacuum())
+        prop = self._prop(0.5, Vacuum())
         f = prop.fock_dim
-        rho = field_field_reduced(prop, BellState.PHI_PLUS, Vacuum(), trunc, 0.0)
+        rho = field_field_reduced(prop, BellState.PHI_PLUS, Vacuum(), 0.0)
         assert negativity(rho, (f, f)) <= 1e-12
 
     def test_separability_at_half_period(self):
-        prop, trunc = self._prop(0.75, Vacuum())
+        prop = self._prop(0.75, Vacuum())
         f = prop.fock_dim
-        rho = field_field_reduced(prop, BellState.PHI_PLUS, Vacuum(), trunc, PI)
+        rho = field_field_reduced(prop, BellState.PHI_PLUS, Vacuum(), PI)
         assert negativity(rho, (f, f)) <= 1e-9
 
     def test_purities(self):
-        prop, trunc = self._prop(0.75, Vacuum())
-        witness = field_field_witness(prop, BellState.PHI_PLUS, Vacuum(), trunc, PI)
+        prop = self._prop(0.75, Vacuum())
+        witness = field_field_witness(prop, BellState.PHI_PLUS, Vacuum(), PI)
         assert witness.qubit_purity == pytest.approx(0.5, abs=1e-12)
         # field branches +-b(t) with |b| = 2 beta: purity 1/2 + e^{-4|b|^2}/2
         assert witness.field_purity == pytest.approx(0.5 + 0.5 * math.exp(-9.0), abs=1e-10)
 
     @staticmethod
-    def _dense_purities(prop, bell, field, trunc, wt):
+    def _dense_purities(prop, bell, field, wt):
         """Qubit and field purities from the dense (2, F, 2, F) four-party
         state."""
-        rails = oracle._evolved_rails(prop, field, trunc, wt)
+        rails = oracle._evolved_rails(prop, field, wt)
         c2 = bell_ket(bell, QubitBasis.SIGMA_X).reshape(2, 2)
         psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails)
         psi /= np.linalg.norm(psi)
@@ -925,15 +924,15 @@ class TestFieldField:
         ],
     )
     def test_local_support_matches_dense(self, field, beta, omega0, bell, support):
-        params = ModelParams.from_beta(beta, omega0=omega0)
+        params = ModelParams(beta, omega0=omega0)
         trunc = TruncationSpec(default_ncut(field, beta))
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
         largest = 0.0
         for wt in np.linspace(0.0, 2 * PI, 7):
-            witness = field_field_witness(prop, bell, field, trunc, wt)
-            rho = field_field_reduced(prop, bell, field, trunc, wt)
-            qp, fp = self._dense_purities(prop, bell, field, trunc, wt)
+            witness = field_field_witness(prop, bell, field, wt)
+            rho = field_field_reduced(prop, bell, field, wt)
+            qp, fp = self._dense_purities(prop, bell, field, wt)
             assert witness.support_dim == support
             assert witness.negativity == pytest.approx(negativity(rho, (f, f)), abs=1e-12)
             assert witness.qubit_purity == pytest.approx(qp, abs=1e-12)
@@ -943,9 +942,9 @@ class TestFieldField:
         assert (largest > 0.05) == (omega0 != 0.0)
 
     def test_mixed_field_rejected(self):
-        prop, trunc = self._prop(0.3, Vacuum())
+        prop = self._prop(0.3, Vacuum())
         with pytest.raises(ValueError):
-            field_field_witness(prop, BellState.PHI_PLUS, Thermal(1.0), trunc, 1.0)
+            field_field_witness(prop, BellState.PHI_PLUS, Thermal(1.0), 1.0)
 
 
 class TestMemoryBudget:
@@ -956,18 +955,18 @@ class TestMemoryBudget:
         field = Thermal(1e6)
         with pytest.raises(TruncationError, match="physical memory"):
             concurrence_trace(
-                ModelParams.from_beta(0.1), field,
+                ModelParams(0.1), field,
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), np.array([0.0, 1.0]),
             )
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     def test_eigensolve_rejected_before_allocating(self, no_allocation, omega0):
-        params = ModelParams.from_beta(0.5, omega0=omega0)
+        params = ModelParams(0.5, omega0=omega0)
         with pytest.raises(TruncationError, match="physical memory"):
             build_hamiltonian(params, TruncationSpec(10**9))
 
     def test_estimate_covers_the_doubled_run(self):
-        params = ModelParams.from_beta(0.1, omega0=0.7)
+        params = ModelParams(0.1, omega0=0.7)
         trunc = TruncationSpec(1000)
         once = oracle._run_bytes(params, Thermal(5.0), trunc)
         both = oracle._trace_bytes(params, Thermal(5.0), trunc)
@@ -989,13 +988,13 @@ class TestMemoryBudget:
         # eigenvectors, the one factor S and a chunk of rows of 2 E at F = 313
         trunc = TruncationSpec(156)
         f = trunc.doubled().ncut + 1
-        assert self._peak(ModelParams.from_beta(0.3), Thermal(5.0), trunc) <= 3 * 8 * f * f
+        assert self._peak(ModelParams(0.3), Thermal(5.0), trunc) <= 3 * 8 * f * f
 
     def test_readme_esd_trace_peak(self):
         # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
         # K = 705 components; the peak is the eigenvectors, G and the F x K
         # overlaps while G is formed, 2.575 F^2 words, then S and a chunk of 2 E
-        params, field = ModelParams.from_beta(0.1), Thermal(25.0)
+        params, field = ModelParams(0.1), Thermal(25.0)
         trunc = truncation(field, 0.1)
         f = trunc.doubled().ncut + 1
         assert f == 1235
@@ -1007,7 +1006,7 @@ class TestMemoryBudget:
     def test_trace_peak_within_estimate(self, field, omega0, monkeypatch):
         # small phase blocks, so the F x F factors dominate the estimate
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
-        params, trunc = ModelParams.from_beta(0.3, omega0=omega0), TruncationSpec(156)
+        params, trunc = ModelParams(0.3, omega0=omega0), TruncationSpec(156)
         assert self._peak(params, field, trunc) <= oracle._trace_bytes(params, field, trunc)
 
 
@@ -1026,7 +1025,7 @@ class TestDefaultNcut:
         # the cutoff holds the tail of the field displaced to |alpha +- beta| + beta
         grid = np.linspace(0.0, 2 * PI, 33)
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
-        trace = concurrence_trace(ModelParams.from_beta(beta), Coherent(alpha), initial, grid)
+        trace = concurrence_trace(ModelParams(beta), Coherent(alpha), initial, grid)
         assert trace.ncut == default_ncut(Coherent(alpha), beta)
         assert trace.tail_mass <= 1e-10 and trace.doubling_error <= 1e-8
         closed = concurrence_closed(BellState.PHI_PLUS, Coherent(alpha), beta, grid)

@@ -160,14 +160,14 @@ def test_oracle_matches_closed_form(bell, field, beta, omega_ts):
     # the oracle-grid tolerance of the acceptance criteria
     omega_ts = np.array(omega_ts)
     trace = concurrence_trace(
-        ModelParams.from_beta(beta), field, make_bell(bell, QubitBasis.SIGMA_X), omega_ts)
+        ModelParams(beta), field, make_bell(bell, QubitBasis.SIGMA_X), omega_ts)
     closed = concurrence_closed(bell, field, beta, omega_ts)
     assert np.max(np.abs(trace.values - closed)) <= 1e-7
 
 
 def _call_oracle(entry, omega0, omega_t):
     """Call one oracle entry point with phase (or grid) ``omega_t``."""
-    params, trunc = ModelParams.from_beta(0.4, omega0=omega0), TruncationSpec(12)
+    params, trunc = ModelParams(0.4, omega0=omega0), TruncationSpec(12)
     bell = BellState.PHI_PLUS
     if entry == "concurrence_trace":
         return concurrence_trace(params, Vacuum(), make_bell(bell, QubitBasis.SIGMA_X),
@@ -175,7 +175,7 @@ def _call_oracle(entry, omega0, omega_t):
     prop = build_hamiltonian(params, trunc)
     if entry == "propagate_state":
         return propagate_state(prop, np.eye(prop.dim)[:, :2], omega_t)
-    return field_field_witness(prop, bell, Vacuum(), trunc, omega_t).negativity
+    return field_field_witness(prop, bell, Vacuum(), omega_t).negativity
 
 
 oracle_entries = st.sampled_from(["concurrence_trace", "propagate_state", "field_field_witness"])
@@ -203,12 +203,12 @@ def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
     lambda: TruncationSpec(2.5),
     lambda: TruncationSpec(True),
     lambda: TruncationSpec(np.float64(20.0)),
-    lambda: concurrence_trace(ModelParams.from_beta(0.4), Vacuum(),
+    lambda: concurrence_trace(ModelParams(0.4), Vacuum(),
                               make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
                               trunc=TruncationSpec(20.5)),
-    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), 0),
-    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), 2.5),
-    lambda: low_spectrum(build_hamiltonian(ModelParams.from_beta(0.4), TruncationSpec(12)), True),
+    lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), 0),
+    lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), 2.5),
+    lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), True),
 ], ids=["ncut-2.5", "ncut-bool", "ncut-float", "trace-ncut-20.5", "spectrum-0",
         "spectrum-2.5", "spectrum-bool"])
 def test_oracle_rejects_non_integral_cutoffs(call):
