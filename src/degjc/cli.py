@@ -59,8 +59,7 @@ from .model import (
     make_esd_mixture,
 )
 from .oracle import (
-    TruncationError, _require_memory, _require_phase_accuracy, build_hamiltonian,
-    concurrence_trace, field_field_witness, truncation)
+    TruncationError, _require_memory, concurrence_trace, field_field_witness, truncation)
 from .validation import convergence_tol, validation_rows
 
 
@@ -361,15 +360,12 @@ def run_separability(cfg):
         raise ConfigError("separability witness requires a pure field (vacuum/coherent/number)")
     bell = cfg.bell if cfg.bell is not None else BellState.PHI_PLUS
     omega_ts = _grid(cfg, 2.0 * math.pi, 17)
-    params = ModelParams(beta, cfg.omega0)
-    prop = build_hamiltonian(params, truncation(field, beta, cfg.ncut))
-    _require_phase_accuracy(params, prop.trunc.ncut, omega_ts, convergence_tol(cfg.tolerance))
-    points = [field_field_witness(prop, bell, field, wt) for wt in omega_ts]
-    negs = np.array([w.negativity for w in points])
+    witness = field_field_witness(
+        ModelParams(beta, cfg.omega0), field, bell, omega_ts, truncation(field, beta, cfg.ncut))
     cols = _time_columns(cfg, omega_ts) + [
-        ("negativity", negs),
-        ("qubit_purity", np.array([w.qubit_purity for w in points])),
-        ("field_purity", np.array([w.field_purity for w in points])),
+        ("negativity", witness.negativity),
+        ("qubit_purity", witness.qubit_purity),
+        ("field_purity", witness.field_purity),
     ]
     md = _base_metadata(
         cfg,
@@ -378,8 +374,8 @@ def run_separability(cfg):
         bell=bell.value,
         steps=len(omega_ts),
         omega_t_max=omega_ts[-1],
-        ncut=prop.trunc.ncut,
-        max_negativity=float(np.max(negs)),
+        ncut=witness.ncut,
+        max_negativity=float(np.max(witness.negativity)),
     )
     return write_csv(cfg.out, md, cols)
 

@@ -26,7 +26,7 @@ RANK_TOL = 1e-13
 
 
 def wootters_concurrence(state):
-    """Concurrence C = max(0, s1 - s2 - s3 - s4) of a two-qubit state.
+    """Concurrence C = min(1, max(0, s1 - s2 - s3 - s4)) of a two-qubit state.
 
     The s_i are the descending square roots of the eigenvalues of
     rho (sy x sy) rho* (sy x sy).  This is the one-matrix case of
@@ -62,7 +62,7 @@ def wootters_concurrences(rhos, basis):
         tau = x.swapaxes(-1, -2) @ _SYSY @ x
         s[group, :r] = np.linalg.svd(tau, compute_uv=False)
     margin = s[:, 0] - s[:, 1] - s[:, 2] - s[:, 3]
-    return np.where(margin > 0.0, margin, 0.0), s
+    return np.where(margin > 0.0, np.minimum(margin, 1.0), 0.0), s
 
 
 def negativity(rho, dims):

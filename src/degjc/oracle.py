@@ -48,6 +48,7 @@ from . import specialfn
 from .specialfn import _amplitude, _tridiagonal_eigh, thermal_weights
 
 _TAIL_TOL = 1e-10  # default truncated probability mass of a field's decomposition
+_CONVERGENCE_TOL = 1e-8  # default cutoff-doubling and phase-roundoff tolerance
 
 
 class TruncationError(RuntimeError):
@@ -494,73 +495,76 @@ def _reduced_stack(ops_a, ops_b, initial):
     return q
 
 
-def _evolved_rails(prop, field, omega_t):
-    """Evolved rail components ``rails[p, r, :]`` = <r|U(w t)|p, phi> of a
-    pure field phi, as a (2, 2, F) array: initial rail p, qubit out r."""
-    if isinstance(field, Thermal):
-        raise ValueError("four-party pure-state construction requires a pure field")
-    _, vecs, _ = field_components(field, prop.trunc)
-    f = prop.fock_dim
-    psi0 = np.zeros((prop.dim, 2), dtype=complex)
-    psi0[:f, 0] = vecs[:, 0]
-    psi0[f:, 1] = vecs[:, 0]
-    evolved = propagate_state(prop, psi0, omega_t)  # columns: rails up, down
-    return evolved.T.reshape(2, 2, f)
-
-
 @dataclass(frozen=True)
 class FieldFieldWitness:
-    """Field-field negativity and single-party purities at one phase point.
+    """Field-field negativity and single-party purities, one entry per phase.
 
     ``negativity`` is that of the two fields' reduced state with both
     qubits traced out; ``qubit_purity`` and ``field_purity`` are Tr[rho^2]
     of one qubit and of one field.  ``support_dim`` is the dimension k of
     the local support each field was written on (at most 4, and 2 at
-    omega0 = 0), so the negativity came from a k^2 x k^2 matrix.  For a
-    Bell input the qubit purity stays at 1/2 exactly; the field purity is
-    1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input and approaches 1/2 as the
-    branches become orthogonal.
+    omega0 = 0), so the negativity came from a k^2 x k^2 matrix; ``ncut``
+    is the cutoff.  For a Bell input the qubit purity stays at 1/2 exactly;
+    the field purity is 1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input and
+    approaches 1/2 as the branches become orthogonal.
     """
 
-    negativity: float
-    qubit_purity: float
-    field_purity: float
-    support_dim: int
+    negativity: np.ndarray
+    qubit_purity: np.ndarray
+    field_purity: np.ndarray
+    support_dim: np.ndarray
+    ncut: int
 
 
-def field_field_witness(prop, bell, field, omega_t):
-    """Separability witness of the evolved four-party pure state.
+def field_field_witness(params, field, bell, omega_ts, trunc=None):
+    """Separability witness of the evolved four-party pure state on a grid.
 
     The initial state is the Bell state ``bell`` with identical pure fields
     on both subsystems.  Each field's state lies in the span of the evolved
-    rail vectors <r|U|p, phi>; at omega0 = 0 the two with r != p are exactly
-    zero and are left out.  The reduced QR factorization rails = Q R gives
-    an isometry Q onto a space containing that span and the coordinates R,
-    so the state is rewritten on a (2, k, 2, k) tensor.  Negativity and
-    purities do not change under local isometries (Peres, PRL 77, 1413
-    (1996)), so the values are exact and need no rank threshold; the
-    propagation costs O(F) memory beyond the propagator.
+    rail vectors <r|U|p, phi> (initial rail p, qubit out r); at omega0 = 0
+    the two with r != p are exactly zero and are left out.  The reduced QR
+    factorization rails = Q R gives an isometry Q onto a space containing
+    that span and the coordinates R, so the state is rewritten on a
+    (2, k, 2, k) tensor.  Negativity and purities do not change under local
+    isometries (Peres, PRL 77, 1413 (1996)), so the values are exact and
+    need no rank threshold; the propagation costs O(F) memory beyond the
+    propagator.
+
+    The cutoff default and the phase and memory checks are those of
+    :func:`concurrence_trace` at its default tolerance; a mixed field
+    raises ValueError, and an empty grid gives empty arrays.
     """
-    rails = _evolved_rails(prop, field, omega_t).reshape(4, -1)
-    used = np.flatnonzero(np.any(rails != 0.0, axis=1))
-    _, r = np.linalg.qr(rails[used].T)
-    k = r.shape[0]
-    coords = np.zeros((4, k), dtype=complex)
-    coords[used] = r.T
-    # psi[(r, i), (s, j)] = sum_pq c[p, q] a[p, (r, i)] a[q, (s, j)]
-    a = coords.reshape(2, 2 * k)
+    omega_ts = _finite_phases(omega_ts, 1)
+    if isinstance(field, Thermal):
+        raise ValueError(f"the field-field witness requires a pure field, got {field}")
+    if trunc is None:
+        trunc = truncation(field, params.beta)
+    prop = build_hamiltonian(params, trunc)
+    _require_phase_accuracy(params, trunc.ncut, omega_ts, _CONVERGENCE_TOL)
+    _, vecs, _ = field_components(field, trunc)
+    f = prop.fock_dim
+    psi0 = np.zeros((prop.dim, 2), dtype=complex)  # columns: rails up, down
+    psi0[:f, 0] = psi0[f:, 1] = vecs[:, 0]
     c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
-    psi = (a.T @ c2 @ a).reshape(2, k, 2, k)
-    psi /= np.linalg.norm(psi)
-    fields = psi.transpose(1, 3, 0, 2).reshape(k * k, 4)
-    qubit = psi.reshape(2, 2 * k * k)
-    field_a = psi.transpose(1, 0, 2, 3).reshape(k, 4 * k)
-    return FieldFieldWitness(
-        negativity=negativity(fields @ fields.conj().T, (k, k)),
-        qubit_purity=_purity(qubit),
-        field_purity=_purity(field_a),
-        support_dim=k,
-    )
+    negs, qubit_purity, field_purity = np.empty((3, len(omega_ts)))
+    support_dim = np.empty(len(omega_ts), dtype=int)
+    for point, omega_t in enumerate(omega_ts):
+        rails = propagate_state(prop, psi0, omega_t).T.reshape(4, f)  # rows (p, r)
+        used = np.flatnonzero(np.any(rails != 0.0, axis=1))
+        _, r = np.linalg.qr(rails[used].T)
+        k = r.shape[0]
+        coords = np.zeros((4, k), dtype=complex)
+        coords[used] = r.T
+        # psi[(r, i), (s, j)] = sum_pq c[p, q] a[p, (r, i)] a[q, (s, j)]
+        a = coords.reshape(2, 2 * k)
+        psi = (a.T @ c2 @ a).reshape(2, k, 2, k)
+        psi /= np.linalg.norm(psi)
+        fields = psi.transpose(1, 3, 0, 2).reshape(k * k, 4)
+        negs[point] = negativity(fields @ fields.conj().T, (k, k))
+        qubit_purity[point] = _purity(psi.reshape(2, 2 * k * k))
+        field_purity[point] = _purity(psi.transpose(1, 0, 2, 3).reshape(k, 4 * k))
+        support_dim[point] = k
+    return FieldFieldWitness(negs, qubit_purity, field_purity, support_dim, trunc.ncut)
 
 
 def _purity(x):
@@ -581,23 +585,23 @@ def low_spectrum(prop, k):
 def default_ncut(field, beta):
     """Starting cutoff: reach of the displaced dynamics plus margin.
 
-    ceil((|alpha0| + 2 beta + 3 sqrt(nbar) + sqrt(N))^2) + 20, raised for
-    thermal states so the mixture tail fits the default tolerance, and for
-    vacuum and coherent states so a coherent state of the largest amplitude
-    the dynamics reach, |alpha0 +- beta| + beta, loses at most that mass.
-    The cutoff-doubling convergence check is the actual contract; this is
-    only the initial guess.
+    With reach = |alpha0| + 2 beta, the largest amplitude the displaced
+    dynamics reach, ceil((reach + 3 sqrt(nbar) + sqrt(N))^2) + 20, raised
+    for thermal states so the mixture tail fits the default tolerance, and
+    for vacuum and coherent states so a coherent state of amplitude reach
+    loses at most that mass.  The cutoff-doubling convergence check is the
+    actual contract; this is only the initial guess.
     """
     alpha0 = field.alpha0 if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
     nn = field.n if isinstance(field, Number) else 0
+    reach = abs(alpha0) + 2.0 * beta
     try:
-        ncut = math.ceil((abs(alpha0) + 2.0 * beta + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
+        ncut = math.ceil((reach + 3.0 * math.sqrt(nb) + math.sqrt(nn)) ** 2) + 20
     except OverflowError as exc:
         raise TruncationError(f"no representable cutoff for {field} at beta={beta:g}") from exc
     if nb > 0:
         ncut = max(ncut, thermal_component_count(nb, _TAIL_TOL) + 30)
-    reach = max(abs(alpha0 + beta), abs(alpha0 - beta)) + beta
     if isinstance(field, (Vacuum, Coherent)) and math.exp(-0.5 * reach**2) > 0.0:
         # lost mass at every cutoff up to one far beyond the Poisson tail
         c, _ = coherent_fock_vector(reach, math.ceil(reach**2 + 10.0 * reach) + 40)
@@ -644,10 +648,8 @@ def _require_phase_accuracy(params, ncut, omega_ts, tol):
     error, and w t is never reduced mod 2 pi, which would take the
     period from the analytic spectrum.
     """
-    if not len(omega_ts):
-        return
     bound = ncut + params.omega0 / 2.0 + 2.0 * params.beta * math.sqrt(ncut)
-    roundoff = np.finfo(float).eps * bound * float(np.max(np.abs(omega_ts)))
+    roundoff = np.finfo(float).eps * bound * float(np.max(np.abs(omega_ts), initial=0.0))
     if roundoff > tol:
         raise ValueError(
             f"phase roundoff eps * max|E| * max|w t| = {roundoff:.3e} at ncut={ncut} "
@@ -680,7 +682,8 @@ def _reconstruct(params, field, initial, omega_ts, trunc):
 _DOUBLING_POINTS = 9
 
 
-def concurrence_trace(params, field, initial, omega_ts, trunc=None, convergence_tol=1e-8):
+def concurrence_trace(params, field, initial, omega_ts, trunc=None,
+                      convergence_tol=_CONVERGENCE_TOL):
     """Oracle concurrence of ``initial`` (sigma_x basis) under identical fields.
 
     Runs at the requested cutoff and re-runs a subsample of the grid at

@@ -39,6 +39,16 @@ def rail_grams(modes):
     return rails
 
 
+def evolved_rails(prop, field, omega_t):
+    """Evolved rail components ``rails[p, r, :]`` = <r|U(w t)|p, phi> of a
+    pure field phi, as a (2, 2, F) array: initial rail p, qubit out r."""
+    _, vecs, _ = oracle.field_components(field, prop.trunc)
+    f = prop.fock_dim
+    psi0 = np.zeros((prop.dim, 2), dtype=complex)
+    psi0[:f, 0] = psi0[f:, 1] = vecs[:, 0]
+    return oracle.propagate_state(prop, psi0, omega_t).T.reshape(2, 2, f)
+
+
 def field_field_reduced(prop, bell, field, omega_t):
     """Reduced density matrix of the two fields, with both qubits traced out.
 
@@ -46,7 +56,7 @@ def field_field_reduced(prop, bell, field, omega_t):
     on both subsystems.  Returns the dense (F^2, F^2) matrix,
     trace-normalized; it costs O(F^4) memory.
     """
-    rails = oracle._evolved_rails(prop, field, omega_t)
+    rails = evolved_rails(prop, field, omega_t)
     c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
     psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails, optimize=True)
     f = prop.fock_dim

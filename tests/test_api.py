@@ -30,12 +30,15 @@ def test_public_names_are_pinned_and_resolve():
 
 
 def test_model_params_and_witness_signature_are_pinned():
-    # beta and omega0 are in units of omega; the propagator carries its cutoff
+    # beta and omega0 are in units of omega; the propagator carries its cutoff,
+    # and the witness takes the grid and cutoff of concurrence_trace
     assert [f.name for f in dataclasses.fields(degjc.ModelParams)] == ["beta", "omega0"]
     assert [f.name for f in dataclasses.fields(degjc.SubsystemPropagator)] == [
         "trunc", "chains", "eigensolver"]
     assert list(inspect.signature(degjc.field_field_witness).parameters) == [
-        "prop", "bell", "field", "omega_t"]
+        "params", "field", "bell", "omega_ts", "trunc"]
+    assert [f.name for f in dataclasses.fields(degjc.FieldFieldWitness)] == [
+        "negativity", "qubit_purity", "field_purity", "support_dim", "ncut"]
 
 
 def test_readme_library_example_runs(capsys):

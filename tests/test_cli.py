@@ -258,6 +258,17 @@ class TestConcurrenceSweep:
         assert "concurrence_closed" not in names
         assert "concurrence_oracle" in names
 
+    def test_oracle_concurrence_at_most_one(self, tmp_path):
+        # the Bell input at w t = 0 has concurrence 1, not 1 plus roundoff
+        out = tmp_path / "o.csv"
+        rc = main(["concurrence-sweep", "--omega0", "0.7", "--compare-oracle", "--beta", "0.1",
+                   "--steps", "9", "--out", str(out)])
+        assert rc == 0
+        _, names, rows = read_csv(out)
+        column = [r[names.index("concurrence_oracle")] for r in rows]
+        assert column[0] == "1"
+        assert all(0.0 <= float(v) <= 1.0 for v in column)
+
 
 class TestBetaSweep:
     def test_values(self, tmp_path):

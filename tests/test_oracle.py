@@ -6,7 +6,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from dense_reference import dense_modes, field_field_reduced, parity_gram, rail_grams
+from dense_reference import (
+    dense_modes, evolved_rails, field_field_reduced, parity_gram, rail_grams)
 
 from degjc import oracle, specialfn
 from degjc.closedform import (
@@ -448,7 +449,7 @@ class TestMapKernel:
                 for p in (0, 1)
             ]).reshape(2, 2, f)
         params, trunc = ModelParams(beta, omega0=omega0), TruncationSpec(ncut)
-        rails = oracle._evolved_rails(build_hamiltonian(params, trunc), Vacuum(), 2 * PI)
+        rails = evolved_rails(build_hamiltonian(params, trunc), Vacuum(), 2 * PI)
         assert np.max(np.abs(rails - truth)) <= 2e-15
 
     def test_detuned_thermal_matches_propagated_components(self, rng):
@@ -894,17 +895,16 @@ class TestFieldField:
         assert negativity(rho, (f, f)) <= 1e-9
 
     def test_purities(self):
-        prop = self._prop(0.75, Vacuum())
-        witness = field_field_witness(prop, BellState.PHI_PLUS, Vacuum(), PI)
-        assert witness.qubit_purity == pytest.approx(0.5, abs=1e-12)
+        witness = field_field_witness(ModelParams(0.75), Vacuum(), BellState.PHI_PLUS, [PI])
+        assert witness.qubit_purity[0] == pytest.approx(0.5, abs=1e-12)
         # field branches +-b(t) with |b| = 2 beta: purity 1/2 + e^{-4|b|^2}/2
-        assert witness.field_purity == pytest.approx(0.5 + 0.5 * math.exp(-9.0), abs=1e-10)
+        assert witness.field_purity[0] == pytest.approx(0.5 + 0.5 * math.exp(-9.0), abs=1e-10)
 
     @staticmethod
     def _dense_purities(prop, bell, field, wt):
         """Qubit and field purities from the dense (2, F, 2, F) four-party
         state."""
-        rails = oracle._evolved_rails(prop, field, wt)
+        rails = evolved_rails(prop, field, wt)
         c2 = bell_ket(bell, QubitBasis.SIGMA_X).reshape(2, 2)
         psi = np.einsum("pq,prm,qsn->rmsn", c2, rails, rails)
         psi /= np.linalg.norm(psi)
@@ -926,25 +926,46 @@ class TestFieldField:
     def test_local_support_matches_dense(self, field, beta, omega0, bell, support):
         params = ModelParams(beta, omega0=omega0)
         trunc = TruncationSpec(default_ncut(field, beta))
+        grid = np.linspace(0.0, 2 * PI, 7)
+        witness = field_field_witness(params, field, bell, grid)
+        assert witness.ncut == trunc.ncut
+        assert np.all(witness.support_dim == support)
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
-        largest = 0.0
-        for wt in np.linspace(0.0, 2 * PI, 7):
-            witness = field_field_witness(prop, bell, field, wt)
+        for j, wt in enumerate(grid):
             rho = field_field_reduced(prop, bell, field, wt)
             qp, fp = self._dense_purities(prop, bell, field, wt)
-            assert witness.support_dim == support
-            assert witness.negativity == pytest.approx(negativity(rho, (f, f)), abs=1e-12)
-            assert witness.qubit_purity == pytest.approx(qp, abs=1e-12)
-            assert witness.field_purity == pytest.approx(fp, abs=1e-12)
-            largest = max(largest, witness.negativity)
+            assert witness.negativity[j] == pytest.approx(negativity(rho, (f, f)), abs=1e-12)
+            assert witness.qubit_purity[j] == pytest.approx(qp, abs=1e-12)
+            assert witness.field_purity[j] == pytest.approx(fp, abs=1e-12)
         # the detuned fields do entangle; the degenerate ones stay PPT
-        assert (largest > 0.05) == (omega0 != 0.0)
+        assert (np.max(witness.negativity) > 0.05) == (omega0 != 0.0)
 
-    def test_mixed_field_rejected(self):
-        prop = self._prop(0.3, Vacuum())
-        with pytest.raises(ValueError):
-            field_field_witness(prop, BellState.PHI_PLUS, Thermal(1.0), 1.0)
+    def test_empty_grid_gives_empty_arrays(self):
+        witness = field_field_witness(ModelParams(0.3), Number(1), BellState.PHI_PLUS, [])
+        assert witness.ncut == default_ncut(Number(1), 0.3)
+        for values in (witness.negativity, witness.qubit_purity, witness.field_purity,
+                       witness.support_dim):
+            assert values.shape == (0,)
+
+    def test_mixed_field_rejected(self, no_allocation):
+        with pytest.raises(ValueError, match="pure field"):
+            field_field_witness(ModelParams(0.3), Thermal(1.0), BellState.PHI_PLUS, [1.0])
+
+    @pytest.mark.parametrize("grid, match", [
+        # eps * max|E| * max|w t| = 6.8 at cutoff 23, far above 1e-8
+        ([0.0, 5e14, 1e15], "phase roundoff .* 6.782e\\+00 at ncut=23"),
+        ([0.0, math.nan, 1.0], "finite"),
+    ], ids=["roundoff", "nan"])
+    def test_phase_checks(self, grid, match):
+        params = ModelParams(0.75, omega0=0.7)
+        with pytest.raises(ValueError, match=match):
+            field_field_witness(params, Vacuum(), BellState.PHI_PLUS, grid, TruncationSpec(23))
+
+    def test_memory_guard_answers_before_the_phase_check(self, no_allocation):
+        with pytest.raises(TruncationError, match="physical memory"):
+            field_field_witness(ModelParams(0.5, omega0=0.7), Vacuum(), BellState.PHI_PLUS,
+                                [0.0, 1e15], TruncationSpec(10**9))
 
 
 class TestMemoryBudget:
@@ -1019,10 +1040,11 @@ class TestDefaultNcut:
         assert default_ncut(Number(25), 0.1) > default_ncut(Number(1), 0.1)
         assert default_ncut(Coherent(3.0), 0.1) > default_ncut(Coherent(0.5), 0.1)
 
-    @pytest.mark.parametrize("alpha", [3.0, -5.0, 10.0])
-    @pytest.mark.parametrize("beta", [0.1, 0.5])
+    @pytest.mark.parametrize("alpha", [3.0, -5.0, 10.0, 2j, 3j, 10j, 1 + 0.5j])
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 2.0])
     def test_coherent_default_passes_its_checks(self, alpha, beta):
-        # the cutoff holds the tail of the field displaced to |alpha +- beta| + beta
+        # the cutoff holds the tail of the field displaced to |alpha| + 2 beta,
+        # off the real axis too
         grid = np.linspace(0.0, 2 * PI, 33)
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
         trace = concurrence_trace(ModelParams(beta), Coherent(alpha), initial, grid)

@@ -172,10 +172,10 @@ def _call_oracle(entry, omega0, omega_t):
     if entry == "concurrence_trace":
         return concurrence_trace(params, Vacuum(), make_bell(bell, QubitBasis.SIGMA_X),
                                  omega_t, trunc=trunc).values
+    if entry == "field_field_witness":
+        return field_field_witness(params, Vacuum(), bell, omega_t, trunc=trunc).negativity
     prop = build_hamiltonian(params, trunc)
-    if entry == "propagate_state":
-        return propagate_state(prop, np.eye(prop.dim)[:, :2], omega_t)
-    return field_field_witness(prop, bell, Vacuum(), omega_t).negativity
+    return propagate_state(prop, np.eye(prop.dim)[:, :2], omega_t)
 
 
 oracle_entries = st.sampled_from(["concurrence_trace", "propagate_state", "field_field_witness"])
@@ -188,14 +188,14 @@ def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
     if empty:
         omega_t = np.array([])
     else:
-        omega_t = [0.5, bad] if entry == "concurrence_trace" else bad
+        omega_t = [0.5, bad] if entry != "propagate_state" else bad
     try:
         result = _call_oracle(entry, omega0, omega_t)
     except (ValueError, TruncationError) as exc:
         assert not isinstance(exc, np.linalg.LinAlgError)
         return
-    # only an empty grid may pass, and it gives an empty trace
-    assert entry == "concurrence_trace" and empty
+    # only an empty grid may pass, and it gives an empty result
+    assert entry != "propagate_state" and empty
     assert result.shape == (0,)
 
 
