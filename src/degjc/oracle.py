@@ -140,12 +140,13 @@ def _run_bytes(params, field, spec):
 
     A run holds the eigenvectors of its chains and the
     :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
-    of rows of 2 E (at most a quarter of an F x F array; the estimate
-    allows half); otherwise four real rail Gram matrices (of which E_01,
-    O_01 and their sum coexist while the cross pair is formed), the field
-    Grams (seven for a unit-Fock field, ten for a coherent one, twelve with
-    the conjugate copies where its amplitude is off the real axis and the
-    field factors are complex) and one product.
+    of rows of 2 E and of the field Gram (each at most an eighth of an
+    F x F array; the estimate allows half for both); otherwise four real
+    rail Gram matrices (of which E_01, O_01 and their sum coexist while the
+    cross pair is formed), the field Grams (seven for a unit-Fock field,
+    ten for a coherent one, twelve with the conjugate copies where its
+    amplitude is off the real axis and the field factors are complex) and
+    one product.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
     """
@@ -313,9 +314,10 @@ def field_components(field, trunc):
 # a (sector dim x points) complex phase matrix of at most this many bytes,
 # and at most this many bytes of the per-point stacks of the two-qubit
 # reduction and Wootters, which take up to _POINT_BYTES per point.  The
-# rows of 2 E = 2 V_e' V_e, from the even Fock rows V_e of the eigenvectors,
-# are formed in chunks of at most a quarter of them, each one real
-# (rows x F) array of at most this many bytes.
+# omega0 = 0 factor is formed in chunks of at most an eighth of its rows,
+# each chunk's rows of 2 E = 2 V_e' V_e (V_e the even Fock rows of the
+# eigenvectors) one real (rows x F) array of at most this many bytes, and
+# its rows of the field Gram one more of the same shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 
@@ -360,15 +362,17 @@ class _MapKernel:
     i + k alone, so M_dd takes the products of M_uu.  Where the chains
     coincide (omega0 = 0) the chain pairs collapse into the sigma_x sector
     form: M_uu and M_dd are the field norm on their own rail and only
-    M_ud[up, down] is a bilinear form, with S = (2 E - I) o (Y^u W Y^d^H) built in place: the
-    field Gram G first, then chunks of rows of the symmetric 2 E on and
-    above the diagonal, each multiplied into its rows of G and, mirrored,
-    into its columns below the diagonal, and last the diagonal of G
-    subtracted.  G itself is never mirrored: G_ab and G_ba are different
-    products in floating point.  The factors are built once per eigensolve
-    and share no memory with the eigenvectors; a grid is evaluated in
-    blocks of ``block`` points, one matrix product per distinct factor and
-    block of points.
+    M_ud[up, down] is a bilinear form, with S = (2 E - I) o G and G =
+    Y^u W Y^d^H built in one pass over chunks of rows: each chunk forms its
+    rows of the symmetric 2 E and of G on and above the diagonal,
+    multiplies them into S and subtracts the diagonal of G.  Where G = Y^u
+    W P_j Y^u' is symmetric (unit Fock components) the chunk's upper
+    triangle is mirrored below the diagonal, so S is exactly symmetric; a
+    coherent field's G is not, and its blocks below the diagonal take
+    their own products of the overlaps.  The factors are built once per
+    eigensolve and share no memory with the eigenvectors; a grid is
+    evaluated in blocks of ``block`` points, one matrix product per
+    distinct factor and block of points.
     """
 
     def __init__(self, prop, field):
@@ -389,14 +393,17 @@ class _MapKernel:
         if rows is None:
             y = [(_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)) for v in modes]
 
-            def field_gram(i, s, k, t, scale):  # Y^i_s W Y^k_t^H
-                return (y[s][i] * scale) @ y[t][k].conj().T
+            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None)):
+                # rows a, columns b of Y^i_s W Y^k_t^H
+                return (y[s][i][a] * scale) @ y[t][k][b].conj().T
         else:
             y = [v[rows].T for v in modes]  # views of the eigenvectors
             signs = parity[rows]
 
-            def field_gram(i, s, k, t, scale):  # Y^u_s W P_j^(i + k) Y^u_t'
-                return (y[s] * (scale * signs if i != k else scale)) @ y[t].T
+            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None)):
+                # rows a, columns b of Y^u_s W P_j^(i + k) Y^u_t'
+                return (y[s][a] * (scale * signs if i != k else scale)) @ y[t][b].T
+        dtype = vecs.dtype
         del vecs
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
@@ -405,18 +412,26 @@ class _MapKernel:
         if len(modes) == 1:
             (ve,) = even
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            weight = field_gram(0, 0, 1, 0, weights)
-            diagonal = weight.diagonal().copy()
-            step = max(1, min(f // 4, _PHASE_BLOCK_BYTES // (8 * f)))
+            factor = np.empty((f, f), dtype=dtype)
+            step = max(1, min(f // 8, _PHASE_BLOCK_BYTES // (8 * f)))
             for start in range(0, f, step):
                 end = min(start + step, f)
-                twice = ve[:, start:end].T @ ve[:, start:]
+                top, right = slice(start, end), slice(start, None)
+                twice = ve[:, top].T @ ve[:, right]
                 twice *= 2.0
-                weight[start:end, start:] *= twice
-                weight[end:, start:end] *= twice[:, end - start:].T
-                del twice
-            weight.flat[::f + 1] -= diagonal
-            self.terms = [(0, 0, (weight,), [((0, 1, 0, 1), 1)])]
+                gram = field_gram(0, 0, 1, 0, weights, top, right)
+                np.multiply(gram, twice, out=factor[top, right])
+                diagonal = np.arange(start, end)
+                factor[diagonal, diagonal] -= gram.diagonal()
+                if rows is not None:  # G is symmetric: mirror the rows' upper triangle
+                    square = factor[top, top]
+                    np.copyto(square, square.T, where=np.tri(end - start, k=-1, dtype=bool))
+                    factor[end:, top] = factor[top, end:].T
+                else:
+                    np.multiply(field_gram(0, 0, 1, 0, weights, slice(end, None), top),
+                                twice[:, end - start:].T, out=factor[end:, top])
+                del twice, gram
+            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)])]
             return
         scaled = 0.25 * weights  # the 1/4 of each block
         cross = even[0].T @ even[1]

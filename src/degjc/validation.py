@@ -56,8 +56,13 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     ``field`` and ``beta`` replace the oracle grid's fields and couplings,
     ``steps`` its number of phases (and caps the 17 of the sudden-death
     grid), ``ncut`` the cutoff of every oracle run; ``tolerance`` is the
-    oracle agreement tolerance.
+    oracle agreement tolerance.  ValueError for ``steps`` below 3: a
+    2-point grid holds only the revival phases 0 and 2 pi, where no
+    sudden death can show.
     """
+    if steps is not None and steps < 3:
+        raise ValueError(f"validate needs --steps >= 3, got {steps}: a 2-point grid "
+                         "holds only the revival phases 0 and 2 pi")
     rows = []
     rng = np.random.default_rng(20240817)
     conv_tol = convergence_tol(tolerance)

@@ -493,14 +493,19 @@ class TestMapKernel:
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Thermal(2.0)], ids=str)
     def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0, monkeypatch):
         # sliced overlaps, the signed Gram and the shared products against
-        # the general path, which multiplies V' C and V' P C
+        # the general path, which multiplies V' C and V' P C; at omega0 = 0
+        # a mixture's sliced factor mirrors its upper triangle, which the
+        # general path forms below the diagonal from its own products
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
         (sliced,) = _MapKernel(prop, field).blocks(grid)
         monkeypatch.setattr(oracle, "_unit_rows", lambda vecs: None)
         (general,) = _MapKernel(prop, field).blocks(grid)
-        assert np.array_equal(sliced, general)
+        if isinstance(field, Thermal) and not omega0:
+            assert np.max(np.abs(sliced - general)) <= 1e-15 * np.max(np.abs(general))
+        else:
+            assert np.array_equal(sliced, general)
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
@@ -542,6 +547,8 @@ class TestMapKernel:
                     v.T, parity[:, None] * vecs).conj().T
                 ((_, _, (factor,), _),) = kernel.terms
                 assert np.iscomplexobj(factor) == np.iscomplexobj(vecs)
+                if not isinstance(field, Coherent):  # G = Y W P_j Y' is symmetric, so is S
+                    assert np.array_equal(factor, factor.T), field
                 pairs = [(factor, vpv * gram)]
             for got, expected in pairs:
                 bound = 1e-13 * np.max(np.abs(expected))
@@ -1013,13 +1020,13 @@ class TestMemoryBudget:
 
     def test_readme_esd_trace_peak(self):
         # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
-        # K = 705 components; the peak is the eigenvectors, G and the F x K
-        # overlaps while G is formed, 2.575 F^2 words, then S and a chunk of 2 E
+        # K = 705 components; the peak is the eigenvectors, S and a chunk of
+        # F / 8 rows of 2 E and of G with its weighted overlaps, 2.325 F^2 words
         params, field = ModelParams(0.1), Thermal(25.0)
         trunc = truncation(field, 0.1)
         f = trunc.doubled().ncut + 1
         assert f == 1235
-        assert self._peak(params, field, trunc) <= 2.6 * 8 * f * f
+        assert self._peak(params, field, trunc) <= 2.5 * 8 * f * f
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize(
