@@ -168,7 +168,8 @@ def write_csv(out, metadata, columns):
 
     A float column is printed by ``csvcells.csv_rows``, a block of cells at
     a time, with the bytes of ``'%.17g' % v`` for every value; any other
-    column as the ``_fmt`` string of each value.
+    column as the ``_fmt`` string of each value.  Returns the CSV as UTF-8
+    bytes, written to ``out`` as they are, or to stdout as text.
     """
     lines = [f"# degjc {__version__}"]
     for key in sorted(metadata):
@@ -179,15 +180,19 @@ def write_csv(out, metadata, columns):
         a = np.asarray(column)
         cells.append(a.astype(np.float64, copy=False) if a.dtype.kind == "f"
                      else [_fmt(v) for v in a.tolist()])
-    text = "\n".join(lines) + "\n" + csv_rows(cells).decode()
+    data = ("\n".join(lines) + "\n").encode() + csv_rows(cells)
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     else:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
-    return text
+        _write_bytes(out, data)
+    return data
+
+
+def _write_bytes(path, data):
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 _PLOT_STUB = """\
@@ -532,7 +537,7 @@ def main(argv=None):
             return 0 if ok else 1
         _RUNNERS[cfg.scenario](cfg)
         if cfg.plot_script:
-            Path(cfg.out + ".plot.py").write_text(_PLOT_STUB.format(csv=cfg.out))
+            _write_bytes(cfg.out + ".plot.py", _PLOT_STUB.format(csv=cfg.out).encode())
         return 0
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,11 @@ Each cell is laid out in a row of 48 bytes that holds every character
     40 'e'  41 exponent sign  42..44 exponent digits
 
 A keep mask, looked up by (sign, k, number of significant digits), selects
-the characters of the text.  The rows of a block, their separators and the
-cells of text columns are then joined by one compress of the masked bytes.
+the characters of the text.  Byte 47, never reached by the text, holds the
+cell's separator: ',' or, in the last column, '\n'.  A block of rows is
+then a (rows, columns, 48) array already in CSV order, and one compress of
+its masked bytes gives the block's text.  A text column shares the layout,
+its rows widened to hold its longest cell and the separator.
 """
 
 import numpy as np
@@ -172,20 +175,12 @@ def _float_cells(x):
     return chars, keep
 
 
-def _text_cells(strings):
-    """Bytes and keep mask of UTF-8 strings, one row each."""
-    encoded = [s.encode() for s in strings]
-    width = max([1, *map(len, encoded)])
+def _text_cells(encoded, width):
+    """Bytes and keep mask of UTF-8 strings, one row of ``width`` each, its
+    last byte left for the separator."""
     chars = np.array(encoded, dtype=f"S{width}").view(np.uint8).reshape(len(encoded), width)
     keep = np.arange(width) < np.array([len(s) for s in encoded], dtype=np.intp)[:, None]
     return chars, keep
-
-
-def _float_columns(columns):
-    """Bytes and keep mask of each float64 column, printed in one pass."""
-    chars, keep = _float_cells(np.stack(columns, axis=1).ravel())
-    shape = (-1, len(columns), _WIDTH)
-    return zip(chars.reshape(shape).swapaxes(0, 1), keep.reshape(shape).swapaxes(0, 1))
 
 
 def csv_rows(columns):
@@ -194,21 +189,31 @@ def csv_rows(columns):
     as they are.  Every row ends in a newline."""
     if not columns:
         return b""
-    text = [_text_cells(c) if isinstance(c, list) else None for c in columns]
-    floats = [c for c, t in zip(columns, text) if t is None]
-    step = max(1, _BLOCK_CELLS // len(columns))
+    ncol, nrows = len(columns), len(columns[0])
+    encoded = {i: [s.encode() for s in c] for i, c in enumerate(columns) if isinstance(c, list)}
+    width = 1 + max([_WIDTH - 1, *(len(s) for c in encoded.values() for s in c)])
+    text = {i: _text_cells(c, width) for i, c in encoded.items()}
+    floats = [i for i in range(ncol) if i not in text]
+    step = max(1, _BLOCK_CELLS // ncol)
     parts = []
-    for start in range(0, len(columns[0]), step):
+    for start in range(0, nrows, step):
         rows = slice(start, start + step)
-        cells = iter(_float_columns([c[rows] for c in floats]) if floats else ())
-        chars, keep = [], []
-        for t in text:
-            c, k = next(cells) if t is None else (t[0][rows], t[1][rows])
-            sep = np.full((len(c), 1), 44, np.uint8)
-            chars += [c, sep]
-            keep += [k, np.ones_like(sep, np.bool_)]
-        chars[-1][:] = 10
-        chars = np.concatenate(chars, axis=1)
-        keep = np.concatenate(keep, axis=1)
+        cells = ()
+        if floats:
+            x = np.stack([columns[i][rows] for i in floats], axis=1).ravel()
+            cells = [a.reshape(-1, len(floats), _WIDTH) for a in _float_cells(x)]
+        if text:
+            shape = (min(step, nrows - start), ncol, width)
+            block = [np.zeros(shape, np.uint8), np.zeros(shape, np.bool_)]
+            for b, part in zip(block, cells):
+                b[:, floats, :_WIDTH] = part
+            for i, column in text.items():
+                for b, part in zip(block, column):
+                    b[:, i] = part[rows]
+            cells = block
+        chars, keep = cells
+        chars[:, :, -1] = 44
+        chars[:, -1, -1] = 10
+        keep[:, :, -1] = True
         parts.append(np.compress(keep.ravel(), chars.ravel()).tobytes())
     return b"".join(parts)

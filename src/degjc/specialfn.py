@@ -105,6 +105,13 @@ def laguerre_scaled(n, x):
     must be an integer in [0, 10_000].  One argument, alone or in an array,
     runs the float recurrence: the array recurrence's bits without its
     per-step overhead.
+
+    An array runs the recurrence once per distinct argument (0.0 and -0.0
+    are one), gathered back into its shape.  Each element's steps and the
+    rescaling schedule, set by max|x| alone, are those of the whole array,
+    so every bit is the same.  The sort that finds the distinct arguments
+    costs about log2(size) steps per element, so it is skipped where the
+    recurrence is shorter, n < log2(size).
     """
     n = _check_order(n)
     xs = np.asarray(x, dtype=np.float64)
@@ -116,9 +123,14 @@ def laguerre_scaled(n, x):
         if xs.ndim == 0:
             return m, e + shift
         return np.full(xs.shape, m), np.full(xs.shape, e + shift)
-    lk, _, e = _recurrence(n, xs)
+    if 2**n < xs.size:  # n < log2(size)
+        lk, _, e = _recurrence(n, xs)
+        m, shift = np.frexp(lk)
+        return m, e + shift
+    distinct, at = np.unique(xs.ravel(), return_inverse=True)
+    lk, _, e = _recurrence(n, distinct)
     m, shift = np.frexp(lk)
-    return m, e + shift
+    return m.take(at).reshape(xs.shape), (e + shift).take(at).reshape(xs.shape)
 
 
 def laguerre(n, x):

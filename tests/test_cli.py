@@ -380,6 +380,13 @@ class TestExitCodes:
     def test_unwritable_output(self):
         assert main(["envelope", "--steps", "4", "--out", "/nonexistent-dir/x.csv"]) == 2
 
+    def test_unwritable_plot_script(self, tmp_path, capsys):
+        # a 254-byte file name fits, the stub's 262-byte name does not
+        out = tmp_path / ("a" * 250 + ".csv")
+        assert main(["envelope", "--steps", "3", "--plot-script", "--out", str(out)]) == 2
+        assert f"cannot write output file {str(out) + '.plot.py'!r}" in capsys.readouterr().err
+        assert out.exists()
+
     def test_truncation_failure_surfaces(self, tmp_path):
         rc = main([
             "concurrence-sweep", "--beta", "0.1", "--field", "coherent:alpha=3",
@@ -807,15 +814,45 @@ def _fmt_cell(value):
 
 
 def _per_cell_csv(metadata, columns):
-    """The CSV built one cell at a time by numpy-scalar indexing, the way
-    earlier versions of ``write_csv`` built it."""
+    """The CSV bytes built one cell at a time by numpy-scalar indexing, the
+    way earlier versions of ``write_csv`` built them."""
     lines = [f"# degjc {__version__}"]
     lines += [f"# {key}={_fmt_cell(metadata[key])}" for key in sorted(metadata)]
     arrays = [np.asarray(a) for _, a in columns]
     lines.append(",".join(name for name, _ in columns))
     for i in range(len(arrays[0])):
         lines.append(",".join(_fmt_cell(a[i]) for a in arrays))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _csv_layouts():
+    """Column sets at the edges of the cell-row layout: rows wider than 48
+    bytes, no float column, one column, no rows, blocks of _BLOCK_CELLS
+    cells and one row either side, and fallback cells next to the newline."""
+    grid = np.linspace(0.0, 4.0 * PI, 7)
+    labels = np.array(["", "a" * 47, "b" * 48, "é" * 30, "c" * 60, "d", "e"])
+    layouts = {
+        "wide-text": [("x", grid), ("label", labels), ("y", -grid)],
+        "wide-text-last": [("x", grid), ("label", labels)],
+        "text-only": [("label", labels), ("pass", grid > 1.0), ("n", np.arange(7))],
+        "one-float": [("x", grid)],
+        "zero-rows-float": [("x", np.array([]))],
+        "zero-rows-text": [("check", np.array([], dtype=str))],
+        "zero-rows-wide": [("check", np.array([], dtype=str)), ("x", np.array([]))],
+        "fallback-last": [("x", grid),
+                          ("v", np.array([1.0, np.inf, 1e-300, -np.inf, -1e-300, 0.5, 1e300]))],
+        "fallback-last-wide": [("label", labels), ("v", np.array([np.inf, 1e-300] * 3 + [1.0]))],
+    }
+    rng = np.random.default_rng(7)
+    for ncol in (1, 3):
+        block = csvcells._BLOCK_CELLS // ncol
+        for rows in (block - 1, block, block + 1, 2 * block):
+            floats = [(f"c{j}", rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows))
+                      for j in range(ncol)]
+            layouts[f"block-{ncol}x{rows}"] = floats
+            names = np.array([f"r{i}" for i in range(rows)])
+            layouts[f"block-text-{ncol}x{rows}"] = floats[:-1] + [("t", names)]
+    return layouts
 
 
 class TestCsvWriter:
@@ -827,9 +864,9 @@ class TestCsvWriter:
     @staticmethod
     def _written(tmp_path, metadata, columns):
         out = tmp_path / "w.csv"
-        text = cli.write_csv(str(out), metadata, columns)
-        assert out.read_text() == text
-        return text
+        data = cli.write_csv(str(out), metadata, columns)
+        assert out.read_bytes() == data
+        return data
 
     def test_special_floats(self, tmp_path):
         special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
@@ -839,8 +876,8 @@ class TestCsvWriter:
         columns = [("x", grid), ("special", special), ("neg", -special[::-1])]
         text = self._written(tmp_path, self.META, columns)
         assert text == _per_cell_csv(self.META, columns)
-        cells = [line.split(",")[1] for line in text.splitlines()[6:12]]
-        assert cells == ["-0", "0", "inf", "-inf", "nan", "4.9406564584124654e-324"]
+        cells = [line.split(b",")[1] for line in text.splitlines()[6:12]]
+        assert cells == [b"-0", b"0", b"inf", b"-inf", b"nan", b"4.9406564584124654e-324"]
 
     def test_every_exponent(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -865,7 +902,7 @@ class TestCsvWriter:
         columns = [("check", np.array([], dtype=str)), ("max_error", np.array([]))]
         text = self._written(tmp_path, self.META, columns)
         assert text == _per_cell_csv(self.META, columns)
-        assert text.endswith("\ncheck,max_error\n")
+        assert text.endswith(b"\ncheck,max_error\n")
 
     @staticmethod
     def _edge_values():
@@ -896,8 +933,8 @@ class TestCsvWriter:
         columns = [("v", edges), ("label", labels), ("w", edges[::-1])]
         text = self._written(tmp_path, {}, columns)
         assert text == _per_cell_csv({}, columns)
-        assert [line.split(",")[0] for line in text.splitlines()[2:]] == [
-            "%.17g" % v for v in edges.tolist()]
+        assert [line.split(b",")[0] for line in text.splitlines()[2:]] == [
+            b"%.17g" % v for v in edges.tolist()]
 
     def test_float32_columns(self, tmp_path):
         tens = np.array([np.float32(f"1e{p}") for p in range(-45, 39)], dtype=np.float32)
@@ -908,6 +945,11 @@ class TestCsvWriter:
         ])
         columns = [("f32", np.concatenate([edges, -edges]))]
         assert self._written(tmp_path, {}, columns) == _per_cell_csv({}, columns)
+
+    @pytest.mark.parametrize("layout", list(_csv_layouts()))
+    def test_row_layout(self, tmp_path, layout):
+        columns = _csv_layouts()[layout]
+        assert self._written(tmp_path, self.META, columns) == _per_cell_csv(self.META, columns)
 
 
 class TestCsvFastPath:
@@ -936,7 +978,7 @@ class TestCsvFastPath:
     def test_the_fallback_prints_what_numpy_cannot_certify(self, tmp_path, fallback_cells):
         values = [np.inf, 1e-300, 1000000000000000.25, 0.0, -0.0, 0.5, 1e-250]
         text = cli.write_csv(str(tmp_path / "f.csv"), {}, [("v", np.array(values))])
-        assert text.splitlines()[2:] == ["%.17g" % v for v in values]
+        assert text.splitlines()[2:] == [b"%.17g" % v for v in values]
         assert fallback_cells == [np.inf, 1e-300, 1000000000000000.25]
 
 

@@ -65,9 +65,35 @@ def test_recurrence_against_rational_oracle_dense_orders():
 
 def test_array_evaluation_matches_scalar():
     xs = np.linspace(0.0, 30.0, 57)
-    vals = laguerre(12, xs)
-    for x, v in zip(xs, vals):
-        assert v == pytest.approx(laguerre(12, x), rel=1e-14, abs=1e-300)
+    assert np.array_equal(laguerre(12, xs), [laguerre(12, x) for x in xs])
+    # repeated, signed-zero and unsorted arguments, flat and 2-D, on both
+    # sides of the n < log2(size) switch
+    mixed = np.concatenate([xs[::-1], xs[::3], [-0.0, 0.0, -0.0, 7.5, 7.5, 3.25]])
+    for n in (0, 1, 6, 7, 12, 200):
+        for arr in (mixed, mixed.reshape(2, -1)):
+            m, e = laguerre_scaled(n, arr)
+            assert m.shape == e.shape == arr.shape
+            scalar = np.array([laguerre_scaled(n, x) for x in arr.ravel().tolist()])
+            assert np.array_equal(m.ravel(), scalar[:, 0])
+            assert np.array_equal(e.ravel(), scalar[:, 1])
+
+
+def test_one_recurrence_per_distinct_argument(monkeypatch):
+    # x = 4 b^2 |gamma|^2 on the 20001-phase grid of [0, 4 pi] at b = 0.5
+    x = 2.0 - 2.0 * np.cos(np.linspace(0.0, 4.0 * math.pi, 20001))
+    sizes = []
+    recurrence = specialfn._recurrence
+
+    def spy(n, xs):
+        sizes.append(xs.size)
+        return recurrence(n, xs)
+
+    monkeypatch.setattr(specialfn, "_recurrence", spy)
+    m, e = laguerre_scaled(1000, x)
+    assert len(sizes) == 1 and sizes[0] < x.size
+    lk, _, ref_e = recurrence(1000, x)
+    ref_m, shift = np.frexp(lk)
+    assert np.array_equal(m, ref_m) and np.array_equal(e, ref_e + shift)
 
 
 def test_rejects_bad_inputs():
