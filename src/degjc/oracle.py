@@ -30,6 +30,7 @@ import functools
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,12 +142,13 @@ def _run_bytes(params, field, spec):
     A run holds the eigenvectors of its chains and the
     :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
     of rows of 2 E and of the field Gram (each at most an eighth of an
-    F x F array; the estimate allows half for both); otherwise four real
-    rail Gram matrices (of which E_01, O_01 and their sum coexist while the
-    cross pair is formed), the field Grams (seven for a unit-Fock field,
-    ten for a coherent one, twelve with the conjugate copies where its
-    amplitude is off the real axis and the field factors are complex) and
-    one product.
+    F x F array, less where the chunk's eigenvectors reach only some of the
+    columns; the estimate allows half for both, an upper bound for any
+    eigenvectors); otherwise four real rail Gram matrices (of which E_01,
+    O_01 and their sum coexist while the cross pair is formed), the field
+    Grams (seven for a unit-Fock field, ten for a coherent one, twelve with
+    the conjugate copies where its amplitude is off the real axis and the
+    field factors are complex) and one product.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
     """
@@ -167,10 +169,14 @@ def _trace_bytes(params, field, trunc):
     return max(_run_bytes(params, field, spec) for spec in (trunc, trunc.doubled()))
 
 
+def _physical_bytes():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _require_memory(nbytes, what):
     """Raise :class:`TruncationError` before allocating ``nbytes`` beyond
     the machine's physical memory."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    limit = _physical_bytes()
     if nbytes > limit:
         gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf
         raise TruncationError(
@@ -247,15 +253,52 @@ def propagate_state(prop, state, omega_t):
     return np.vstack([0.5 * (even + odd), p * (0.5 * (even - odd))]).reshape(state.shape)
 
 
+def _exp_scaled(x):
+    """``(m, e)`` with e^x = m 2^e and m a normal number, for x <= 0:
+    ``(e^x, 0)`` where e^x is normal.  Otherwise m comes from squaring
+    e^(x / 2^k) k times, renormalized by ``frexp`` after each square, so
+    it is accurate to about 2^k ulp, k = 2 for x down to -1416."""
+    m = math.exp(x)
+    if m >= sys.float_info.min:
+        return m, 0
+    k = math.ceil(math.log2(x / math.log(sys.float_info.min))) + 1
+    m, e = math.frexp(math.exp(x / 2**k))
+    for _ in range(k):
+        m, shift = math.frexp(m * m)
+        e = 2 * e + shift
+    return m, e
+
+
 def coherent_fock_vector(alpha, ncut):
     """Truncated Fock expansion of |alpha>; returns (vector, lost mass).
-    ValueError for an ``alpha`` that is not finite or not below 1e154."""
+    ValueError for an ``alpha`` that is not finite or not below 1e154.
+
+    The amplitudes follow c_(n+1) = c_n alpha / sqrt(n + 1) from c_0 =
+    e^(-|alpha|^2 / 2).  Where c_0 is not a normal number (|alpha| >
+    37.64) the recurrence runs on z = c_n 2^-e from the normal mantissa of
+    :func:`_exp_scaled`, and each step folds as much of the exponent e
+    back into z as keeps z normal, so no amplitude loses precision to a
+    subnormal start and e is 0 once the amplitudes are normal.  Where c_0
+    is normal the recurrence is the plain one, bit for bit.
+    """
     alpha, norm2 = _amplitude(alpha)
     c = np.empty(ncut + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * norm2)
+    m, e = _exp_scaled(-0.5 * norm2)
+    c[0], z = math.ldexp(m, e), np.complex128(m)
     for n in range(ncut):
-        c[n + 1] = c[n] * alpha / math.sqrt(n + 1)
+        z = z * alpha / math.sqrt(n + 1)
+        if e:
+            shift = min(-e, math.frexp(abs(z))[1] - sys.float_info.min_exp)
+            z, e = _ldexp_complex(z, -shift), e + shift
+            c[n + 1] = _ldexp_complex(z, e)
+        else:
+            c[n + 1] = z
     return c, max(0.0, 1.0 - float(np.vdot(c, c).real))
+
+
+def _ldexp_complex(z, k):
+    """z 2^k for a complex z, exact wherever both parts stay normal."""
+    return complex(math.ldexp(z.real, k), math.ldexp(z.imag, k))
 
 
 def thermal_component_count(nbar, tail_tol):
@@ -316,8 +359,8 @@ def field_components(field, trunc):
 # reduction and Wootters, which take up to _POINT_BYTES per point.  The
 # omega0 = 0 factor is formed in chunks of at most an eighth of its rows,
 # each chunk's rows of 2 E = 2 V_e' V_e (V_e the even Fock rows of the
-# eigenvectors) one real (rows x F) array of at most this many bytes, and
-# its rows of the field Gram one more of the same shape.
+# eigenvectors) one real array of at most (rows x F) entries and this many
+# bytes, and its rows of the field Gram one more of the same shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 
@@ -365,8 +408,17 @@ class _MapKernel:
     M_ud[up, down] is a bilinear form, with S = (2 E - I) o G and G =
     Y^u W Y^d^H built in one pass over chunks of rows: each chunk forms its
     rows of the symmetric 2 E and of G on and above the diagonal,
-    multiplies them into S and subtracts the diagonal of G.  Where G = Y^u
-    W P_j Y^u' is symmetric (unit Fock components) the chunk's upper
+    multiplies them into S and subtracts the diagonal of G.  The chunk's
+    products run only over the Fock rows [lo, hi) outside which its
+    eigenvectors are zero (the even ones for 2 E, and for unit Fock
+    components the part of their run inside them) and only over the
+    columns up to the last one with a nonzero entry in those rows; the rest
+    of its rows of S is exactly 0, since every skipped term is a product
+    with an exact zero.  Divide-and-conquer eigenvectors are exactly zero
+    outside a window of Fock rows wherever deflation decoupled them (91 %
+    of the entries at beta = 0.1 and F = 1235), so there most of the work
+    is skipped; a dense V takes the full products.  Where G =
+    Y^u W P_j Y^u' is symmetric (unit Fock components) the chunk's upper
     triangle is mirrored below the diagonal, so S is exactly symmetric; a
     coherent field's G is not, and its blocks below the diagonal take
     their own products of the overlaps.  The factors are built once per
@@ -390,49 +442,62 @@ class _MapKernel:
         self.chain_count = len(modes)
         self.energies = np.concatenate([energies for energies, _ in prop.distinct_chains])
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
+        f = prop.fock_dim
         if rows is None:
             y = [(_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)) for v in modes]
 
-            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None)):
-                # rows a, columns b of Y^i_s W Y^k_t^H
+            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None), fock=(0, f)):
+                # rows a, columns b of Y^i_s W Y^k_t^H; the overlaps already
+                # hold every Fock row, so the window ``fock`` changes nothing
                 return (y[s][i][a] * scale) @ y[t][k][b].conj().T
         else:
             y = [v[rows].T for v in modes]  # views of the eigenvectors
             signs = parity[rows]
 
-            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None)):
-                # rows a, columns b of Y^u_s W P_j^(i + k) Y^u_t'
-                return (y[s][a] * (scale * signs if i != k else scale)) @ y[t][b].T
+            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None), fock=(0, f)):
+                # rows a, columns b of Y^u_s W P_j^(i + k) Y^u_t', summed over
+                # the components in Fock rows fock = (lo, hi), outside which
+                # eigenvectors a are zero
+                c = slice(max(fock[0] - rows.start, 0), max(fock[1] - rows.start, 0))
+                sign = signs[c] if i != k else 1.0
+                return (y[s][a, c] * (scale[c] * sign)) @ y[t][b, c].T
         dtype = vecs.dtype
         del vecs
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
-        f = prop.fock_dim
-        even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
         if len(modes) == 1:
-            (ve,) = even
+            (v,) = modes
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            factor = np.empty((f, f), dtype=dtype)
+            factor = np.zeros((f, f), dtype=dtype)
+            diagonal = factor.reshape(-1)[::f + 1]  # a view
             step = max(1, min(f // 8, _PHASE_BLOCK_BYTES // (8 * f)))
+            below = np.tri(step, k=-1, dtype=bool)
             for start in range(0, f, step):
                 end = min(start + step, f)
-                top, right = slice(start, end), slice(start, None)
-                twice = ve[:, top].T @ ve[:, right]
+                top = slice(start, end)
+                # eigenvectors `top` vanish outside Fock rows [lo, hi), and so
+                # do the products with every column past `stop`, which has no
+                # nonzero there: those entries of S stay exactly 0
+                nonzero = v[:, top].any(axis=1)
+                lo, hi = int(nonzero.argmax()), f - int(nonzero[::-1].argmax())
+                stop = f - int(v[lo:hi, start:].any(axis=0)[::-1].argmax())
+                right, even = slice(start, stop), slice(lo + lo % 2, hi, 2)
+                twice = v[even, top].T @ v[even, right]
                 twice *= 2.0
-                gram = field_gram(0, 0, 1, 0, weights, top, right)
+                gram = field_gram(0, 0, 1, 0, weights, top, right, (lo, hi))
                 np.multiply(gram, twice, out=factor[top, right])
-                diagonal = np.arange(start, end)
-                factor[diagonal, diagonal] -= gram.diagonal()
+                diagonal[top] -= gram.diagonal()
                 if rows is not None:  # G is symmetric: mirror the rows' upper triangle
                     square = factor[top, top]
-                    np.copyto(square, square.T, where=np.tri(end - start, k=-1, dtype=bool))
-                    factor[end:, top] = factor[top, end:].T
+                    np.copyto(square, square.T, where=below[:end - start, :end - start])
+                    factor[end:stop, top] = factor[top, end:stop].T
                 else:
-                    np.multiply(field_gram(0, 0, 1, 0, weights, slice(end, None), top),
-                                twice[:, end - start:].T, out=factor[end:, top])
+                    np.multiply(field_gram(0, 0, 1, 0, weights, slice(end, stop), top),
+                                twice[:, end - start:].T, out=factor[end:stop, top])
                 del twice, gram
             self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)])]
             return
+        even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
         scaled = 0.25 * weights  # the 1/4 of each block
         cross = even[0].T @ even[1]
         odd = modes[0][1::2].T @ modes[1][1::2]
@@ -604,8 +669,10 @@ def default_ncut(field, beta):
     dynamics reach, ceil((reach + 3 sqrt(nbar) + sqrt(N))^2) + 20, raised
     for thermal states so the mixture tail fits the default tolerance, and
     for vacuum and coherent states so a coherent state of amplitude reach
-    loses at most that mass.  The cutoff-doubling convergence check is the
-    actual contract; this is only the initial guess.
+    loses at most that mass, wherever one F x F array at the cutoff fits in
+    physical memory (beyond that every run fails its memory check, so the
+    Poisson tail is not summed).  The cutoff-doubling convergence check is
+    the actual contract; this is only the initial guess.
     """
     alpha0 = field.alpha0 if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
@@ -617,7 +684,7 @@ def default_ncut(field, beta):
         raise TruncationError(f"no representable cutoff for {field} at beta={beta:g}") from exc
     if nb > 0:
         ncut = max(ncut, thermal_component_count(nb, _TAIL_TOL) + 30)
-    if isinstance(field, (Vacuum, Coherent)) and math.exp(-0.5 * reach**2) > 0.0:
+    if isinstance(field, (Vacuum, Coherent)) and 8 * ncut * ncut <= _physical_bytes():
         # lost mass at every cutoff up to one far beyond the Poisson tail
         c, _ = coherent_fock_vector(reach, math.ceil(reach**2 + 10.0 * reach) + 40)
         ncut = max(ncut, int(np.argmax(1.0 - np.cumsum(np.abs(c) ** 2) <= _TAIL_TOL)))

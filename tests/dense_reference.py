@@ -5,7 +5,8 @@ or the F^2 x F^2 field-field state, and ``laguerre_roots`` never forms the
 n x n Jacobi matrix; the tests build all three here and compare the
 library's parity chains, local-support witness and roots against them.
 The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
-odd Fock rows, are formed here as the direct products.
+odd Fock rows, are formed here as the direct products, and the coherent
+amplitudes come from their recurrence without the exponent scaling.
 """
 
 import math
@@ -63,6 +64,19 @@ def field_field_reduced(prop, bell, field, omega_t):
     rho = np.einsum("rmsn,rMsN->mnMN", psi, psi.conj(), optimize=True).reshape(f * f, f * f)
     rho /= np.trace(rho).real
     return rho
+
+
+def coherent_fock_vector_unscaled(alpha, ncut):
+    """``coherent_fock_vector`` with the recurrence started from c_0 =
+    e^(-|alpha|^2 / 2) itself.  Past |alpha| = 37.64 that start is
+    subnormal or 0 and the amplitudes lose their precision; below it the
+    library must give these bits."""
+    alpha = complex(alpha)
+    c = np.empty(ncut + 1, dtype=complex)
+    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(ncut):
+        c[n + 1] = c[n] * alpha / math.sqrt(n + 1)
+    return c, max(0.0, 1.0 - float(np.vdot(c, c).real))
 
 
 def laguerre_roots_dense(n, x_max=None):

@@ -7,7 +7,8 @@ import mpmath
 import numpy as np
 import pytest
 from dense_reference import (
-    dense_modes, evolved_rails, field_field_reduced, parity_gram, rail_grams)
+    coherent_fock_vector_unscaled, dense_modes, evolved_rails, field_field_reduced, parity_gram,
+    rail_grams)
 
 from degjc import oracle, specialfn
 from degjc.closedform import (
@@ -509,18 +510,30 @@ class TestMapKernel:
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
-    @pytest.mark.parametrize("f, tail_tol", [(22, 0.5), (313, 1e-5), (1235, 1e-12)])
-    def test_split_grams_match_the_direct_products(self, f, tail_tol, omega0, solver,
+    @pytest.mark.parametrize("f, tail_tol, beta", [
+        pytest.param(22, 0.5, 0.3, id="22-0.5"),
+        pytest.param(313, 1e-5, 0.3, id="313-1e-05"),
+        pytest.param(1235, 1e-12, 0.3, id="1235-1e-12"),
+        pytest.param(313, 1e-5, 0.1, id="313-1e-05-beta=0.1"),
+        pytest.param(1235, 1e-12, 0.1, id="1235-1e-12-beta=0.1"),
+        pytest.param(22, 0.5, 0.0, id="22-0.5-beta=0"),
+        pytest.param(1235, 1e-12, 0.0, id="1235-1e-12-beta=0"),
+    ])
+    def test_split_grams_match_the_direct_products(self, f, tail_tol, beta, omega0, solver,
                                                    monkeypatch):
         # the factors from even and odd Fock rows against V' P V and the
         # four rail products formed directly; at F = 1235, K = 705 thermal
-        # components as in the doubled run of the README's ESD example
+        # components as in the doubled run of the README's ESD example.
+        # At beta = 0.1 most entries of the eigenvectors are exact zeros
+        # (91 % at F = 1235), so the omega0 = 0 factor skips most products;
+        # at beta = 0 the eigenvectors are +-I and it skips every one off
+        # the diagonal
         if solver == "eigh":
             monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         elif specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trunc = TruncationSpec(f - 1, tail_tol)
-        prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
+        prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         assert prop.eigensolver == solver
         modes = [v for _, v in prop.distinct_chains]
         if omega0:
@@ -549,11 +562,30 @@ class TestMapKernel:
                 assert np.iscomplexobj(factor) == np.iscomplexobj(vecs)
                 if not isinstance(field, Coherent):  # G = Y W P_j Y' is symmetric, so is S
                     assert np.array_equal(factor, factor.T), field
+                if beta == 0.0:
+                    assert np.array_equal(factor, np.diag(factor.diagonal())), field
                 pairs = [(factor, vpv * gram)]
             for got, expected in pairs:
                 bound = 1e-13 * np.max(np.abs(expected))
                 assert np.max(np.abs(got - expected)) <= bound, field
             del kernel, pairs
+
+    @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
+    def test_factor_finds_supports_in_any_column_order(self, field, rng):
+        # the eigenvectors in a random order, so the Fock rows each chunk
+        # reaches are neither monotone nor banded: S still matches V' P V o G
+        trunc = TruncationSpec(617)
+        ((energies, v),) = build_hamiltonian(ModelParams(0.1), trunc).distinct_chains
+        order = rng.permutation(len(energies))
+        chain = (energies[order], v[:, order])
+        prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
+        ((_, _, (factor,), _),) = _MapKernel(prop, field).terms
+        v = chain[1]
+        weights, vecs, _ = field_components(field, trunc)
+        parity = oracle._parity(len(v))[:, None]
+        gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
+        expected = parity_gram(v) * gram
+        assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     def test_unit_rows_find_a_run_of_unit_fock_vectors(self):
         vecs = np.zeros((6, 3))
@@ -1021,12 +1053,16 @@ class TestMemoryBudget:
     def test_readme_esd_trace_peak(self):
         # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
         # K = 705 components; the peak is the eigenvectors, S and a chunk of
-        # F / 8 rows of 2 E and of G with its weighted overlaps, 2.325 F^2 words
+        # F / 8 rows of 2 E and of G with its weighted overlaps.  The chunk's
+        # products reach only the columns whose eigenvectors share a nonzero
+        # Fock row with its own, a few hundred of the 1235 for the
+        # divide-and-conquer eigenvectors, so the peak measures 2.09 F^2
+        # words (2.33 with full-width chunks); the bound leaves 0.06 F^2
         params, field = ModelParams(0.1), Thermal(25.0)
         trunc = truncation(field, 0.1)
         f = trunc.doubled().ncut + 1
         assert f == 1235
-        assert self._peak(params, field, trunc) <= 2.5 * 8 * f * f
+        assert self._peak(params, field, trunc) <= 2.15 * 8 * f * f
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize(
@@ -1038,9 +1074,68 @@ class TestMemoryBudget:
         assert self._peak(params, field, trunc) <= oracle._trace_bytes(params, field, trunc)
 
 
+class TestCoherentPastSubnormalStart:
+    # e^(-|alpha|^2 / 2) is subnormal past |alpha| = 37.64 and 0 past 38.6;
+    # started from it, |alpha| = 38.5 gave a vector of norm 1.035 with no
+    # lost mass, and the cutoff rule fell back to the bare ceil(reach^2) + 20
+
+    @staticmethod
+    def _exact(alpha, ncut):
+        """Amplitudes and norm of the truncated expansion, 30 digits."""
+        with mpmath.workdps(30):
+            a = mpmath.mpc(alpha)
+            amps = [mpmath.exp(-abs(a) ** 2 / 2)]
+            for n in range(ncut):
+                amps.append(amps[-1] * a / mpmath.sqrt(n + 1))
+            norm = float(mpmath.fsum(abs(c) ** 2 for c in amps))
+        return np.array([complex(c) for c in amps]), norm
+
+    @pytest.mark.parametrize("alpha", [37.7, 38.0, 38.5, 40.0, 45.0, 38.5j, -30 + 26j])
+    def test_amplitudes_and_norm_match_mpmath(self, alpha):
+        r = abs(alpha)
+        ncut = math.ceil(r**2 + 10.0 * r) + 40
+        c, tail = coherent_fock_vector(alpha, ncut)
+        exact, norm = self._exact(alpha, ncut)
+        bound = 1e-13 * np.abs(exact) + 4 * np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(c - exact) <= bound)
+        assert abs(float(np.vdot(c, c).real) - norm) <= 1e-13
+        assert tail <= 1e-13
+
+    @pytest.mark.parametrize("reach", [37.7, 38.0, 38.5, 40.0, 45.0])
+    def test_default_cutoff_holds_the_poisson_tail(self, reach):
+        # the mass of Poisson(reach^2) beyond the cutoff, for a coherent
+        # field of amplitude reach and for the vacuum at beta = reach / 2
+        for ncut in (default_ncut(Coherent(reach), 0.0), default_ncut(Vacuum(), reach / 2)):
+            with mpmath.workdps(30):
+                beyond = mpmath.gammainc(ncut + 1, 0, mpmath.mpf(reach) ** 2, regularized=True)
+            assert beyond <= 1e-10, ncut
+
+    def test_bits_unchanged_where_the_start_is_normal(self, monkeypatch):
+        reaches = [*np.linspace(0.0, 37.6, 189), 37.64]
+        for r in reaches:
+            ncut = math.ceil(r**2 + 10.0 * r) + 40
+            for alpha in (r, -r, r * complex(math.cos(0.7), math.sin(0.7))):
+                c, tail = coherent_fock_vector(alpha, ncut)
+                c_ref, tail_ref = coherent_fock_vector_unscaled(alpha, ncut)
+                assert np.array_equal(c, c_ref) and tail == tail_ref, alpha
+        cutoffs = [(default_ncut(Coherent(r), 0.0), default_ncut(Vacuum(), r / 2)) for r in reaches]
+        monkeypatch.setattr(oracle, "coherent_fock_vector", coherent_fock_vector_unscaled)
+        assert cutoffs == [(default_ncut(Coherent(r), 0.0), default_ncut(Vacuum(), r / 2))
+                           for r in reaches]
+
+
 class TestDefaultNcut:
     def test_minimum(self):
         assert default_ncut(Vacuum(), 0.0) >= 1
+
+    def test_lost_mass_rule_skipped_past_physical_memory(self, monkeypatch):
+        # reach 1e4: one F x F array at the bare cutoff 1e8 + 20 takes 8e16
+        # bytes, so no run can use it and the 1e8 amplitudes are not formed
+        def unreachable(*args):
+            raise AssertionError("coherent amplitudes formed")
+
+        monkeypatch.setattr(oracle, "coherent_fock_vector", unreachable)
+        assert default_ncut(Vacuum(), 5e3) == 10**8 + 20
 
     def test_scales_with_occupation(self):
         assert default_ncut(Thermal(25.0), 0.1) > default_ncut(Thermal(1.0), 0.1)
