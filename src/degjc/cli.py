@@ -379,7 +379,9 @@ def run_separability(cfg):
         bell=bell.value,
         steps=len(omega_ts),
         omega_t_max=omega_ts[-1],
+        truncation_policy=_TRUNCATION_POLICY,
         ncut=witness.ncut,
+        doubling_error=witness.doubling_error,
         max_negativity=float(np.max(witness.negativity)),
     )
     return write_csv(cfg.out, md, cols)

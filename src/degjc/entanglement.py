@@ -66,16 +66,19 @@ def wootters_concurrences(rhos, basis):
 
 
 def negativity(rho, dims):
-    """Sum of |negative eigenvalues| of the partial transpose over part B.
+    """Sum of |negative eigenvalues| of the partial transpose over part B,
+    a float for one density matrix and an array for a stack (..., d, d).
 
-    ``dims = (dA, dB)`` gives the bipartition of the density matrix; any
+    ``dims = (dA, dB)`` gives the bipartition of the density matrices; any
     separable state returns 0 (PPT is necessary for separability), so a
     value at numerical zero is the witness used for separability claims.
+    A PPT matrix gives +0.0.
     """
     rho = np.asarray(rho, dtype=complex)
     da, db = dims
-    if rho.shape != (da * db, da * db):
+    if rho.shape[-2:] != (da * db, da * db):
         raise ValueError(f"density matrix shape {rho.shape} does not match dims {dims}")
-    pt = rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
-    vals = np.linalg.eigvalsh(0.5 * (pt + pt.conj().T))
-    return float(-vals[vals < 0.0].sum())
+    pt = rho.reshape(rho.shape[:-2] + (da, db, da, db)).swapaxes(-3, -1).reshape(rho.shape)
+    vals = np.linalg.eigvalsh(0.5 * (pt + pt.conj().swapaxes(-1, -2)))
+    negs = np.sum(np.maximum(-vals, 0.0), axis=-1)
+    return float(negs) if negs.ndim == 0 else negs

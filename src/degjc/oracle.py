@@ -13,10 +13,10 @@ n +- (omega0 / 2) (-1)^n and off-diagonal beta sqrt(n); at
 omega0 = 0 both are the sigma_x sector n + beta x and one is solved.  All
 two-qubit observables are reconstructed from single-subsystem conditional
 maps, which are bilinear forms in the eigenphases evaluated blockwise over
-the phase grid; the joint four-party state is only materialized (as a
-vector) for the field-field separability witness.  Nothing here
-references the closed forms: agreement between the two routes is the
-correctness argument.
+the phase grid; the field-field separability witness takes the Gram of
+the evolved rail vectors from the same maps, so no joint four-party state
+is ever materialized.  Nothing here references the closed forms: agreement
+between the two routes is the correctness argument.
 
 The truncation policy (default cutoff heuristic, thermal mixture cutoff
 from the tail tolerance, cutoff-doubling convergence check) is a library
@@ -355,14 +355,17 @@ def field_components(field, trunc):
 
 # Phase points per block of the bilinear map evaluation: one block holds
 # a (sector dim x points) complex phase matrix of at most this many bytes,
-# and at most this many bytes of the per-point stacks of the two-qubit
-# reduction and Wootters, which take up to _POINT_BYTES per point.  The
+# and at most this many bytes of the per-point stacks of the maps and
+# their reduction, which take up to _POINT_BYTES per point.  The
 # omega0 = 0 factor is formed in chunks of at most an eighth of its rows,
 # each chunk's rows of 2 E = 2 V_e' V_e (V_e the even Fock rows of the
 # eigenvectors) one real array of at most (rows x F) entries and this many
 # bytes, and its rows of the field Gram one more of the same shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
+# Points per measured block, after the kernel is released: the witness
+# takes about 24 kB a point (16 x 16 partial transposes and their eigensolve).
+_MEASURE_POINTS = _PHASE_BLOCK_BYTES // (1 << 15)
 
 def _unit_rows(vecs):
     """The slice of rows j0, j0 + 1, ... with column c of ``vecs`` the unit
@@ -575,84 +578,6 @@ def _reduced_stack(ops_a, ops_b, initial):
     return q
 
 
-@dataclass(frozen=True)
-class FieldFieldWitness:
-    """Field-field negativity and single-party purities, one entry per phase.
-
-    ``negativity`` is that of the two fields' reduced state with both
-    qubits traced out; ``qubit_purity`` and ``field_purity`` are Tr[rho^2]
-    of one qubit and of one field.  ``support_dim`` is the dimension k of
-    the local support each field was written on (at most 4, and 2 at
-    omega0 = 0), so the negativity came from a k^2 x k^2 matrix; ``ncut``
-    is the cutoff.  For a Bell input the qubit purity stays at 1/2 exactly;
-    the field purity is 1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input and
-    approaches 1/2 as the branches become orthogonal.
-    """
-
-    negativity: np.ndarray
-    qubit_purity: np.ndarray
-    field_purity: np.ndarray
-    support_dim: np.ndarray
-    ncut: int
-
-
-def field_field_witness(params, field, bell, omega_ts, trunc=None):
-    """Separability witness of the evolved four-party pure state on a grid.
-
-    The initial state is the Bell state ``bell`` with identical pure fields
-    on both subsystems.  Each field's state lies in the span of the evolved
-    rail vectors <r|U|p, phi> (initial rail p, qubit out r); at omega0 = 0
-    the two with r != p are exactly zero and are left out.  The reduced QR
-    factorization rails = Q R gives an isometry Q onto a space containing
-    that span and the coordinates R, so the state is rewritten on a
-    (2, k, 2, k) tensor.  Negativity and purities do not change under local
-    isometries (Peres, PRL 77, 1413 (1996)), so the values are exact and
-    need no rank threshold; the propagation costs O(F) memory beyond the
-    propagator.
-
-    The cutoff default and the phase and memory checks are those of
-    :func:`concurrence_trace` at its default tolerance; a mixed field
-    raises ValueError, and an empty grid gives empty arrays.
-    """
-    omega_ts = _finite_phases(omega_ts, 1)
-    if isinstance(field, Thermal):
-        raise ValueError(f"the field-field witness requires a pure field, got {field}")
-    if trunc is None:
-        trunc = truncation(field, params.beta)
-    prop = build_hamiltonian(params, trunc)
-    _require_phase_accuracy(params, trunc.ncut, omega_ts, _CONVERGENCE_TOL)
-    _, vecs, _ = field_components(field, trunc)
-    f = prop.fock_dim
-    psi0 = np.zeros((prop.dim, 2), dtype=complex)  # columns: rails up, down
-    psi0[:f, 0] = psi0[f:, 1] = vecs[:, 0]
-    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
-    negs, qubit_purity, field_purity = np.empty((3, len(omega_ts)))
-    support_dim = np.empty(len(omega_ts), dtype=int)
-    for point, omega_t in enumerate(omega_ts):
-        rails = propagate_state(prop, psi0, omega_t).T.reshape(4, f)  # rows (p, r)
-        used = np.flatnonzero(np.any(rails != 0.0, axis=1))
-        _, r = np.linalg.qr(rails[used].T)
-        k = r.shape[0]
-        coords = np.zeros((4, k), dtype=complex)
-        coords[used] = r.T
-        # psi[(r, i), (s, j)] = sum_pq c[p, q] a[p, (r, i)] a[q, (s, j)]
-        a = coords.reshape(2, 2 * k)
-        psi = (a.T @ c2 @ a).reshape(2, k, 2, k)
-        psi /= np.linalg.norm(psi)
-        fields = psi.transpose(1, 3, 0, 2).reshape(k * k, 4)
-        negs[point] = negativity(fields @ fields.conj().T, (k, k))
-        qubit_purity[point] = _purity(psi.reshape(2, 2 * k * k))
-        field_purity[point] = _purity(psi.transpose(1, 0, 2, 3).reshape(k, 4 * k))
-        support_dim[point] = k
-    return FieldFieldWitness(negs, qubit_purity, field_purity, support_dim, trunc.ncut)
-
-
-def _purity(x):
-    """Tr[rho^2] of rho = X X'."""
-    rho = x @ x.conj().T
-    return float(np.sum(np.abs(rho) ** 2))
-
-
 def low_spectrum(prop, k):
     """Lowest k >= 1 dimensionless eigenvalues shifted so the ground level
     is 0."""
@@ -739,78 +664,146 @@ def _require_phase_accuracy(params, ncut, omega_ts, tol):
         )
 
 
-def _reconstruct(params, field, initial, omega_ts, trunc):
-    """Concurrences and two-qubit matrices on ``omega_ts`` at one cutoff,
-    one stacked reduction and Wootters evaluation per phase block; also
-    returns the tail mass and the eigensolver's name, the sector dimension
-    and the number of mixture components.  The propagator is released once
-    the kernel holds its factors, before any phase block."""
-    prop = build_hamiltonian(params, trunc)
+def _run(params, field, omega_ts, spec, reduce):
+    """The (n, 4, 4) stack that ``reduce`` makes of each block of
+    conditional maps (n, 2, 2, 2, 2) on ``omega_ts`` at one cutoff, the
+    tail mass and (eigensolver, sector dimension, mixture components).  The
+    propagator is released once the kernel holds its factors."""
+    prop = build_hamiltonian(params, spec)
     kernel = _MapKernel(prop, field)
     how = (prop.eigensolver, prop.fock_dim, kernel.components)
     del prop
-    values = np.empty(len(omega_ts))
-    qmats = np.empty((len(omega_ts), 4, 4), dtype=complex)
+    mats = np.empty((len(omega_ts), 4, 4), dtype=complex)
     start = 0
     for ops in kernel.blocks(omega_ts):
-        block = slice(start, start + len(ops))
-        qmats[block] = _reduced_stack(ops, ops, initial)
-        values[block], _ = wootters_concurrences(qmats[block], QubitBasis.SIGMA_X)
-        start = block.stop
-    return values, qmats, kernel.tail, how
+        mats[start:start + len(ops)] = reduce(ops)
+        start += len(ops)
+    return mats, kernel.tail, how
 
 
 # Phases of the cutoff-doubling re-run: an evenly spaced subsample of the grid.
 _DOUBLING_POINTS = 9
 
 
+def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
+    """The one checked run of :func:`concurrence_trace` and
+    :func:`field_field_witness`, as an :class:`OracleTrace`.
+
+    The phases must be finite; ``trunc`` defaults to :func:`truncation`.
+    Before allocating, the peak memory of both runs must fit in physical
+    memory and the phase roundoff at the doubled cutoff within ``tol``.
+    ``reduce`` maps each block of maps at ``trunc`` to an (n, 4, 4) stack;
+    the re-run of an evenly spaced subsample at ``trunc.doubled()``, twice
+    the cutoff and a hundredth of the tail mass, must agree with it
+    entrywise within ``tol`` (else :class:`TruncationError`).  Then
+    ``measure`` maps blocks of the stack to the trace's ``values``, along
+    their last axis.
+    """
+    omega_ts = _finite_phases(omega_ts, 1)
+    if trunc is None:
+        trunc = truncation(field, params.beta)
+    _require_memory(_trace_bytes(params, field, trunc), f"oracle run at ncut={trunc.ncut}")
+    largest = trunc.doubled()
+    _require_phase_accuracy(params, largest.ncut, omega_ts, tol)
+    mats, tail, how = _run(params, field, omega_ts, trunc, reduce)
+    doubling_error, n_check = 0.0, min(len(omega_ts), _DOUBLING_POINTS)
+    if n_check:
+        idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
+        check, _, _ = _run(params, field, omega_ts[idx], largest, reduce)
+        doubling_error = float(np.max(np.abs(check - mats[idx])))
+        if doubling_error > tol:
+            raise TruncationError(f"cutoff-doubling disagreement {doubling_error:.3e} exceeds "
+                                  f"{tol:g} (ncut={trunc.ncut}); raise ncut")
+    # an empty grid measures its empty stack
+    values = np.concatenate([measure(mats[start:start + _MEASURE_POINTS])
+                             for start in range(0, max(len(mats), 1), _MEASURE_POINTS)], axis=-1)
+    return OracleTrace(omega_ts, values, trunc.ncut, tail, doubling_error, n_check, *how,
+                       largest.ncut if n_check else 0)
+
+
 def concurrence_trace(params, field, initial, omega_ts, trunc=None,
                       convergence_tol=_CONVERGENCE_TOL):
     """Oracle concurrence of ``initial`` (sigma_x basis) under identical fields.
 
-    Runs at the requested cutoff and re-runs a subsample of the grid at
-    ``trunc.doubled()``, twice the cutoff and a hundredth of the tail mass;
-    entrywise matrix disagreement beyond ``convergence_tol`` raises
-    :class:`TruncationError`, and so does a run whose estimated peak memory
-    exceeds physical memory, before it allocates.  A non-finite phase, or a
-    grid whose eigenphase roundoff exceeds ``convergence_tol`` (see
-    :func:`_require_phase_accuracy`), raises ValueError before any
-    eigensolve, and so does a ``convergence_tol`` that is not finite and
-    positive; an empty grid gives an empty trace.
+    The checked run of :func:`_checked_run` at ``convergence_tol``, which
+    must be finite and positive (ValueError otherwise, before any
+    eigensolve): the cutoff-doubling re-run compares the two-qubit matrices
+    Q of each block, and one stacked Wootters evaluation measures them.  A
+    non-finite phase or too large a phase roundoff raises ValueError and
+    too little memory :class:`TruncationError`, both before allocating; an
+    empty grid gives an empty trace.
     """
-    omega_ts = _finite_phases(omega_ts, 1)
     if not (math.isfinite(convergence_tol) and convergence_tol > 0):
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
-    if trunc is None:
-        trunc = truncation(field, params.beta)
-    what = f"concurrence trace at ncut={trunc.ncut}"
-    _require_memory(_trace_bytes(params, field, trunc), what)
-    largest = trunc.doubled()
-    _require_phase_accuracy(params, largest.ncut, omega_ts, convergence_tol)
-    values, qmats, tail, (solver, sector_dim, components) = _reconstruct(
-        params, field, initial, omega_ts, trunc)
-    doubling_error = 0.0
-    n_check = doubled_ncut = 0
-    if len(omega_ts):
-        n_check = min(len(omega_ts), _DOUBLING_POINTS)
-        idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
-        doubled_ncut = largest.ncut
-        _, qcheck, _, _ = _reconstruct(params, field, initial, omega_ts[idx], largest)
-        doubling_error = float(np.max(np.abs(qcheck - qmats[idx])))
-        if doubling_error > convergence_tol:
-            raise TruncationError(
-                f"cutoff-doubling disagreement {doubling_error:.3e} exceeds "
-                f"{convergence_tol:g} (ncut={trunc.ncut}); raise ncut"
-            )
-    return OracleTrace(
-        omega_ts=omega_ts,
-        values=values,
-        ncut=trunc.ncut,
-        tail_mass=tail,
-        doubling_error=doubling_error,
-        doubling_points=n_check,
-        eigensolver=solver,
-        sector_dim=sector_dim,
-        components=components,
-        doubled_ncut=doubled_ncut,
-    )
+    return _checked_run(params, field, omega_ts, trunc, convergence_tol,
+                        lambda ops: _reduced_stack(ops, ops, initial),
+                        lambda qmats: wootters_concurrences(qmats, QubitBasis.SIGMA_X)[0])
+
+
+@dataclass(frozen=True)
+class FieldFieldWitness:
+    """Field-field negativity and single-party purities, one entry per phase.
+
+    ``negativity`` is that of the two fields' reduced state with both
+    qubits traced out; ``qubit_purity`` and ``field_purity`` are Tr[rho^2]
+    of one qubit and of one field.  ``support_dim`` is the dimension k of
+    the local support each field was written on (4, and 2 at omega0 = 0),
+    so the negativity came from a k^2 x k^2 matrix.  ``doubling_error`` is
+    the largest entrywise disagreement of the rail Grams at ``ncut`` and
+    twice it.  For a Bell input the qubit purity stays at 1/2 exactly; the
+    field purity is 1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input.
+    """
+
+    negativity: np.ndarray
+    qubit_purity: np.ndarray
+    field_purity: np.ndarray
+    support_dim: np.ndarray
+    ncut: int
+    doubling_error: float
+
+
+def field_field_witness(params, field, bell, omega_ts, trunc=None):
+    """Separability witness of the evolved four-party pure state on a grid.
+
+    The initial state is the Bell state ``bell`` with identical pure fields
+    on both subsystems.  Each field lies in the span of the evolved rail
+    vectors a_ip = <p|U|i, phi> (initial rail i, qubit out p), whose Gram
+    G[(k, q), (i, p)] = <a_kq|a_ip> is the conditional map M_ik[p, q].
+    With G = V L V' from one stacked eigh, the columns of B = sqrt(L) V'
+    are the rails in an orthonormal basis of a space holding their span;
+    negativity and purities do not change under that local isometry
+    (Peres, PRL 77, 1413 (1996)), so no rank threshold is needed.  At
+    omega0 = 0 the rails with p != i are exactly zero and only the Gram of
+    the other two is factored.  The checks are those of
+    :func:`concurrence_trace` at its default tolerance, the doubling re-run
+    comparing the Grams; a mixed field raises ValueError.
+    """
+    if isinstance(field, Thermal):
+        raise ValueError(f"the field-field witness requires a pure field, got {field}")
+    rails = [0, 3] if params.degenerate else [0, 1, 2, 3]  # rail (i, p) is 2 i + p
+    c2 = bell_ket(bell, QubitBasis.SIGMA_X).astype(complex).reshape(2, 2)
+    trace = _checked_run(
+        params, field, omega_ts, trunc, _CONVERGENCE_TOL,
+        lambda ops: ops.transpose(0, 2, 4, 1, 3).reshape(len(ops), 4, 4),  # G[(k, q), (i, p)]
+        lambda grams: _witness_values(grams[:, rails][:, :, rails], rails, c2))
+    return FieldFieldWitness(*trace.values, np.full(len(trace.omega_ts), len(rails)),
+                             trace.ncut, trace.doubling_error)
+
+
+def _witness_values(grams, rails, c2):
+    """(3, n) negativity, qubit purity and field purity from an (n, k, k)
+    stack of the Grams of ``rails``, with Bell coefficients ``c2``."""
+    n, k = grams.shape[:2]
+    vals, vecs = np.linalg.eigh(grams)
+    a = np.zeros((n, 4, k), dtype=complex)  # a[(i, p), j], the transpose of B
+    a[:, rails] = vecs.conj() * np.sqrt(np.maximum(vals, 0.0))[:, None, :]
+    a = a.reshape(n, 2, 2 * k)
+    # psi[(p, j), (q, l)] = sum_ik c[i, k] a[i, (p, j)] a[k, (q, l)]
+    psi = (a.swapaxes(-1, -2) @ c2 @ a).reshape(n, 2, k, 2, k)
+    psi /= np.linalg.norm(psi.reshape(n, 4 * k * k), axis=1)[:, None, None, None, None]
+    # reduced states x x' of the two fields, of one qubit and of one field
+    fields, qubit, field = (x @ x.conj().swapaxes(-1, -2) for x in (
+        psi.transpose(0, 2, 4, 1, 3).reshape(n, k * k, 4), psi.reshape(n, 2, 2 * k * k),
+        psi.transpose(0, 2, 1, 3, 4).reshape(n, k, 4 * k)))
+    return np.array([negativity(fields, (k, k)), np.sum(np.abs(qubit) ** 2, axis=(1, 2)),
+                     np.sum(np.abs(field) ** 2, axis=(1, 2))])

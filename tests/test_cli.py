@@ -343,6 +343,21 @@ class TestSeparability:
         rc = main(["separability", "--field", "thermal:nbar=1", "--out", str(tmp_path / "x.csv")])
         assert rc == 2
 
+    def test_readme_example_writes_no_negative_zero(self, tmp_path):
+        # a PPT point's negativity is +0.0; a -0.0 was once written as "-0"
+        out = tmp_path / "sep.csv"
+        assert main(["separability", "--beta", "0.75", "--field", "vacuum", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert "-0" not in {cell for r in rows for cell in r}
+
+    def test_strong_coupling_fails_the_doubling_check(self, tmp_path, capsys):
+        # number(5) at beta = 3: the rail Grams at ncut 88 and 176 differ by 9.8e-5
+        out = tmp_path / "x.csv"
+        rc = main(["separability", "--field", "number:n=5", "--beta", "3", "--out", str(out)])
+        assert rc == 3
+        assert "cutoff-doubling disagreement" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_precedence_flags_over_file_over_defaults(self, tmp_path):
@@ -664,7 +679,7 @@ class TestOracleLimits:
         assert not out.exists()
 
     def test_separability_phase_roundoff_exits_2(self, tmp_path, capsys):
-        # eps * max|E| * max|w t| = 6.8 at its cutoff 23, far above 1e-8
+        # eps * max|E| * max|w t| = 12.6 at the doubled cutoff 46, far above 1e-8
         out = tmp_path / "x.csv"
         rc = main(["separability", "--beta", "0.75", "--omega0", "0.7", "--omega-t-max", "1e15",
                    "--steps", "3", "--out", str(out)])
@@ -744,7 +759,8 @@ class TestWitnessStaysLocal:
         seen = []
 
         def spy(rho, dims):
-            seen.append(dims[0] * dims[1])
+            # one entry per matrix of a stack (..., d, d)
+            seen.extend([dims[0] * dims[1]] * math.prod(np.shape(rho)[:-2]))
             return negativity(rho, dims)
 
         monkeypatch.setattr(oracle, "negativity", spy)
@@ -791,9 +807,12 @@ class TestMetadata:
         assert main(argv + ["--steps", "5", "--out", str(out)]) == 0
         keys = {line[2:].partition("=")[0] for line in out.read_text().splitlines()
                 if line.startswith("# ") and "=" in line}
-        doubling = {"tolerance", "truncation_policy"}
-        assert doubling & keys == (doubling if checked else set()), keys
-        assert ("doubling_error" in keys) == (checked and argv[0] != "validate")
+        # ``checked``: a doubling check at --tolerance ran; the witness of
+        # separability runs its own at the library tolerance and reads no --tolerance
+        doubled = checked or argv[0] == "separability"
+        assert ("tolerance" in keys) == checked, keys
+        assert ("truncation_policy" in keys) == doubled, keys
+        assert ("doubling_error" in keys) == (doubled and argv[0] != "validate")
 
     def test_plot_script_stub(self, tmp_path):
         out = tmp_path / "o.csv"

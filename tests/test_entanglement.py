@@ -1,5 +1,7 @@
 """Entanglement measures against brute-force and closed-form references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,15 @@ class TestNegativity:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             negativity(random_density_matrix(rng, 4), (2, 3))
+
+    def test_ppt_gives_positive_zero(self):
+        product = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        assert math.copysign(1.0, negativity(product, (2, 2))) == 1.0
+        assert np.all(np.copysign(1.0, negativity(np.stack([product, product]), (2, 2))) == 1.0)
+
+    def test_stack_matches_each_matrix(self, rng):
+        rhos = np.stack([random_density_matrix(rng, 6) for _ in range(5)]).reshape(5, 1, 6, 6)
+        negs = negativity(rhos, (2, 3))
+        assert negs.shape == (5, 1)
+        for rho, value in zip(rhos[:, 0], negs[:, 0]):
+            assert value == negativity(rho, (2, 3))

@@ -658,8 +658,8 @@ class TestTwoQubitReduced:
         params = ModelParams(0.4)
         for bell in BellState:
             initial = make_bell(bell, QubitBasis.SIGMA_X)
-            _, qmats, _, _ = oracle._reconstruct(params, field, initial, grid,
-                                                 truncation(field, 0.4))
+            qmats, _, _ = oracle._run(params, field, grid, truncation(field, 0.4),
+                                     lambda ops: _reduced_stack(ops, ops, initial))
             corner = bell in (BellState.PHI_PLUS, BellState.PSI_PLUS)
             element = qmats[:, 0, 3] if corner else qmats[:, 1, 2]
             closed = two_qubit_offdiagonal(bell, field, 0.4, grid)
@@ -916,6 +916,18 @@ class TestConcurrenceTrace:
         tracemalloc.stop()
         assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
 
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    def test_long_witness_grid_at_small_cutoff_within_estimate(self, omega0):
+        # the witness measures 16 x 16 partial transposes, about 24 kB a point
+        params, trunc = ModelParams(0.02, omega0=omega0), TruncationSpec(3, tail_tol=0.5)
+        grid = np.linspace(0.0, 2 * PI, 40001)
+        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, [1.0], trunc)
+        tracemalloc.start()
+        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, grid, trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
+
 
 class TestFieldField:
     def _prop(self, beta, field):
@@ -980,6 +992,21 @@ class TestFieldField:
         # the detuned fields do entangle; the degenerate ones stay PPT
         assert (np.max(witness.negativity) > 0.05) == (omega0 != 0.0)
 
+    def test_raises_where_the_cutoff_does_not_converge(self):
+        with pytest.raises(TruncationError, match="cutoff-doubling disagreement 9.8"):
+            field_field_witness(ModelParams(3.0), Number(5), BellState.PHI_PLUS,
+                                np.linspace(0.0, 2 * PI, 17))
+
+    @pytest.mark.parametrize("field, beta, bell, grid", [
+        (Vacuum(), 0.75, BellState.PHI_PLUS, np.linspace(0.0, 2 * PI, 5)),
+        (Coherent(0.5 + 0.25j), 0.5, BellState.PSI_PLUS, np.linspace(0.0, 2 * PI, 5)),
+        (Number(1), 0.3, BellState.PSI_MINUS, np.linspace(0.0, 2 * PI, 5)),
+        (Number(5), 0.5, BellState.PHI_PLUS, np.linspace(0.0, 3.0, 2)),
+    ], ids=["vacuum", "coherent", "number1", "number5"])
+    def test_detuned_doubling_error(self, field, beta, bell, grid):
+        witness = field_field_witness(ModelParams(beta, omega0=0.7), field, bell, grid)
+        assert 0.0 < witness.doubling_error <= 1e-8
+
     def test_empty_grid_gives_empty_arrays(self):
         witness = field_field_witness(ModelParams(0.3), Number(1), BellState.PHI_PLUS, [])
         assert witness.ncut == default_ncut(Number(1), 0.3)
@@ -992,8 +1019,8 @@ class TestFieldField:
             field_field_witness(ModelParams(0.3), Thermal(1.0), BellState.PHI_PLUS, [1.0])
 
     @pytest.mark.parametrize("grid, match", [
-        # eps * max|E| * max|w t| = 6.8 at cutoff 23, far above 1e-8
-        ([0.0, 5e14, 1e15], "phase roundoff .* 6.782e\\+00 at ncut=23"),
+        # eps * max|E| * max|w t| = 12.6 at the doubled cutoff 46, far above 1e-8
+        ([0.0, 5e14, 1e15], "phase roundoff .* 1.255e\\+01 at ncut=46"),
         ([0.0, math.nan, 1.0], "finite"),
     ], ids=["roundoff", "nan"])
     def test_phase_checks(self, grid, match):
@@ -1072,6 +1099,19 @@ class TestMemoryBudget:
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
         params, trunc = ModelParams(0.3, omega0=omega0), TruncationSpec(156)
         assert self._peak(params, field, trunc) <= oracle._trace_bytes(params, field, trunc)
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("field", [Vacuum(), Number(5), Coherent(1 + 0.5j)], ids=str)
+    def test_witness_peak_within_estimate(self, field, omega0, monkeypatch):
+        monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
+        params, trunc = ModelParams(0.3, omega0=omega0), TruncationSpec(156)
+        # modules imported on a first call are not the oracle's memory
+        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, [1.0])
+        tracemalloc.start()
+        field_field_witness(params, field, BellState.PHI_PLUS, np.linspace(0.0, 2 * PI, 17), trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= oracle._trace_bytes(params, field, trunc)
 
 
 class TestCoherentPastSubnormalStart:

@@ -165,6 +165,25 @@ def test_oracle_matches_closed_form(bell, field, beta, omega_ts):
     assert np.max(np.abs(trace.values - closed)) <= 1e-7
 
 
+witness_fields = st.one_of(
+    st.just(Vacuum()),
+    st.builds(Number, st.integers(0, 5)),
+    st.builds(Coherent, st.complex_numbers(max_magnitude=1.0, **finite)),
+)
+
+
+@ORACLE_PROPERTY
+@given(bells, witness_fields, st.floats(0.0, 1.0, **finite),
+       st.lists(st.floats(0.0, 4 * math.pi, **finite), min_size=1, max_size=6))
+def test_degenerate_qubits_leave_their_fields_separable(bell, field, beta, omega_ts):
+    # the paper's claim: at omega0 = 0 the fields stay PPT, each qubit stays
+    # maximally mixed, and each field lives on the span of two rails
+    witness = field_field_witness(ModelParams(beta), field, bell, omega_ts)
+    assert np.max(witness.negativity) <= 1e-12
+    assert np.max(np.abs(witness.qubit_purity - 0.5)) <= 1e-12
+    assert np.all(witness.support_dim == 2)
+
+
 def _call_oracle(entry, omega0, omega_t):
     """Call one oracle entry point with phase (or grid) ``omega_t``."""
     params, trunc = ModelParams(0.4, omega0=omega0), TruncationSpec(12)
