@@ -916,18 +916,6 @@ class TestConcurrenceTrace:
         tracemalloc.stop()
         assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
 
-    @pytest.mark.parametrize("omega0", [0.0, 0.7])
-    def test_long_witness_grid_at_small_cutoff_within_estimate(self, omega0):
-        # the witness measures 16 x 16 partial transposes, about 24 kB a point
-        params, trunc = ModelParams(0.02, omega0=omega0), TruncationSpec(3, tail_tol=0.5)
-        grid = np.linspace(0.0, 2 * PI, 40001)
-        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, [1.0], trunc)
-        tracemalloc.start()
-        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, grid, trunc)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
-
 
 class TestFieldField:
     def _prop(self, beta, field):
@@ -1100,18 +1088,30 @@ class TestMemoryBudget:
         params, trunc = ModelParams(0.3, omega0=omega0), TruncationSpec(156)
         assert self._peak(params, field, trunc) <= oracle._trace_bytes(params, field, trunc)
 
+    @staticmethod
+    def _witness_peak(params, field, trunc, grid):
+        # modules imported on a first call are not the oracle's memory
+        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, [1.0], trunc)
+        tracemalloc.start()
+        field_field_witness(params, field, BellState.PHI_PLUS, grid, trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        return peak
+
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Coherent(1 + 0.5j)], ids=str)
     def test_witness_peak_within_estimate(self, field, omega0, monkeypatch):
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
         params, trunc = ModelParams(0.3, omega0=omega0), TruncationSpec(156)
-        # modules imported on a first call are not the oracle's memory
-        field_field_witness(params, Vacuum(), BellState.PHI_PLUS, [1.0])
-        tracemalloc.start()
-        field_field_witness(params, field, BellState.PHI_PLUS, np.linspace(0.0, 2 * PI, 17), trunc)
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        peak = self._witness_peak(params, field, trunc, np.linspace(0.0, 2 * PI, 17))
         assert peak <= oracle._trace_bytes(params, field, trunc)
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    def test_long_witness_grid_at_small_cutoff_within_estimate(self, omega0):
+        # the witness measures 16 x 16 partial transposes, about 24 kB a point
+        params, trunc = ModelParams(0.02, omega0=omega0), TruncationSpec(3, tail_tol=0.5)
+        peak = self._witness_peak(params, Vacuum(), trunc, np.linspace(0.0, 2 * PI, 40001))
+        assert peak <= oracle._trace_bytes(params, Vacuum(), trunc)
 
 
 class TestCoherentPastSubnormalStart:
