@@ -224,8 +224,11 @@ def _base_metadata(cfg, **extra):
     return md
 
 
-# Peak bytes per grid step of any scenario, its CSV included: tracemalloc
-# reads about 2 kB for separability and at most 0.3 kB for the others.
+# Peak bytes per grid step of any scenario, its CSV included.  Between
+# grids of 40001 and 80001 steps tracemalloc reads 146 B a step for the
+# closed-form concurrence-sweep, 184 for envelope, 200 for beta-sweep, 264
+# to 280 for the oracle columns and esd, and 289 to 313 for separability;
+# validate, past its fixed 27 MB, 270 B between 200001 and 400001 steps.
 _STEP_BYTES = 4096
 
 

@@ -597,7 +597,9 @@ def default_ncut(field, beta):
     loses at most that mass, wherever one F x F array at the cutoff fits in
     physical memory (beyond that every run fails its memory check, so the
     Poisson tail is not summed).  The cutoff-doubling convergence check is
-    the actual contract; this is only the initial guess.
+    the actual contract; this is only the initial guess.  Raises
+    :class:`TruncationError` where the amplitudes summed never come within
+    that tolerance of unit mass.
     """
     alpha0 = field.alpha0 if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
@@ -612,7 +614,11 @@ def default_ncut(field, beta):
     if isinstance(field, (Vacuum, Coherent)) and 8 * ncut * ncut <= _physical_bytes():
         # lost mass at every cutoff up to one far beyond the Poisson tail
         c, _ = coherent_fock_vector(reach, math.ceil(reach**2 + 10.0 * reach) + 40)
-        ncut = max(ncut, int(np.argmax(1.0 - np.cumsum(np.abs(c) ** 2) <= _TAIL_TOL)))
+        held = 1.0 - np.cumsum(np.abs(c) ** 2) <= _TAIL_TOL
+        if not held[-1]:
+            raise TruncationError(f"the Fock amplitudes of {field} at reach {reach:g} "
+                                  f"lose more than {_TAIL_TOL:g} of their mass")
+        ncut = max(ncut, int(np.argmax(held)))
     return max(ncut, 1)
 
 

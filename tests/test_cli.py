@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degjc import __version__, cli, csvcells, oracle, specialfn, validation
 from degjc.cli import (
@@ -737,6 +739,33 @@ class TestMemoryBudget:
         assert "a grid of 1000000000000 steps" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, steps", [
+        (["envelope", "--omega", "2.5"], 10001),
+        (["concurrence-sweep", "--field", "number:n=1000", "--omega", "2.5"], 10001),
+        (["concurrence-sweep", "--compare-oracle", "--beta", "0.02"], 10001),
+        (["concurrence-sweep", "--compare-oracle", "--beta", "0.02", "--omega0", "0.7"], 10001),
+        (["beta-sweep", "--field", "number:n=1000"], 10001),
+        (["esd", "--compare-oracle", "--omega", "2.5"], 10001),
+        (["separability", "--beta", "0.02", "--ncut", "3"], 10001),
+        (["separability", "--omega0", "0.7", "--beta", "0.02", "--ncut", "3"], 10001),
+        # validate's fixed 27 MB hides its grid below about 100000 steps
+        (["validate", "--field", "vacuum", "--beta", "0.02"], 100001),
+    ], ids=["envelope", "sweep-number1000", "sweep-oracle", "sweep-oracle-omega0", "beta-sweep",
+            "esd-oracle", "separability", "separability-omega0", "validate"])
+    def test_peak_per_step_within_the_grid_guard(self, argv, steps, tmp_path, capsys):
+        peaks = []
+        for n in (steps, 2 * steps):
+            tracemalloc.start()
+            try:
+                rc = main(argv + ["--steps", str(n), "--out", str(tmp_path / "x.csv")])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rc == 0, capsys.readouterr().err
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] <= cli._STEP_BYTES * steps
+        assert peaks[1] <= cli._STEP_BYTES * 2 * steps
+
     def test_oracle_sweep_exits_3(self, tmp_path, capsys, no_allocation):
         rc = main(["concurrence-sweep", "--field", "thermal:nbar=1e6", "--compare-oracle",
                    "--steps", "5", "--out", str(tmp_path / "x.csv")])
@@ -999,6 +1028,81 @@ class TestCsvFastPath:
         text = cli.write_csv(str(tmp_path / "f.csv"), {}, [("v", np.array(values))])
         assert text.splitlines()[2:] == [b"%.17g" % v for v in values]
         assert fallback_cells == [np.inf, 1e-300, 1000000000000000.25]
+
+
+# any text without NUL, commas and multibyte characters included: 24
+# characters of up to 4 bytes each run past the 47 bytes of a float cell
+_TEXT_CELLS = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\0"),
+                      max_size=24)
+
+
+class TestCsvCells:
+    """``csv_rows`` zero-fills every byte a cell does not keep and deletes
+    the zeros a block at a time: a NUL in a text cell is refused, and any
+    other text and any float bit pattern keep their bytes."""
+
+    @pytest.mark.parametrize("cell", ["\0", "a\0", "\0b", "a,\0\u00e9"])
+    def test_a_nul_in_a_text_cell_is_a_value_error(self, cell):
+        with pytest.raises(ValueError, match="NUL"):
+            csvcells.csv_rows([np.array([1.0, 2.0]), ["x", cell]])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.data())
+    def test_mixed_columns_match_the_per_cell_reference(self, data):
+        text_columns = data.draw(st.lists(st.booleans(), min_size=1, max_size=4))
+        # a few rows, and one to several blocks of 4096 cells
+        rows = data.draw(st.one_of(st.integers(0, 9), st.integers(340, 1400),
+                                   st.sampled_from([2731, 4097])))
+        columns = []
+        for j, is_text in enumerate(text_columns):
+            if is_text:
+                cells = data.draw(st.lists(_TEXT_CELLS, min_size=1, max_size=8))
+                columns.append((f"t{j}", [cells[i % len(cells)] for i in range(rows)]))
+            else:
+                bits = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+                columns.append((f"f{j}", np.resize(np.array(bits, np.uint64), rows).view(np.float64)))
+        reference = _per_cell_csv({}, columns).split(b"\n", 2)[2]
+        assert csvcells.csv_rows([column for _, column in columns]) == reference
+
+    @staticmethod
+    def _traced(columns):
+        tracemalloc.start()
+        try:
+            text = csvcells.csv_rows(columns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return text, peak
+
+    def test_peak_is_the_output_and_a_few_blocks(self):
+        grid = np.linspace(0.0, 4.0 * PI, 20001)
+        text, peak = self._traced([grid, np.cos(grid) ** 2])
+        block = csvcells._BLOCK_CELLS * csvcells._WIDTH
+        # While a block is printed, the text so far, less than the output,
+        # sits beside the block's working set: the cells and their mask (two
+        # 48-byte rows a cell) and thirteen 8-byte arrays a cell, 4.2 blocks
+        # (3.6 measured).  The join then holds the parts, the output and the
+        # last block's bytes.  Each term has most of a block to spare.
+        assert peak <= max(len(text) + 5 * block, 2 * len(text) + 2 * block)
+
+    def test_cells_are_released_before_the_text_is_cut(self, monkeypatch):
+        cells = csvcells._float_cells
+
+        def formed(x):
+            chars = cells(x)
+            tracemalloc.reset_peak()
+            return chars
+
+        monkeypatch.setattr(csvcells, "_float_cells", formed)
+        grid = np.linspace(0.0, 4.0 * PI, csvcells._BLOCK_CELLS // 2)
+        text, peak = self._traced([grid, np.cos(grid) ** 2])
+        block = csvcells._BLOCK_CELLS * csvcells._WIDTH
+        # From the moment the one block's cells are formed, the peak is the
+        # cells, their stacked values and the bytes copied from them: 13/6
+        # blocks, and 4 KiB for the Python objects around them.  Cut with
+        # the cells still held, the block's text (0.4 block) would come on
+        # top.
+        assert peak <= 13 * block // 6 + 4096
 
 
 @pytest.mark.slow

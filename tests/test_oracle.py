@@ -1177,6 +1177,17 @@ class TestDefaultNcut:
         monkeypatch.setattr(oracle, "coherent_fock_vector", unreachable)
         assert default_ncut(Vacuum(), 5e3) == 10**8 + 20
 
+    @pytest.mark.parametrize("field, beta", [(Vacuum(), 1.0), (Coherent(1.5j), 0.25)])
+    def test_amplitudes_that_lose_mass_raise(self, monkeypatch, field, beta):
+        # a Fock vector that never reaches unit mass has no cutoff to give
+        def lossy(alpha, ncut):
+            c, tail = coherent_fock_vector(alpha, ncut)
+            return 0.9 * c, tail
+
+        monkeypatch.setattr(oracle, "coherent_fock_vector", lossy)
+        with pytest.raises(TruncationError, match=f"{field} at reach 2 lose"):
+            default_ncut(field, beta)
+
     def test_scales_with_occupation(self):
         assert default_ncut(Thermal(25.0), 0.1) > default_ncut(Thermal(1.0), 0.1)
         assert default_ncut(Number(25), 0.1) > default_ncut(Number(1), 0.1)

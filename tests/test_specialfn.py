@@ -67,9 +67,9 @@ def test_array_evaluation_matches_scalar():
     xs = np.linspace(0.0, 30.0, 57)
     assert np.array_equal(laguerre(12, xs), [laguerre(12, x) for x in xs])
     # repeated, signed-zero and unsorted arguments, flat and 2-D, on both
-    # sides of the n < log2(size) switch
+    # sides of the n < 8 log2(size) switch: 50.9 for these 82 arguments
     mixed = np.concatenate([xs[::-1], xs[::3], [-0.0, 0.0, -0.0, 7.5, 7.5, 3.25]])
-    for n in (0, 1, 6, 7, 12, 200):
+    for n in (0, 1, 6, 7, 12, 50, 51, 200):
         for arr in (mixed, mixed.reshape(2, -1)):
             m, e = laguerre_scaled(n, arr)
             assert m.shape == e.shape == arr.shape
