@@ -8,7 +8,6 @@ Fock-space propagator.
 __version__ = "0.1.0"
 
 from .closedform import (
-    characteristic_integral,
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
@@ -18,11 +17,7 @@ from .closedform import (
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
-from .entanglement import (
-    ConcurrenceResult,
-    negativity,
-    wootters_concurrence,
-)
+from .entanglement import negativity
 from .model import (
     BellState,
     Coherent,
@@ -34,7 +29,6 @@ from .model import (
     Thermal,
     Vacuum,
     bell_ket,
-    change_basis,
     make_bell,
     make_esd_mixture,
 )
@@ -53,7 +47,6 @@ from .oracle import (
     propagate_state,
 )
 from .specialfn import (
-    coherent_overlap,
     laguerre,
     laguerre_roots,
     laguerre_scaled,
@@ -64,7 +57,6 @@ __all__ = [
     "__version__",
     "BellState",
     "Coherent",
-    "ConcurrenceResult",
     "FieldFieldWitness",
     "FieldSpec",
     "ModelParams",
@@ -79,10 +71,7 @@ __all__ = [
     "Vacuum",
     "bell_ket",
     "build_hamiltonian",
-    "change_basis",
-    "characteristic_integral",
     "coherent_fock_vector",
-    "coherent_overlap",
     "concurrence_at_half_period",
     "concurrence_closed",
     "concurrence_trace",
@@ -103,5 +92,4 @@ __all__ = [
     "single_qubit_coherence",
     "thermal_weights",
     "two_qubit_offdiagonal",
-    "wootters_concurrence",
 ]

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .model import BellState, Coherent, Number, Thermal, Vacuum
-from .specialfn import laguerre, laguerre_scaled
+from .specialfn import laguerre_scaled
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
@@ -81,27 +81,21 @@ def _number_fold(n, x, p):
     return np.where(~np.isfinite(plain) | (lost & (folded != 0)), folded, plain)
 
 
-def _integral(field, beta, wt):
-    """The characteristic integral I(-2 beta gamma) on the phase array ``wt``."""
-    x = 4.0 * beta**2 * _abs2(wt)
-    if isinstance(field, Vacuum):
-        return np.ones_like(x, dtype=complex)
-    if isinstance(field, Coherent):
-        return np.exp(4j * beta * np.imag(field.alpha0 * np.conj(np.exp(1j * wt) - 1.0)))
-    if isinstance(field, Number):
-        return laguerre(field.n, x).astype(complex)
-    if isinstance(field, Thermal):
-        return np.exp(-field.nbar * x).astype(complex)
-    raise TypeError(f"unsupported field class: {field!r}")
-
-
 def _kappa(field, beta, wt):
     """kappa = exp(-2 beta^2 |gamma|^2) I(-2 beta gamma) on the phase array
     ``wt``; a number state takes the fold, finite where L_N is not."""
     x = 4.0 * beta**2 * _abs2(wt)
     if isinstance(field, Number):
         return _number_fold(field.n, x, 1).astype(complex)
-    return np.exp(-0.5 * x) * _integral(field, beta, wt)
+    if isinstance(field, Vacuum):
+        integral = np.ones_like(x, dtype=complex)
+    elif isinstance(field, Coherent):
+        integral = np.exp(4j * beta * np.imag(field.alpha0 * np.conj(np.exp(1j * wt) - 1.0)))
+    elif isinstance(field, Thermal):
+        integral = np.exp(-field.nbar * x).astype(complex)
+    else:
+        raise TypeError(f"unsupported field class: {field!r}")
+    return np.exp(-0.5 * x) * integral
 
 
 def gamma(omega_t):
@@ -116,30 +110,23 @@ def modulation_factor(beta, omega_t):
     return _shaped(np.exp(-2.0 * beta**2 * _abs2(wt)), shape)
 
 
-def characteristic_integral(field, beta, omega_t):
-    """Fourier transform of the field's diagonal coherent-state weight.
+def single_qubit_coherence(q0, field, beta, omega_t):
+    """Evolved off-diagonal element of one qubit's reduced density matrix.
 
-    Equals the normally-ordered characteristic function at -2 beta gamma:
+    Q_updown(t) = q0 * kappa, kappa = exp(-2 beta^2 |gamma|^2) I, where I,
+    the normally-ordered characteristic function of the field at
+    -2 beta gamma, is
 
     * Coherent(a0):  exp(4 i beta Im[a0 gamma*])   (pure phase),
     * Number(N):     L_N(4 beta^2 |gamma|^2)        (real),
     * Thermal(nbar): exp(-4 nbar beta^2 |gamma|^2)  (real Gaussian),
     * Vacuum:        1.
 
-    Raises ``OverflowError`` where L_N leaves the float range.
+    A density-matrix coherence satisfies |q0| <= 1/2; q0 = 1 is accepted
+    and returns kappa itself.  A q0 that is NaN or above 1 in modulus
+    raises ``ValueError``.
     """
-    wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
-    return _shaped(_integral(field, beta, wt), shape)
-
-
-def single_qubit_coherence(q0, field, beta, omega_t):
-    """Evolved off-diagonal element of one qubit's reduced density matrix.
-
-    Q_updown(t) = q0 * kappa, kappa = exp(-2 beta^2 |gamma|^2) *
-    characteristic_integral.  A density-matrix coherence satisfies
-    |q0| <= 1/2; q0 = 1 is accepted and returns kappa itself.
-    """
-    if abs(q0) > 1.0 + 1e-12:
+    if not abs(q0) <= 1.0 + 1e-12:
         raise ValueError(f"|q0| must be <= 1, got {abs(q0)!r}")
     wt, shape = _check_inputs(beta, omega_t, getattr(field, "nbar", 0.0))
     return _shaped(q0 * _kappa(field, beta, wt), shape)

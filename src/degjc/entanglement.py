@@ -1,6 +1,5 @@
-"""Entanglement measures: Wootters concurrence and negativity."""
-
-from dataclasses import dataclass
+"""Entanglement measures: Wootters concurrence of a stack of two-qubit
+states, and negativity."""
 
 import numpy as np
 
@@ -9,36 +8,18 @@ from .model import HADAMARD2, QubitBasis
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
 
-
-@dataclass(frozen=True)
-class ConcurrenceResult:
-    """Concurrence value and the four descending square-rooted eigenvalues
-    of rho rho-tilde."""
-
-    value: float
-    spectrum: np.ndarray
-
-
 # Eigenvalues of rho below this fraction of the largest are dropped from
 # the factor rho = X X'; they are roundoff, and keeping them lets it into
 # the spectrum at its square root.
 RANK_TOL = 1e-13
 
 
-def wootters_concurrence(state):
-    """Concurrence C = min(1, max(0, s1 - s2 - s3 - s4)) of a two-qubit state.
-
-    The s_i are the descending square roots of the eigenvalues of
-    rho (sy x sy) rho* (sy x sy).  This is the one-matrix case of
-    :func:`wootters_concurrences`.
-    """
-    values, spectra = wootters_concurrences(state.rho[None], state.basis)
-    return ConcurrenceResult(float(values[0]), spectra[0])
-
-
 def wootters_concurrences(rhos, basis):
     """Concurrences (n,) and descending spectra s (n, 4) of a validated
-    (n, 4, 4) stack of two-qubit density matrices in ``basis``.
+    (n, 4, 4) stack of two-qubit density matrices in ``basis``:
+    C = min(1, max(0, s1 - s2 - s3 - s4)), with the s_i the descending
+    square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).  One
+    state is the stack ``state.rho[None]``.
 
     The complex conjugation is taken in the sigma_z product basis (the
     basis in which the spin flip sy x sy is defined), so the stack is
@@ -51,7 +32,7 @@ def wootters_concurrences(rhos, basis):
     into a product.
     """
     if basis is not QubitBasis.SIGMA_Z:
-        rhos = HADAMARD2 @ rhos @ HADAMARD2  # change_basis, per-qubit Hadamard
+        rhos = HADAMARD2 @ rhos @ HADAMARD2  # per-qubit Hadamard, self-inverse
     vals, vecs = np.linalg.eigh(rhos)
     # eigh sorts ascending, so the kept eigenvalues are the last ``rank``
     rank = np.count_nonzero(vals > RANK_TOL * vals[:, -1:], axis=1)

@@ -184,10 +184,3 @@ def make_esd_mixture():
     rho[0, 3] = rho[3, 0] = 3.0 / 8.0
     return QubitPairState(rho, QubitBasis.SIGMA_X)
 
-
-def change_basis(state, target):
-    """Re-express a two-qubit state in the target basis (per-qubit Hadamard)."""
-    if state.basis is target:
-        return state
-    rho = HADAMARD2 @ state.rho @ HADAMARD2
-    return QubitPairState(rho, target)

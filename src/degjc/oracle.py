@@ -270,8 +270,9 @@ def _exp_scaled(x):
 
 
 def coherent_fock_vector(alpha, ncut):
-    """Truncated Fock expansion of |alpha>; returns (vector, lost mass).
-    ValueError for an ``alpha`` that is not finite or not below 1e154.
+    """Truncated Fock expansion of |alpha> over n = 0..ncut; returns
+    (vector, lost mass).  ValueError for an ``alpha`` that is not finite
+    or not below 1e154, or an ``ncut`` that is not an integer >= 0.
 
     The amplitudes follow c_(n+1) = c_n alpha / sqrt(n + 1) from c_0 =
     e^(-|alpha|^2 / 2).  Where c_0 is not a normal number (|alpha| >
@@ -282,6 +283,8 @@ def coherent_fock_vector(alpha, ncut):
     is normal the recurrence is the plain one, bit for bit.
     """
     alpha, norm2 = _amplitude(alpha)
+    if isinstance(ncut, bool) or not isinstance(ncut, numbers.Integral) or ncut < 0:
+        raise ValueError(f"ncut must be an integer >= 0, got {ncut!r}")
     c = np.empty(ncut + 1, dtype=complex)
     m, e = _exp_scaled(-0.5 * norm2)
     c[0], z = math.ldexp(m, e), np.complex128(m)
@@ -579,10 +582,11 @@ def _reduced_stack(ops_a, ops_b, initial):
 
 
 def low_spectrum(prop, k):
-    """Lowest k >= 1 dimensionless eigenvalues shifted so the ground level
-    is 0."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    """Lowest k dimensionless eigenvalues shifted so the ground level is 0,
+    for an integer k from 1 to the block dimension ``prop.dim``."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= prop.dim:
+        raise ValueError(f"k must be an integer from 1 to the block dimension {prop.dim}, "
+                         f"got {k!r}")
     e = np.sort(prop.energies)[:k]
     return e - e[0]
 
@@ -599,8 +603,11 @@ def default_ncut(field, beta):
     Poisson tail is not summed).  The cutoff-doubling convergence check is
     the actual contract; this is only the initial guess.  Raises
     :class:`TruncationError` where the amplitudes summed never come within
-    that tolerance of unit mass.
+    that tolerance of unit mass, and ``ValueError`` unless ``beta`` is
+    finite and >= 0.
     """
+    if not (math.isfinite(beta) and beta >= 0):
+        raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
     alpha0 = field.alpha0 if isinstance(field, Coherent) else 0.0
     nb = field.nbar if isinstance(field, Thermal) else 0.0
     nn = field.n if isinstance(field, Number) else 0

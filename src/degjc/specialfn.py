@@ -264,11 +264,3 @@ def _amplitude(alpha):
         return alpha, abs(alpha) ** 2
     raise ValueError(f"coherent amplitude must be finite and below 1e154, got {alpha!r}")
 
-
-def coherent_overlap(a, b):
-    """Inner product of two coherent states, <a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b).
-
-    ValueError for an amplitude that is not finite or not below 1e154.
-    """
-    (a, a2), (b, b2) = _amplitude(a), _amplitude(b)
-    return np.exp(-0.5 * a2 - 0.5 * b2 + np.conj(a) * b)

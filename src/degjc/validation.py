@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closedform import (
-    concurrence_closed, esd_concurrence_closed, evolve_spin_coherent, modulation_factor)
+    _abs2, concurrence_closed, esd_concurrence_closed, evolve_spin_coherent, modulation_factor)
 from .entanglement import negativity
 from .model import (
     BellState, Coherent, ModelParams, Number, QubitBasis, Thermal, Vacuum, make_bell,
@@ -146,7 +146,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     bad = 0.0
     for b in (0.1, 0.5, 1.0, 2.0):
         for nbar in (1.0, 5.0, 25.0):
-            expo = 4.0 * (1.0 + 2.0 * nbar) * b**2 * (2.0 - 2.0 * np.cos(dense))
+            expo = 4.0 * (1.0 + 2.0 * nbar) * b**2 * _abs2(dense)
             vals = concurrence_closed(BellState.PHI_PLUS, Thermal(nbar), b, dense)
             if not np.all(np.isfinite(expo)) or np.any(vals[expo < 700.0] <= 0.0):
                 bad = 1.0
@@ -215,6 +215,6 @@ def concurrence_zero_count(n, beta):
     """Zeros of the number-state concurrence in one period, located as roots
     of L_n(4 b^2 |gamma|^2) along the phase axis."""
     wt = np.linspace(1e-9, 2.0 * math.pi - 1e-9, 8192)
-    x = 4.0 * beta**2 * (2.0 - 2.0 * np.cos(wt))
+    x = 4.0 * beta**2 * _abs2(wt)
     vals = laguerre(n, x)
     return int(np.sum(vals[:-1] * vals[1:] < 0.0) + np.sum(vals == 0.0))

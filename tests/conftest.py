@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from degjc import oracle
+from degjc.entanglement import wootters_concurrences
 from degjc.model import QubitBasis, QubitPairState
 
 
@@ -20,6 +21,13 @@ def no_allocation(monkeypatch):
 
     for name in ("field_components", "_tridiagonal_eigh"):
         monkeypatch.setattr(oracle, name, reached)
+
+
+def wootters(state):
+    """(concurrence, descending spectrum) of one ``QubitPairState``, as the
+    one-matrix stack of ``wootters_concurrences``."""
+    values, spectra = wootters_concurrences(state.rho[None], state.basis)
+    return float(values[0]), spectra[0]
 
 
 def random_density_matrix(rng, dim=4):

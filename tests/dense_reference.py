@@ -6,7 +6,9 @@ n x n Jacobi matrix; the tests build all three here and compare the
 library's parity chains, local-support witness and roots against them.
 The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
 odd Fock rows, are formed here as the direct products, and the coherent
-amplitudes come from their recurrence without the exponent scaling.
+amplitudes come from their recurrence without the exponent scaling.  The
+basis change of a two-qubit state and the coherent-state overlap, which the
+library does not use, are written out here as references.
 """
 
 import math
@@ -14,7 +16,11 @@ import math
 import numpy as np
 
 from degjc import oracle, specialfn
-from degjc.model import QubitBasis, bell_ket
+from degjc.model import QubitBasis, QubitPairState, bell_ket
+
+# hand-built per-qubit basis-change map, independent of the implementation
+H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+H4 = np.kron(H1, H1)
 
 
 def dense_modes(prop):
@@ -89,3 +95,16 @@ def laguerre_roots_dense(n, x_max=None):
     ln, lnm1, _ = specialfn._recurrence(n, roots)
     roots = roots - roots * ln / (n * (ln - lnm1))
     return roots if x_max is None else roots[roots <= x_max]
+
+
+def change_basis(state, target):
+    """The two-qubit state re-expressed in the ``target`` basis."""
+    if state.basis is target:
+        return state
+    return QubitPairState(H4 @ state.rho @ H4, target)
+
+
+def coherent_overlap(a, b):
+    """<a|b> = exp(-|a|^2/2 - |b|^2/2 + a* b) for coherent states |a>, |b>."""
+    a, b = complex(a), complex(b)
+    return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)

@@ -9,16 +9,15 @@ from pathlib import Path
 import degjc
 
 PUBLIC = [
-    "BellState", "Coherent", "ConcurrenceResult", "FieldFieldWitness", "FieldSpec",
-    "ModelParams", "Number", "OracleTrace", "QubitBasis", "QubitPairState",
-    "SubsystemPropagator", "Thermal", "TruncationError", "TruncationSpec", "Vacuum",
-    "__version__", "bell_ket", "build_hamiltonian", "change_basis",
-    "characteristic_integral", "coherent_fock_vector", "coherent_overlap",
-    "concurrence_at_half_period", "concurrence_closed", "concurrence_trace", "default_ncut",
-    "esd_concurrence_closed", "evolve_spin_coherent", "field_field_witness", "gamma",
-    "laguerre", "laguerre_roots", "laguerre_scaled", "low_spectrum", "make_bell",
-    "make_esd_mixture", "modulation_factor", "negativity", "propagate_state",
-    "single_qubit_coherence", "thermal_weights", "two_qubit_offdiagonal", "wootters_concurrence",
+    "BellState", "Coherent", "FieldFieldWitness", "FieldSpec", "ModelParams", "Number",
+    "OracleTrace", "QubitBasis", "QubitPairState", "SubsystemPropagator", "Thermal",
+    "TruncationError", "TruncationSpec", "Vacuum", "__version__", "bell_ket",
+    "build_hamiltonian", "coherent_fock_vector", "concurrence_at_half_period",
+    "concurrence_closed", "concurrence_trace", "default_ncut", "esd_concurrence_closed",
+    "evolve_spin_coherent", "field_field_witness", "gamma", "laguerre", "laguerre_roots",
+    "laguerre_scaled", "low_spectrum", "make_bell", "make_esd_mixture", "modulation_factor",
+    "negativity", "propagate_state", "single_qubit_coherence", "thermal_weights",
+    "two_qubit_offdiagonal",
 ]
 
 

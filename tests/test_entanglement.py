@@ -5,16 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_density_matrix, random_pair_state, random_unitary, random_x_state
-from degjc.entanglement import negativity, wootters_concurrence
-from degjc.model import (
-    BellState,
-    QubitBasis,
-    QubitPairState,
-    change_basis,
-    make_bell,
-    make_esd_mixture,
-)
+from conftest import (
+    random_density_matrix, random_pair_state, random_unitary, random_x_state, wootters)
+from dense_reference import change_basis
+
+from degjc.entanglement import negativity
+from degjc.model import BellState, QubitBasis, QubitPairState, make_bell, make_esd_mixture
 
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SYSY = np.kron(SY, SY)
@@ -54,35 +50,31 @@ def werner(p):
 class TestWootters:
     def test_bell_states(self):
         for variant in BellState:
-            assert wootters_concurrence(make_bell(variant)).value == pytest.approx(
-                1.0, abs=1e-12
-            )
+            assert wootters(make_bell(variant))[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed(self):
         state = QubitPairState(np.eye(4) / 4.0, QubitBasis.SIGMA_Z)
-        assert wootters_concurrence(state).value == 0.0
+        assert wootters(state)[0] == 0.0
 
     def test_werner_states(self):
         # known closed form max(0, (3p-1)/2)
-        assert wootters_concurrence(werner(0.5)).value == pytest.approx(0.25, abs=1e-10)
-        assert wootters_concurrence(werner(1 / 3)).value == pytest.approx(0.0, abs=1e-8)
-        assert wootters_concurrence(werner(0.2)).value == 0.0
-        assert wootters_concurrence(werner(0.9)).value == pytest.approx(0.85, abs=1e-10)
+        assert wootters(werner(0.5))[0] == pytest.approx(0.25, abs=1e-10)
+        assert wootters(werner(1 / 3))[0] == pytest.approx(0.0, abs=1e-8)
+        assert wootters(werner(0.2))[0] == 0.0
+        assert wootters(werner(0.9))[0] == pytest.approx(0.85, abs=1e-10)
 
     def test_against_brute_force(self, rng):
         for _ in range(200):
             state = random_pair_state(rng)
-            assert wootters_concurrence(state).value == pytest.approx(
-                concurrence_brute(state.rho), abs=1e-9
-            )
+            assert wootters(state)[0] == pytest.approx(concurrence_brute(state.rho), abs=1e-9)
 
     def test_agrees_with_sqrt_route_on_full_rank_states(self, rng):
         for _ in range(200):
             state = random_pair_state(rng)
-            res = wootters_concurrence(state)
+            value, spectrum = wootters(state)
             s = concurrence_spectrum_sqrt(state)
-            assert np.max(np.abs(res.spectrum - s)) <= 1e-13
-            assert abs(res.value - max(0.0, s[0] - s[1] - s[2] - s[3])) <= 1e-13
+            assert np.max(np.abs(spectrum - s)) <= 1e-13
+            assert abs(value - max(0.0, s[0] - s[1] - s[2] - s[3])) <= 1e-13
 
     def test_rank_deficient_floor(self, rng):
         # pure product states: the sqrt(rho) route leaves ~1e-8 of roundoff
@@ -91,40 +83,33 @@ class TestWootters:
             b = random_unitary(rng)[:, 0]
             psi = np.kron(a, b)
             state = QubitPairState(np.outer(psi, psi.conj()), QubitBasis.SIGMA_Z)
-            res = wootters_concurrence(state)
-            assert res.value <= 1e-14
-            assert np.all(res.spectrum <= 1e-14)
+            value, spectrum = wootters(state)
+            assert value <= 1e-14
+            assert np.all(spectrum <= 1e-14)
 
     def test_spectrum_is_descending_and_consistent(self, rng):
         state = random_pair_state(rng)
-        res = wootters_concurrence(state)
-        s = res.spectrum
+        value, s = wootters(state)
         assert np.all(np.diff(s) <= 1e-15)
-        assert res.value == pytest.approx(max(0.0, s[0] - s[1] - s[2] - s[3]), abs=1e-15)
+        assert value == pytest.approx(max(0.0, s[0] - s[1] - s[2] - s[3]), abs=1e-15)
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(200):
             state = random_pair_state(rng)
             u = np.kron(random_unitary(rng), random_unitary(rng))
             rotated = QubitPairState(u @ state.rho @ u.conj().T, QubitBasis.SIGMA_Z)
-            assert abs(
-                wootters_concurrence(rotated).value - wootters_concurrence(state).value
-            ) <= 1e-10
+            assert abs(wootters(rotated)[0] - wootters(state)[0]) <= 1e-10
 
     def test_range(self, rng):
         for _ in range(100):
-            c = wootters_concurrence(random_pair_state(rng)).value
+            c = wootters(random_pair_state(rng))[0]
             assert 0.0 <= c <= 1.0 + 1e-12
 
     def test_sigma_x_tagged_input(self, rng):
         # conjugation basis is handled internally
         state = random_pair_state(rng, basis=QubitBasis.SIGMA_X)
-        from degjc.model import change_basis
-
         same = change_basis(state, QubitBasis.SIGMA_Z)
-        assert wootters_concurrence(state).value == pytest.approx(
-            wootters_concurrence(same).value, abs=1e-12
-        )
+        assert wootters(state)[0] == pytest.approx(wootters(same)[0], abs=1e-12)
 
 
 class TestXStateShortcut:
@@ -133,18 +118,18 @@ class TestXStateShortcut:
     def test_pure_bell_corner_rule(self):
         state = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
         assert xstate_formula(state.rho) == pytest.approx(2 * abs(state.rho[0, 3]), abs=1e-14)
-        assert wootters_concurrence(state).value == pytest.approx(1.0, abs=1e-12)
+        assert wootters(state)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_esd_mixture(self):
         rho = make_esd_mixture().rho
         assert xstate_formula(rho) == pytest.approx(0.5, abs=1e-15)
-        assert wootters_concurrence(make_esd_mixture()).value == pytest.approx(0.5, abs=1e-12)
+        assert wootters(make_esd_mixture())[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_agreement_with_general_method(self, rng):
         worst = 0.0
         for _ in range(1000):
             state = random_x_state(rng)
-            worst = max(worst, abs(xstate_formula(state.rho) - wootters_concurrence(state).value))
+            worst = max(worst, abs(xstate_formula(state.rho) - wootters(state)[0]))
         assert worst <= 1e-10
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from conftest import wootters
 from dense_reference import (
     coherent_fock_vector_unscaled, dense_modes, evolved_rails, field_field_reduced, parity_gram,
     rail_grams)
@@ -18,7 +19,7 @@ from degjc.closedform import (
     single_qubit_coherence,
     two_qubit_offdiagonal,
 )
-from degjc.entanglement import negativity, wootters_concurrence, wootters_concurrences
+from degjc.entanglement import negativity, wootters_concurrences
 from degjc.model import (
     BellState,
     Coherent,
@@ -698,7 +699,7 @@ class TestTwoQubitReduced:
 
 class TestStackedReduction:
     """The per-block reduction and Wootters give the bits of a one-point
-    ``_reduced_stack`` + ``wootters_concurrence``."""
+    ``_reduced_stack`` + one-matrix ``wootters_concurrences``."""
 
     CASES = [
         (Vacuum(), make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), 0.5, 0.0),
@@ -726,10 +727,10 @@ class TestStackedReduction:
         values, spectra = wootters_concurrences(qmats, QubitBasis.SIGMA_X)
         for i in range(len(grid)):
             (q,) = _reduced_stack(ops[i:i + 1], ops[i:i + 1], initial)
-            result = wootters_concurrence(QubitPairState(q, QubitBasis.SIGMA_X))
+            value, spectrum = wootters(QubitPairState(q, QubitBasis.SIGMA_X))
             assert np.array_equal(qmats[i], q)
-            assert values[i] == result.value
-            assert np.array_equal(spectra[i], result.spectrum)
+            assert values[i] == value
+            assert np.array_equal(spectra[i], spectrum)
 
     def test_one_point_and_empty_block(self):
         initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
@@ -1167,6 +1168,12 @@ class TestCoherentPastSubnormalStart:
 class TestDefaultNcut:
     def test_minimum(self):
         assert default_ncut(Vacuum(), 0.0) >= 1
+
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf, math.inf])
+    def test_rejects_beta_that_is_not_finite_and_nonnegative(self, beta):
+        # NaN raised "cannot convert float NaN to integer"; -1.0 gave 24
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            default_ncut(Vacuum(), beta)
 
     def test_lost_mass_rule_skipped_past_physical_memory(self, monkeypatch):
         # reach 1e4: one F x F array at the bare cutoff 1e8 + 20 takes 8e16

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degjc.closedform import (
-    characteristic_integral,
     concurrence_at_half_period,
     concurrence_closed,
     esd_concurrence_closed,
@@ -35,6 +34,7 @@ from degjc.oracle import (
     TruncationError,
     TruncationSpec,
     build_hamiltonian,
+    coherent_fock_vector,
     concurrence_trace,
     field_field_witness,
     low_spectrum,
@@ -127,7 +127,7 @@ def test_closed_forms_finite_or_rejected(beta, nbar, omega_t):
     real = [lambda: modulation_factor(beta, omega_t),
             lambda: esd_concurrence_closed(beta, nbar, omega_t),
             lambda: concurrence_at_half_period(Thermal(nbar), beta)]
-    complex_ = [lambda: characteristic_integral(Thermal(nbar), beta, omega_t)]
+    complex_ = []
     for f in (Vacuum(), Coherent(1.0 + 0.5j), Number(3), Thermal(nbar)):
         real.append(lambda f=f: concurrence_closed(BellState.PHI_MINUS, f, beta, omega_t))
         complex_ += [lambda f=f: 2.0 * two_qubit_offdiagonal(BellState.PHI_PLUS, f, beta, omega_t),
@@ -228,8 +228,14 @@ def test_oracle_rejects_non_finite_and_empty_input(entry, omega0, bad, empty):
     lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), 0),
     lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), 2.5),
     lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), True),
+    # the block has dimension 26; 100 levels gave 26 without an error
+    lambda: low_spectrum(build_hamiltonian(ModelParams(0.4), TruncationSpec(12)), 100),
+    lambda: coherent_fock_vector(0.5, -1),
+    lambda: coherent_fock_vector(0.5, -5),
+    lambda: coherent_fock_vector(0.5, 2.5),
 ], ids=["ncut-2.5", "ncut-bool", "ncut-float", "trace-ncut-20.5", "spectrum-0",
-        "spectrum-2.5", "spectrum-bool"])
+        "spectrum-2.5", "spectrum-bool", "spectrum-100", "fock-vector--1", "fock-vector--5",
+        "fock-vector-2.5"])
 def test_oracle_rejects_non_integral_cutoffs(call):
     with pytest.raises(ValueError, match="integer"):
         call()
