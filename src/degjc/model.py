@@ -124,6 +124,8 @@ class QubitPairState:
     basis: QubitBasis
 
     def __post_init__(self):
+        if not isinstance(self.basis, QubitBasis):
+            raise TypeError(f"unsupported qubit basis: {self.basis!r}")
         rho = np.array(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise ValueError(f"two-qubit density matrix must be 4x4, got shape {rho.shape}")
@@ -160,7 +162,12 @@ _BELL_KETS_Z = {
 
 
 def bell_ket(variant, basis):
-    """State vector of a Bell state in the requested basis coordinates."""
+    """State vector of a Bell state in the requested basis coordinates;
+    TypeError unless given a :class:`BellState` and a :class:`QubitBasis`."""
+    if not isinstance(variant, BellState):
+        raise TypeError(f"unsupported Bell state: {variant!r}")
+    if not isinstance(basis, QubitBasis):
+        raise TypeError(f"unsupported qubit basis: {basis!r}")
     ket = _BELL_KETS_Z[variant]
     if basis is QubitBasis.SIGMA_X:
         ket = HADAMARD2 @ ket

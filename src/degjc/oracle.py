@@ -40,6 +40,7 @@ from .model import (
     Coherent,
     Number,
     QubitBasis,
+    QubitPairState,
     Thermal,
     Vacuum,
     bell_ket,
@@ -318,22 +319,20 @@ def thermal_component_count(nbar, tail_tol):
 
 
 def field_components(field, trunc):
-    """Decompose a field state into weighted pure Fock-space vectors.
+    """Decompose a field state into weighted pure Fock-space components.
 
-    Returns ``(weights, vectors, tail)`` with ``vectors`` of shape
-    (ncut+1, K): coherent/number/vacuum give a single column, thermal
-    states a Fock-diagonal mixture truncated at the tail tolerance.  The
-    vectors are real unit Fock vectors except for a coherent field, whose
-    column is complex.
+    Returns ``(weights, components, tail)``.  Vacuum, number and thermal
+    fields are mixtures of unit Fock vectors e_j: ``components`` is the
+    slice of their Fock rows j0 .. j0 + K - 1, one row for vacuum and
+    number states, the thermal mixture truncated at the tail tolerance.  A
+    coherent field gives its (ncut+1, 1) column, real where
+    ``alpha0.imag == 0`` and complex otherwise.
     """
-    f = trunc.ncut + 1
     if isinstance(field, (Vacuum, Number)):
         n = field.n if isinstance(field, Number) else 0
         if n > trunc.ncut:
             raise TruncationError(f"Fock index {n} exceeds cutoff {trunc.ncut}")
-        v = np.zeros((f, 1))
-        v[n, 0] = 1.0
-        return np.array([1.0]), v, 0.0
+        return np.array([1.0]), slice(n, n + 1), 0.0
     if isinstance(field, Coherent):
         c, tail = coherent_fock_vector(field.alpha0, trunc.ncut)
         if tail > trunc.tail_tol:
@@ -341,7 +340,7 @@ def field_components(field, trunc):
                 f"coherent state |alpha|={abs(field.alpha0):g} loses mass {tail:.3e} "
                 f"at ncut={trunc.ncut} (tolerance {trunc.tail_tol:g})"
             )
-        return np.array([1.0]), c[:, None], tail
+        return np.array([1.0]), (c if field.alpha0.imag else c.real)[:, None], tail
     if isinstance(field, Thermal):
         k = min(thermal_component_count(field.nbar, trunc.tail_tol), trunc.ncut)
         weights, tail = thermal_weights(field.nbar, k)
@@ -350,9 +349,7 @@ def field_components(field, trunc):
                 f"thermal mixture nbar={field.nbar:g} has tail {tail:.3e} at "
                 f"ncut={trunc.ncut} (tolerance {trunc.tail_tol:g})"
             )
-        vecs = np.zeros((f, k + 1))
-        vecs[np.arange(k + 1), np.arange(k + 1)] = 1.0
-        return weights, vecs, tail
+        return weights, slice(0, k + 1), tail
     raise TypeError(f"unsupported field class: {field!r}")
 
 
@@ -369,17 +366,6 @@ _POINT_BYTES = 4096
 # Points per measured block, after the kernel is released: the witness
 # takes about 24 kB a point (16 x 16 partial transposes and their eigensolve).
 _MEASURE_POINTS = _PHASE_BLOCK_BYTES // (1 << 15)
-
-def _unit_rows(vecs):
-    """The slice of rows j0, j0 + 1, ... with column c of ``vecs`` the unit
-    Fock vector e_(j0 + c), or None when the columns are not such a run."""
-    k = vecs.shape[1]
-    start = int(np.argmax(vecs[:, 0] != 0))
-    rows = slice(start, start + k)
-    run = vecs[rows].diagonal()  # entries (start + c, c), the only nonzeros if a run
-    if len(run) == k and np.count_nonzero(vecs) == k and np.all(run == 1.0):
-        return rows
-    return None
 
 
 class _MapKernel:
@@ -404,19 +390,20 @@ class _MapKernel:
     V_s' P V_t = E - O, and within one chain E + O = I, so V_s' P V_s =
     2 E_ss - I.  So the four rail Grams take the products E_00, E_11, E_01
     and O_01, each over half the rows.  Entries whose blocks have the same
-    two factors share one product and differ only in sign.  Where every
-    mixture component is a unit Fock vector e_j (vacuum, number and thermal
-    fields) the overlaps are rows j of V_s, sliced rather than multiplied,
-    and the Gram Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k) Y^u_t' depends on
-    i + k alone, so M_dd takes the products of M_uu.  Where the chains
-    coincide (omega0 = 0) the chain pairs collapse into the sigma_x sector
-    form: M_uu and M_dd are the field norm on their own rail and only
-    M_ud[up, down] is a bilinear form, with S = (2 E - I) o G and G =
-    Y^u W Y^d^H built in one pass over chunks of rows: each chunk forms its
-    rows of the symmetric 2 E and of G on and above the diagonal,
-    multiplies them into S and subtracts the diagonal of G.  The chunk's
-    products run only over the Fock rows [lo, hi) outside which its
-    eigenvectors are zero (the even ones for 2 E, and for unit Fock
+    two factors share one product and differ only in sign.  Where
+    :func:`field_components` names a slice of Fock rows j, the unit Fock
+    components e_j of a vacuum, number or thermal field, the overlaps are
+    rows j of V_s, sliced rather than multiplied (a coherent column is
+    multiplied), and the Gram Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k)
+    Y^u_t' depends on i + k alone, so M_dd takes the products of M_uu.
+    Where the chains coincide (omega0 = 0) the chain pairs collapse into
+    the sigma_x sector form: M_uu and M_dd are the field norm on their own
+    rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o
+    G and G = Y^u W Y^d^H built in one pass over chunks of rows: each
+    chunk forms its rows of the symmetric 2 E and of G on and above the
+    diagonal, multiplies them into S and subtracts the diagonal of G.  The
+    chunk's products run only over the Fock rows [lo, hi) outside which
+    its eigenvectors are zero (the even ones for 2 E, and for unit Fock
     components the part of their run inside them) and only over the
     columns up to the last one with a nonzero entry in those rows; the rest
     of its rows of S is exactly 0, since every skipped term is a product
@@ -435,10 +422,8 @@ class _MapKernel:
 
     def __init__(self, prop, field):
         weights, vecs, self.tail = field_components(field, prop.trunc)
-        if np.iscomplexobj(vecs) and not np.any(vecs.imag):
-            vecs = vecs.real
         self.components = len(weights)
-        rows = _unit_rows(vecs)
+        rows = vecs if isinstance(vecs, slice) else None
         if rows is None:
             norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
         else:  # a run of unit Fock vectors: every squared column norm is exactly 1
@@ -467,8 +452,7 @@ class _MapKernel:
                 c = slice(max(fock[0] - rows.start, 0), max(fock[1] - rows.start, 0))
                 sign = signs[c] if i != k else 1.0
                 return (y[s][a, c] * (scale[c] * sign)) @ y[t][b, c].T
-        dtype = vecs.dtype
-        del vecs
+        dtype = vecs.dtype if rows is None else np.dtype(float)
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
         if len(modes) == 1:
@@ -568,8 +552,6 @@ def _reduced_stack(ops_a, ops_b, initial):
     maps, valid as the subsystem Hamiltonians commute.  ``initial`` is in
     the sigma_x basis, with qubits uncorrelated with the fields; the
     truncated-mixture trace deficit is renormalized away."""
-    if initial.basis is not QubitBasis.SIGMA_X:
-        raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
     n = len(ops_a)
     # Q[(pr), (qs)] = sum A[(ik), (pr)] rho[(ik), (jl)] B[(jl), (qs)]
     rho = initial.rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -744,10 +726,16 @@ def concurrence_trace(params, field, initial, omega_ts, trunc=None,
     Q of each block, and one stacked Wootters evaluation measures them.  A
     non-finite phase or too large a phase roundoff raises ValueError and
     too little memory :class:`TruncationError`, both before allocating; an
-    empty grid gives an empty trace.
+    empty grid gives an empty trace.  An ``initial`` that is not a
+    :class:`QubitPairState` raises TypeError and one not in the sigma_x
+    basis ValueError, also before any eigensolve.
     """
     if not (math.isfinite(convergence_tol) and convergence_tol > 0):
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")
+    if not isinstance(initial, QubitPairState):
+        raise TypeError(f"initial two-qubit state must be a QubitPairState, got {initial!r}")
+    if initial.basis is not QubitBasis.SIGMA_X:
+        raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
     return _checked_run(params, field, omega_ts, trunc, convergence_tol,
                         lambda ops: _reduced_stack(ops, ops, initial),
                         lambda qmats: wootters_concurrences(qmats, QubitBasis.SIGMA_X)[0])

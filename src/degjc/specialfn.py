@@ -110,9 +110,9 @@ def laguerre_scaled(n, x):
     are one), gathered back into its shape.  Each element's steps and the
     rescaling schedule, set by max|x| alone, are those of the whole array,
     so every bit is the same.  The sort that finds the distinct arguments
-    is skipped where the recurrence is short, n < 8 log2(size): on phase
-    grids of 4001 to 20001 arguments, 71 to 84 % of them distinct, it paid
-    for itself from n = 5 to 12 log2(size) on.
+    is skipped where the array is empty or the recurrence short,
+    n < 8 log2(size): on phase grids of 4001 to 20001 arguments, 71 to
+    84 % of them distinct, it paid for itself from n = 5 to 12 log2(size) on.
     """
     n = _check_order(n)
     xs = np.asarray(x, dtype=np.float64)
@@ -124,7 +124,7 @@ def laguerre_scaled(n, x):
         if xs.ndim == 0:
             return m, e + shift
         return np.full(xs.shape, m), np.full(xs.shape, e + shift)
-    if n < 8 * math.log2(xs.size):
+    if not xs.size or n < 8 * math.log2(xs.size):
         lk, _, e = _recurrence(n, xs)
         m, shift = np.frexp(lk)
         return m, e + shift

@@ -8,7 +8,9 @@ The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
 odd Fock rows, are formed here as the direct products, and the coherent
 amplitudes come from their recurrence without the exponent scaling.  The
 basis change of a two-qubit state and the coherent-state overlap, which the
-library does not use, are written out here as references.
+library does not use, are written out here as references.  The mixture
+components of a field are written here as the dense (F, K) matrix of their
+columns, where the library names a run of unit Fock vectors by its rows.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 
 from degjc import oracle, specialfn
 from degjc.model import QubitBasis, QubitPairState, bell_ket
+from degjc.oracle import field_components
 
 # hand-built per-qubit basis-change map, independent of the implementation
 H1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -46,10 +49,21 @@ def rail_grams(modes):
     return rails
 
 
+def dense_components(field, trunc):
+    """``field_components`` with the components as the columns of one
+    (F, K) matrix: the unit Fock vectors of a run, ``np.eye(F)[:, rows]``,
+    or a coherent field's column as it is.  It calls the function bound at
+    import, so a test may put it in place of ``oracle.field_components``."""
+    weights, components, tail = field_components(field, trunc)
+    if isinstance(components, slice):
+        components = np.eye(trunc.ncut + 1)[:, components]
+    return weights, components, tail
+
+
 def evolved_rails(prop, field, omega_t):
     """Evolved rail components ``rails[p, r, :]`` = <r|U(w t)|p, phi> of a
     pure field phi, as a (2, 2, F) array: initial rail p, qubit out r."""
-    _, vecs, _ = oracle.field_components(field, prop.trunc)
+    _, vecs, _ = dense_components(field, prop.trunc)
     f = prop.fock_dim
     psi0 = np.zeros((prop.dim, 2), dtype=complex)
     psi0[:f, 0] = psi0[f:, 1] = vecs[:, 0]

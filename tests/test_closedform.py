@@ -315,6 +315,10 @@ class TestHalfPeriod:
             math.exp(-8.16), rel=1e-13
         )
 
+    def test_empty_beta_gives_empty_values(self):
+        for field in (Vacuum(), Coherent(5.0 + 2.0j), Number(5), Thermal(25.0)):
+            assert concurrence_at_half_period(field, []).shape == (0,)
+
     def test_number_root_zero(self):
         assert concurrence_at_half_period(Number(1), 0.25) == 0.0
 
@@ -566,6 +570,14 @@ class TestScalarMatchesArray:
         bits = [np.ascontiguousarray(v).view(np.uint64) for v in (point_values, grid_values)]
         differ = np.flatnonzero(np.any(bits[0] != bits[1], axis=0))
         assert differ.size == 0, f"{differ.size} of {len(points)} differ, first {differ[:5]}"
+
+
+    @pytest.mark.parametrize("law", sorted(PUBLIC_LAWS))
+    def test_empty_grid_gives_empty_values(self, law):
+        # the number-state laws raised a math domain error on an empty grid
+        for grid in (np.array([]), np.empty((2, 0))):
+            for values in self.PUBLIC_LAWS[law](Number(5), grid):
+                assert values.shape == grid.shape
 
 
 def test_every_phase_law_is_checked_point_by_point():

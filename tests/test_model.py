@@ -18,9 +18,11 @@ from degjc.model import (
     QubitPairState,
     Thermal,
     Vacuum,
+    bell_ket,
     make_bell,
     make_esd_mixture,
 )
+from degjc.oracle import field_field_witness
 
 
 def test_model_params_are_in_units_of_omega():
@@ -146,3 +148,22 @@ def test_states_are_immutable():
     state = make_bell(BellState.PHI_PLUS)
     with pytest.raises(ValueError):
         state.rho[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("variant", ["phi+", None, 0], ids=repr)
+def test_unsupported_bell_state_raises_type_error(variant, no_allocation):
+    # a bare KeyError, where the closed forms raise this TypeError
+    for build in (lambda: bell_ket(variant, QubitBasis.SIGMA_X), lambda: make_bell(variant),
+                  lambda: field_field_witness(ModelParams(0.3), Vacuum(), variant, [1.0])):
+        with pytest.raises(TypeError, match="unsupported Bell state"):
+            build()
+
+
+@pytest.mark.parametrize("basis", ["sigma_x", None, "SIGMA_Z"], ids=repr)
+def test_unsupported_basis_raises_type_error(basis):
+    # make_bell gave the sigma_z matrix tagged with the string "sigma_x"
+    for build in (lambda: bell_ket(BellState.PHI_PLUS, basis),
+                  lambda: make_bell(BellState.PHI_PLUS, basis),
+                  lambda: QubitPairState(make_esd_mixture().rho, basis)):
+        with pytest.raises(TypeError, match="unsupported qubit basis"):
+            build()

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from conftest import wootters
 from dense_reference import (
-    coherent_fock_vector_unscaled, dense_modes, evolved_rails, field_field_reduced, parity_gram,
-    rail_grams)
+    coherent_fock_vector_unscaled, dense_components, dense_modes, evolved_rails,
+    field_field_reduced, parity_gram, rail_grams)
 
 from degjc import oracle, specialfn
 from degjc.closedform import (
@@ -52,7 +52,6 @@ from degjc.oracle import (
     _MapKernel,
     _reduced_stack,
     _tridiagonal_eigh,
-    _unit_rows,
 )
 
 PI = math.pi
@@ -82,7 +81,7 @@ def _dense_propagate(dense, psi, omega_t):
 def _dense_maps(dense, field, trunc, omega_t):
     """ops[i, k, p, q] = M_ik[p, q] from the propagated mixture components."""
     f = trunc.ncut + 1
-    weights, vecs, _ = field_components(field, trunc)
+    weights, vecs, _ = dense_components(field, trunc)
     rails = []
     for i in (0, 1):
         psi0 = np.zeros((2 * f, vecs.shape[1]), dtype=complex)
@@ -286,9 +285,9 @@ class TestPropagation:
 class TestFieldComponents:
     def test_vacuum_and_number(self):
         trunc = TruncationSpec(10)
-        w, v, tail = field_components(Vacuum(), trunc)
+        w, v, tail = dense_components(Vacuum(), trunc)
         assert w[0] == 1.0 and v[0, 0] == 1.0 and tail == 0.0
-        w, v, tail = field_components(Number(4), trunc)
+        w, v, tail = dense_components(Number(4), trunc)
         assert v[4, 0] == 1.0 and tail == 0.0
 
     def test_number_beyond_cutoff(self):
@@ -318,7 +317,7 @@ class TestFieldComponents:
 
     def test_thermal_components_and_tail(self):
         trunc = TruncationSpec(80)
-        w, v, tail = field_components(Thermal(1.0), trunc)
+        w, v, tail = dense_components(Thermal(1.0), trunc)
         assert tail <= trunc.tail_tol
         assert w[0] == pytest.approx(0.5, rel=1e-14)
         assert v.shape[1] == len(w)
@@ -326,6 +325,39 @@ class TestFieldComponents:
     def test_thermal_truncation_error(self):
         with pytest.raises(TruncationError):
             field_components(Thermal(5.0), TruncationSpec(10))
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("field", [
+        Vacuum(), Number(3), Thermal(2.0), Coherent(1.5), Coherent(complex(1.5, -0.0)),
+        Coherent(1 + 0.5j)], ids=repr)
+    def test_field_type_declares_the_run_and_the_word(self, field, omega0):
+        # a slice of Fock rows exactly for the Fock-diagonal fields, a complex
+        # column exactly off the real axis: the 8- or 16-byte word of _run_bytes
+        trunc = TruncationSpec(default_ncut(field, 0.3))
+        weights, components, _ = field_components(field, trunc)
+        coherent = isinstance(field, Coherent)
+        word = 16 if coherent and field.alpha0.imag != 0.0 else 8
+        assert isinstance(components, slice) == (not coherent)
+        if coherent:
+            assert components.shape == (trunc.ncut + 1, 1)
+            assert components.dtype.itemsize == word
+        else:
+            assert len(range(trunc.ncut + 1)[components]) == len(weights)
+        kernel = _MapKernel(build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc), field)
+        # the one factor S at omega0 = 0, else the field Gram of each product
+        assert {factors[-1].dtype.itemsize for _, _, factors, _ in kernel.terms} == {word}
+
+    def test_thermal_run_holds_no_dense_matrix(self):
+        # the doubled run of the README's ESD example, F = 1235 and K = 705:
+        # a dense (F, K) identity slice took 6.66 MiB
+        trunc = TruncationSpec(1234, 1e-12)
+        field_components(Thermal(25.0), trunc)  # a first call's imports are not its memory
+        tracemalloc.start()
+        weights, components, _ = field_components(Thermal(25.0), trunc)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert components == slice(0, 705) and len(weights) == 705
+        assert peak < 64 * 1024
 
 
 def _maps(prop, field, omega_ts):
@@ -460,7 +492,7 @@ class TestMapKernel:
         trunc = TruncationSpec(default_ncut(field, 0.4))
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
-        weights, vecs, _ = field_components(field, trunc)
+        weights, vecs, _ = dense_components(field, trunc)
         grid = rng.uniform(0.0, 2 * PI, size=3)
         stack, _ = _maps(prop, field, grid)
         for ops, wt in zip(stack, grid):
@@ -495,14 +527,15 @@ class TestMapKernel:
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Thermal(2.0)], ids=str)
     def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0, monkeypatch):
         # sliced overlaps, the signed Gram and the shared products against
-        # the general path, which multiplies V' C and V' P C; at omega0 = 0
+        # the general path, which multiplies V' C and V' P C of the dense
+        # reference components np.eye(F)[:, rows]; at omega0 = 0
         # a mixture's sliced factor mirrors its upper triangle, which the
         # general path forms below the diagonal from its own products
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
         (sliced,) = _MapKernel(prop, field).blocks(grid)
-        monkeypatch.setattr(oracle, "_unit_rows", lambda vecs: None)
+        monkeypatch.setattr(oracle, "field_components", dense_components)
         (general,) = _MapKernel(prop, field).blocks(grid)
         if isinstance(field, Thermal) and not omega0:
             assert np.max(np.abs(sliced - general)) <= 1e-15 * np.max(np.abs(general))
@@ -556,7 +589,7 @@ class TestMapKernel:
                 assert len(got) == 6
                 pairs = [(got[key], rails[key]) for key in got]
             else:
-                weights, vecs, _ = field_components(field, trunc)
+                weights, vecs, _ = dense_components(field, trunc)
                 gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
                     v.T, parity[:, None] * vecs).conj().T
                 ((_, _, (factor,), _),) = kernel.terms
@@ -582,39 +615,11 @@ class TestMapKernel:
         prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
         ((_, _, (factor,), _),) = _MapKernel(prop, field).terms
         v = chain[1]
-        weights, vecs, _ = field_components(field, trunc)
+        weights, vecs, _ = dense_components(field, trunc)
         parity = oracle._parity(len(v))[:, None]
         gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
         expected = parity_gram(v) * gram
         assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-    def test_unit_rows_find_a_run_of_unit_fock_vectors(self):
-        vecs = np.zeros((6, 3))
-        vecs[1:4] = np.eye(3)
-        assert _unit_rows(vecs) == slice(1, 4)
-        assert _unit_rows(vecs[:, :1]) == slice(1, 2)
-
-    @pytest.mark.parametrize(
-        "defect", ["permuted identity", "two nonzeros", "two nonzeros and an empty column",
-                   "one in the wrong row", "run past the last row", "not one"])
-    def test_unit_rows_reject_every_other_matrix(self, defect):
-        vecs = np.zeros((6, 3))
-        vecs[1:4] = np.eye(3)
-        if defect == "permuted identity":
-            vecs[1:4] = np.eye(3)[:, [0, 2, 1]]
-        elif defect == "two nonzeros":
-            vecs[5, 1] = 1.0
-        elif defect == "two nonzeros and an empty column":
-            vecs[5, 1], vecs[3, 2] = 1.0, 0.0
-        elif defect == "one in the wrong row":
-            vecs[3, 2], vecs[5, 2] = 0.0, 1.0
-        elif defect == "run past the last row":
-            vecs = np.zeros((4, 3))
-            vecs[2, 0] = vecs[3, 1] = 1.0
-            vecs[0, 2] = 1.0
-        else:
-            vecs[2, 1] = -1.0
-        assert _unit_rows(vecs) is None
 
     @pytest.mark.parametrize(
         "field, omega0, products",
@@ -686,9 +691,12 @@ class TestTwoQubitReduced:
         closed = np.asarray(esd_concurrence_closed(0.5, 2.0, grid))
         assert np.max(np.abs(trace.values - closed)) <= 1e-7
 
-    def test_requires_sigma_x_basis(self):
-        with pytest.raises(ValueError, match="sigma_x"):
-            self._reduced(0.3, Vacuum(), make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_Z), [1.0])
+    def test_requires_sigma_x_basis(self, no_allocation):
+        # checked before the ncut-617 eigensolve, and on an empty grid too
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_Z)
+        for grid in ([1.0], []):
+            with pytest.raises(ValueError, match="sigma_x"):
+                concurrence_trace(ModelParams(0.1), Thermal(25.0), initial, grid)
 
     def test_output_passes_state_invariants(self, rng):
         # _reduced_stack validates hermiticity, trace and positivity
@@ -845,6 +853,13 @@ class TestConcurrenceTrace:
                 make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X), [0.0, 1.0],
                 convergence_tol=tol,
             )
+
+    @pytest.mark.parametrize("initial", ["phi+", None, make_esd_mixture().rho],
+                             ids=["string", "None", "matrix"])
+    @pytest.mark.parametrize("grid", [[1.0], []], ids=["grid", "empty"])
+    def test_non_state_rejected_before_eigensolve(self, initial, grid, no_allocation):
+        with pytest.raises(TypeError, match="QubitPairState"):
+            concurrence_trace(ModelParams(0.3), Vacuum(), initial, grid)
 
     def test_empty_grid_gives_empty_trace(self):
         trace = concurrence_trace(

@@ -68,12 +68,14 @@ def test_array_evaluation_matches_scalar():
     assert np.array_equal(laguerre(12, xs), [laguerre(12, x) for x in xs])
     # repeated, signed-zero and unsorted arguments, flat and 2-D, on both
     # sides of the n < 8 log2(size) switch: 50.9 for these 82 arguments
+    # (an empty array, flat or 2-D, raised a math domain error there)
     mixed = np.concatenate([xs[::-1], xs[::3], [-0.0, 0.0, -0.0, 7.5, 7.5, 3.25]])
     for n in (0, 1, 6, 7, 12, 50, 51, 200):
-        for arr in (mixed, mixed.reshape(2, -1)):
+        for arr in (mixed, mixed.reshape(2, -1), np.array([]), np.empty((2, 0))):
             m, e = laguerre_scaled(n, arr)
             assert m.shape == e.shape == arr.shape
-            scalar = np.array([laguerre_scaled(n, x) for x in arr.ravel().tolist()])
+            assert np.array_equal(laguerre(n, arr), np.ldexp(m, e))
+            scalar = np.array([laguerre_scaled(n, x) for x in arr.ravel().tolist()]).reshape(-1, 2)
             assert np.array_equal(m.ravel(), scalar[:, 0])
             assert np.array_equal(e.ravel(), scalar[:, 1])
 
