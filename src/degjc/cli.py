@@ -550,6 +550,9 @@ def main(argv=None):
     except TruncationError as exc:
         print(f"truncation/solver error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # an allocation past what the estimates foresaw
+        print(f"out of memory: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

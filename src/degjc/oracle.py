@@ -30,6 +30,7 @@ import functools
 import math
 import numbers
 import os
+import resource
 import sys
 from dataclasses import dataclass
 
@@ -147,14 +148,15 @@ def _run_bytes(params, field, spec):
     columns; the estimate allows half for both, an upper bound for any
     eigenvectors); otherwise four real rail Gram matrices (of which E_01,
     O_01 and their sum coexist while the cross pair is formed), the field
-    Grams (seven for a unit-Fock field, ten for a coherent one, twelve with
-    the conjugate copies where its amplitude is off the real axis and the
-    field factors are complex) and one product.
+    Grams (six for a unit-Fock field, ten for a coherent one, complex where
+    its amplitude is off the real axis) and one product; while a unit-Fock
+    field's last chain pair is formed, the four Grams held coexist with its
+    even- and odd-row halves and their sum.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
     """
     word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
-    grams = 7 if not isinstance(field, Coherent) else 12 if word == 16 else 10
+    grams = 10 if isinstance(field, Coherent) else 6
     f = spec.ncut + 1
     k = 1
     if isinstance(field, Thermal):
@@ -170,19 +172,59 @@ def _trace_bytes(params, field, trunc):
     return max(_run_bytes(params, field, spec) for spec in (trunc, trunc.doubled()))
 
 
+# The cgroup memory limit, v2 then v1, at the root of the cgroup mount: the
+# process's own cgroup where it runs in a cgroup namespace, as in a container.
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+@functools.cache
 def _physical_bytes():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+@functools.cache
+def _cgroup_bytes():
+    """The cgroup's memory limit in bytes, or None where it is unreadable
+    or "max"; read once per process, as :func:`_physical_bytes` is."""
+    for path in _CGROUP_LIMITS:
+        try:
+            with open(path) as limit:
+                text = limit.read().strip()
+        except OSError:
+            continue
+        return int(text) if text.isdigit() else None
+    return None
+
+
+def _memory_budget():
+    """``(bytes, what)`` of the smallest limit on the process's memory:
+    physical memory, the cgroup limit where readable, and the soft
+    ``RLIMIT_AS`` less the process's current size where that is finite."""
+    limits = [(_physical_bytes(), "physical memory")]
+    cgroup = _cgroup_bytes()
+    if cgroup is not None:
+        limits.append((cgroup, "the cgroup memory limit"))
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        try:
+            with open("/proc/self/statm") as statm:
+                size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        except OSError:
+            size = 0
+        limits.append((max(soft - size, 0), "address space left under RLIMIT_AS"))
+    return min(limits)
+
+
 def _require_memory(nbytes, what):
     """Raise :class:`TruncationError` before allocating ``nbytes`` beyond
-    the machine's physical memory."""
-    limit = _physical_bytes()
+    the process's memory budget (:func:`_memory_budget`), naming the limit
+    that bound it."""
+    limit, name = _memory_budget()
     if nbytes > limit:
         gib = nbytes / 2**30 if nbytes < 2**1000 else math.inf
         raise TruncationError(
             f"{what} needs about {gib:.3g} GiB, more than the "
-            f"{limit / 2**30:.3g} GiB of physical memory"
+            f"{limit / 2**30:.3g} GiB of {name}"
         )
 
 
@@ -191,7 +233,7 @@ def build_hamiltonian(params, trunc):
 
     Each chain goes to :func:`_tridiagonal_eigh`; at omega0 = 0 the chains
     coincide and one is solved.  Raises :class:`TruncationError` before
-    allocating when the eigensolve would not fit in physical memory.
+    allocating when the eigensolve would not fit in the memory budget.
     """
     _require_memory(_eigensolve_bytes(params, trunc.ncut), f"eigensolve at ncut={trunc.ncut}")
     n = np.arange(trunc.ncut + 1, dtype=float)
@@ -396,6 +438,15 @@ class _MapKernel:
     rows j of V_s, sliced rather than multiplied (a coherent column is
     multiplied), and the Gram Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k)
     Y^u_t' depends on i + k alone, so M_dd takes the products of M_uu.
+    Off omega0 = 0 these Grams split as the rail Grams do: with E^W_st and
+    O^W_st the products over the components in even and odd Fock rows, the
+    like-rail Gram (i = k) is E^W + O^W and the unlike-rail one E^W - O^W,
+    six half-row products for the chain pairs 00, 01 and 11.  A (1, 0)
+    block whose two factors are the transposes of its (0, 1) twin's (every
+    block of a unit-Fock field; the i = k blocks of a coherent field, whose
+    Gram Y^i_1 W Y^i_0^H is that of (0, 1) conjugated) takes no product of
+    its own: S^10 = S^01^H, so phi_1' S^10 phi_0* = (phi_0' S^01 phi_1*)*,
+    and the twin's value adds its conjugate to the (1, 0) entries.
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
     rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o
@@ -485,7 +536,7 @@ class _MapKernel:
                     np.multiply(field_gram(0, 0, 1, 0, weights, slice(end, stop), top),
                                 twice[:, end - start:].T, out=factor[end:stop, top])
                 del twice, gram
-            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)])]
+            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)], [])]
             return
         even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
         scaled = 0.25 * weights  # the 1/4 of each block
@@ -502,25 +553,36 @@ class _MapKernel:
             rails[s, s, True] = like
         rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
         fields, products = {}, {}
+        if rows is not None:
+            # E_st and O_st over the components in even and odd Fock rows:
+            # the like-rail Gram is E + O, the unlike-rail one E - O
+            halves = [slice(rows.start % 2, None, 2), slice(1 - rows.start % 2, None, 2)]
+            for s, t in ((0, 0), (0, 1), (1, 1)):
+                even, odd = ((y[s][:, c] * scaled[c]) @ y[t][:, c].T for c in halves)
+                fields[False, s, t] = even + odd
+                even -= odd
+                fields[True, s, t] = even
+                del even, odd
         for i, k in ((0, 0), (0, 1), (1, 1)):
             gram = (i != k) if rows is not None else (i, k)
-            # chain pairs in the order in which every entry has summed them
-            pairs = ((0, 0), (0, 1), (1, 1), (1, 0)) if i == k else ((0, 0), (0, 1), (1, 0), (1, 1))
-            for s, t in pairs:
-                if (gram, s, t) not in fields:
-                    fields[gram, s, t] = (fields[gram, t, s].conj().T if i == k and s > t
-                                          else field_gram(i, s, k, t, scaled))
             for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 if i == k and p > q:
                     continue  # M_ii[d, u] = M_ii[u, d]*
                 if i == k and p == q:
                     self.const[i, k, p, q] = 0.5 * norm
-                for s, t in pairs:
+                for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
                     if s != t or p != q:
                         sign = (-1) ** (s * (p + i) + t * (q + k))
-                        products.setdefault((s, t, p != q, gram), []).append(((i, k, p, q), sign))
-        self.terms = [(s, t, (rails[s, t, flip], fields[gram, s, t]), targets)
-                      for (s, t, flip, gram), targets in products.items()]
+                        # a (1, 0) block whose factors are the transposes of its
+                        # (0, 1) twin's adds the conjugate of the twin's value
+                        mirror = s > t and (rows is not None or i == k)
+                        key = (t, s, p != q, gram) if mirror else (s, t, p != q, gram)
+                        products.setdefault(key, ([], []))[mirror].append(((i, k, p, q), sign))
+        for s, t, flip, gram in products:
+            if (gram, s, t) not in fields:  # a coherent column's Gram
+                fields[gram, s, t] = field_gram(gram[0], s, gram[1], t, scaled)
+        self.terms = [(s, t, (rails[s, t, flip], fields[gram, s, t]), targets, mirrored)
+                      for (s, t, flip, gram), (targets, mirrored) in products.items()]
 
     def blocks(self, omega_ts):
         """(n, 2, 2, 2, 2) stacks ops[:, i, k, p, q] = M_ik[p, q], one per
@@ -534,12 +596,14 @@ class _MapKernel:
         phases = phases.reshape(self.chain_count, -1, len(omega_ts))
         right = phases.conj()
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
-        for s, t, factors, targets in self.terms:
+        for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
             weight = _dot(functools.reduce(np.multiply, factors), right[t])
             value = np.sum(phases[s] * weight, axis=0)
-            for (i, k, p, q), sign in targets:
-                ops[:, i, k, p, q] += value if sign > 0 else -value
+            # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
+            for entries, term in ((targets, value), (mirrored, value.conj())):
+                for (i, k, p, q), sign in entries:
+                    ops[:, i, k, p, q] += term if sign > 0 else -term
         for i in (0, 1):
             ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
         ops[:, 1, 0] = ops[:, 0, 1].conj().swapaxes(-1, -2)
@@ -582,7 +646,11 @@ def default_ncut(field, beta):
     for vacuum and coherent states so a coherent state of amplitude reach
     loses at most that mass, wherever one F x F array at the cutoff fits in
     physical memory (beyond that every run fails its memory check, so the
-    Poisson tail is not summed).  The cutoff-doubling convergence check is
+    Poisson tail is not summed).  It reads physical memory, not the
+    process's smaller budget, so the cutoff and every message naming it
+    do not depend on the limits a process runs under; a cutoff whose F x F
+    array exceeds the budget fails the memory check either way.  The
+    cutoff-doubling convergence check is
     the actual contract; this is only the initial guess.  Raises
     :class:`TruncationError` where the amplitudes summed never come within
     that tolerance of unit mass, and ``ValueError`` unless ``beta`` is
@@ -684,9 +752,11 @@ def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
     """The one checked run of :func:`concurrence_trace` and
     :func:`field_field_witness`, as an :class:`OracleTrace`.
 
-    The phases must be finite; ``trunc`` defaults to :func:`truncation`.
-    Before allocating, the peak memory of both runs must fit in physical
-    memory and the phase roundoff at the doubled cutoff within ``tol``.
+    The field must be a :class:`Vacuum`, :class:`Number`,
+    :class:`Coherent` or :class:`Thermal` (TypeError otherwise) and the
+    phases finite; ``trunc`` defaults to :func:`truncation`.  Before
+    allocating, the peak memory of both runs must fit in the memory
+    budget and the phase roundoff at the doubled cutoff within ``tol``.
     ``reduce`` maps each block of maps at ``trunc`` to an (n, 4, 4) stack;
     the re-run of an evenly spaced subsample at ``trunc.doubled()``, twice
     the cutoff and a hundredth of the tail mass, must agree with it
@@ -694,6 +764,8 @@ def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
     ``measure`` maps blocks of the stack to the trace's ``values``, along
     their last axis.
     """
+    if not isinstance(field, (Vacuum, Number, Coherent, Thermal)):
+        raise TypeError(f"unsupported field class: {field!r}")
     omega_ts = _finite_phases(omega_ts, 1)
     if trunc is None:
         trunc = truncation(field, params.beta)
@@ -727,8 +799,9 @@ def concurrence_trace(params, field, initial, omega_ts, trunc=None,
     non-finite phase or too large a phase roundoff raises ValueError and
     too little memory :class:`TruncationError`, both before allocating; an
     empty grid gives an empty trace.  An ``initial`` that is not a
-    :class:`QubitPairState` raises TypeError and one not in the sigma_x
-    basis ValueError, also before any eigensolve.
+    :class:`QubitPairState`, or a ``field`` of no supported class, raises
+    TypeError and an ``initial`` not in the sigma_x basis ValueError, also
+    before any eigensolve.
     """
     if not (math.isfinite(convergence_tol) and convergence_tol > 0):
         raise ValueError(f"convergence_tol must be finite and > 0, got {convergence_tol}")

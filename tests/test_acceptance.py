@@ -162,6 +162,7 @@ def test_criterion_7_esd_dichotomy(validation_report):
            f"(max|dC|={worst:.2e} at {len(agreement)} parameter points)")
 
 
+@pytest.mark.slow
 def test_criterion_8_separability():
     grid = np.linspace(0.0, 2.0 * PI, 17)
     worst = 0.0

@@ -749,7 +749,8 @@ class TestMemoryBudget:
         (["separability", "--beta", "0.02", "--ncut", "3"], 10001),
         (["separability", "--omega0", "0.7", "--beta", "0.02", "--ncut", "3"], 10001),
         # validate's fixed 27 MB hides its grid below about 100000 steps
-        (["validate", "--field", "vacuum", "--beta", "0.02"], 100001),
+        pytest.param(["validate", "--field", "vacuum", "--beta", "0.02"], 100001,
+                     marks=pytest.mark.slow),
     ], ids=["envelope", "sweep-number1000", "sweep-oracle", "sweep-oracle-omega0", "beta-sweep",
             "esd-oracle", "separability", "separability-omega0", "validate"])
     def test_peak_per_step_within_the_grid_guard(self, argv, steps, tmp_path, capsys):
@@ -777,6 +778,51 @@ class TestMemoryBudget:
                    "--steps", "3", "--out", str(tmp_path / "x.csv")])
         assert rc == 3
         assert "physical memory" in capsys.readouterr().err
+
+    def test_address_space_limit_exits_3_before_the_eigensolve(self, tmp_path):
+        # a child process limits its own address space to its size plus
+        # 1 GiB; the run at ncut 4000 (doubled 8000, about 6.2 GiB) fits in
+        # physical memory but not in that limit, and must exit 3 without
+        # reaching the eigensolve, which would exit 97
+        script = "\n".join([
+            "import resource, sys",
+            "from degjc import cli, oracle",
+            "oracle.build_hamiltonian = lambda *args: sys.exit(97)",
+            "with open('/proc/self/statm') as statm:",
+            "    size = int(statm.read().split()[0]) * resource.getpagesize()",
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)",
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, hard))",
+            "sys.exit(cli.main(sys.argv[1:]))",
+        ])
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1"}
+        out = tmp_path / "x.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", script, "concurrence-sweep", "--omega0", "0.5", "--beta", "0.1",
+             "--field", "number:n=1", "--compare-oracle", "--ncut", "4000", "--steps", "3",
+             "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 3, run.stderr
+        assert "oracle run at ncut=4000" in run.stderr
+        assert "address space left under RLIMIT_AS" in run.stderr
+        assert len(run.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_escaping_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        # an allocation failure the estimates did not foresee is one line
+        # and exit 3, not a traceback and exit 1
+        def fail(*args):
+            raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", fail)
+        rc = main(["concurrence-sweep", "--omega0", "0.5", "--field", "number:n=1",
+                   "--compare-oracle", "--steps", "3", "--out", str(tmp_path / "x.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 6.71 GiB for an array\n"
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestWitnessStaysLocal:

@@ -345,7 +345,7 @@ class TestFieldComponents:
             assert len(range(trunc.ncut + 1)[components]) == len(weights)
         kernel = _MapKernel(build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc), field)
         # the one factor S at omega0 = 0, else the field Gram of each product
-        assert {factors[-1].dtype.itemsize for _, _, factors, _ in kernel.terms} == {word}
+        assert {factors[-1].dtype.itemsize for _, _, factors, *_ in kernel.terms} == {word}
 
     def test_thermal_run_holds_no_dense_matrix(self):
         # the doubled run of the README's ESD example, F = 1235 and K = 705:
@@ -486,14 +486,13 @@ class TestMapKernel:
         rails = evolved_rails(build_hamiltonian(params, trunc), Vacuum(), 2 * PI)
         assert np.max(np.abs(rails - truth)) <= 2e-15
 
-    def test_detuned_thermal_matches_propagated_components(self, rng):
-        params = ModelParams(0.4, omega0=0.3)
-        field = Thermal(2.0)
-        trunc = TruncationSpec(default_ncut(field, 0.4))
+    @staticmethod
+    def _check_propagated_components(params, field, grid):
+        # the maps against the weighted Grams of the propagated components
+        trunc = TruncationSpec(default_ncut(field, params.beta))
         prop = build_hamiltonian(params, trunc)
         f = prop.fock_dim
         weights, vecs, _ = dense_components(field, trunc)
-        grid = rng.uniform(0.0, 2 * PI, size=3)
         stack, _ = _maps(prop, field, grid)
         for ops, wt in zip(stack, grid):
             rails = []
@@ -504,6 +503,17 @@ class TestMapKernel:
             rails = np.array(rails)  # [initial rail, qubit out, field out, component]
             ref = np.einsum("ipmn,kqmn,n->ikpq", rails, rails.conj(), weights)
             assert np.max(np.abs(ops - ref)) <= 1e-12
+
+    def test_detuned_thermal_matches_propagated_components(self, rng):
+        self._check_propagated_components(ModelParams(0.4, omega0=0.3), Thermal(2.0),
+                                          rng.uniform(0.0, 2 * PI, size=3))
+
+    @pytest.mark.parametrize("field", [Vacuum(), Number(5), Coherent(1 + 0.5j)], ids=str)
+    def test_detuned_maps_match_propagated_components(self, field, rng):
+        # every mirrored (1, 0) block of a unit-Fock field, and the i = k ones
+        # of a coherent field, against the propagated components
+        self._check_propagated_components(ModelParams(0.4, omega0=0.7), field,
+                                          rng.uniform(0.0, 2 * PI, size=3))
 
     def test_long_grid_is_evaluated_in_bounded_blocks(self, monkeypatch):
         field = Thermal(2.0)
@@ -530,14 +540,16 @@ class TestMapKernel:
         # the general path, which multiplies V' C and V' P C of the dense
         # reference components np.eye(F)[:, rows]; at omega0 = 0
         # a mixture's sliced factor mirrors its upper triangle, which the
-        # general path forms below the diagonal from its own products
+        # general path forms below the diagonal from its own products, and
+        # at omega0 != 0 the sliced Grams sum the even and odd Fock rows
+        # apart and mirror the (1, 0) blocks the general path forms
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
         (sliced,) = _MapKernel(prop, field).blocks(grid)
         monkeypatch.setattr(oracle, "field_components", dense_components)
         (general,) = _MapKernel(prop, field).blocks(grid)
-        if isinstance(field, Thermal) and not omega0:
+        if isinstance(field, Thermal) or omega0:
             assert np.max(np.abs(sliced - general)) <= 1e-15 * np.max(np.abs(general))
         else:
             assert np.array_equal(sliced, general)
@@ -570,39 +582,67 @@ class TestMapKernel:
         prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         assert prop.eigensolver == solver
         modes = [v for _, v in prop.distinct_chains]
+        parity = oracle._parity(f)
         if omega0:
             rails = rail_grams(modes)
         else:
-            (v,), parity = modes, oracle._parity(f)
+            (v,) = modes
             vpv = parity_gram(v)
         fields = [Vacuum(), Number(5), Thermal(25.0), Coherent(1 + 0.5j), Coherent(0.5j)]
         if omega0 and f > 1000:
             # a complex kernel off omega0 = 0 holds about 30 F^2 words, 370 MB
             # here, and its rail factors do not depend on the field
             fields = fields[:3]
+
+        def check(got, expected):
+            error = np.subtract(got, expected)
+            assert np.max(np.abs(error, out=error)) <= 1e-13 * np.max(np.abs(expected)), field
+
         for field in fields:
             kernel = _MapKernel(prop, field)
+            weights, vecs, _ = dense_components(field, trunc)
             if omega0:
-                # S^st = (V_s' X V_t) o (field Gram): the rail factor of each product
-                got = {(s, t, p != q): factors[0] for s, t, factors, (((_, _, p, q), _), *_)
-                       in kernel.terms}
-                assert len(got) == 6
-                pairs = [(got[key], rails[key]) for key in got]
+                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each product's two
+                # factors against the rail Gram and the direct field Gram (for a
+                # unit-Fock field, Y^u_s W P^(i + k) Y^u_t' from its even and odd
+                # Fock rows), and each mirrored (t, s) block against S^st^H
+                y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs))
+                     for v in modes]
+                direct = {}
+
+                def direct_gram(s, t, i, k):
+                    if (s, t, i, k) not in direct:
+                        direct[s, t, i, k] = (y[s][i] * (0.25 * weights)) @ y[t][k].conj().T
+                    return direct[s, t, i, k]
+
+                held, got = {}, {}
+                for s, t, (rail, gram), targets, mirrored in kernel.terms:
+                    (i, k, p, q), _ = targets[0]
+                    got[s, t, p != q] = rail
+                    held[id(gram)] = gram, direct_gram(s, t, i, k)
+                    if mirrored:  # each mirrored entry takes the same block
+                        (i, k, p, q), _ = mirrored[0]
+                        check((rail * gram).conj().T, rails[t, s, p != q] * direct_gram(t, s, i, k))
+                for key, rail in got.items():
+                    check(rail, rails[key])
+                # a unit-Fock field forms six split Grams and mirrors every
+                # (1, 0) block; a coherent one forms ten and mirrors those of
+                # M_uu and M_dd
+                assert len(held) == (10 if isinstance(field, Coherent) else 6), field
+                for gram, expected in held.values():
+                    check(gram, expected)
+                del y, direct, held
             else:
-                weights, vecs, _ = dense_components(field, trunc)
                 gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
                     v.T, parity[:, None] * vecs).conj().T
-                ((_, _, (factor,), _),) = kernel.terms
+                ((_, _, (factor,), *_),) = kernel.terms
                 assert np.iscomplexobj(factor) == np.iscomplexobj(vecs)
                 if not isinstance(field, Coherent):  # G = Y W P_j Y' is symmetric, so is S
                     assert np.array_equal(factor, factor.T), field
                 if beta == 0.0:
                     assert np.array_equal(factor, np.diag(factor.diagonal())), field
-                pairs = [(factor, vpv * gram)]
-            for got, expected in pairs:
-                bound = 1e-13 * np.max(np.abs(expected))
-                assert np.max(np.abs(got - expected)) <= bound, field
-            del kernel, pairs
+                check(factor, vpv * gram)
+            del kernel
 
     @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
     def test_factor_finds_supports_in_any_column_order(self, field, rng):
@@ -613,7 +653,7 @@ class TestMapKernel:
         order = rng.permutation(len(energies))
         chain = (energies[order], v[:, order])
         prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
-        ((_, _, (factor,), _),) = _MapKernel(prop, field).terms
+        ((_, _, (factor,), *_),) = _MapKernel(prop, field).terms
         v = chain[1]
         weights, vecs, _ = dense_components(field, trunc)
         parity = oracle._parity(len(v))[:, None]
@@ -624,20 +664,23 @@ class TestMapKernel:
     @pytest.mark.parametrize(
         "field, omega0, products",
         [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
-         (Thermal(2.0), 0.7, 12), (Coherent(1 + 0.5j), 0.7, 18)],
+         (Thermal(2.0), 0.7, 8), (Coherent(1 + 0.5j), 0.7, 14)],
         ids=str,
     )
     def test_entries_share_products(self, field, omega0, products):
         # 28 signed block terms at omega0 != 0; for a unit-Fock field M_dd
-        # takes every product of M_uu
+        # takes every product of M_uu, and each (1, 0) block whose factors
+        # are its (0, 1) twin's transposed (every one of a unit-Fock field,
+        # the i = k ones of a coherent field) is mirrored, not multiplied
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         kernel = _MapKernel(prop, field)
         assert len(kernel.terms) == products
-        assert sum(len(targets) for *_, targets in kernel.terms) == (1 if omega0 == 0 else 28)
+        assert sum(len(targets) + len(mirrored) for *_, targets, mirrored in kernel.terms) == (
+            1 if omega0 == 0 else 28)
         # the factors are the kernel's own: the eigenvectors can be released
         modes = [v for _, v in prop.distinct_chains]
-        factors = [a for _, _, pair, _ in kernel.terms for a in pair]
+        factors = [a for _, _, pair, *_ in kernel.terms for a in pair]
         assert not any(np.shares_memory(a, v) for a in factors for v in modes)
 
 
@@ -860,6 +903,21 @@ class TestConcurrenceTrace:
     def test_non_state_rejected_before_eigensolve(self, initial, grid, no_allocation):
         with pytest.raises(TypeError, match="QubitPairState"):
             concurrence_trace(ModelParams(0.3), Vacuum(), initial, grid)
+
+    @pytest.mark.parametrize("field", ["vacuum", None, Number], ids=["string", "None", "class"])
+    @pytest.mark.parametrize("trunc", [None, TruncationSpec(21)], ids=["default", "given"])
+    def test_wrong_field_type_rejected_before_eigensolve(self, field, trunc, monkeypatch):
+        # the string 'vacuum' got the default cutoff 21 and its eigensolve
+        # before field_components raised
+        solved = []
+        monkeypatch.setattr(oracle, "build_hamiltonian", lambda *args: solved.append(args))
+        initial = make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X)
+        with pytest.raises(TypeError, match="unsupported field class"):
+            concurrence_trace(ModelParams(0.3), field, initial, [1.0], trunc)
+        with pytest.raises(TypeError, match="unsupported field class"):
+            field_field_witness(ModelParams(0.3, omega0=0.7), field, BellState.PHI_PLUS, [1.0],
+                                trunc)
+        assert solved == []
 
     def test_empty_grid_gives_empty_trace(self):
         trace = concurrence_trace(

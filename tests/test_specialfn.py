@@ -153,6 +153,7 @@ def test_roots_equal_the_dense_jacobi_reference(dstevd, monkeypatch):
         assert np.array_equal(laguerre_roots(n, x_max), laguerre_roots_dense(n, x_max))
 
 
+@pytest.mark.slow
 def test_roots_of_the_largest_order_form_no_dense_matrix():
     if specialfn._lapack_dstevd() is None:
         pytest.skip("numpy's LAPACK exports no dstevd")
