@@ -92,7 +92,8 @@ class SubsystemPropagator:
     (s, a) of the block has rail-up rows V_s / sqrt(2) and rail-down rows
     s P V_s / sqrt(2).  At omega0 = 0 both chains are the sigma_x sector
     n + beta x, solved once and held once: ``chains`` names the same pair
-    twice.
+    twice, its ``modes`` in LAPACK's column-major layout.  Off omega0 = 0
+    each chain's ``modes`` is a C-order copy, made right after its solve.
 
     ``energies`` holds the dimensionless eigenvalues E/omega of the block,
     chain s = +1 first.  ``eigensolver`` names the routine that
@@ -129,9 +130,10 @@ def _parity(f):
 
 def _eigensolve_bytes(params, ncut):
     """Peak bytes of :func:`build_hamiltonian`: two real F x F arrays for
-    ``dstevd`` (its eigenvectors, then their C-order copy once the F x F
-    workspace is freed) or five for ``eigh``, one more at omega0 != 0 for
-    the first chain's eigenvectors, plus length-F vectors and some kB."""
+    ``dstevd`` (its eigenvectors and its F x F workspace; off omega0 = 0
+    the eigenvectors and their C-order copy, once the workspace is freed)
+    or five for ``eigh``, one more at omega0 != 0 for the first chain's
+    eigenvectors, plus length-F vectors and some kB."""
     f = ncut + 1
     solve = 2 if specialfn._lapack_dstevd() is not None else 5
     return 8 * f * ((solve + (not params.degenerate)) * f + 64) + (1 << 15)
@@ -142,12 +144,17 @@ def _run_bytes(params, field, spec):
     (ncut, K, omega0) alone.
 
     A run holds the eigenvectors of its chains and the
-    :class:`_MapKernel` factors: at omega0 = 0 the one factor S and a chunk
-    of rows of 2 E and of the field Gram (each at most an eighth of an
-    F x F array, less where the chunk's eigenvectors reach only some of the
-    columns; the estimate allows half for both, an upper bound for any
-    eigenvectors); otherwise four real rail Gram matrices (of which E_01,
-    O_01 and their sum coexist while the cross pair is formed), the field
+    :class:`_MapKernel` factors: at omega0 = 0 the one factor S (each
+    chunk of rows forms its 2 E in place there) and, per chunk, its rows of
+    the field Gram with their weighted overlaps and the even rows of the
+    eigenvectors they multiply, copied a panel of columns at a time (each
+    of the three at most an eighth of an F x F array from F = 1024 on,
+    where a chunk is F // 8 rows, and at most ``_PHASE_BLOCK_BYTES`` below,
+    where it is up to 128; the estimate allows half an F x F array for
+    them, and the phase blocks, not yet formed, a few times
+    ``_PHASE_BLOCK_BYTES``: an upper bound for any eigenvectors); otherwise
+    four real rail Gram matrices (of which E_01, O_01 and their sum
+    coexist while the cross pair is formed), the field
     Grams (six for a unit-Fock field, ten for a coherent one, complex where
     its amplitude is off the real axis) and one product; while a unit-Fock
     field's last chain pair is formed, the four Grams held coexist with its
@@ -240,14 +247,32 @@ def build_hamiltonian(params, trunc):
     shift = (params.omega0 / 2.0) * _parity(n.size)
     diagonals = [n] if params.degenerate else [n + shift, n - shift]
     off = params.beta * np.sqrt(n[1:])
+
+    def solve(diagonal):
+        energies, modes, solver = _tridiagonal_eigh(diagonal, off)
+        # the two-chain kernel reads step-2 row views, which BLAS takes in
+        # place only in C order: each chain is copied before the next solve
+        return (energies, modes if params.degenerate else np.ascontiguousarray(modes)), solver
+
     try:
-        solved = [_tridiagonal_eigh(d, off) for d in diagonals]
+        solved = [solve(d) for d in diagonals]
     except np.linalg.LinAlgError as exc:
         raise TruncationError(
             f"eigensolver failed for dim={n.size}, beta={params.beta:g}, "
             f"max|H|={np.max(np.abs(np.concatenate(diagonals + [off]))):.3e}: {exc}") from exc
-    chains = [(energies, modes) for energies, modes, _ in solved]
-    return SubsystemPropagator(trunc, (chains[0], chains[-1]), solved[0][2])
+    return SubsystemPropagator(trunc, (solved[0][0], solved[-1][0]), solved[0][1])
+
+
+def _supports(v, step):
+    """``(first, last)``: the first and last Fock row where each eigenvector
+    (column of ``v``) is nonzero, read ``step`` columns at a time."""
+    f, n = v.shape
+    first, last = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        nonzero = v[:, start:start + step] != 0.0
+        first[start:start + step] = nonzero.argmax(axis=0)
+        last[start:start + step] = f - 1 - nonzero[::-1].argmax(axis=0)
+    return first, last
 
 
 def _dot(a, b):
@@ -399,10 +424,12 @@ def field_components(field, trunc):
 # a (sector dim x points) complex phase matrix of at most this many bytes,
 # and at most this many bytes of the per-point stacks of the maps and
 # their reduction, which take up to _POINT_BYTES per point.  The
-# omega0 = 0 factor is formed in chunks of at most an eighth of its rows,
-# each chunk's rows of 2 E = 2 V_e' V_e (V_e the even Fock rows of the
-# eigenvectors) one real array of at most (rows x F) entries and this many
-# bytes, and its rows of the field Gram one more of the same shape.
+# omega0 = 0 factor is formed in chunks of max(F // 8, 128) rows, at most
+# this many bytes of (rows x F) real entries: each chunk's rows of
+# 2 E = 2 V_e' V_e (V_e the even Fock rows of the eigenvectors) go straight
+# into S, its rows of the field Gram take one array of at most that shape,
+# and the even rows it multiplies, copied a panel of columns at a time, at
+# most half of one.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 # Points per measured block, after the kernel is released: the witness
@@ -450,25 +477,33 @@ class _MapKernel:
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
     rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o
-    G and G = Y^u W Y^d^H built in one pass over chunks of rows: each
-    chunk forms its rows of the symmetric 2 E and of G on and above the
-    diagonal, multiplies them into S and subtracts the diagonal of G.  The
-    chunk's products run only over the Fock rows [lo, hi) outside which
-    its eigenvectors are zero (the even ones for 2 E, and for unit Fock
-    components the part of their run inside them) and only over the
-    columns up to the last one with a nonzero entry in those rows; the rest
-    of its rows of S is exactly 0, since every skipped term is a product
-    with an exact zero.  Divide-and-conquer eigenvectors are exactly zero
-    outside a window of Fock rows wherever deflation decoupled them (91 %
-    of the entries at beta = 0.1 and F = 1235), so there most of the work
-    is skipped; a dense V takes the full products.  Where G =
-    Y^u W P_j Y^u' is symmetric (unit Fock components) the chunk's upper
-    triangle is mirrored below the diagonal, so S is exactly symmetric; a
-    coherent field's G is not, and its blocks below the diagonal take
-    their own products of the overlaps.  The factors are built once per
-    eigensolve and share no memory with the eigenvectors; a grid is
-    evaluated in blocks of ``block`` points, one matrix product per
-    distinct factor and block of points.
+    G and G = Y^u W Y^d^H built in one pass over chunks of max(F // 8,
+    128) rows: each chunk forms its rows of the symmetric 2 E and of G on
+    and above the diagonal, multiplies them into S and subtracts the
+    diagonal of G.  The first and last nonzero Fock row of every
+    eigenvector are found once, before the chunks.  A chunk's eigenvectors
+    are zero outside the Fock rows [lo, hi) these span, and G sums only
+    over its components' Fock rows (all F for a coherent column, the run of
+    a unit-Fock field); where the two miss each other the chunk's rows of S
+    are exactly 0 and it takes no product.  Otherwise its products run over
+    the even rows of [lo, hi) for 2 E and the run's rows inside it for G,
+    and over the columns whose support meets that window; the rest of its
+    rows of S is exactly 0, since every skipped term is a product with an
+    exact zero.  Divide-and-conquer eigenvectors are exactly zero outside a
+    window of Fock rows wherever deflation decoupled them (91 % of the
+    entries at beta = 0.1 and F = 1235), so there most of the work is
+    skipped; a dense V takes the full products.  Where G = Y^u W P_j Y^u'
+    is symmetric (unit Fock components) the chunk's upper triangle is
+    mirrored below the diagonal, so S is exactly symmetric; a coherent
+    field's G is not, and its blocks below the diagonal take their own
+    products of the overlaps.  ``bands`` keeps each chunk's rows and the
+    range of columns they reach, so a phase block multiplies only
+    S[rows, cols] by the phases of those columns, one product per chunk;
+    the eigenvectors may come in either layout, since the chunk copies the
+    even rows of its window before BLAS reads them.  The factors are built
+    once per eigensolve and share no memory with the eigenvectors; a grid
+    is evaluated in blocks of ``block`` points, one matrix product per
+    distinct factor (per chunk of S) and block of points.
     """
 
     def __init__(self, prop, field):
@@ -498,44 +533,67 @@ class _MapKernel:
 
             def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None), fock=(0, f)):
                 # rows a, columns b of Y^u_s W P_j^(i + k) Y^u_t', summed over
-                # the components in Fock rows fock = (lo, hi), outside which
-                # eigenvectors a are zero
-                c = slice(max(fock[0] - rows.start, 0), max(fock[1] - rows.start, 0))
+                # the components in Fock rows fock = (lo, hi) of the run,
+                # outside which eigenvectors a are zero
+                c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
                 sign = signs[c] if i != k else 1.0
                 return (y[s][a, c] * (scale[c] * sign)) @ y[t][b, c].T
         dtype = vecs.dtype if rows is None else np.dtype(float)
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
+        self.bands = None
         if len(modes) == 1:
             (v,) = modes
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
             factor = np.zeros((f, f), dtype=dtype)
             diagonal = factor.reshape(-1)[::f + 1]  # a view
-            step = max(1, min(f // 8, _PHASE_BLOCK_BYTES // (8 * f)))
+            step = max(1, min(max(f // 8, 128), _PHASE_BLOCK_BYTES // (8 * f)))
+            first, last = _supports(v, step)
+            run = (0, f) if rows is None else (rows.start, rows.stop)
             below = np.tri(step, k=-1, dtype=bool)
+            self.bands = []
             for start in range(0, f, step):
                 end = min(start + step, f)
                 top = slice(start, end)
-                # eigenvectors `top` vanish outside Fock rows [lo, hi), and so
-                # do the products with every column past `stop`, which has no
-                # nonzero there: those entries of S stay exactly 0
-                nonzero = v[:, top].any(axis=1)
-                lo, hi = int(nonzero.argmax()), f - int(nonzero[::-1].argmax())
-                stop = f - int(v[lo:hi, start:].any(axis=0)[::-1].argmax())
-                right, even = slice(start, stop), slice(lo + lo % 2, hi, 2)
-                twice = v[even, top].T @ v[even, right]
-                twice *= 2.0
-                gram = field_gram(0, 0, 1, 0, weights, top, right, (lo, hi))
-                np.multiply(gram, twice, out=factor[top, right])
-                diagonal[top] -= gram.diagonal()
+                # eigenvectors `top` vanish outside Fock rows [lo, hi) and G
+                # outside the field's run: where the two miss each other the
+                # rows of S stay exactly 0, and otherwise only the columns
+                # whose support meets their overlap take products (the band
+                # may start left of `top`: the mirrored entries)
+                lo, hi = int(first[top].min()), int(last[top].max()) + 1
+                fock = max(lo, run[0]), min(hi, run[1])
+                if fock[0] >= fock[1]:
+                    continue
+                reach = np.flatnonzero((first < fock[1]) & (last >= fock[0]))
+                stop = max(int(reach[-1]) + 1, end)
+                self.bands.append((top, slice(int(reach[0]), stop)))
+                # numpy multiplies step-2 rows of a column-major array without
+                # BLAS: the window's even rows are copied, a panel of columns
+                # (at most half a chunk's entries) at a time
+                even = v[lo + lo % 2:hi:2]
+                width = max(step, step * f // (2 * max(len(even), 1)))
+                for at in range(start, stop, width):
+                    panel = slice(at, min(at + width, stop))
+                    block = np.array(even[:, panel])
+                    if at == start:
+                        left = block[:, :end - start]
+                    upper = factor[top, panel]  # 2 E, then S, in place
+                    np.matmul(left.T, block, out=upper)
+                    upper *= 2.0
+                    if rows is None:  # a coherent G is not symmetric
+                        under = slice(max(at, end), panel.stop)
+                        np.multiply(field_gram(0, 0, 1, 0, weights, under, top),
+                                    upper[:, under.start - at:].T, out=factor[under, top])
+                    gram = field_gram(0, 0, 1, 0, weights, top, panel, fock)
+                    upper *= gram
+                    if at == start:
+                        diagonal[top] -= gram.diagonal()
+                    del block, gram
                 if rows is not None:  # G is symmetric: mirror the rows' upper triangle
                     square = factor[top, top]
                     np.copyto(square, square.T, where=below[:end - start, :end - start])
                     factor[end:stop, top] = factor[top, end:stop].T
-                else:
-                    np.multiply(field_gram(0, 0, 1, 0, weights, slice(end, stop), top),
-                                twice[:, end - start:].T, out=factor[end:stop, top])
-                del twice, gram
+                del even, left
             self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)], [])]
             return
         even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
@@ -598,7 +656,13 @@ class _MapKernel:
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
         for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
-            weight = _dot(functools.reduce(np.multiply, factors), right[t])
+            product = functools.reduce(np.multiply, factors)
+            if self.bands is None:
+                weight = _dot(product, right[t])
+            else:  # S, row chunk by row chunk over the columns they reach
+                weight = np.zeros(right[t].shape, dtype=complex)
+                for rows, cols in self.bands:
+                    weight[rows] = _dot(product[rows, cols], right[t][cols])
             value = np.sum(phases[s] * weight, axis=0)
             # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
             for entries, term in ((targets, value), (mirrored, value.conj())):

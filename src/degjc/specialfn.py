@@ -171,22 +171,28 @@ def _lapack_dstevd():
 
 
 def _tridiagonal_eigh(diag, off, vectors=True):
-    """Ascending eigenvalues, C-contiguous eigenvectors (None unless
-    ``vectors``) and solver name of the real symmetric tridiagonal matrix
-    with diagonal ``diag`` and off-diagonal ``off``.
+    """Ascending eigenvalues, eigenvectors (None unless ``vectors``) and
+    solver name of the real symmetric tridiagonal matrix with diagonal
+    ``diag`` and off-diagonal ``off``.
 
     ``dstevd`` (Cuppen, Numer. Math. 36, 177 (1981); Gu & Eisenstat, SIAM
     J. Matrix Anal. Appl. 16, 172 (1995)) works on the two diagonals and
     skips the O(n^3) Householder reduction that ``eigh`` applies to the
     dense matrix; for numpy's OpenBLAS both give the same bits.  Without
     the routine the dense matrix goes to ``eigh`` (``eigvalsh`` for the
-    values alone).  Raises ``np.linalg.LinAlgError`` when the solver fails.
+    values alone).  Either way the eigenvectors come in LAPACK's
+    column-major (Fortran) layout, each one contiguous: ``eigh``'s C-order
+    result is converted, so both routes hand the same array to the
+    callers.  Raises ``np.linalg.LinAlgError`` when the solver fails.
     """
     stevd = _lapack_dstevd()
     if stevd is None:
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-        values, modes = np.linalg.eigh(dense) if vectors else (np.linalg.eigvalsh(dense), None)
-        return values, modes, "eigh"
+        if not vectors:
+            return np.linalg.eigvalsh(dense), None, "eigh"
+        values, modes = np.linalg.eigh(dense)
+        del dense
+        return values, np.asfortranarray(modes), "eigh"
     n = diag.size
     d = np.array(diag, dtype=float)  # overwritten by the eigenvalues
     e = np.zeros(n)  # off-diagonal, destroyed; one spare entry
@@ -204,8 +210,7 @@ def _tridiagonal_eigh(diag, off, vectors=True):
           work.ctypes, ref(lwork), iwork.ctypes, ref(liwork), ctypes.byref(info), 1)
     if info.value:
         raise np.linalg.LinAlgError(f"dstevd info={info.value}")
-    del work, iwork  # before the C-order copy, so two n x n arrays at most coexist
-    return d, np.ascontiguousarray(z) if vectors else None, "dstevd"
+    return d, z if vectors else None, "dstevd"
 
 
 def laguerre_roots(n, x_max=None):

@@ -20,7 +20,7 @@ from .model import (
 from .oracle import (
     TruncationSpec, build_hamiltonian, coherent_fock_vector, concurrence_trace,
     field_field_witness, low_spectrum, propagate_state, truncation)
-from .specialfn import laguerre, laguerre_roots
+from .specialfn import laguerre_roots, laguerre_scaled
 
 
 @dataclass
@@ -213,8 +213,10 @@ def analytic_propagation_error(alpha, spin_up, beta, omega_t):
 
 def concurrence_zero_count(n, beta):
     """Zeros of the number-state concurrence in one period, located as roots
-    of L_n(4 b^2 |gamma|^2) along the phase axis."""
+    of L_n(4 b^2 |gamma|^2) along the phase axis: the sign changes and zeros
+    of the mantissas of :func:`laguerre_scaled`, which have the signs and
+    zeros of L_n for every argument, however large |L_n| is."""
     wt = np.linspace(1e-9, 2.0 * math.pi - 1e-9, 8192)
     x = 4.0 * beta**2 * _abs2(wt)
-    vals = laguerre(n, x)
-    return int(np.sum(vals[:-1] * vals[1:] < 0.0) + np.sum(vals == 0.0))
+    signs, _ = laguerre_scaled(n, x)
+    return int(np.sum(signs[:-1] * signs[1:] < 0.0) + np.sum(signs == 0.0))

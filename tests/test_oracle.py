@@ -160,7 +160,8 @@ class TestTridiagonalEigensolve:
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 3.0])
     @pytest.mark.parametrize("f", [2, 5, 24, 26, 173, 618, 1235])
-    def test_dstevd_equals_dense_eigh(self, f, beta):
+    def test_dstevd_equals_dense_eigh(self, f, beta, monkeypatch):
+        # both routines give the same values in LAPACK's column-major layout
         if specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         diag, off = self._chain(f, beta)
@@ -168,9 +169,15 @@ class TestTridiagonalEigensolve:
         dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
         dense_energies, dense_modes = np.linalg.eigh(dense)
         assert solver == "dstevd"
-        assert modes.flags.c_contiguous
         assert np.array_equal(energies, dense_energies)
         assert np.array_equal(modes, dense_modes)
+        with monkeypatch.context() as patch:
+            patch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+            fallback = _tridiagonal_eigh(diag, off)
+        assert fallback[2] == "eigh"
+        assert np.array_equal(fallback[0], energies)
+        assert np.array_equal(fallback[1], modes)
+        assert modes.flags.f_contiguous and fallback[1].flags.f_contiguous
         values, none, solver = _tridiagonal_eigh(diag, off, vectors=False)
         assert (none, solver) == (None, "dstevd")
         assert np.array_equal(values, np.linalg.eigvalsh(dense))
@@ -661,6 +668,73 @@ class TestMapKernel:
         expected = parity_gram(v) * gram
         assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
 
+    @staticmethod
+    def _check_banded_blocks(prop, field):
+        """The omega0 = 0 kernel's M_ud[u, d] on a grid against the dense
+        sum_ab phi_a S_ab phi_b* with S = (V' P V) o G formed densely; the
+        kernel, and the dense S for the caller's own checks."""
+        ((energies, v),) = prop.distinct_chains
+        weights, vecs, _ = dense_components(field, prop.trunc)
+        parity = oracle._parity(len(v))[:, None]
+        gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
+        dense = parity_gram(v) * gram
+        del gram
+        grid = np.concatenate([np.linspace(0.0, 2 * PI, 9), [0.3, 1.7, 5.1]])
+        phases = np.exp(-1j * np.outer(energies, grid))
+        expected = np.sum(phases * (dense @ phases.conj()), axis=0)
+        kernel = _MapKernel(prop, field)
+        (ops,) = kernel.blocks(grid)
+        error = np.max(np.abs(ops[:, 0, 1, 0, 1] - expected))
+        assert error <= 1e-13 * np.max(np.abs(expected)), field
+        return kernel, dense
+
+    @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
+    @pytest.mark.parametrize("field, beta, ncut, tail_tol", [
+        pytest.param(Vacuum(), 0.3, 21, 1e-10, id="vacuum-22"),
+        pytest.param(Number(5), 0.3, None, 1e-10, id="number5"),
+        pytest.param(Thermal(2.0), 0.1, 172, 1e-10, id="thermal2-173"),
+        pytest.param(Thermal(25.0), 0.1, 1234, 1e-12, id="thermal25-1235"),
+        pytest.param(Coherent(1 + 0.5j), 0.3, None, 1e-10, id="coherent"),
+    ])
+    def test_banded_blocks_match_the_dense_form(self, field, beta, ncut, tail_tol, solver,
+                                                monkeypatch):
+        # S is formed in chunks of max(F // 8, 128) rows; each chunk keeps the
+        # columns its rows reach and the phase blocks multiply only those
+        if solver == "eigh":
+            monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+        elif specialfn._lapack_dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no dstevd")
+        trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta), tail_tol)
+        prop = build_hamiltonian(ModelParams(beta), trunc)
+        assert prop.eigensolver == solver
+        kernel, dense = self._check_banded_blocks(prop, field)
+        f = prop.fock_dim
+        if f <= 128:
+            assert kernel.bands == [(slice(0, f), slice(0, f))]
+        if isinstance(field, Thermal) and f == 1235:
+            # the eigenvectors whose support lies past the K = 705 run of
+            # Fock rows have rows of S that are exactly 0, and no band
+            ((_, v),) = prop.distinct_chains
+            k = len(range(f)[field_components(field, trunc)[1]])
+            assert k == 705
+            past = np.flatnonzero(np.all(v[:k] == 0.0, axis=0))
+            ((_, _, (factor,), *_),) = kernel.terms
+            assert len(past) > f // 8 and np.all(factor[past] == 0.0)
+            assert np.all(dense[past] == 0.0)
+            banded = np.concatenate([np.arange(f)[rows] for rows, _ in kernel.bands])
+            assert np.intersect1d(banded, past).size < f // 8  # only a boundary chunk
+            assert len(kernel.bands) < len(range(0, f, f // 8))
+
+    @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
+    def test_banded_blocks_in_any_column_order(self, field, rng):
+        # the random column order of test_factor_finds_supports_in_any_column_order
+        trunc = TruncationSpec(617)
+        ((energies, v),) = build_hamiltonian(ModelParams(0.1), trunc).distinct_chains
+        order = rng.permutation(len(energies))
+        chain = (energies[order], v[:, order])
+        prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
+        self._check_banded_blocks(prop, field)
+
     @pytest.mark.parametrize(
         "field, omega0, products",
         [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
@@ -1141,8 +1215,10 @@ class TestMemoryBudget:
 
     def test_readme_esd_trace_peak(self):
         # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
-        # K = 705 components; the peak is the eigenvectors, S and a chunk of
-        # F / 8 rows of 2 E and of G with its weighted overlaps.  The chunk's
+        # K = 705 components; the peak is the eigenvectors, S (which takes
+        # each chunk's 2 E in place) and a chunk of F // 8 = 154 rows of G
+        # with its weighted overlaps and the even rows of the eigenvectors
+        # it multiplies.  The chunk's
         # products reach only the columns whose eigenvectors share a nonzero
         # Fock row with its own, a few hundred of the 1235 for the
         # divide-and-conquer eigenvectors, so the peak measures 2.09 F^2

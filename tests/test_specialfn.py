@@ -9,6 +9,7 @@ import pytest
 from dense_reference import coherent_overlap, laguerre_roots_dense
 
 from degjc import specialfn
+from degjc.closedform import _abs2
 from degjc.oracle import coherent_fock_vector
 from degjc.specialfn import (
     laguerre,
@@ -16,6 +17,7 @@ from degjc.specialfn import (
     laguerre_scaled,
     thermal_weights,
 )
+from degjc.validation import concurrence_zero_count
 
 
 def laguerre_exact(n, x):
@@ -338,3 +340,21 @@ def test_overlap_bounded_by_one(rng):
         assert mag <= 1.0 + 1e-12
         if abs(a - b) > 1e-6:
             assert mag < 1.0
+
+
+@pytest.mark.parametrize("n, beta", [(1, 0.1), (2, 0.5), (5, 0.5), (25, 0.1), (25, 0.5), (60, 3.0)])
+def test_zero_count_matches_the_laguerre_values(n, beta):
+    # validate counts the zeros from the mantissas of laguerre_scaled: the
+    # counts of the values of laguerre, wherever those are finite
+    x = 4.0 * beta**2 * _abs2(np.linspace(1e-9, 2.0 * math.pi - 1e-9, 8192))
+    vals = laguerre(n, x)
+    expected = np.sum(vals[:-1] * vals[1:] < 0.0) + np.sum(vals == 0.0)
+    assert concurrence_zero_count(n, beta) == expected
+
+
+def test_zero_count_past_the_float_range():
+    # |L_200(x)| passes the float range below x = 6400 = 16 b^2 at b = 20,
+    # where laguerre raises; the count is still twice the 200 roots
+    with pytest.raises(OverflowError):
+        laguerre(200, 6400.0)
+    assert concurrence_zero_count(200, 20.0) == 2 * len(laguerre_roots(200, 6400.0)) == 400
