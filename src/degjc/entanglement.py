@@ -37,7 +37,7 @@ def wootters_concurrences(rhos, basis):
     # eigh sorts ascending, so the kept eigenvalues are the last ``rank``
     rank = np.count_nonzero(vals > RANK_TOL * vals[:, -1:], axis=1)
     s = np.zeros((len(rhos), 4))
-    for r in np.unique(rank):
+    for r in np.flatnonzero(np.bincount(rank)):  # each rank present, ascending
         group = np.flatnonzero(rank == r)
         x = vecs[group, :, 4 - r:] * np.sqrt(vals[group, None, 4 - r:])
         tau = x.swapaxes(-1, -2) @ _SYSY @ x

@@ -158,7 +158,9 @@ def _run_bytes(params, field, spec):
     Grams (six for a unit-Fock field, ten for a coherent one, complex where
     its amplitude is off the real axis) and one product; while a unit-Fock
     field's last chain pair is formed, the four Grams held coexist with its
-    even- and odd-row halves and their sum.
+    even- and odd-row halves and their sum.  These are F x F: which
+    eigenvectors a unit-Fock field's kernel keeps (see :class:`_MapKernel`)
+    is known only after the eigensolve, so the untrimmed chains bound it.
     The K mixture components add a few F x K arrays, vectors of length F a
     few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
     """
@@ -473,7 +475,18 @@ class _MapKernel:
     block of a unit-Fock field; the i = k blocks of a coherent field, whose
     Gram Y^i_1 W Y^i_0^H is that of (0, 1) conjugated) takes no product of
     its own: S^10 = S^01^H, so phi_1' S^10 phi_0* = (phi_0' S^01 phi_1*)*,
-    and the twin's value adds its conjugate to the (1, 0) entries.
+    and the twin's value adds its conjugate to the (1, 0) entries.  A
+    unit-Fock field's kernel runs on trimmed chains there: an eigenvector a
+    of chain s that is exactly 0 on every Fock row of the run has Y^u_s[a]
+    = 0, so row a of each field Gram of chain s (column a where t = s) is
+    exactly 0 and every product it enters is 0.  Each chain keeps the range
+    of columns that spans its eigenvectors nonzero on the run, as a view of
+    V_s with its energies (all of V_s where none drops), and the rail
+    Grams, field Grams and phase blocks all run on the kept columns;
+    ``kept`` counts them per chain.  Divide-and-conquer deflation leaves many
+    eigenvectors exactly 0 on the run (41 % of each chain for thermal(5) at
+    ncut 312 and beta = 0.3).  A coherent column meets every eigenvector and
+    keeps both chains whole.
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
     rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o
@@ -515,9 +528,17 @@ class _MapKernel:
         else:  # a run of unit Fock vectors: every squared column norm is exactly 1
             norm = float(weights @ np.ones(len(weights)))
         parity = _parity(prop.fock_dim)
-        modes = [v for _, v in prop.distinct_chains]
-        self.chain_count = len(modes)
-        self.energies = np.concatenate([energies for energies, _ in prop.distinct_chains])
+        chains = list(prop.distinct_chains)
+        if rows is not None and len(chains) == 2:
+            # keep the columns of each chain that span its eigenvectors
+            # nonzero on the run, as views
+            for s, (energies, v) in enumerate(chains):
+                kept = np.flatnonzero(np.any(v[rows] != 0.0, axis=0))
+                span = slice(kept[0], kept[-1] + 1)
+                chains[s] = energies[span], v[:, span]
+        modes = [v for _, v in chains]
+        self.kept = tuple(len(energies) for energies, _ in chains)
+        self.energies = np.concatenate([energies for energies, _ in chains])
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
         f = prop.fock_dim
         if rows is None:
@@ -607,7 +628,7 @@ class _MapKernel:
         for s, ve in enumerate(even):
             like = ve.T @ ve
             like *= 2.0
-            like.flat[::f + 1] -= 1.0
+            like.flat[::len(like) + 1] -= 1.0
             rails[s, s, True] = like
         rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
         fields, products = {}, {}
@@ -649,10 +670,10 @@ class _MapKernel:
             yield self._block_ops(omega_ts[start:start + self.block])
 
     def _block_ops(self, omega_ts):
-        # phases[s]: the (F, points) eigenphases of chain s
+        # phases[s]: the (kept[s], points) eigenphases of chain s
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
-        phases = phases.reshape(self.chain_count, -1, len(omega_ts))
-        right = phases.conj()
+        cuts = np.cumsum(self.kept[:-1])
+        phases, right = np.split(phases, cuts), np.split(phases.conj(), cuts)
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
         for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
@@ -756,9 +777,13 @@ class OracleTrace:
     reconstructed two-qubit matrices at ncut and 2*ncut on the checked
     subgrid (an extraction-noise-free measure of truncation convergence).
     ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
-    the run at ``ncut`` was diagonalized, ``components`` is the number K of
-    mixture components of its field, and ``doubled_ncut`` the cutoff of the
-    doubling re-run (0 for an empty grid); no CSV writes them.
+    the run at ``ncut`` was diagonalized, ``kept_modes`` how many
+    eigenvectors of each distinct chain entered its maps (fewer than
+    ``sector_dim`` where a unit-Fock field off omega0 = 0 dropped those
+    exactly 0 on its Fock rows; one entry at omega0 = 0), ``components`` is
+    the number K of mixture components of its field, and ``doubled_ncut``
+    the cutoff of the doubling re-run (0 for an empty grid); no CSV writes
+    them.
     """
 
     omega_ts: np.ndarray
@@ -769,6 +794,7 @@ class OracleTrace:
     doubling_points: int
     eigensolver: str
     sector_dim: int
+    kept_modes: tuple
     components: int
     doubled_ncut: int
 
@@ -794,11 +820,12 @@ def _require_phase_accuracy(params, ncut, omega_ts, tol):
 def _run(params, field, omega_ts, spec, reduce):
     """The (n, 4, 4) stack that ``reduce`` makes of each block of
     conditional maps (n, 2, 2, 2, 2) on ``omega_ts`` at one cutoff, the
-    tail mass and (eigensolver, sector dimension, mixture components).  The
-    propagator is released once the kernel holds its factors."""
+    tail mass and (eigensolver, sector dimension, eigenvectors kept per
+    chain, mixture components).  The propagator is released once the kernel
+    holds its factors."""
     prop = build_hamiltonian(params, spec)
     kernel = _MapKernel(prop, field)
-    how = (prop.eigensolver, prop.fock_dim, kernel.components)
+    how = (prop.eigensolver, prop.fock_dim, kernel.kept, kernel.components)
     del prop
     mats = np.empty((len(omega_ts), 4, 4), dtype=complex)
     start = 0
@@ -839,7 +866,8 @@ def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
     mats, tail, how = _run(params, field, omega_ts, trunc, reduce)
     doubling_error, n_check = 0.0, min(len(omega_ts), _DOUBLING_POINTS)
     if n_check:
-        idx = np.unique(np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int))
+        idx = np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int)
+        idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending: each index once
         check, _, _ = _run(params, field, omega_ts[idx], largest, reduce)
         doubling_error = float(np.max(np.abs(check - mats[idx])))
         if doubling_error > tol:

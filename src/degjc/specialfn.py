@@ -128,7 +128,12 @@ def laguerre_scaled(n, x):
         lk, _, e = _recurrence(n, xs)
         m, shift = np.frexp(lk)
         return m, e + shift
-    distinct, at = np.unique(xs.ravel(), return_inverse=True)
+    # the distinct arguments and the index of each element's, from one sort
+    order = xs.ravel().argsort()
+    ordered = xs.ravel()[order]
+    first = np.concatenate([[True], ordered[1:] != ordered[:-1]])
+    distinct, at = ordered[first], np.empty(order.size, dtype=np.intp)
+    at[order] = np.cumsum(first) - 1
     lk, _, e = _recurrence(n, distinct)
     m, shift = np.frexp(lk)
     return m.take(at).reshape(xs.shape), (e + shift).take(at).reshape(xs.shape)

@@ -214,6 +214,30 @@ def test_python_m_degjc_prints_what_main_prints(capsys):
     assert run.stdout == capsys.readouterr().out.encode()
 
 
+def test_oracle_scenarios_never_import_numpy_ma(tmp_path):
+    # numpy's np.unique imports numpy.ma on its first call, some 8 ms of a
+    # fresh interpreter's start; the oracle, the Wootters rank groups and
+    # the Laguerre arguments find their distinct values by sorting instead
+    script = "\n".join([
+        "import sys",
+        "from degjc import cli",
+        f"out = {str(tmp_path)!r}",
+        "assert cli.main(['concurrence-sweep', '--omega0', '0.7', '--beta', '0.3', '--field',",
+        "                 'thermal:nbar=1', '--compare-oracle', '--steps', '9',",
+        "                 '--out', out + '/sweep.csv']) == 0",
+        "assert cli.main(['separability', '--omega0', '0.7', '--field', 'number:n=1',",
+        "                 '--steps', '5', '--out', out + '/witness.csv']) == 0",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
 class TestConcurrenceSweep:
     def test_closed_and_oracle_columns(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -612,14 +612,29 @@ class TestMapKernel:
                 # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each product's two
                 # factors against the rail Gram and the direct field Gram (for a
                 # unit-Fock field, Y^u_s W P^(i + k) Y^u_t' from its even and odd
-                # Fock rows), and each mirrored (t, s) block against S^st^H
+                # Fock rows), and each mirrored (t, s) block against S^st^H.  A
+                # unit-Fock field keeps the columns of each chain that span its
+                # eigenvectors nonzero on the run: the factors are the kept
+                # block, and the direct Gram is exactly 0 in every dropped row
+                # and column
                 y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs))
                      for v in modes]
+                spans = [slice(0, f)] * 2
+                if not isinstance(field, Coherent):
+                    run = field_components(field, trunc)[1]
+                    spans = [slice(kept[0], kept[-1] + 1) for kept in (
+                        np.flatnonzero(np.any(v[run] != 0.0, axis=0)) for v in modes)]
+                assert kernel.kept == tuple(span.stop - span.start for span in spans), field
+                dropped = [np.ones(f, dtype=bool) for _ in spans]
+                for out, span in zip(dropped, spans):
+                    out[span] = False
                 direct = {}
 
                 def direct_gram(s, t, i, k):
                     if (s, t, i, k) not in direct:
-                        direct[s, t, i, k] = (y[s][i] * (0.25 * weights)) @ y[t][k].conj().T
+                        gram = (y[s][i] * (0.25 * weights)) @ y[t][k].conj().T
+                        assert not np.any(gram[dropped[s]]) and not np.any(gram[:, dropped[t]])
+                        direct[s, t, i, k] = gram[spans[s], spans[t]]
                     return direct[s, t, i, k]
 
                 held, got = {}, {}
@@ -629,9 +644,10 @@ class TestMapKernel:
                     held[id(gram)] = gram, direct_gram(s, t, i, k)
                     if mirrored:  # each mirrored entry takes the same block
                         (i, k, p, q), _ = mirrored[0]
-                        check((rail * gram).conj().T, rails[t, s, p != q] * direct_gram(t, s, i, k))
-                for key, rail in got.items():
-                    check(rail, rails[key])
+                        check((rail * gram).conj().T, rails[t, s, p != q][spans[t], spans[s]]
+                              * direct_gram(t, s, i, k))
+                for (s, t, flip), rail in got.items():
+                    check(rail, rails[s, t, flip][spans[s], spans[t]])
                 # a unit-Fock field forms six split Grams and mirrors every
                 # (1, 0) block; a coherent one forms ten and mirrors those of
                 # M_uu and M_dd
@@ -756,6 +772,103 @@ class TestMapKernel:
         modes = [v for _, v in prop.distinct_chains]
         factors = [a for _, _, pair, *_ in kernel.terms for a in pair]
         assert not any(np.shares_memory(a, v) for a in factors for v in modes)
+
+
+class TestTrimmedChains:
+    """Off omega0 = 0 a unit-Fock field's kernel keeps, of each chain, the
+    columns that span the eigenvectors nonzero on its run of Fock rows;
+    ``OracleTrace.kept_modes`` says how many entered the maps."""
+
+    @staticmethod
+    def _trace(params, field, grid, trunc=None):
+        return concurrence_trace(params, field, make_bell(BellState.PHI_PLUS, QubitBasis.SIGMA_X),
+                                 grid, trunc)
+
+    @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
+    def test_trimmed_maps_match_the_untrimmed_sums(self, solver, monkeypatch):
+        # thermal(5) at the doubled cutoff of the detuned workload, ncut 312
+        # and K = 152: the general path multiplies V' C of the dense (F, K)
+        # components, so it sums sum_st phi_s' S^st phi_t* over every
+        # eigenvector of both chains
+        if solver == "eigh":
+            monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
+        elif specialfn._lapack_dstevd() is None:
+            pytest.skip("numpy's LAPACK exports no dstevd")
+        field, trunc = Thermal(5.0), TruncationSpec(312, 1e-12)
+        params = ModelParams(0.3, omega0=0.7)
+        prop = build_hamiltonian(params, trunc)
+        assert prop.eigensolver == solver
+        grid = np.linspace(0.0, 2 * PI, 33)
+        (trimmed,) = _MapKernel(prop, field).blocks(grid)
+        trace = self._trace(params, field, grid[:1], trunc)
+        assert trace.eigensolver == solver
+        assert trace.components == 152 and max(trace.kept_modes) < trace.sector_dim
+        monkeypatch.setattr(oracle, "field_components", dense_components)
+        (untrimmed,) = _MapKernel(prop, field).blocks(grid)
+        assert np.max(np.abs(trimmed - untrimmed)) <= 1e-13 * np.max(np.abs(untrimmed))
+
+    def test_uncoupled_number_state_keeps_one_eigenvector_per_chain(self):
+        # at beta = 0 the eigenvectors are unit Fock vectors: each chain keeps
+        # the one on Fock row 2, and the maps keep their unit trace
+        params, field = ModelParams(0.0, omega0=0.7), Number(2)
+        grid = np.linspace(0.0, 2 * PI, 9)
+        trace = self._trace(params, field, grid)
+        assert trace.kept_modes == (1, 1)
+        assert np.max(np.abs(trace.values - 1.0)) <= 1e-12
+        ops, tail = _maps(build_hamiltonian(params, TruncationSpec(trace.ncut)), field, grid)
+        assert tail == 0.0
+        for i in (0, 1):
+            assert np.max(np.abs(np.trace(ops[:, i, i], axis1=1, axis2=2) - 1.0)) <= 1e-15
+
+    def test_zero_occupation_thermal_is_a_run_of_one_row(self):
+        params, grid = ModelParams(0.3, omega0=0.7), np.linspace(0.0, 2 * PI, 9)
+        thermal, vacuum = (self._trace(params, field, grid, TruncationSpec(62))
+                           for field in (Thermal(0.0), Vacuum()))
+        assert thermal.components == 1
+        assert thermal.kept_modes == vacuum.kept_modes
+        assert max(vacuum.kept_modes) < vacuum.sector_dim
+        assert np.array_equal(thermal.values, vacuum.values)
+
+    def test_coherent_field_keeps_every_eigenvector(self):
+        trace = self._trace(ModelParams(0.3, omega0=0.7), Coherent(1 + 0.5j),
+                            np.linspace(0.0, 2 * PI, 5))
+        assert trace.kept_modes == (trace.sector_dim, trace.sector_dim)
+
+    def test_omega0_zero_records_its_one_chain(self):
+        trace = self._trace(ModelParams(0.3), Thermal(1.0), np.linspace(0.0, 2 * PI, 5))
+        assert trace.kept_modes == (trace.sector_dim,)
+
+    def test_witness_on_trimmed_chains(self, monkeypatch):
+        # number(5) at ncut 62 keeps 90-92 % of each chain; the witness
+        # matches the untrimmed general path
+        params, field, trunc = ModelParams(0.5, omega0=0.7), Number(5), TruncationSpec(62)
+        grid = np.linspace(0.0, 3.0, 5)
+        traces = []
+        checked_run = oracle._checked_run
+
+        def spy(*args):
+            traces.append(checked_run(*args))
+            return traces[-1]
+
+        monkeypatch.setattr(oracle, "_checked_run", spy)
+        witness = field_field_witness(params, field, BellState.PHI_PLUS, grid, trunc)
+        ((trace,),) = [traces]
+        assert trace.sector_dim == 63
+        assert all(0.85 * 63 <= kept < 63 for kept in trace.kept_modes), trace.kept_modes
+        assert np.max(witness.negativity) > 0.1
+        monkeypatch.setattr(oracle, "field_components", dense_components)
+        untrimmed = field_field_witness(params, field, BellState.PHI_PLUS, grid, trunc)
+        for name in ("negativity", "qubit_purity", "field_purity"):
+            assert np.max(np.abs(getattr(witness, name) - getattr(untrimmed, name))) <= 1e-13
+
+    def test_empty_grid(self):
+        params, field = ModelParams(0.3, omega0=0.7), Thermal(1.0)
+        trace = self._trace(params, field, [], TruncationSpec(80))
+        assert trace.values.shape == (0,) and trace.doubled_ncut == 0
+        assert max(trace.kept_modes) < trace.sector_dim
+        kernel = _MapKernel(build_hamiltonian(params, TruncationSpec(trace.ncut)), field)
+        assert list(kernel.blocks(np.array([]))) == []
+        assert kernel._block_ops(np.array([])).shape == (0, 2, 2, 2, 2)
 
 
 class TestTwoQubitReduced:
