@@ -143,35 +143,34 @@ def _run_bytes(params, field, spec):
     """Peak bytes of one run of :func:`concurrence_trace` at ``spec``, from
     (ncut, K, omega0) alone.
 
-    A run holds the eigenvectors of its chains and the
-    :class:`_MapKernel` factors: at omega0 = 0 the one factor S (each
-    chunk of rows forms its 2 E in place there) and, per chunk, its rows of
-    the field Gram with their weighted overlaps and the even rows of the
+    A run holds the eigenvectors of its chains and the real
+    :class:`_MapKernel` factors: at omega0 = 0 the one factor S (each chunk
+    of rows forms its 2 E in place there) and, per chunk, its rows of the
+    field Gram with their weighted overlaps and the even rows of the
     eigenvectors they multiply, copied a panel of columns at a time (each
-    of the three at most an eighth of an F x F array from F = 1024 on,
-    where a chunk is F // 8 rows, and at most ``_PHASE_BLOCK_BYTES`` below,
-    where it is up to 128; the estimate allows half an F x F array for
-    them, and the phase blocks, not yet formed, a few times
-    ``_PHASE_BLOCK_BYTES``: an upper bound for any eigenvectors); otherwise
-    four real rail Gram matrices (of which E_01, O_01 and their sum
-    coexist while the cross pair is formed), the field
-    Grams (six for a unit-Fock field, ten for a coherent one, complex where
-    its amplitude is off the real axis) and one product; while a unit-Fock
-    field's last chain pair is formed, the four Grams held coexist with its
-    even- and odd-row halves and their sum.  These are F x F: which
-    eigenvectors a unit-Fock field's kernel keeps (see :class:`_MapKernel`)
-    is known only after the eigensolve, so the untrimmed chains bound it.
-    The K mixture components add a few F x K arrays, vectors of length F a
-    few dozen more, and the phase blocks a few times ``_PHASE_BLOCK_BYTES``.
+    at most an eighth of an F x F array from F = 1024 on, where a chunk is
+    F // 8 rows, and at most ``_PHASE_BLOCK_BYTES`` below; the estimate
+    allows half an F x F array for them: an upper bound for any
+    eigenvectors); otherwise four rail Gram matrices (E_01, O_01 and their
+    sum coexist while the cross pair is formed) and, for a unit-Fock field,
+    six field Grams and one product (while its last chain pair is formed,
+    the four Grams held coexist with its even- and odd-row halves and
+    their sum).  A coherent field's Gram is folded into the phases.  These
+    are F x F: which eigenvectors a unit-Fock field's kernel keeps is known
+    only after the eigensolve, so the untrimmed chains bound it.  The K
+    mixture components add a few F x K arrays, vectors of length F a few
+    dozen more, and the phase blocks, scaled phases included, a few times
+    ``_PHASE_BLOCK_BYTES``.
     """
-    word = 16 if isinstance(field, Coherent) and field.alpha0.imag != 0.0 else 8
-    grams = 10 if isinstance(field, Coherent) else 6
     f = spec.ncut + 1
     k = 1
     if isinstance(field, Thermal):
         k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
-    factors, overlaps = (12 + word, 3) if params.degenerate else (48 + (grams + 1) * word, 9)
-    kernel = factors * f * f + (overlaps * k + 32) * word * f + 4 * _PHASE_BLOCK_BYTES
+    if params.degenerate:
+        factors, overlaps = 20, 3
+    else:
+        factors, overlaps = 48 if isinstance(field, Coherent) else 104, 9
+    kernel = factors * f * f + (overlaps * k + 32) * 8 * f + 4 * _PHASE_BLOCK_BYTES
     return max(_eigensolve_bytes(params, spec.ncut), kernel)
 
 
@@ -423,9 +422,10 @@ def field_components(field, trunc):
 
 
 # Phase points per block of the bilinear map evaluation: one block holds
-# a (sector dim x points) complex phase matrix of at most this many bytes,
-# and at most this many bytes of the per-point stacks of the maps and
-# their reduction, which take up to _POINT_BYTES per point.  The
+# a (sector dim x points) complex phase matrix, and a column field's
+# phases scaled by its overlaps, of at most this many bytes each, and at
+# most this many bytes of the per-point stacks of the maps and their
+# reduction, which take up to _POINT_BYTES per point.  The
 # omega0 = 0 factor is formed in chunks of max(F // 8, 128) rows, at most
 # this many bytes of (rows x F) real entries: each chunk's rows of
 # 2 E = 2 V_e' V_e (V_e the even Fock rows of the eigenvectors) go straight
@@ -461,59 +461,59 @@ class _MapKernel:
     V_s' P V_t = E - O, and within one chain E + O = I, so V_s' P V_s =
     2 E_ss - I.  So the four rail Grams take the products E_00, E_11, E_01
     and O_01, each over half the rows.  Entries whose blocks have the same
-    two factors share one product and differ only in sign.  Where
-    :func:`field_components` names a slice of Fock rows j, the unit Fock
-    components e_j of a vacuum, number or thermal field, the overlaps are
-    rows j of V_s, sliced rather than multiplied (a coherent column is
-    multiplied), and the Gram Y^i_s W Y^k_t^H = Y^u_s W P_j^(i + k)
-    Y^u_t' depends on i + k alone, so M_dd takes the products of M_uu.
-    Off omega0 = 0 these Grams split as the rail Grams do: with E^W_st and
-    O^W_st the products over the components in even and odd Fock rows, the
-    like-rail Gram (i = k) is E^W + O^W and the unlike-rail one E^W - O^W,
-    six half-row products for the chain pairs 00, 01 and 11.  A (1, 0)
-    block whose two factors are the transposes of its (0, 1) twin's (every
-    block of a unit-Fock field; the i = k blocks of a coherent field, whose
-    Gram Y^i_1 W Y^i_0^H is that of (0, 1) conjugated) takes no product of
-    its own: S^10 = S^01^H, so phi_1' S^10 phi_0* = (phi_0' S^01 phi_1*)*,
-    and the twin's value adds its conjugate to the (1, 0) entries.  A
-    unit-Fock field's kernel runs on trimmed chains there: an eigenvector a
-    of chain s that is exactly 0 on every Fock row of the run has Y^u_s[a]
-    = 0, so row a of each field Gram of chain s (column a where t = s) is
-    exactly 0 and every product it enters is 0.  Each chain keeps the range
-    of columns that spans its eigenvectors nonzero on the run, as a view of
-    V_s with its energies (all of V_s where none drops), and the rail
-    Grams, field Grams and phase blocks all run on the kept columns;
-    ``kept`` counts them per chain.  Divide-and-conquer deflation leaves many
-    eigenvectors exactly 0 on the run (41 % of each chain for thermal(5) at
-    ncut 312 and beta = 0.3).  A coherent column meets every eigenvector and
-    keeps both chains whole.
+    two factors share one product and differ only in sign.  A (1, 0) block
+    takes none of its own: its rail Gram is the transpose of its (0, 1)
+    twin's and its field Gram the conjugate transpose of the twin's with i
+    and k swapped, so phi_1' S^{ik}_10 phi_0* = (phi_0' S^{ki}_01 phi_1*)*.
+    Where :func:`field_components` names a slice of Fock rows j, the unit
+    Fock components e_j of a vacuum, number or thermal field, the overlaps
+    are rows j of V_s, sliced rather than multiplied, and the Gram
+    Y^u_s W P_j^(i + k) Y^u_t' depends on i + k alone, so M_dd takes the
+    products of M_uu.  Off omega0 = 0 these Grams split as the rail Grams
+    do: with E^W_st and O^W_st the products over the components in even
+    and odd Fock rows, the like-rail Gram (i = k) is E^W + O^W and the
+    unlike-rail one E^W - O^W, six half-row products for the chain pairs
+    00, 01 and 11.  There each chain is trimmed to the range of columns
+    that spans its eigenvectors nonzero on the run, as a view of V_s with
+    its energies (``kept`` counts them): an eigenvector exactly 0 on the
+    run has a zero overlap, so its rows and columns of every field Gram
+    and every product they enter are exactly 0.  Divide-and-conquer
+    deflation leaves many such zeros (41 % of each chain for thermal(5) at
+    ncut 312 and beta = 0.3).
+    A coherent field is a column c (any K columns work the same way), and
+    its Gram is folded into the eigenphases instead: S = diag(Y^i_s)
+    (V_s' X V_t) diag(Y^k_t*), so phi_s' S phi_t* = (Y^i_s o phi_s)'
+    (V_s' X V_t) (Y^k_t o phi_t)*.  A phase block scales phi_t* by each
+    Y^k_t*, multiplies that by the rail Gram, both k at once, then by
+    phi_s, and contracts it with W Y^i_s (and the 1/4) in one small
+    product, which gives every (i, k).  Its factors are the real rail Grams
+    alone, and its blocks hold K times fewer points (2 K off omega0 = 0),
+    so the scaled phases take the bytes of the phases.  A column meets
+    every eigenvector, so its chains stay whole.
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
-    rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o
-    G and G = Y^u W Y^d^H built in one pass over chunks of max(F // 8,
-    128) rows: each chunk forms its rows of the symmetric 2 E and of G on
-    and above the diagonal, multiplies them into S and subtracts the
-    diagonal of G.  The first and last nonzero Fock row of every
-    eigenvector are found once, before the chunks.  A chunk's eigenvectors
-    are zero outside the Fock rows [lo, hi) these span, and G sums only
-    over its components' Fock rows (all F for a coherent column, the run of
-    a unit-Fock field); where the two miss each other the chunk's rows of S
-    are exactly 0 and it takes no product.  Otherwise its products run over
-    the even rows of [lo, hi) for 2 E and the run's rows inside it for G,
-    and over the columns whose support meets that window; the rest of its
-    rows of S is exactly 0, since every skipped term is a product with an
-    exact zero.  Divide-and-conquer eigenvectors are exactly zero outside a
-    window of Fock rows wherever deflation decoupled them (91 % of the
-    entries at beta = 0.1 and F = 1235), so there most of the work is
-    skipped; a dense V takes the full products.  Where G = Y^u W P_j Y^u'
-    is symmetric (unit Fock components) the chunk's upper triangle is
-    mirrored below the diagonal, so S is exactly symmetric; a coherent
-    field's G is not, and its blocks below the diagonal take their own
-    products of the overlaps.  ``bands`` keeps each chunk's rows and the
+    rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o G
+    and G = Y^u W Y^d^H (S = 2 E - I for a column, whose G is in the
+    phases), built in one pass over chunks of max(F // 8, 128) rows: each
+    chunk forms its rows of the symmetric 2 E and of G on and above the
+    diagonal, multiplies them into S, subtracts the diagonal of G and
+    mirrors its upper triangle below the diagonal (G = Y^u W P_j Y^u' of
+    unit Fock components is symmetric, so S is).  The first and last
+    nonzero Fock row of every eigenvector are found once, before the
+    chunks.  A chunk's eigenvectors are zero outside the Fock rows [lo, hi)
+    these span and a unit-Fock G outside its run; where the two miss each
+    other the chunk's rows of S are exactly 0 and it takes no product.
+    Otherwise its products run over the even rows of [lo, hi) for 2 E and
+    the run's rows inside it for G, and over the columns whose support
+    meets that window; every skipped term is a product with an exact zero.
+    Divide-and-conquer eigenvectors are exactly zero outside a window of
+    Fock rows wherever deflation decoupled them (91 % of the entries at
+    beta = 0.1 and F = 1235), so most of the work is skipped; a dense V
+    takes the full products.  ``bands`` keeps each chunk's rows and the
     range of columns they reach, so a phase block multiplies only
     S[rows, cols] by the phases of those columns, one product per chunk;
-    the eigenvectors may come in either layout, since the chunk copies the
-    even rows of its window before BLAS reads them.  The factors are built
+    the chunk copies the even rows of its window before BLAS reads them,
+    so the eigenvectors may come in either layout.  The factors are built
     once per eigensolve and share no memory with the eigenvectors; a grid
     is evaluated in blocks of ``block`` points, one matrix product per
     distinct factor (per chunk of S) and block of points.
@@ -523,10 +523,6 @@ class _MapKernel:
         weights, vecs, self.tail = field_components(field, prop.trunc)
         self.components = len(weights)
         rows = vecs if isinstance(vecs, slice) else None
-        if rows is None:
-            norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
-        else:  # a run of unit Fock vectors: every squared column norm is exactly 1
-            norm = float(weights @ np.ones(len(weights)))
         parity = _parity(prop.fock_dim)
         chains = list(prop.distinct_chains)
         if rows is not None and len(chains) == 2:
@@ -539,34 +535,34 @@ class _MapKernel:
         modes = [v for _, v in chains]
         self.kept = tuple(len(energies) for energies, _ in chains)
         self.energies = np.concatenate([energies for energies, _ in chains])
-        self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size, _POINT_BYTES))
-        f = prop.fock_dim
+        one = len(modes) == 1
+        self.overlaps = None
         if rows is None:
-            y = [(_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)) for v in modes]
-
-            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None), fock=(0, f)):
-                # rows a, columns b of Y^i_s W Y^k_t^H; the overlaps already
-                # hold every Fock row, so the window ``fock`` changes nothing
-                return (y[s][i][a] * scale) @ y[t][k][b].conj().T
-        else:
+            norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
+            # per chain W Y^i_s as (i, F, K) and Y^k_t as (F, K, k): i and k
+            # over (u, d), W times the 1/4 of each block; i = u, k = d at omega0 = 0
+            self.overlaps = []
+            for v in modes:
+                y = np.stack([_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)], axis=-1)
+                w = (y[..., :1] if one else y) * (weights if one else 0.25 * weights)[:, None]
+                self.overlaps.append((np.moveaxis(w, -1, 0), y[..., 1:] if one else y))
+        else:  # a run of unit Fock vectors: every squared column norm is exactly 1
+            norm = float(weights @ np.ones(len(weights)))
             y = [v[rows].T for v in modes]  # views of the eigenvectors
             signs = parity[rows]
-
-            def field_gram(i, s, k, t, scale, a=slice(None), b=slice(None), fock=(0, f)):
-                # rows a, columns b of Y^u_s W P_j^(i + k) Y^u_t', summed over
-                # the components in Fock rows fock = (lo, hi) of the run,
-                # outside which eigenvectors a are zero
-                c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
-                sign = signs[c] if i != k else 1.0
-                return (y[s][a, c] * (scale[c] * sign)) @ y[t][b, c].T
-        dtype = vecs.dtype if rows is None else np.dtype(float)
+        # a column field's scaled phases take K times the bytes of the phases
+        # (2 K off omega0 = 0), so its blocks hold as many times fewer points
+        columns = 1 if rows is not None else self.components * (1 if one else 2)
+        self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size * columns,
+                                                      _POINT_BYTES))
+        f = prop.fock_dim
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
         self.bands = None
-        if len(modes) == 1:
+        if one:
             (v,) = modes
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            factor = np.zeros((f, f), dtype=dtype)
+            factor = np.zeros((f, f))
             diagonal = factor.reshape(-1)[::f + 1]  # a view
             step = max(1, min(max(f // 8, 128), _PHASE_BLOCK_BYTES // (8 * f)))
             first, last = _supports(v, step)
@@ -601,24 +597,27 @@ class _MapKernel:
                     upper = factor[top, panel]  # 2 E, then S, in place
                     np.matmul(left.T, block, out=upper)
                     upper *= 2.0
-                    if rows is None:  # a coherent G is not symmetric
-                        under = slice(max(at, end), panel.stop)
-                        np.multiply(field_gram(0, 0, 1, 0, weights, under, top),
-                                    upper[:, under.start - at:].T, out=factor[under, top])
-                    gram = field_gram(0, 0, 1, 0, weights, top, panel, fock)
-                    upper *= gram
-                    if at == start:
-                        diagonal[top] -= gram.diagonal()
-                    del block, gram
-                if rows is not None:  # G is symmetric: mirror the rows' upper triangle
-                    square = factor[top, top]
-                    np.copyto(square, square.T, where=below[:end - start, :end - start])
-                    factor[end:stop, top] = factor[top, end:stop].T
+                    if rows is not None:
+                        # rows top, columns panel of G = Y^u W P_j Y^u', summed
+                        # over the components in Fock rows fock of the run,
+                        # outside which eigenvectors top are zero
+                        c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
+                        gram = (y[0][top, c] * (weights[c] * signs[c])) @ y[0][panel, c].T
+                        upper *= gram
+                        if at == start:
+                            diagonal[top] -= gram.diagonal()
+                        del gram
+                    del block
+                if rows is None:  # a column's G is folded into the phases: S = 2 E - I
+                    diagonal[top] -= 1.0
+                # S is symmetric: mirror the rows' upper triangle
+                square = factor[top, top]
+                np.copyto(square, square.T, where=below[:end - start, :end - start])
+                factor[end:stop, top] = factor[top, end:stop].T
                 del even, left
-            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1)], [])]
+            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1, (0, 0))], [])]
             return
         even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
-        scaled = 0.25 * weights  # the 1/4 of each block
         cross = even[0].T @ even[1]
         odd = modes[0][1::2].T @ modes[1][1::2]
         rails = {(0, 1, False): cross + odd}
@@ -630,11 +629,11 @@ class _MapKernel:
             like *= 2.0
             like.flat[::len(like) + 1] -= 1.0
             rails[s, s, True] = like
-        rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
         fields, products = {}, {}
         if rows is not None:
             # E_st and O_st over the components in even and odd Fock rows:
             # the like-rail Gram is E + O, the unlike-rail one E - O
+            scaled = 0.25 * weights  # the 1/4 of each block
             halves = [slice(rows.start % 2, None, 2), slice(1 - rows.start % 2, None, 2)]
             for s, t in ((0, 0), (0, 1), (1, 1)):
                 even, odd = ((y[s][:, c] * scaled[c]) @ y[t][:, c].T for c in halves)
@@ -643,7 +642,6 @@ class _MapKernel:
                 fields[True, s, t] = even
                 del even, odd
         for i, k in ((0, 0), (0, 1), (1, 1)):
-            gram = (i != k) if rows is not None else (i, k)
             for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 if i == k and p > q:
                     continue  # M_ii[d, u] = M_ii[u, d]*
@@ -652,15 +650,16 @@ class _MapKernel:
                 for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
                     if s != t or p != q:
                         sign = (-1) ** (s * (p + i) + t * (q + k))
-                        # a (1, 0) block whose factors are the transposes of its
-                        # (0, 1) twin's adds the conjugate of the twin's value
-                        mirror = s > t and (rows is not None or i == k)
-                        key = (t, s, p != q, gram) if mirror else (s, t, p != q, gram)
-                        products.setdefault(key, ([], []))[mirror].append(((i, k, p, q), sign))
-        for s, t, flip, gram in products:
-            if (gram, s, t) not in fields:  # a coherent column's Gram
-                fields[gram, s, t] = field_gram(gram[0], s, gram[1], t, scaled)
-        self.terms = [(s, t, (rails[s, t, flip], fields[gram, s, t]), targets, mirrored)
+                        # a (1, 0) block adds the conjugate of its (0, 1)
+                        # twin's value, of entry (k, i) for a column field
+                        mirror = s > t
+                        gram = rows is not None and i != k
+                        at = (0, 0) if rows is not None else (k, i) if mirror else (i, k)
+                        key = (min(s, t), max(s, t), p != q, gram)
+                        products.setdefault(key, ([], []))[mirror].append(
+                            ((i, k, p, q), sign, at))
+        self.terms = [(s, t, (rails[s, t, flip],) + ((fields[gram, s, t],) if fields else ()),
+                       targets, mirrored)
                       for (s, t, flip, gram), (targets, mirrored) in products.items()]
 
     def blocks(self, omega_ts):
@@ -672,8 +671,12 @@ class _MapKernel:
     def _block_ops(self, omega_ts):
         # phases[s]: the (kept[s], points) eigenphases of chain s
         phases = np.exp(-1j * np.outer(self.energies, omega_ts))
-        cuts = np.cumsum(self.kept[:-1])
-        phases, right = np.split(phases, cuts), np.split(phases.conj(), cuts)
+        phases = np.split(phases, np.cumsum(self.kept[:-1]))
+        if self.overlaps is None:
+            right = [chain.conj() for chain in phases]
+        else:  # a column field: right[t] = Y^k_t* phi_t*, as (F, K, k, points)
+            right = [y.conj()[..., None] * chain.conj()[:, None, None]
+                     for chain, (_, y) in zip(phases, self.overlaps)]
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
         for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
@@ -684,11 +687,16 @@ class _MapKernel:
                 weight = np.zeros(right[t].shape, dtype=complex)
                 for rows, cols in self.bands:
                     weight[rows] = _dot(product[rows, cols], right[t][cols])
-            value = np.sum(phases[s] * weight, axis=0)
+            if self.overlaps is None:
+                value = np.sum(phases[s] * weight, axis=0)[None, None]
+            else:  # value[i, k] = sum_ac W_c Y^i_s[a, c] phi_s[a] weight[a, c, k]
+                weight *= phases[s][:, None, None]
+                value = np.tensordot(self.overlaps[s][0], weight, axes=2)
+            del weight  # before the next term's is formed
             # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
             for entries, term in ((targets, value), (mirrored, value.conj())):
-                for (i, k, p, q), sign in entries:
-                    ops[:, i, k, p, q] += term if sign > 0 else -term
+                for (i, k, p, q), sign, at in entries:
+                    ops[:, i, k, p, q] += term[at] if sign > 0 else -term[at]
         for i in (0, 1):
             ops[:, i, i, 1, 0] = ops[:, i, i, 0, 1].conj()
         ops[:, 1, 0] = ops[:, 0, 1].conj().swapaxes(-1, -2)
@@ -916,8 +924,11 @@ class FieldFieldWitness:
     the local support each field was written on (4, and 2 at omega0 = 0),
     so the negativity came from a k^2 x k^2 matrix.  ``doubling_error`` is
     the largest entrywise disagreement of the rail Grams at ``ncut`` and
-    twice it.  For a Bell input the qubit purity stays at 1/2 exactly; the
-    field purity is 1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input.
+    twice it.  ``tail_mass``, ``eigensolver``, ``sector_dim``,
+    ``kept_modes``, ``components`` and ``doubled_ncut`` are those of the
+    checked run, as in :class:`OracleTrace`; no CSV writes them.  For a
+    Bell input the qubit purity stays at 1/2 exactly; the field purity is
+    1/2 + |<b(t)|-b(t)>|^2 / 2 for vacuum input.
     """
 
     negativity: np.ndarray
@@ -926,6 +937,12 @@ class FieldFieldWitness:
     support_dim: np.ndarray
     ncut: int
     doubling_error: float
+    tail_mass: float
+    eigensolver: str
+    sector_dim: int
+    kept_modes: tuple
+    components: int
+    doubled_ncut: int
 
 
 def field_field_witness(params, field, bell, omega_ts, trunc=None):
@@ -953,7 +970,9 @@ def field_field_witness(params, field, bell, omega_ts, trunc=None):
         lambda ops: ops.transpose(0, 2, 4, 1, 3).reshape(len(ops), 4, 4),  # G[(k, q), (i, p)]
         lambda grams: _witness_values(grams[:, rails][:, :, rails], rails, c2))
     return FieldFieldWitness(*trace.values, np.full(len(trace.omega_ts), len(rails)),
-                             trace.ncut, trace.doubling_error)
+                             trace.ncut, trace.doubling_error, trace.tail_mass,
+                             trace.eigensolver, trace.sector_dim, trace.kept_modes,
+                             trace.components, trace.doubled_ncut)
 
 
 def _witness_values(grams, rails, c2):

@@ -44,56 +44,35 @@ def _schedule(n, x_max):
     return steps, 2.0 ** math.floor(1023.0 - steps * growth)
 
 
-def _recurrence_scalar(n, x):
-    """(L_n, L_{n-1}, e) at one float x, with the true values L_n(x) 2^e
-    and L_{n-1}(x) 2^e.
+def _recurrence(n, xs):
+    """(L_n, L_{n-1}, e) at an array xs, or at a numpy scalar, with the true
+    values L_n(x) 2^e and L_{n-1}(x) 2^e and one exponent per element.
 
     The step is (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, multiplied by the
-    reciprocal of k+1.  Rescaling by exact powers of two leaves every
-    mantissa bit equal to the unscaled recurrence wherever that stays finite.
+    reciprocal of k+1.  Past its first operation an array's step runs in
+    place, in the buffers of L_{k+1} and of L_{k-1} (no longer needed); a
+    scalar's makes new scalars, each operation rounded as an array's.
+    Rescaling by exact powers of two leaves every mantissa bit equal to the
+    unscaled recurrence wherever that stays finite.
     """
-    if n == 0:
-        return 1.0, 0.0, 0
-    steps, threshold = _schedule(n, abs(x))
-    lkm1, lk, e = 1.0, 1.0 - x, 0
-    for start in range(1, n, steps):
-        big = max(abs(lk), abs(lkm1))
-        if big > threshold:
-            shift = math.frexp(big)[1]
-            lk, lkm1, e = math.ldexp(lk, -shift), math.ldexp(lkm1, -shift), e + shift
-        for k in range(start, min(start + steps, n)):
-            lkm1, lk = lk, ((2 * k + 1 - x) * lk - k * lkm1) * (1.0 / (k + 1))
-    return lk, lkm1, e
-
-
-def _recurrence(n, xs):
-    """:func:`_recurrence_scalar` over an array, with one exponent per element.
-
-    Each step runs the scalar step's operations in the same order, written
-    into the buffer of L_{k-1} (no longer needed) and a work buffer, so no
-    step allocates.
-    """
-    e = np.zeros(xs.shape, dtype=np.int64)
+    e = np.zeros(np.shape(xs), dtype=np.int64)
     if n == 0:
         return np.ones_like(xs), np.zeros_like(xs), e
     steps, threshold = _schedule(n, float(np.max(np.abs(xs), initial=0.0)))
-    lkm1, lk, work = np.ones_like(xs), 1.0 - xs, np.empty_like(xs)
+    lkm1, lk = np.ones_like(xs), 1.0 - xs
     for start in range(1, n, steps):
         big = np.maximum(np.abs(lk), np.abs(lkm1))
         over = big > threshold
         if np.any(over):
-            _, shift = np.frexp(big[over])
-            lk[over] = np.ldexp(lk[over], -shift)
-            lkm1[over] = np.ldexp(lkm1[over], -shift)
-            e[over] += shift
+            shift = np.where(over, np.frexp(big)[1], 0)  # 2^0 leaves the rest exact
+            lk, lkm1, e = np.ldexp(lk, -shift), np.ldexp(lkm1, -shift), e + shift
         for k in range(start, min(start + steps, n)):
-            # L_{k+1} = ((2k+1 - x) L_k - k L_{k-1}) / (k+1)
-            np.subtract(2 * k + 1, xs, out=work)
-            np.multiply(work, lk, out=work)
-            np.multiply(k, lkm1, out=lkm1)
-            np.subtract(work, lkm1, out=work)
-            np.multiply(work, 1.0 / (k + 1), out=work)
-            lkm1, lk, work = lk, work, lkm1
+            work = 2 * k + 1 - xs
+            work *= lk
+            lkm1 *= k
+            work -= lkm1
+            work *= 1.0 / (k + 1)
+            lkm1, lk = lk, work
     return lk, lkm1, e
 
 
@@ -102,32 +81,28 @@ def laguerre_scaled(n, x):
 
     Finite for every finite x, however large |L_n(x)| is; accepts a scalar
     or an array of arguments (a scalar gives a float and an int).  ``n``
-    must be an integer in [0, 10_000].  One argument, alone or in an array,
-    runs the float recurrence: the array recurrence's bits without its
-    per-step overhead.
+    must be an integer in [0, 10_000].
 
     An array runs the recurrence once per distinct argument (0.0 and -0.0
     are one), gathered back into its shape.  Each element's steps and the
     rescaling schedule, set by max|x| alone, are those of the whole array,
-    so every bit is the same.  The sort that finds the distinct arguments
-    is skipped where the array is empty or the recurrence short,
-    n < 8 log2(size): on phase grids of 4001 to 20001 arguments, 71 to
-    84 % of them distinct, it paid for itself from n = 5 to 12 log2(size) on.
+    so every bit is the same, and a scalar takes the same recurrence.  The
+    sort that finds the distinct arguments is skipped where the array holds
+    fewer than two or the recurrence is short, n < 8 log2(size): on phase
+    grids of 4001 to 20001 arguments, 71 to 84 % of them distinct, it paid
+    for itself from n = 5 to 12 log2(size) on.
     """
     n = _check_order(n)
     xs = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(xs)):
         raise ValueError("Laguerre argument must be finite")
-    if xs.size == 1:
-        lk, _, e = _recurrence_scalar(n, xs.item())
-        m, shift = math.frexp(lk)
-        if xs.ndim == 0:
-            return m, e + shift
-        return np.full(xs.shape, m), np.full(xs.shape, e + shift)
-    if not xs.size or n < 8 * math.log2(xs.size):
-        lk, _, e = _recurrence(n, xs)
+    if xs.size < 2 or n < 8 * math.log2(xs.size):
+        # one argument runs as a numpy scalar, without an array's cost per step
+        lk, _, e = _recurrence(n, xs.reshape(-1)[0] if xs.size == 1 else xs)
         m, shift = np.frexp(lk)
-        return m, e + shift
+        if xs.ndim == 0:
+            return float(m), int(e + shift)
+        return np.reshape(m, xs.shape), np.reshape(e + shift, xs.shape)
     # the distinct arguments and the index of each element's, from one sort
     order = xs.ravel().argsort()
     ordered = xs.ravel()[order]

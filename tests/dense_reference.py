@@ -5,7 +5,8 @@ or the F^2 x F^2 field-field state, and ``laguerre_roots`` never forms the
 n x n Jacobi matrix; the tests build all three here and compare the
 library's parity chains, local-support witness and roots against them.
 The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
-odd Fock rows, are formed here as the direct products, and the coherent
+odd Fock rows, are formed here as the direct products, as are the field
+Grams and the maps summed from them, and the coherent
 amplitudes come from their recurrence without the exponent scaling.  The
 basis change of a two-qubit state and the coherent-state overlap, which the
 library does not use, are written out here as references.  The mixture
@@ -58,6 +59,31 @@ def dense_components(field, trunc):
     if isinstance(components, slice):
         components = np.eye(trunc.ncut + 1)[:, components]
     return weights, components, tail
+
+
+def dense_maps(prop, field, omega_ts):
+    """The conditional maps ops[:, i, k, p, q] = M_ik[p, q] on a grid as the
+    dense sums of every chain-pair block, sum_st phi_s' S^st phi_t*, with
+    S^st = s^([p = d] + [i = d]) t^([q = d] + [k = d]) (V_s' X V_t) o
+    (Y^i_s W Y^k_t^H) / 4 formed as direct products over every eigenvector
+    (X = I for p = q, P otherwise, and V_s' V_s = I; Y^u_s = V_s' C, Y^d_s =
+    V_s' P C of the dense (F, K) components C).  At omega0 = 0 the two
+    chains are one."""
+    weights, vecs, _ = dense_components(field, prop.trunc)
+    parity = oracle._parity(prop.fock_dim)
+    modes = [v for _, v in prop.chains]
+    phases = [np.exp(-1j * np.outer(energies, omega_ts)) for energies, _ in prop.chains]
+    overlaps = [(v.T @ vecs, v.T @ (parity[:, None] * vecs)) for v in modes]
+    ops = np.zeros((len(omega_ts), 2, 2, 2, 2), dtype=complex)
+    for i, k, p, q, s, t in np.ndindex(2, 2, 2, 2, 2, 2):
+        if s == t and p == q:  # V_s' V_s = I
+            rail = np.eye(prop.fock_dim)
+        else:
+            rail = (modes[s].T * (parity if p != q else 1.0)) @ modes[t]
+        gram = (overlaps[s][i] * weights) @ overlaps[t][k].conj().T
+        block = (-1) ** (s * (p + i) + t * (q + k)) * rail * gram / 4
+        ops[:, i, k, p, q] += np.sum(phases[s] * (block @ phases[t].conj()), axis=0)
+    return ops
 
 
 def evolved_rails(prop, field, omega_t):

@@ -37,7 +37,8 @@ def test_model_params_and_witness_signature_are_pinned():
     assert list(inspect.signature(degjc.field_field_witness).parameters) == [
         "params", "field", "bell", "omega_ts", "trunc"]
     assert [f.name for f in dataclasses.fields(degjc.FieldFieldWitness)] == [
-        "negativity", "qubit_purity", "field_purity", "support_dim", "ncut", "doubling_error"]
+        "negativity", "qubit_purity", "field_purity", "support_dim", "ncut", "doubling_error",
+        "tail_mass", "eigensolver", "sector_dim", "kept_modes", "components", "doubled_ncut"]
 
 
 def test_readme_library_example_runs(capsys):

@@ -1,14 +1,16 @@
 """Truncated-Fock propagator: invariants and closed-form cross-checks."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 from conftest import wootters
 from dense_reference import (
-    coherent_fock_vector_unscaled, dense_components, dense_modes, evolved_rails,
+    coherent_fock_vector_unscaled, dense_components, dense_maps, dense_modes, evolved_rails,
     field_field_reduced, parity_gram, rail_grams)
 
 from degjc import oracle, specialfn
@@ -99,6 +101,25 @@ def _spin_field_vector(prop, alpha, spin_up):
     if not spin_up:
         psi[f:] = vec
     return psi
+
+
+def test_oracle_never_reads_the_closed_forms():
+    # the oracle is the independent check of the closed forms: its module
+    # imports neither them nor the validation that compares the two, and
+    # names neither anywhere
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert "specialfn" in names  # the parse saw the module's own imports
+    assert not names & {"closedform", "validation"}
 
 
 class TestHamiltonian:
@@ -339,7 +360,7 @@ class TestFieldComponents:
         Coherent(1 + 0.5j)], ids=repr)
     def test_field_type_declares_the_run_and_the_word(self, field, omega0):
         # a slice of Fock rows exactly for the Fock-diagonal fields, a complex
-        # column exactly off the real axis: the 8- or 16-byte word of _run_bytes
+        # column exactly off the real axis; every kernel factor is real
         trunc = TruncationSpec(default_ncut(field, 0.3))
         weights, components, _ = field_components(field, trunc)
         coherent = isinstance(field, Coherent)
@@ -351,8 +372,9 @@ class TestFieldComponents:
         else:
             assert len(range(trunc.ncut + 1)[components]) == len(weights)
         kernel = _MapKernel(build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc), field)
-        # the one factor S at omega0 = 0, else the field Gram of each product
-        assert {factors[-1].dtype.itemsize for _, _, factors, *_ in kernel.terms} == {word}
+        # the one factor S at omega0 = 0, else the rail (and a unit-Fock
+        # field's Gram) of each product: a column's Gram is in the phases
+        assert all(np.isrealobj(a) for _, _, factors, *_ in kernel.terms for a in factors)
 
     def test_thermal_run_holds_no_dense_matrix(self):
         # the doubled run of the README's ESD example, F = 1235 and K = 705:
@@ -517,10 +539,22 @@ class TestMapKernel:
 
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Coherent(1 + 0.5j)], ids=str)
     def test_detuned_maps_match_propagated_components(self, field, rng):
-        # every mirrored (1, 0) block of a unit-Fock field, and the i = k ones
-        # of a coherent field, against the propagated components
+        # every mirrored (1, 0) block against the propagated components
         self._check_propagated_components(ModelParams(0.4, omega0=0.7), field,
                                           rng.uniform(0.0, 2 * PI, size=3))
+
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("field", [Coherent(1.5), Coherent(1 + 0.5j), Coherent(0.5j)],
+                             ids=str)
+    def test_coherent_maps_fold_the_gram_into_the_phases(self, field, omega0, rng):
+        # the folded maps against the propagated components and against the
+        # dense sums of the blocks S^st, whose field Grams the kernel never forms
+        params, grid = ModelParams(0.4, omega0=omega0), rng.uniform(0.0, 2 * PI, size=3)
+        self._check_propagated_components(params, field, grid)
+        prop = build_hamiltonian(params, TruncationSpec(default_ncut(field, 0.4)))
+        ops, _ = _maps(prop, field, grid)
+        dense = dense_maps(prop, field, grid)
+        assert np.max(np.abs(ops - dense)) <= 1e-13 * np.max(np.abs(dense))
 
     def test_long_grid_is_evaluated_in_bounded_blocks(self, monkeypatch):
         field = Thermal(2.0)
@@ -542,24 +576,19 @@ class TestMapKernel:
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Thermal(2.0)], ids=str)
-    def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0, monkeypatch):
+    def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0):
         # sliced overlaps, the signed Gram and the shared products against
-        # the general path, which multiplies V' C and V' P C of the dense
-        # reference components np.eye(F)[:, rows]; at omega0 = 0
-        # a mixture's sliced factor mirrors its upper triangle, which the
-        # general path forms below the diagonal from its own products, and
-        # at omega0 != 0 the sliced Grams sum the even and odd Fock rows
-        # apart and mirror the (1, 0) blocks the general path forms
+        # the dense sums of every chain-pair block over the dense reference
+        # components np.eye(F)[:, rows]: at omega0 = 0 a mixture's sliced
+        # factor mirrors its upper triangle, and at omega0 != 0 the sliced
+        # Grams sum the even and odd Fock rows apart and every (1, 0) block
+        # is mirrored
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
         (sliced,) = _MapKernel(prop, field).blocks(grid)
-        monkeypatch.setattr(oracle, "field_components", dense_components)
-        (general,) = _MapKernel(prop, field).blocks(grid)
-        if isinstance(field, Thermal) or omega0:
-            assert np.max(np.abs(sliced - general)) <= 1e-15 * np.max(np.abs(general))
-        else:
-            assert np.array_equal(sliced, general)
+        dense = dense_maps(prop, field, grid)
+        assert np.max(np.abs(sliced - dense)) <= 1e-15 * np.max(np.abs(dense))
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
@@ -596,10 +625,6 @@ class TestMapKernel:
             (v,) = modes
             vpv = parity_gram(v)
         fields = [Vacuum(), Number(5), Thermal(25.0), Coherent(1 + 0.5j), Coherent(0.5j)]
-        if omega0 and f > 1000:
-            # a complex kernel off omega0 = 0 holds about 30 F^2 words, 370 MB
-            # here, and its rail factors do not depend on the field
-            fields = fields[:3]
 
         def check(got, expected):
             error = np.subtract(got, expected)
@@ -609,14 +634,15 @@ class TestMapKernel:
             kernel = _MapKernel(prop, field)
             weights, vecs, _ = dense_components(field, trunc)
             if omega0:
-                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each product's two
-                # factors against the rail Gram and the direct field Gram (for a
-                # unit-Fock field, Y^u_s W P^(i + k) Y^u_t' from its even and odd
-                # Fock rows), and each mirrored (t, s) block against S^st^H.  A
-                # unit-Fock field keeps the columns of each chain that span its
-                # eigenvectors nonzero on the run: the factors are the kept
-                # block, and the direct Gram is exactly 0 in every dropped row
-                # and column
+                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each product's
+                # factors against the rail Gram and, for a unit-Fock field, the
+                # direct field Gram (Y^u_s W P^(i + k) Y^u_t' from its even and
+                # odd Fock rows), and each mirrored (t, s) block against
+                # S^st^H; a coherent column's products take the rail Gram
+                # alone.  A unit-Fock field keeps the columns of each chain
+                # that span its eigenvectors nonzero on the run: the factors
+                # are the kept block, and the direct Gram is exactly 0 in every
+                # dropped row and column
                 y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs))
                      for v in modes]
                 spans = [slice(0, f)] * 2
@@ -638,20 +664,22 @@ class TestMapKernel:
                     return direct[s, t, i, k]
 
                 held, got = {}, {}
-                for s, t, (rail, gram), targets, mirrored in kernel.terms:
-                    (i, k, p, q), _ = targets[0]
+                for s, t, (rail, *gram), targets, mirrored in kernel.terms:
+                    (i, k, p, q), _, _ = targets[0]
                     got[s, t, p != q] = rail
-                    held[id(gram)] = gram, direct_gram(s, t, i, k)
-                    if mirrored:  # each mirrored entry takes the same block
-                        (i, k, p, q), _ = mirrored[0]
-                        check((rail * gram).conj().T, rails[t, s, p != q][spans[t], spans[s]]
+                    assert len(gram) == (not isinstance(field, Coherent)), field
+                    if gram:
+                        held[id(gram[0])] = gram[0], direct_gram(s, t, i, k)
+                    if mirrored and gram:  # each mirrored entry takes the same block
+                        (i, k, p, q), _, _ = mirrored[0]
+                        check((rail * gram[0]).conj().T, rails[t, s, p != q][spans[t], spans[s]]
                               * direct_gram(t, s, i, k))
                 for (s, t, flip), rail in got.items():
                     check(rail, rails[s, t, flip][spans[s], spans[t]])
-                # a unit-Fock field forms six split Grams and mirrors every
-                # (1, 0) block; a coherent one forms ten and mirrors those of
-                # M_uu and M_dd
-                assert len(held) == (10 if isinstance(field, Coherent) else 6), field
+                # a unit-Fock field forms six split Grams, a coherent one none:
+                # its four products are the four rail Grams
+                assert len(held) == (0 if isinstance(field, Coherent) else 6), field
+                assert len(got) == 4, field
                 for gram, expected in held.values():
                     check(gram, expected)
                 del y, direct, held
@@ -659,18 +687,20 @@ class TestMapKernel:
                 gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
                     v.T, parity[:, None] * vecs).conj().T
                 ((_, _, (factor,), *_),) = kernel.terms
-                assert np.iscomplexobj(factor) == np.iscomplexobj(vecs)
-                if not isinstance(field, Coherent):  # G = Y W P_j Y' is symmetric, so is S
-                    assert np.array_equal(factor, factor.T), field
+                # S = V' P V o G for unit Fock components, whose G = Y W P_j Y'
+                # is symmetric, and V' P V for a column, whose G is folded
+                # into the phases
+                assert np.isrealobj(factor) and np.array_equal(factor, factor.T), field
                 if beta == 0.0:
                     assert np.array_equal(factor, np.diag(factor.diagonal())), field
-                check(factor, vpv * gram)
+                check(factor, vpv if isinstance(field, Coherent) else vpv * gram)
             del kernel
 
     @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
     def test_factor_finds_supports_in_any_column_order(self, field, rng):
         # the eigenvectors in a random order, so the Fock rows each chunk
         # reaches are neither monotone nor banded: S still matches V' P V o G
+        # (V' P V for a coherent column, whose G is folded into the phases)
         trunc = TruncationSpec(617)
         ((energies, v),) = build_hamiltonian(ModelParams(0.1), trunc).distinct_chains
         order = rng.permutation(len(energies))
@@ -681,14 +711,16 @@ class TestMapKernel:
         weights, vecs, _ = dense_components(field, trunc)
         parity = oracle._parity(len(v))[:, None]
         gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
-        expected = parity_gram(v) * gram
+        expected = parity_gram(v) if isinstance(field, Coherent) else parity_gram(v) * gram
         assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
 
     @staticmethod
     def _check_banded_blocks(prop, field):
         """The omega0 = 0 kernel's M_ud[u, d] on a grid against the dense
-        sum_ab phi_a S_ab phi_b* with S = (V' P V) o G formed densely; the
-        kernel, and the dense S for the caller's own checks."""
+        sum_ab phi_a S_ab phi_b* with S = (V' P V) o G formed densely, and its
+        factor against S (V' P V for a coherent column, whose G the kernel
+        folds into the phases); the kernel, and the dense S for the
+        caller's own checks."""
         ((energies, v),) = prop.distinct_chains
         weights, vecs, _ = dense_components(field, prop.trunc)
         parity = oracle._parity(len(v))[:, None]
@@ -702,6 +734,9 @@ class TestMapKernel:
         (ops,) = kernel.blocks(grid)
         error = np.max(np.abs(ops[:, 0, 1, 0, 1] - expected))
         assert error <= 1e-13 * np.max(np.abs(expected)), field
+        ((_, _, (factor,), *_),) = kernel.terms
+        held = parity_gram(v) if isinstance(field, Coherent) else dense
+        assert np.max(np.abs(factor - held)) <= 1e-13 * np.max(np.abs(held)), field
         return kernel, dense
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
@@ -754,14 +789,15 @@ class TestMapKernel:
     @pytest.mark.parametrize(
         "field, omega0, products",
         [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
-         (Thermal(2.0), 0.7, 8), (Coherent(1 + 0.5j), 0.7, 14)],
+         (Thermal(2.0), 0.7, 8), (Coherent(1 + 0.5j), 0.7, 4)],
         ids=str,
     )
-    def test_entries_share_products(self, field, omega0, products):
+    def test_entries_share_products(self, field, omega0, products, monkeypatch):
         # 28 signed block terms at omega0 != 0; for a unit-Fock field M_dd
-        # takes every product of M_uu, and each (1, 0) block whose factors
-        # are its (0, 1) twin's transposed (every one of a unit-Fock field,
-        # the i = k ones of a coherent field) is mirrored, not multiplied
+        # takes every product of M_uu, every (1, 0) block is mirrored, not
+        # multiplied, and a coherent field's products are its rail Grams,
+        # each taking both of its overlaps at once (double width off
+        # omega0 = 0)
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         kernel = _MapKernel(prop, field)
@@ -772,6 +808,27 @@ class TestMapKernel:
         modes = [v for _, v in prop.distinct_chains]
         factors = [a for _, _, pair, *_ in kernel.terms for a in pair]
         assert not any(np.shares_memory(a, v) for a in factors for v in modes)
+        # one product of a factor per term and phase block
+        grid = np.linspace(0.0, 2 * PI, 7)
+        shapes = []
+        dot = oracle._dot
+
+        def spy(a, b):
+            shapes.append((a.shape, b.size))
+            return dot(a, b)
+
+        monkeypatch.setattr(oracle, "_dot", spy)
+        kernel._block_ops(grid)
+        f = prop.fock_dim
+        width = 2 if isinstance(field, Coherent) and omega0 else 1
+        products_of_factors = [size for shape, size in shapes if shape[0] > 2]
+        assert len(products_of_factors) == products
+        if isinstance(field, Coherent):
+            assert products_of_factors == [width * f * len(grid)] * products
+            # the factors do not depend on the coherent amplitude
+            other = _MapKernel(prop, Coherent(-0.3j))
+            assert all(np.array_equal(a, b) for (*_, x, _, _), (*_, y, _, _) in zip(
+                kernel.terms, other.terms) for a, b in zip(x, y))
 
 
 class TestTrimmedChains:
@@ -787,9 +844,10 @@ class TestTrimmedChains:
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     def test_trimmed_maps_match_the_untrimmed_sums(self, solver, monkeypatch):
         # thermal(5) at the doubled cutoff of the detuned workload, ncut 312
-        # and K = 152: the general path multiplies V' C of the dense (F, K)
-        # components, so it sums sum_st phi_s' S^st phi_t* over every
-        # eigenvector of both chains
+        # and K = 152: the column path multiplies V' C of the dense (F, K)
+        # components and folds them into the phases, so it sums sum_st
+        # phi_s' S^st phi_t* over every eigenvector of both chains, in
+        # blocks of fewer points
         if solver == "eigh":
             monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         elif specialfn._lapack_dstevd() is None:
@@ -804,7 +862,7 @@ class TestTrimmedChains:
         assert trace.eigensolver == solver
         assert trace.components == 152 and max(trace.kept_modes) < trace.sector_dim
         monkeypatch.setattr(oracle, "field_components", dense_components)
-        (untrimmed,) = _MapKernel(prop, field).blocks(grid)
+        untrimmed = np.concatenate(list(_MapKernel(prop, field).blocks(grid)))
         assert np.max(np.abs(trimmed - untrimmed)) <= 1e-13 * np.max(np.abs(untrimmed))
 
     def test_uncoupled_number_state_keeps_one_eigenvector_per_chain(self):
@@ -839,22 +897,15 @@ class TestTrimmedChains:
         assert trace.kept_modes == (trace.sector_dim,)
 
     def test_witness_on_trimmed_chains(self, monkeypatch):
-        # number(5) at ncut 62 keeps 90-92 % of each chain; the witness
-        # matches the untrimmed general path
+        # number(5) at ncut 62 keeps 90-92 % of each chain, as the witness
+        # records; it matches the untrimmed column path
         params, field, trunc = ModelParams(0.5, omega0=0.7), Number(5), TruncationSpec(62)
         grid = np.linspace(0.0, 3.0, 5)
-        traces = []
-        checked_run = oracle._checked_run
-
-        def spy(*args):
-            traces.append(checked_run(*args))
-            return traces[-1]
-
-        monkeypatch.setattr(oracle, "_checked_run", spy)
         witness = field_field_witness(params, field, BellState.PHI_PLUS, grid, trunc)
-        ((trace,),) = [traces]
-        assert trace.sector_dim == 63
-        assert all(0.85 * 63 <= kept < 63 for kept in trace.kept_modes), trace.kept_modes
+        assert witness.sector_dim == 63 and witness.doubled_ncut == 124
+        assert witness.components == 1 and witness.tail_mass == 0.0
+        assert witness.eigensolver in ("dstevd", "eigh")
+        assert all(0.85 * 63 <= kept < 63 for kept in witness.kept_modes), witness.kept_modes
         assert np.max(witness.negativity) > 0.1
         monkeypatch.setattr(oracle, "field_components", dense_components)
         untrimmed = field_field_witness(params, field, BellState.PHI_PLUS, grid, trunc)
@@ -1341,6 +1392,27 @@ class TestMemoryBudget:
         f = trunc.doubled().ncut + 1
         assert f == 1235
         assert self._peak(params, field, trunc) <= 2.15 * 8 * f * f
+
+    def test_coherent_run_holds_no_field_gram(self, monkeypatch):
+        # Coherent(12 + 5j) at beta = 0.5 and omega0 = 0.7, F = 292, on 257
+        # points in small phase blocks: the eigenvectors and the four real
+        # rail Grams, about 6 F^2 words (ten complex field Grams and their
+        # products took 29)
+        monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
+        params, field = ModelParams(0.5, omega0=0.7), Coherent(12 + 5j)
+        trunc, grid = TruncationSpec(291), np.linspace(0.0, 2 * PI, 257)
+
+        def run():
+            oracle._run(params, field, grid, trunc, lambda ops: ops.reshape(len(ops), 4, 4))
+
+        run()  # modules imported on a first call are not the oracle's memory
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak <= oracle._run_bytes(params, field, trunc)
+        assert peak <= oracle._trace_bytes(params, field, trunc)
+        assert peak < 16 * 8 * 292**2
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize(
