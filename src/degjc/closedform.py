@@ -16,7 +16,8 @@ All functions accept scalar or array ``omega_t`` and are pure;
 computes on an array of phases and reshapes its result once, so one phase
 gives a numpy scalar with the bits of the matching grid element.  A NaN or
 infinite ``beta``, ``nbar`` or ``omega_t`` raises ``ValueError``, and so
-does a finite pair whose exponent bound 16 (1 + 2 nbar) beta^2 overflows.
+do a complex-typed ``beta`` or ``omega_t`` and a finite pair whose
+exponent bound 16 (1 + 2 nbar) beta^2 overflows.
 Number-state laws, exp(-p x/2) L_N(x)^p with x = 4 beta^2 |gamma|^2 and
 p = 1 or 2, are bounded by 1 although L_N(x) alone may leave the float
 range and exp(-x/2) alone may underflow; there the binary exponent of the
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from .model import BellState, Coherent, Number, Thermal, Vacuum
-from .specialfn import laguerre_scaled
+from .specialfn import _real_array, laguerre_scaled
 
 _LN2 = math.log(2.0)
 _TINY = np.finfo(float).tiny
@@ -39,9 +40,10 @@ def _check_inputs(beta, omega_t, nbar=0.0):
     """The closed forms' shared argument check: ``nbar`` and every
     ``beta`` finite and >= 0, every ``omega_t`` finite, and every
     16 (1 + 2 nbar) beta^2, the largest exponent any law forms, finite.
-    Returns the phases as a float array of at least one dimension and the
-    shape of the result, that of ``beta`` and ``omega_t`` broadcast."""
-    b = np.asarray(beta)
+    A complex-typed ``beta`` or ``omega_t`` raises ValueError.  Returns the
+    phases as a float array of at least one dimension and the shape of the
+    result, that of ``beta`` and ``omega_t`` broadcast."""
+    b = _real_array(beta, "beta")
     hi = float(b.max(initial=0.0))  # a Python float: overflow gives inf, no warning
     if not (b.min(initial=math.inf) >= 0 and math.isfinite(hi)):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
@@ -49,7 +51,7 @@ def _check_inputs(beta, omega_t, nbar=0.0):
         raise ValueError(f"thermal occupation must be finite and >= 0, got {nbar!r}")
     if not math.isfinite(16.0 * (1.0 + 2.0 * float(nbar)) * (hi * hi)):
         raise ValueError(f"16 (1 + 2 nbar) beta^2 overflows (beta={beta!r}, nbar={nbar!r})")
-    wt = np.asarray(omega_t, dtype=float)
+    wt = _real_array(omega_t, "omega_t")
     if not np.isfinite(wt).all():
         raise ValueError("omega_t must be finite")
     return np.atleast_1d(wt), np.broadcast(b, wt).shape
@@ -188,7 +190,7 @@ def concurrence_at_half_period(field, beta):
     with ``concurrence_closed`` at omega_t = pi because |gamma(pi)|^2 == 4.
     """
     # a scalar beta stays a scalar, whose beta**2 has the bits of a float's
-    beta = np.asarray(beta, dtype=float)[()]
+    beta = _real_array(beta, "beta")[()]
     return concurrence_closed(BellState.PHI_PLUS, field, beta, math.pi)
 
 

@@ -48,7 +48,7 @@ from .model import (
     validate_density_matrices,
 )
 from . import specialfn
-from .specialfn import _amplitude, _tridiagonal_eigh, thermal_weights
+from .specialfn import _amplitude, _real_array, _tridiagonal_eigh, thermal_weights
 
 _TAIL_TOL = 1e-10  # default truncated probability mass of a field's decomposition
 _CONVERGENCE_TOL = 1e-8  # default cutoff-doubling and phase-roundoff tolerance
@@ -146,16 +146,16 @@ def _run_bytes(params, field, spec):
     A run holds the eigenvectors of its chains and the real
     :class:`_MapKernel` factors: at omega0 = 0 the one factor S (each chunk
     of rows forms its 2 E in place there) and, per chunk, its rows of the
-    field Gram with their weighted overlaps and the even rows of the
-    eigenvectors they multiply, copied a panel of columns at a time (each
-    at most an eighth of an F x F array from F = 1024 on, where a chunk is
-    F // 8 rows, and at most ``_PHASE_BLOCK_BYTES`` below; the estimate
-    allows half an F x F array for them: an upper bound for any
-    eigenvectors); otherwise four rail Gram matrices (E_01, O_01 and their
-    sum coexist while the cross pair is formed) and, for a unit-Fock field,
-    six field Grams and one product (while its last chain pair is formed,
-    the four Grams held coexist with its even- and odd-row halves and
-    their sum).  A coherent field's Gram is folded into the phases.  These
+    field Gram with their weighted overlaps (at most an eighth of an F x F
+    array from F = 1024 on, where a chunk is F // 8 rows, and at most
+    ``_PHASE_BLOCK_BYTES`` below) and one copy of the even rows of the
+    eigenvectors of its window (the estimate allows half an F x F array
+    for it: an upper bound for any eigenvectors); otherwise four rail Gram
+    matrices (E_01, O_01 and their sum coexist while the cross pair is
+    formed) and, for a unit-Fock field, six field Grams and one product
+    (while its last chain pair is formed, the four Grams held coexist with
+    its even- and odd-row halves and their sum).  A coherent field's Gram
+    is folded into the phases.  These
     are F x F: which eigenvectors a unit-Fock field's kernel keeps is known
     only after the eigensolve, so the untrimmed chains bound it.  The K
     mixture components add a few F x K arrays, vectors of length F a few
@@ -286,9 +286,10 @@ def _dot(a, b):
 
 
 def _finite_phases(omega_ts, ndim):
-    """``omega_ts`` as a float array; ValueError unless it has ``ndim``
-    dimensions (0 for one phase, 1 for a grid) and every phase is finite."""
-    omega_ts = np.asarray(omega_ts, dtype=float)
+    """``omega_ts`` as a float array; ValueError unless it is real, has
+    ``ndim`` dimensions (0 for one phase, 1 for a grid) and every phase is
+    finite."""
+    omega_ts = _real_array(omega_ts, "phase w t")
     if omega_ts.ndim != ndim:
         what = "a one-dimensional grid" if ndim else "one number"
         raise ValueError(f"phase w t must be {what}, got shape {omega_ts.shape}")
@@ -429,9 +430,8 @@ def field_components(field, trunc):
 # omega0 = 0 factor is formed in chunks of max(F // 8, 128) rows, at most
 # this many bytes of (rows x F) real entries: each chunk's rows of
 # 2 E = 2 V_e' V_e (V_e the even Fock rows of the eigenvectors) go straight
-# into S, its rows of the field Gram take one array of at most that shape,
-# and the even rows it multiplies, copied a panel of columns at a time, at
-# most half of one.
+# into S and its rows of the field Gram take one array of at most that
+# shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 # Points per measured block, after the kernel is released: the witness
@@ -512,10 +512,11 @@ class _MapKernel:
     takes the full products.  ``bands`` keeps each chunk's rows and the
     range of columns they reach, so a phase block multiplies only
     S[rows, cols] by the phases of those columns, one product per chunk;
-    the chunk copies the even rows of its window before BLAS reads them,
-    so the eigenvectors may come in either layout.  The factors are built
-    once per eigensolve and share no memory with the eigenvectors; a grid
-    is evaluated in blocks of ``block`` points, one matrix product per
+    the chunk copies the even rows of its window once before BLAS reads
+    them, so the eigenvectors may come in either layout.  Off omega0 = 0
+    ``bands`` is one band that covers each factor whole.  The factors are
+    built once per eigensolve and share no memory with the eigenvectors; a
+    grid is evaluated in blocks of ``block`` points, one matrix product per
     distinct factor (per chunk of S) and block of points.
     """
 
@@ -558,7 +559,6 @@ class _MapKernel:
         f = prop.fock_dim
 
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
-        self.bands = None
         if one:
             (v,) = modes
             self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
@@ -585,38 +585,30 @@ class _MapKernel:
                 stop = max(int(reach[-1]) + 1, end)
                 self.bands.append((top, slice(int(reach[0]), stop)))
                 # numpy multiplies step-2 rows of a column-major array without
-                # BLAS: the window's even rows are copied, a panel of columns
-                # (at most half a chunk's entries) at a time
-                even = v[lo + lo % 2:hi:2]
-                width = max(step, step * f // (2 * max(len(even), 1)))
-                for at in range(start, stop, width):
-                    panel = slice(at, min(at + width, stop))
-                    block = np.array(even[:, panel])
-                    if at == start:
-                        left = block[:, :end - start]
-                    upper = factor[top, panel]  # 2 E, then S, in place
-                    np.matmul(left.T, block, out=upper)
-                    upper *= 2.0
-                    if rows is not None:
-                        # rows top, columns panel of G = Y^u W P_j Y^u', summed
-                        # over the components in Fock rows fock of the run,
-                        # outside which eigenvectors top are zero
-                        c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
-                        gram = (y[0][top, c] * (weights[c] * signs[c])) @ y[0][panel, c].T
-                        upper *= gram
-                        if at == start:
-                            diagonal[top] -= gram.diagonal()
-                        del gram
-                    del block
+                # BLAS: the window's even rows are copied, columns start to stop
+                even = np.array(v[lo + lo % 2:hi:2, start:stop])
+                upper = factor[top, start:stop]  # 2 E, then S, in place
+                np.matmul(even[:, :end - start].T, even, out=upper)
+                upper *= 2.0
                 if rows is None:  # a column's G is folded into the phases: S = 2 E - I
                     diagonal[top] -= 1.0
+                else:
+                    # rows top, columns start to stop of G = Y^u W P_j Y^u',
+                    # summed over the components in Fock rows fock of the run,
+                    # outside which eigenvectors top are zero
+                    c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
+                    gram = (y[0][top, c] * (weights[c] * signs[c])) @ y[0][start:stop, c].T
+                    upper *= gram
+                    diagonal[top] -= gram.diagonal()
+                    del gram
                 # S is symmetric: mirror the rows' upper triangle
                 square = factor[top, top]
                 np.copyto(square, square.T, where=below[:end - start, :end - start])
                 factor[end:stop, top] = factor[top, end:stop].T
-                del even, left
+                del even
             self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1, (0, 0))], [])]
             return
+        self.bands = [(slice(None), slice(None))]  # each factor whole
         even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
         cross = even[0].T @ even[1]
         odd = modes[0][1::2].T @ modes[1][1::2]
@@ -681,18 +673,19 @@ class _MapKernel:
         for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
             product = functools.reduce(np.multiply, factors)
-            if self.bands is None:
-                weight = _dot(product, right[t])
-            else:  # S, row chunk by row chunk over the columns they reach
-                weight = np.zeros(right[t].shape, dtype=complex)
-                for rows, cols in self.bands:
-                    weight[rows] = _dot(product[rows, cols], right[t][cols])
+            # row chunk by row chunk of the real factor over the columns they
+            # reach, each a real product on the (re, im) pairs of right[t]
+            # written in place
+            weight = np.zeros((len(product),) + right[t].shape[1:], dtype=complex)
+            pairs, out = (x.reshape(len(x), -1).view(float) for x in (right[t], weight))
+            for rows, cols in self.bands:
+                np.matmul(product[rows, cols], pairs[cols], out=out[rows])
             if self.overlaps is None:
                 value = np.sum(phases[s] * weight, axis=0)[None, None]
             else:  # value[i, k] = sum_ac W_c Y^i_s[a, c] phi_s[a] weight[a, c, k]
                 weight *= phases[s][:, None, None]
                 value = np.tensordot(self.overlaps[s][0], weight, axes=2)
-            del weight  # before the next term's is formed
+            del weight, out  # before the next term's is formed
             # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
             for entries, term in ((targets, value), (mirrored, value.conj())):
                 for (i, k, p, q), sign, at in entries:

@@ -23,6 +23,14 @@ MAX_LAGUERRE_ORDER = 10_000
 _HEADROOM_BITS = 511
 
 
+def _real_array(x, name):
+    """``x`` as a float array; ValueError naming it for a complex-typed ``x``,
+    scalar or array, which the conversion would cut to its real part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, got {x!r}")
+    return np.asarray(x, dtype=float)
+
+
 def _check_order(n):
     if n != int(n) or n < 0:
         raise ValueError(f"Laguerre order must be a nonnegative integer, got {n!r}")
@@ -80,8 +88,9 @@ def laguerre_scaled(n, x):
     """L_n(x) = m 2^e as ``(m, e)``, with |m| in [1/2, 1) or m = 0.
 
     Finite for every finite x, however large |L_n(x)| is; accepts a scalar
-    or an array of arguments (a scalar gives a float and an int).  ``n``
-    must be an integer in [0, 10_000].
+    or an array of real arguments (a scalar gives a float and an int).
+    ``n`` must be an integer in [0, 10_000]; a complex-typed ``x`` raises
+    ValueError.
 
     An array runs the recurrence once per distinct argument (0.0 and -0.0
     are one), gathered back into its shape.  Each element's steps and the
@@ -93,7 +102,7 @@ def laguerre_scaled(n, x):
     for itself from n = 5 to 12 log2(size) on.
     """
     n = _check_order(n)
-    xs = np.asarray(x, dtype=np.float64)
+    xs = _real_array(x, "Laguerre argument")
     if not np.all(np.isfinite(xs)):
         raise ValueError("Laguerre argument must be finite")
     if xs.size < 2 or n < 8 * math.log2(xs.size):

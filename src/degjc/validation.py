@@ -55,10 +55,10 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
 
     ``field`` and ``beta`` replace the oracle grid's fields and couplings,
     ``steps`` its number of phases (and caps the 17 of the sudden-death
-    grid), ``ncut`` the cutoff of every oracle run; ``tolerance`` is the
-    oracle agreement tolerance.  ValueError for ``steps`` below 3: a
-    2-point grid holds only the revival phases 0 and 2 pi, where no
-    sudden death can show.
+    grid) and ``ncut`` its cutoff; the sudden-death and witness runs keep
+    their default cutoffs.  ``tolerance`` is the oracle agreement
+    tolerance.  ValueError for ``steps`` below 3: a 2-point grid holds
+    only the revival phases 0 and 2 pi, where no sudden death can show.
     """
     if steps is not None and steps < 3:
         raise ValueError(f"validate needs --steps >= 3, got {steps}: a 2-point grid "
@@ -158,9 +158,7 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     for b, nbar in ((0.1, 25.0), (0.1, 2.0), (0.5, 2.0), (0.25, 1.0)):
         closed = np.asarray(esd_concurrence_closed(b, nbar, esd_grid))
         trace = concurrence_trace(
-            ModelParams(b), Thermal(nbar), mixture, esd_grid,
-            trunc=truncation(Thermal(nbar), b, ncut), convergence_tol=conv_tol,
-        )
+            ModelParams(b), Thermal(nbar), mixture, esd_grid, convergence_tol=conv_tol)
         err = float(np.max(np.abs(trace.values - closed)))
         rows.append(CheckRow(f"esd-oracle-agreement:beta={b:g}:nbar={nbar:g}", err, tolerance))
         should_die = 16.0 * (1.0 + 2.0 * nbar) * b**2 >= math.log(3.0)
@@ -179,8 +177,8 @@ def validation_rows(field=None, beta=None, steps=None, ncut=None, tolerance=1e-7
     # Field-field separability witness and its harness control.
     sep_grid = np.linspace(0.0, 2.0 * math.pi, 9)
     err = max(
-        float(np.max(field_field_witness(
-            ModelParams(b), f, BellState.PHI_PLUS, sep_grid, truncation(f, b, ncut)).negativity))
+        float(np.max(
+            field_field_witness(ModelParams(b), f, BellState.PHI_PLUS, sep_grid).negativity))
         for f in (Vacuum(), Number(1))
         for b in (0.3, 0.75)
     )

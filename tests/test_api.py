@@ -6,6 +6,9 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import degjc
 
 PUBLIC = [
@@ -51,3 +54,28 @@ def test_readme_library_example_runs(capsys):
     assert float(kappa_line) <= 1e-14
     error, ncut, doubling = trace_line.split()
     assert float(error) <= 1e-8 and int(ncut) > 0 and float(doubling) <= 1e-8
+
+
+PHI_PLUS = degjc.BellState.PHI_PLUS
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda z: degjc.concurrence_closed(PHI_PLUS, degjc.Vacuum(), z, 1.0), "beta"),
+    (lambda z: degjc.concurrence_closed(PHI_PLUS, degjc.Vacuum(), 0.5, z), "omega_t"),
+    (lambda z: degjc.concurrence_at_half_period(degjc.Number(3), z), "beta"),
+    (lambda z: degjc.laguerre_scaled(3, z), "Laguerre argument"),
+    (lambda z: degjc.concurrence_trace(
+        degjc.ModelParams(0.3), degjc.Vacuum(),
+        degjc.make_bell(PHI_PLUS, degjc.QubitBasis.SIGMA_X), np.atleast_1d(z)), "phase w t"),
+    (lambda z: degjc.field_field_witness(
+        degjc.ModelParams(0.3), degjc.Vacuum(), PHI_PLUS, np.atleast_1d(z)), "phase w t"),
+], ids=["beta", "omega_t", "half-period", "laguerre", "oracle", "witness"])
+@pytest.mark.parametrize("value", [
+    np.array([0.5, 0.5j]), 0.5j, complex(0.5), np.array([1.0, 2.0], dtype=complex)],
+    ids=["array", "scalar", "real-scalar", "real-array"])
+def test_complex_inputs_rejected(call, name, value, no_allocation):
+    # a float conversion would cut them to their real part: a concurrence
+    # above 1 at beta = 0.5j, or the phase 0 at w t = 1j; the oracle
+    # rejects them before allocating
+    with pytest.raises(ValueError, match=f"^{name} must be real"):
+        call(value)

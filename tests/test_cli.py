@@ -647,6 +647,21 @@ def test_readme_flag_lists_match_the_parser(capsys):
         assert flags | common == subparser_options(scenario, capsys), scenario
 
 
+def test_readme_strong_coupling_list(tmp_path, capsys):
+    # each command of the README's list fails its cutoff-doubling check at
+    # the default cutoff the README names and passes at the --ncut it gives
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("given after it passes:\n", 1)[1].split("\n\n", 1)[0]
+    items = re.findall(r"^- `([^`]+)`\s+\(\S+ at\s+ncut (\d+)\):\s+`--ncut (\d+)`", block, re.M)
+    assert len(items) == 6
+    out = str(tmp_path / "x.csv")
+    for command, default, ncut in items:
+        argv = command.split()
+        assert main(argv + ["--out", out]) == 3, command
+        assert f"(ncut={default}); raise ncut" in capsys.readouterr().err, command
+        assert main(argv + ["--ncut", ncut, "--out", out]) == 0, command
+
+
 class TestInputThatWouldDoNothing:
     """Input that would print inf, fail under a name the user never gave,
     or change no output exits 2 with a message that names its flag."""
@@ -1195,6 +1210,18 @@ class TestValidate:
         _, _, rows = read_csv(out)
         failed = [r for r in rows if r[3] == "false"]
         assert failed  # harness detects breaches instead of passing silently
+
+    def test_ncut_sets_only_the_oracle_grid_cutoff(self, tmp_path):
+        # the sudden-death and witness runs keep their default cutoffs, so
+        # ncut 65, which the number(5) grid at beta = 2 needs, leaves their
+        # rows as in the default report (the thermal(25) runs need 588)
+        narrowed, default = tmp_path / "narrowed.csv", tmp_path / "default.csv"
+        argv = ["validate", "--beta", "2", "--field", "number:n=5", "--ncut", "65"]
+        assert main(argv + ["--out", str(narrowed)]) == 0
+        assert main(["validate", "--out", str(default)]) == 0
+        kept = [[row for row in read_csv(path)[2] if row[0].startswith(("esd-", "field-field"))]
+                for path in (narrowed, default)]
+        assert len(kept[0]) == 9 and kept[0] == kept[1]
 
     def test_truncation_forced_small(self, tmp_path):
         rc = main([

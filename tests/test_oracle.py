@@ -811,14 +811,19 @@ class TestMapKernel:
         # one product of a factor per term and phase block
         grid = np.linspace(0.0, 2 * PI, 7)
         shapes = []
-        dot = oracle._dot
 
-        def spy(a, b):
-            shapes.append((a.shape, b.size))
-            return dot(a, b)
+        class Numpy:  # numpy, with a spy on the kernel's matrix products
+            def __getattr__(self, name):
+                return getattr(np, name)
 
-        monkeypatch.setattr(oracle, "_dot", spy)
+            @staticmethod
+            def matmul(a, b, **kwargs):
+                shapes.append((a.shape, b.size // 2))  # b holds (re, im) pairs
+                return np.matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(oracle, "np", Numpy())
         kernel._block_ops(grid)
+        monkeypatch.undo()
         f = prop.fock_dim
         width = 2 if isinstance(field, Coherent) and omega0 else 1
         products_of_factors = [size for shape, size in shapes if shape[0] > 2]
@@ -1413,6 +1418,34 @@ class TestMemoryBudget:
         assert peak <= oracle._run_bytes(params, field, trunc)
         assert peak <= oracle._trace_bytes(params, field, trunc)
         assert peak < 16 * 8 * 292**2
+
+    @pytest.mark.parametrize("field", [Thermal(5.0), Coherent(1 + 0.5j)], ids=str)
+    def test_dense_eigenvectors_within_estimate(self, field, rng, monkeypatch):
+        # a dense random orthogonal V at omega0 = 0, F = 601: no eigenvector
+        # has an exact zero, so every chunk copies the even rows of the
+        # whole window, the worst case of those copies (2.56 F^2 words with V
+        # for the column, against an estimate of 2.65)
+        monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
+        params, trunc = ModelParams(0.3), TruncationSpec(600)
+        f = trunc.ncut + 1
+        q, r = np.linalg.qr(rng.normal(size=(f, f)))
+        v = np.asfortranarray(q * np.sign(np.diag(r)))  # LAPACK's layout
+        del q, r
+        chain = (np.sort(rng.uniform(0.0, f, f)), v)
+        prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
+        grid = np.linspace(0.0, 2 * PI, 17)
+
+        def run():
+            kernel = _MapKernel(prop, field)
+            for _ in kernel.blocks(grid):
+                pass
+
+        run()  # modules imported on a first call are not the oracle's memory
+        tracemalloc.start()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak + v.nbytes <= oracle._run_bytes(params, field, trunc)
 
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
     @pytest.mark.parametrize(
