@@ -3,7 +3,7 @@ states, and negativity."""
 
 import numpy as np
 
-from .model import HADAMARD2, QubitBasis
+from .model import HADAMARD2, QubitBasis, validate_spectra
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -15,11 +15,15 @@ RANK_TOL = 1e-13
 
 
 def wootters_concurrences(rhos, basis):
-    """Concurrences (n,) and descending spectra s (n, 4) of a validated
-    (n, 4, 4) stack of two-qubit density matrices in ``basis``:
+    """Concurrences (n,) and descending spectra s (n, 4) of an (n, 4, 4)
+    stack of Hermitian, unit-trace two-qubit matrices in ``basis``:
     C = min(1, max(0, s1 - s2 - s3 - s4)), with the s_i the descending
     square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy).  One
-    state is the stack ``state.rho[None]``.
+    state is the stack ``state.rho[None]``.  Positivity is checked on the
+    eigenvalues of the one stacked eigh, by
+    :func:`~degjc.model.validate_spectra`: a state with an eigenvalue below
+    PSD_TOL raises the ValueError of
+    :func:`~degjc.model.validate_density_matrices`.
 
     The complex conjugation is taken in the sigma_z product basis (the
     basis in which the spin flip sy x sy is defined), so the stack is
@@ -34,6 +38,7 @@ def wootters_concurrences(rhos, basis):
     if basis is not QubitBasis.SIGMA_Z:
         rhos = HADAMARD2 @ rhos @ HADAMARD2  # per-qubit Hadamard, self-inverse
     vals, vecs = np.linalg.eigh(rhos)
+    validate_spectra(vals)  # the similarity keeps the eigenvalues
     # eigh sorts ascending, so the kept eigenvalues are the last ``rank``
     rank = np.count_nonzero(vals > RANK_TOL * vals[:, -1:], axis=1)
     s = np.zeros((len(rhos), 4))

@@ -22,6 +22,8 @@ from typing import Union
 
 import numpy as np
 
+from .specialfn import _real
+
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 HADAMARD2 = np.kron(HADAMARD, HADAMARD)
 
@@ -51,16 +53,18 @@ class ModelParams:
     (time enters only through the phase w t).
 
     Closed-form results are only valid in the degenerate regime
-    omega0 == 0; the numerical propagator accepts any omega0 >= 0.
+    omega0 == 0; the numerical propagator accepts any omega0 >= 0.  A
+    complex-typed value, like a complex ``Thermal`` occupation or
+    ``Number`` index, raises ValueError naming it.
     """
 
     beta: float
     omega0: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
+        if not (math.isfinite(_real(self.beta, "beta")) and self.beta >= 0):
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (math.isfinite(self.omega0) and self.omega0 >= 0):
+        if not (math.isfinite(_real(self.omega0, "omega0")) and self.omega0 >= 0):
             raise ValueError(f"omega0 must be finite and >= 0, got {self.omega0!r}")
 
     @property
@@ -93,7 +97,7 @@ class Number:
     n: int
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 0:
+        if _real(self.n, "Fock index") != int(self.n) or self.n < 0:
             raise ValueError(f"Fock index must be a nonnegative integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 
@@ -106,7 +110,7 @@ class Thermal:
     nbar: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.nbar) and self.nbar >= 0):
+        if not (math.isfinite(_real(self.nbar, "thermal occupation")) and self.nbar >= 0):
             raise ValueError(f"thermal occupation must be finite and >= 0, got {self.nbar!r}")
 
     def __str__(self):
@@ -138,7 +142,18 @@ def validate_density_matrices(rhos):
     """Raise ValueError unless every matrix of the (n, d, d) stack ``rhos``
     is Hermitian, of unit trace and positive semidefinite within
     HERMITICITY_TOL, TRACE_TOL and PSD_TOL (a NaN entry fails the first
-    check); the message quotes the worst deviation (the first wrong trace)."""
+    check); the message quotes the worst deviation (the first wrong trace).
+    The first two checks are :func:`validate_hermitian_unit_trace`, the
+    last :func:`validate_spectra` on one stacked ``eigvalsh``."""
+    validate_hermitian_unit_trace(rhos)
+    if len(rhos):
+        validate_spectra(np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2))))
+
+
+def validate_hermitian_unit_trace(rhos):
+    """The Hermiticity and trace checks of :func:`validate_density_matrices`,
+    for a caller that diagonalizes the stack itself and passes the
+    eigenvalues to :func:`validate_spectra`."""
     if len(rhos) == 0:
         return
     herm = np.max(np.abs(rhos - rhos.conj().swapaxes(-1, -2)))
@@ -148,7 +163,13 @@ def validate_density_matrices(rhos):
     wrong = np.flatnonzero(np.abs(tr - 1.0) > TRACE_TOL)
     if wrong.size:
         raise ValueError(f"density matrix trace {tr[wrong[0]]!r} differs from 1")
-    lo = np.linalg.eigvalsh(0.5 * (rhos + rhos.conj().swapaxes(-1, -2))).min()
+
+
+def validate_spectra(eigenvalues):
+    """The positivity check of :func:`validate_density_matrices`: raise
+    ValueError unless every eigenvalue of an (n, d) stack of spectra is at
+    least PSD_TOL."""
+    lo = np.min(eigenvalues, initial=np.inf)
     if lo < PSD_TOL:
         raise ValueError(f"density matrix not positive semidefinite: min eig {lo:.3e}")
 

@@ -46,6 +46,7 @@ from .model import (
     Vacuum,
     bell_ket,
     validate_density_matrices,
+    validate_hermitian_unit_trace,
 )
 from . import specialfn
 from .specialfn import _amplitude, _real_array, _tridiagonal_eigh, thermal_weights
@@ -434,9 +435,13 @@ def field_components(field, trunc):
 # shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
-# Points per measured block, after the kernel is released: the witness
-# takes about 24 kB a point (16 x 16 partial transposes and their eigensolve).
-_MEASURE_POINTS = _PHASE_BLOCK_BYTES // (1 << 15)
+# Bytes a point of each measure's temporaries, which take blocks of at most
+# _PHASE_BLOCK_BYTES once the kernel is released: the witness about 24 kB
+# (16 x 16 partial transposes and their eigensolve), so 256 points a block,
+# and Wootters' formula about 1 kB (tracemalloc reads 980 B a point of its
+# Hadamard products, eigh and tau products), taken as 2 kB, so 4096.
+_WITNESS_POINT_BYTES = 1 << 15
+_WOOTTERS_POINT_BYTES = 1 << 11
 
 
 class _MapKernel:
@@ -670,13 +675,15 @@ class _MapKernel:
             right = [y.conj()[..., None] * chain.conj()[:, None, None]
                      for chain, (_, y) in zip(phases, self.overlaps)]
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
+        spare = np.zeros((max(self.kept),) + right[0].shape[1:], dtype=complex)
         for s, t, factors, targets, mirrored in self.terms:
             # the one stored factor, or the product of two formed per block
             product = functools.reduce(np.multiply, factors)
             # row chunk by row chunk of the real factor over the columns they
             # reach, each a real product on the (re, im) pairs of right[t]
-            # written in place
-            weight = np.zeros((len(product),) + right[t].shape[1:], dtype=complex)
+            # written in place into the block's one weight buffer (the rows
+            # the bands miss, the same for every term, stay 0)
+            weight = spare[:len(product)]
             pairs, out = (x.reshape(len(x), -1).view(float) for x in (right[t], weight))
             for rows, cols in self.bands:
                 np.matmul(product[rows, cols], pairs[cols], out=out[rows])
@@ -685,7 +692,6 @@ class _MapKernel:
             else:  # value[i, k] = sum_ac W_c Y^i_s[a, c] phi_s[a] weight[a, c, k]
                 weight *= phases[s][:, None, None]
                 value = np.tensordot(self.overlaps[s][0], weight, axes=2)
-            del weight, out  # before the next term's is formed
             # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
             for entries, term in ((targets, value), (mirrored, value.conj())):
                 for (i, k, p, q), sign, at in entries:
@@ -697,11 +703,14 @@ class _MapKernel:
 
 
 def _reduced_stack(ops_a, ops_b, initial):
-    """Validated (n, 4, 4) stack of two-qubit states Q(t) = sum
-    rho[(ij),(kl)] M^A_ik x M^B_jl from (n, 2, 2, 2, 2) stacks of conditional
-    maps, valid as the subsystem Hamiltonians commute.  ``initial`` is in
-    the sigma_x basis, with qubits uncorrelated with the fields; the
-    truncated-mixture trace deficit is renormalized away."""
+    """(n, 4, 4) stack of two-qubit states Q(t) = sum rho[(ij),(kl)]
+    M^A_ik x M^B_jl from (n, 2, 2, 2, 2) stacks of conditional maps, valid
+    as the subsystem Hamiltonians commute.  ``initial`` is in the sigma_x
+    basis, with qubits uncorrelated with the fields; the truncated-mixture
+    trace deficit is renormalized away.  The stack is checked Hermitian (a
+    NaN fails) and of unit trace here; its positivity is checked by what
+    diagonalizes it: Wootters' formula for a trace's run at its cutoff, and
+    :func:`validate_density_matrices` for the doubled-cutoff re-run."""
     n = len(ops_a)
     # Q[(pr), (qs)] = sum A[(ik), (pr)] rho[(ik), (jl)] B[(jl), (qs)]
     rho = initial.rho.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
@@ -709,7 +718,7 @@ def _reduced_stack(ops_a, ops_b, initial):
     q = q.reshape(n, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(n, 4, 4)
     q = 0.5 * (q + q.conj().swapaxes(-1, -2))
     q /= np.trace(q, axis1=1, axis2=2).real[:, None, None]
-    validate_density_matrices(q)
+    validate_hermitian_unit_trace(q)
     return q
 
 
@@ -840,7 +849,8 @@ def _run(params, field, omega_ts, spec, reduce):
 _DOUBLING_POINTS = 9
 
 
-def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
+def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure, point_bytes,
+                 validate=None):
     """The one checked run of :func:`concurrence_trace` and
     :func:`field_field_witness`, as an :class:`OracleTrace`.
 
@@ -849,12 +859,15 @@ def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
     phases finite; ``trunc`` defaults to :func:`truncation`.  Before
     allocating, the peak memory of both runs must fit in the memory
     budget and the phase roundoff at the doubled cutoff within ``tol``.
-    ``reduce`` maps each block of maps at ``trunc`` to an (n, 4, 4) stack;
-    the re-run of an evenly spaced subsample at ``trunc.doubled()``, twice
-    the cutoff and a hundredth of the tail mass, must agree with it
-    entrywise within ``tol`` (else :class:`TruncationError`).  Then
-    ``measure`` maps blocks of the stack to the trace's ``values``, along
-    their last axis.
+    ``reduce`` maps each block of maps at ``trunc`` to an (n, 4, 4) stack,
+    and ``measure`` maps blocks of that stack to the trace's ``values``,
+    along their last axis, in blocks of at most ``_PHASE_BLOCK_BYTES`` of
+    its temporaries, ``point_bytes`` a point.  The stack is measured before
+    the re-run, so what ``measure`` rejects fails before the doubled
+    eigensolve.  The re-run of an evenly spaced subsample at
+    ``trunc.doubled()``, twice the cutoff and a hundredth of the tail mass,
+    goes to ``validate`` where given, and must then agree with the stack
+    entrywise within ``tol`` (else :class:`TruncationError`).
     """
     if not isinstance(field, (Vacuum, Number, Coherent, Thermal)):
         raise TypeError(f"unsupported field class: {field!r}")
@@ -865,18 +878,21 @@ def _checked_run(params, field, omega_ts, trunc, tol, reduce, measure):
     largest = trunc.doubled()
     _require_phase_accuracy(params, largest.ncut, omega_ts, tol)
     mats, tail, how = _run(params, field, omega_ts, trunc, reduce)
+    # an empty grid measures its empty stack
+    points = _PHASE_BLOCK_BYTES // point_bytes
+    values = np.concatenate([measure(mats[start:start + points])
+                             for start in range(0, max(len(mats), 1), points)], axis=-1)
     doubling_error, n_check = 0.0, min(len(omega_ts), _DOUBLING_POINTS)
     if n_check:
         idx = np.round(np.linspace(0, len(omega_ts) - 1, n_check)).astype(int)
         idx = idx[np.diff(idx, prepend=-1) > 0]  # ascending: each index once
         check, _, _ = _run(params, field, omega_ts[idx], largest, reduce)
+        if validate is not None:
+            validate(check)
         doubling_error = float(np.max(np.abs(check - mats[idx])))
         if doubling_error > tol:
             raise TruncationError(f"cutoff-doubling disagreement {doubling_error:.3e} exceeds "
                                   f"{tol:g} (ncut={trunc.ncut}); raise ncut")
-    # an empty grid measures its empty stack
-    values = np.concatenate([measure(mats[start:start + _MEASURE_POINTS])
-                             for start in range(0, max(len(mats), 1), _MEASURE_POINTS)], axis=-1)
     return OracleTrace(omega_ts, values, trunc.ncut, tail, doubling_error, n_check, *how,
                        largest.ncut if n_check else 0)
 
@@ -888,7 +904,9 @@ def concurrence_trace(params, field, initial, omega_ts, trunc=None,
     The checked run of :func:`_checked_run` at ``convergence_tol``, which
     must be finite and positive (ValueError otherwise, before any
     eigensolve): the cutoff-doubling re-run compares the two-qubit matrices
-    Q of each block, and one stacked Wootters evaluation measures them.  A
+    Q of each block.  Stacked Wootters evaluations measure them, 4096 at a
+    time, before the re-run, and check their positivity on the eigenvalues
+    they take; :func:`validate_density_matrices` checks the re-run's.  A
     non-finite phase or too large a phase roundoff raises ValueError and
     too little memory :class:`TruncationError`, both before allocating; an
     empty grid gives an empty trace.  An ``initial`` that is not a
@@ -904,7 +922,8 @@ def concurrence_trace(params, field, initial, omega_ts, trunc=None,
         raise ValueError("initial two-qubit state must be expressed in the sigma_x basis")
     return _checked_run(params, field, omega_ts, trunc, convergence_tol,
                         lambda ops: _reduced_stack(ops, ops, initial),
-                        lambda qmats: wootters_concurrences(qmats, QubitBasis.SIGMA_X)[0])
+                        lambda qmats: wootters_concurrences(qmats, QubitBasis.SIGMA_X)[0],
+                        _WOOTTERS_POINT_BYTES, validate_density_matrices)
 
 
 @dataclass(frozen=True)
@@ -961,7 +980,8 @@ def field_field_witness(params, field, bell, omega_ts, trunc=None):
     trace = _checked_run(
         params, field, omega_ts, trunc, _CONVERGENCE_TOL,
         lambda ops: ops.transpose(0, 2, 4, 1, 3).reshape(len(ops), 4, 4),  # G[(k, q), (i, p)]
-        lambda grams: _witness_values(grams[:, rails][:, :, rails], rails, c2))
+        lambda grams: _witness_values(grams[:, rails][:, :, rails], rails, c2),
+        _WITNESS_POINT_BYTES)
     return FieldFieldWitness(*trace.values, np.full(len(trace.omega_ts), len(rails)),
                              trace.ncut, trace.doubling_error, trace.tail_mass,
                              trace.eigensolver, trace.sector_dim, trace.kept_modes,

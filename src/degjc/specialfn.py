@@ -23,12 +23,17 @@ MAX_LAGUERRE_ORDER = 10_000
 _HEADROOM_BITS = 511
 
 
-def _real_array(x, name):
-    """``x`` as a float array; ValueError naming it for a complex-typed ``x``,
-    scalar or array, which the conversion would cut to its real part."""
+def _real(x, name):
+    """``x`` itself; ValueError naming it for a complex-typed ``x``, scalar
+    or array, which a conversion to float would cut to its real part."""
     if np.iscomplexobj(x):
         raise ValueError(f"{name} must be real, got {x!r}")
-    return np.asarray(x, dtype=float)
+    return x
+
+
+def _real_array(x, name):
+    """``x`` as a float array, checked by :func:`_real`."""
+    return np.asarray(_real(x, name), dtype=float)
 
 
 def _check_order(n):
@@ -57,9 +62,10 @@ def _recurrence(n, xs):
     values L_n(x) 2^e and L_{n-1}(x) 2^e and one exponent per element.
 
     The step is (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}, multiplied by the
-    reciprocal of k+1.  Past its first operation an array's step runs in
-    place, in the buffers of L_{k+1} and of L_{k-1} (no longer needed); a
-    scalar's makes new scalars, each operation rounded as an array's.
+    reciprocal of k+1.  An array's step runs in place, in the buffer of
+    L_{k-1} and a spare that takes L_{k+1} (the buffer of L_{k-1} is the
+    next step's spare), so no step allocates; a scalar's makes new
+    scalars, each operation rounded as an array's.
     Rescaling by exact powers of two leaves every mantissa bit equal to the
     unscaled recurrence wherever that stays finite.
     """
@@ -67,7 +73,8 @@ def _recurrence(n, xs):
     if n == 0:
         return np.ones_like(xs), np.zeros_like(xs), e
     steps, threshold = _schedule(n, float(np.max(np.abs(xs), initial=0.0)))
-    lkm1, lk = np.ones_like(xs), 1.0 - xs
+    lkm1, lk, spare = np.ones_like(xs), 1.0 - xs, np.empty_like(xs)
+    scalar = np.ndim(xs) == 0
     for start in range(1, n, steps):
         big = np.maximum(np.abs(lk), np.abs(lkm1))
         over = big > threshold
@@ -75,12 +82,12 @@ def _recurrence(n, xs):
             shift = np.where(over, np.frexp(big)[1], 0)  # 2^0 leaves the rest exact
             lk, lkm1, e = np.ldexp(lk, -shift), np.ldexp(lkm1, -shift), e + shift
         for k in range(start, min(start + steps, n)):
-            work = 2 * k + 1 - xs
+            work = 2 * k + 1 - xs if scalar else np.subtract(2 * k + 1, xs, out=spare)
             work *= lk
             lkm1 *= k
             work -= lkm1
             work *= 1.0 / (k + 1)
-            lkm1, lk = lk, work
+            lkm1, lk, spare = lk, work, lkm1
     return lk, lkm1, e
 
 

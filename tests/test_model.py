@@ -38,6 +38,28 @@ def test_model_params_validation():
             ModelParams(beta, omega0)
 
 
+@pytest.mark.parametrize("make, name", [
+    (ModelParams, "beta"),
+    (lambda z: ModelParams(0.3, omega0=z), "omega0"),
+    (Thermal, "thermal occupation"),
+    (Number, "Fock index"),
+], ids=["beta", "omega0", "thermal", "number"])
+@pytest.mark.parametrize("z", [np.complex128(2 + 1j), np.complex64(5), 2 + 0j], ids=repr)
+def test_complex_parameters_rejected(make, name, z):
+    # a complex numpy scalar used to pass with a ComplexWarning, cut to its
+    # real part; a Python complex raised TypeError
+    with pytest.raises(ValueError, match=f"^{name} must be real, got "):
+        make(z)
+
+
+def test_real_numpy_scalars_accepted():
+    assert ModelParams(np.float64(0.3), np.float32(0.5)) == ModelParams(0.3, 0.5)
+    assert Thermal(np.float64(2.0)) == Thermal(2.0) and str(Thermal(np.float64(2.0))) == (
+        "thermal:nbar=2")
+    for n in (np.int64(5), np.float64(5.0), np.uint8(5)):
+        assert Number(n) == Number(5) and type(Number(n).n) is int
+
+
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         Number(-1)

@@ -985,7 +985,8 @@ class TestTwoQubitReduced:
                 concurrence_trace(ModelParams(0.1), Thermal(25.0), initial, grid)
 
     def test_output_passes_state_invariants(self, rng):
-        # _reduced_stack validates hermiticity, trace and positivity
+        # _reduced_stack checks hermiticity and trace; positivity is checked
+        # where the stack is diagonalized (TestOneEigensolvePerState)
         initial = make_bell(BellState.PHI_MINUS, QubitBasis.SIGMA_X)
         (q,) = self._reduced(0.6, Thermal(1.0), initial, [rng.uniform(0, 2 * PI)])
         assert abs(np.trace(q) - 1.0) <= 1e-12
@@ -1065,6 +1066,147 @@ class TestStackedReduction:
             with pytest.raises(ValueError) as many:
                 validate_density_matrices(stack)
             assert str(many.value) == str(one.value)
+        # Wootters' formula checks positivity on its own eigh, with the message
+        stack = np.array([good, good, good])
+        stack[member] = negative
+        with pytest.raises(ValueError) as measured:
+            wootters_concurrences(stack, QubitBasis.SIGMA_X)
+        assert str(measured.value) == str(one.value)
+
+
+class TestOneEigensolvePerState:
+    """A trace's states at its cutoff are diagonalized once, by Wootters'
+    formula, which checks their positivity on that eigh before the
+    doubled-cutoff re-run starts; the re-run's states go to
+    ``validate_density_matrices``, and ``_reduced_stack`` checks every
+    stack Hermitian (a NaN fails) and of unit trace."""
+
+    PARAMS, FIELD, INITIAL = ModelParams(0.4), Thermal(1.0), make_esd_mixture()
+    GRID = np.linspace(0.0, 2 * PI, 17)
+
+    @staticmethod
+    def _negative():
+        rho = make_esd_mixture().rho.copy()
+        rho[0, 3] = rho[3, 0] = 0.5  # Hermitian, unit trace, eigenvalue 3/8 - 1/2
+        return rho
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """The cutoffs of the eigensolves the oracle starts, as they start."""
+        solves = []
+        build = oracle.build_hamiltonian
+
+        def counting(params, trunc):
+            solves.append(trunc.ncut)
+            return build(params, trunc)
+
+        monkeypatch.setattr(oracle, "build_hamiltonian", counting)
+        return solves
+
+    def _trace(self):
+        return concurrence_trace(self.PARAMS, self.FIELD, self.INITIAL, self.GRID)
+
+    @pytest.mark.parametrize("run", [1, 2], ids=["main", "doubled"])
+    def test_non_positive_state_is_caught(self, run, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        reduce = oracle._reduced_stack
+
+        def seeding(ops_a, ops_b, initial):
+            q = reduce(ops_a, ops_b, initial)
+            if len(solves) == run:
+                q[1] = self._negative()
+            return q
+
+        monkeypatch.setattr(oracle, "_reduced_stack", seeding)
+        with pytest.raises(ValueError) as expected:
+            validate_density_matrices(self._negative()[None])
+        with pytest.raises(ValueError) as caught:
+            self._trace()
+        assert str(caught.value) == str(expected.value)
+        assert "positive semidefinite" in str(caught.value)
+        ncut = truncation(self.FIELD, self.PARAMS.beta).ncut
+        assert solves == [ncut, 2 * ncut][:run]  # the main run: before the doubled eigensolve
+
+    @pytest.mark.parametrize("run", [1, 2], ids=["main", "doubled"])
+    def test_nan_map_is_not_hermitian(self, run, monkeypatch):
+        solves = self._count_solves(monkeypatch)
+        block_ops = _MapKernel._block_ops
+
+        def poisoned(kernel, omega_ts):
+            ops = block_ops(kernel, omega_ts)
+            if len(solves) == run:
+                ops[0, 0, 1, 0, 1] = np.nan
+            return ops
+
+        monkeypatch.setattr(_MapKernel, "_block_ops", poisoned)
+        with pytest.raises(ValueError, match="density matrix not Hermitian: deviation nan"):
+            self._trace()
+        assert len(solves) == run
+
+    def test_one_hermitian_eigensolve_per_state(self, monkeypatch):
+        # 257 main-run states take one stacked eigh, in one measured block, and
+        # the 9 states of the re-run one stacked eigvalsh
+        grid = np.linspace(0.0, 2 * PI, 257)
+        solved = {"eigh": 0, "eigvalsh": 0}
+        measured = []
+
+        def counting(name):
+            solve = getattr(np.linalg, name)
+
+            def spy(a, *args, **kwargs):
+                if a.ndim == 3 and a.shape[1:] == (4, 4):
+                    solved[name] += len(a)
+                return solve(a, *args, **kwargs)
+
+            return spy
+
+        for name in solved:
+            monkeypatch.setattr(np.linalg, name, counting(name))
+        measure = oracle.wootters_concurrences
+
+        def spy(rhos, basis):
+            measured.append(len(rhos))
+            return measure(rhos, basis)
+
+        monkeypatch.setattr(oracle, "wootters_concurrences", spy)
+        trace = concurrence_trace(self.PARAMS, self.FIELD, self.INITIAL, grid)
+        monkeypatch.undo()
+        assert trace.doubling_points == 9
+        assert solved == {"eigh": 257, "eigvalsh": 9}
+        assert measured == [257]
+        ops = TestStackedReduction._block(self.FIELD, self.PARAMS.beta, 0.0, grid)
+        expected, _ = wootters_concurrences(_reduced_stack(ops, ops, self.INITIAL),
+                                            QubitBasis.SIGMA_X)
+        assert np.array_equal(trace.values, expected)
+
+    @pytest.mark.parametrize("points, blocks", [(4097, [4096, 1]), (5, [5])])
+    def test_long_trace_measured_in_bounded_blocks(self, points, blocks, monkeypatch):
+        measured = []
+        measure = oracle.wootters_concurrences
+
+        def spy(rhos, basis):
+            measured.append(len(rhos))
+            return measure(rhos, basis)
+
+        monkeypatch.setattr(oracle, "wootters_concurrences", spy)
+        grid = np.linspace(0.0, 2 * PI, points)
+        trace = concurrence_trace(ModelParams(0.5), Vacuum(), self.INITIAL, grid)
+        assert measured == blocks
+        assert trace.values.shape == (points,)
+        assert oracle._WOOTTERS_POINT_BYTES * blocks[0] <= _PHASE_BLOCK_BYTES
+
+    def test_witness_keeps_its_blocks(self, monkeypatch):
+        measured = []
+        measure = oracle._witness_values
+
+        def spy(grams, rails, c2):
+            measured.append(len(grams))
+            return measure(grams, rails, c2)
+
+        monkeypatch.setattr(oracle, "_witness_values", spy)
+        grid = np.linspace(0.0, 2 * PI, 257)
+        field_field_witness(ModelParams(0.75), Vacuum(), BellState.PHI_PLUS, grid)
+        assert measured == [256, 1]
 
 
 class TestConcurrenceTrace:
