@@ -47,7 +47,6 @@ from .oracle import (
     propagate_state,
 )
 from .specialfn import (
-    laguerre,
     laguerre_roots,
     laguerre_scaled,
     thermal_weights,
@@ -80,7 +79,6 @@ __all__ = [
     "evolve_spin_coherent",
     "field_field_witness",
     "gamma",
-    "laguerre",
     "laguerre_roots",
     "laguerre_scaled",
     "low_spectrum",

@@ -27,6 +27,7 @@ the two-qubit index convention of :mod:`degjc.model`.
 """
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -93,8 +94,7 @@ class SubsystemPropagator:
     (s, a) of the block has rail-up rows V_s / sqrt(2) and rail-down rows
     s P V_s / sqrt(2).  At omega0 = 0 both chains are the sigma_x sector
     n + beta x, solved once and held once: ``chains`` names the same pair
-    twice, its ``modes`` in LAPACK's column-major layout.  Off omega0 = 0
-    each chain's ``modes`` is a C-order copy, made right after its solve.
+    twice.  Every chain's ``modes`` keeps LAPACK's column-major layout.
 
     ``energies`` holds the dimensionless eigenvalues E/omega of the block,
     chain s = +1 first.  ``eigensolver`` names the routine that
@@ -131,10 +131,9 @@ def _parity(f):
 
 def _eigensolve_bytes(params, ncut):
     """Peak bytes of :func:`build_hamiltonian`: two real F x F arrays for
-    ``dstevd`` (its eigenvectors and its F x F workspace; off omega0 = 0
-    the eigenvectors and their C-order copy, once the workspace is freed)
-    or five for ``eigh``, one more at omega0 != 0 for the first chain's
-    eigenvectors, plus length-F vectors and some kB."""
+    ``dstevd`` (its eigenvectors and its F x F workspace) or five for
+    ``eigh``, one more at omega0 != 0 for the first chain's eigenvectors,
+    plus length-F vectors and some kB."""
     f = ncut + 1
     solve = 2 if specialfn._lapack_dstevd() is not None else 5
     return 8 * f * ((solve + (not params.degenerate)) * f + 64) + (1 << 15)
@@ -145,34 +144,35 @@ def _run_bytes(params, field, spec):
     (ncut, K, omega0) alone.
 
     A run holds the eigenvectors of its chains and the real
-    :class:`_MapKernel` factors: at omega0 = 0 the one factor S (each chunk
-    of rows forms its 2 E in place there) and, per chunk, its rows of the
-    field Gram with their weighted overlaps (at most an eighth of an F x F
-    array from F = 1024 on, where a chunk is F // 8 rows, and at most
-    ``_PHASE_BLOCK_BYTES`` below) and one copy of the even rows of the
-    eigenvectors of its window (the estimate allows half an F x F array
-    for it: an upper bound for any eigenvectors); otherwise four rail Gram
-    matrices (E_01, O_01 and their sum coexist while the cross pair is
-    formed) and, for a unit-Fock field, six field Grams and one product
-    (while its last chain pair is formed, the four Grams held coexist with
-    its even- and odd-row halves and their sum).  A coherent field's Gram
-    is folded into the phases.  These
-    are F x F: which eigenvectors a unit-Fock field's kernel keeps is known
-    only after the eigensolve, so the untrimmed chains bound it.  The K
-    mixture components add a few F x K arrays, vectors of length F a few
-    dozen more, and the phase blocks, scaled phases included, a few times
-    ``_PHASE_BLOCK_BYTES``.
+    :class:`_MapKernel` factors, one per term, formed chunk by chunk of
+    :func:`_chunk_rows` rows.  At omega0 = 0 that is the one factor S (each
+    chunk forms its rows of 2 E in place there) and, per chunk, its rows of
+    the field Gram with their weighted overlaps (at most
+    ``_PHASE_BLOCK_BYTES``) and one copy of the even rows of the
+    eigenvectors of its window (the estimate allows half an F x F array for
+    it: an upper bound for any eigenvectors).  Otherwise it is the eight
+    products of a unit-Fock field, or the four rail Grams of a coherent one
+    (whose Gram is folded into the phases), and, per chunk and chain pair,
+    the even and odd rows of the window's eigenvectors (at most a whole
+    F x F array, plus the chunk's own columns) and six blocks of the
+    chunk's rows (two rail Grams, two field Grams and their even- and
+    odd-row halves).
+    The products are F x F: which eigenvectors a unit-Fock field's kernel
+    keeps is known only after the eigensolve, so the untrimmed chains bound
+    it.  The K mixture components add a few F x K arrays, vectors of length
+    F a few dozen more, and the phase blocks, scaled phases included, a few
+    times ``_PHASE_BLOCK_BYTES``.
     """
     f = spec.ncut + 1
     k = 1
     if isinstance(field, Thermal):
         k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
     if params.degenerate:
-        factors, overlaps = 20, 3
-    else:
-        factors, overlaps = 48 if isinstance(field, Coherent) else 104, 9
-    kernel = factors * f * f + (overlaps * k + 32) * 8 * f + 4 * _PHASE_BLOCK_BYTES
-    return max(_eigensolve_bytes(params, spec.ncut), kernel)
+        kernel = 20 * f * f + (3 * k + 32) * 8 * f
+    else:  # eigenvectors, 4 or 8 products, the window's rows and the chunk's blocks
+        words = 7 if isinstance(field, Coherent) else 11
+        kernel = 8 * f * (words * f + 7 * _chunk_rows(f) + 9 * k + 32)
+    return max(_eigensolve_bytes(params, spec.ncut), kernel + 4 * _PHASE_BLOCK_BYTES)
 
 
 def _trace_bytes(params, field, trunc):
@@ -250,31 +250,35 @@ def build_hamiltonian(params, trunc):
     diagonals = [n] if params.degenerate else [n + shift, n - shift]
     off = params.beta * np.sqrt(n[1:])
 
-    def solve(diagonal):
-        energies, modes, solver = _tridiagonal_eigh(diagonal, off)
-        # the two-chain kernel reads step-2 row views, which BLAS takes in
-        # place only in C order: each chain is copied before the next solve
-        return (energies, modes if params.degenerate else np.ascontiguousarray(modes)), solver
-
     try:
-        solved = [solve(d) for d in diagonals]
+        solved = [_tridiagonal_eigh(d, off) for d in diagonals]
     except np.linalg.LinAlgError as exc:
         raise TruncationError(
             f"eigensolver failed for dim={n.size}, beta={params.beta:g}, "
             f"max|H|={np.max(np.abs(np.concatenate(diagonals + [off]))):.3e}: {exc}") from exc
-    return SubsystemPropagator(trunc, (solved[0][0], solved[-1][0]), solved[0][1])
+    chains = [(energies, modes) for energies, modes, _ in solved]
+    return SubsystemPropagator(trunc, (chains[0], chains[-1]), solved[0][2])
 
 
-def _supports(v, step):
+def _chunk_rows(f):
+    """Rows per chunk of the kernel factors: max(F // 8, 128), at most
+    ``_PHASE_BLOCK_BYTES`` of (rows x F) real entries."""
+    return max(1, min(max(f // 8, 128), _PHASE_BLOCK_BYTES // (8 * f)))
+
+
+def _supports(v):
     """``(first, last)``: the first and last Fock row where each eigenvector
-    (column of ``v``) is nonzero, read ``step`` columns at a time."""
-    f, n = v.shape
-    first, last = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    for start in range(0, n, step):
-        nonzero = v[:, start:start + step] != 0.0
-        first[start:start + step] = nonzero.argmax(axis=0)
-        last[start:start + step] = f - 1 - nonzero[::-1].argmax(axis=0)
-    return first, last
+    (column of ``v``) is nonzero."""
+    nonzero = v != 0.0
+    return nonzero.argmax(axis=0), len(v) - 1 - nonzero[::-1].argmax(axis=0)
+
+
+def _pair(even, odd):
+    """``even + odd`` and ``even - odd``, stacked."""
+    pair = np.empty((2,) + even.shape)
+    np.add(even, odd, out=pair[0])
+    np.subtract(even, odd, out=pair[1])
+    return pair
 
 
 def _dot(a, b):
@@ -427,12 +431,10 @@ def field_components(field, trunc):
 # a (sector dim x points) complex phase matrix, and a column field's
 # phases scaled by its overlaps, of at most this many bytes each, and at
 # most this many bytes of the per-point stacks of the maps and their
-# reduction, which take up to _POINT_BYTES per point.  The
-# omega0 = 0 factor is formed in chunks of max(F // 8, 128) rows, at most
-# this many bytes of (rows x F) real entries: each chunk's rows of
-# 2 E = 2 V_e' V_e (V_e the even Fock rows of the eigenvectors) go straight
-# into S and its rows of the field Gram take one array of at most that
-# shape.
+# reduction, which take up to _POINT_BYTES per point.  The kernel
+# factors are formed in chunks of max(F // 8, 128) rows, at most this many
+# bytes of (rows x F) real entries (_chunk_rows): each of a chunk's rail
+# and field Grams takes one array of at most that shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 # Bytes a point of each measure's temporaries, which take blocks of at most
@@ -442,6 +444,28 @@ _POINT_BYTES = 4096
 # Hadamard products, eigh and tau products), taken as 2 kB, so 4096.
 _WITNESS_POINT_BYTES = 1 << 15
 _WOOTTERS_POINT_BYTES = 1 << 11
+
+
+@functools.cache
+def _map_entries(one, unit):
+    """``((s, t, flip, gram), (targets, mirrored))`` of each product of the
+    kernel, ``unit`` for a unit-Fock field: the entries (i, k, p, q) of the
+    maps that take its value, each with its sign and the entry of the value
+    it adds, as the block (s, t) itself or as its mirrored (t, s)."""
+    products = {(0, 0, True, False): ([((0, 1, 0, 1), 1, (0, 0))], [])} if one else {}
+    for i, k in () if one else ((0, 0), (0, 1), (1, 1)):
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            if i == k and p > q:
+                continue  # M_ii[d, u] = M_ii[u, d]*
+            for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                if s != t or p != q:
+                    sign = (-1) ** (s * (p + i) + t * (q + k))
+                    # a (1, 0) block adds the conjugate of its (0, 1)
+                    # twin's value, of entry (k, i) for a column field
+                    at = (0, 0) if unit else (k, i) if s > t else (i, k)
+                    key = (min(s, t), max(s, t), p != q, unit and i != k)
+                    products.setdefault(key, ([], []))[s > t].append(((i, k, p, q), sign, at))
+    return tuple(products.items())
 
 
 class _MapKernel:
@@ -475,189 +499,183 @@ class _MapKernel:
     are rows j of V_s, sliced rather than multiplied, and the Gram
     Y^u_s W P_j^(i + k) Y^u_t' depends on i + k alone, so M_dd takes the
     products of M_uu.  Off omega0 = 0 these Grams split as the rail Grams
-    do: with E^W_st and O^W_st the products over the components in even
-    and odd Fock rows, the like-rail Gram (i = k) is E^W + O^W and the
-    unlike-rail one E^W - O^W, six half-row products for the chain pairs
-    00, 01 and 11.  There each chain is trimmed to the range of columns
-    that spans its eigenvectors nonzero on the run, as a view of V_s with
-    its energies (``kept`` counts them): an eigenvector exactly 0 on the
-    run has a zero overlap, so its rows and columns of every field Gram
-    and every product they enter are exactly 0.  Divide-and-conquer
-    deflation leaves many such zeros (41 % of each chain for thermal(5) at
-    ncut 312 and beta = 0.3).
+    do: with E^W_st and O^W_st the products over the even and odd Fock
+    rows, each row weighted by its component's weight, the like-rail Gram
+    (i = k) is E^W + O^W and the unlike-rail one E^W - O^W.  Each term
+    holds one real factor, its rail Gram times its field Gram, formed once
+    per eigensolve: eight for the chain pairs 00, 01 and 11.
     A coherent field is a column c (any K columns work the same way), and
     its Gram is folded into the eigenphases instead: S = diag(Y^i_s)
     (V_s' X V_t) diag(Y^k_t*), so phi_s' S phi_t* = (Y^i_s o phi_s)'
     (V_s' X V_t) (Y^k_t o phi_t)*.  A phase block scales phi_t* by each
     Y^k_t*, multiplies that by the rail Gram, both k at once, then by
     phi_s, and contracts it with W Y^i_s (and the 1/4) in one small
-    product, which gives every (i, k).  Its factors are the real rail Grams
-    alone, and its blocks hold K times fewer points (2 K off omega0 = 0),
-    so the scaled phases take the bytes of the phases.  A column meets
-    every eigenvector, so its chains stay whole.
+    product, which gives every (i, k).  Its factors are the four real rail
+    Grams alone, and its blocks hold K times fewer points (2 K off
+    omega0 = 0), so the scaled phases take the bytes of the phases.
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
-    rail and only M_ud[up, down] is a bilinear form, with S = (2 E - I) o G
-    and G = Y^u W Y^d^H (S = 2 E - I for a column, whose G is in the
-    phases), built in one pass over chunks of max(F // 8, 128) rows: each
-    chunk forms its rows of the symmetric 2 E and of G on and above the
-    diagonal, multiplies them into S, subtracts the diagonal of G and
-    mirrors its upper triangle below the diagonal (G = Y^u W P_j Y^u' of
-    unit Fock components is symmetric, so S is).  The first and last
-    nonzero Fock row of every eigenvector are found once, before the
-    chunks.  A chunk's eigenvectors are zero outside the Fock rows [lo, hi)
-    these span and a unit-Fock G outside its run; where the two miss each
-    other the chunk's rows of S are exactly 0 and it takes no product.
-    Otherwise its products run over the even rows of [lo, hi) for 2 E and
-    the run's rows inside it for G, and over the columns whose support
-    meets that window; every skipped term is a product with an exact zero.
-    Divide-and-conquer eigenvectors are exactly zero outside a window of
-    Fock rows wherever deflation decoupled them (91 % of the entries at
-    beta = 0.1 and F = 1235), so most of the work is skipped; a dense V
-    takes the full products.  ``bands`` keeps each chunk's rows and the
-    range of columns they reach, so a phase block multiplies only
-    S[rows, cols] by the phases of those columns, one product per chunk;
-    the chunk copies the even rows of its window once before BLAS reads
-    them, so the eigenvectors may come in either layout.  Off omega0 = 0
-    ``bands`` is one band that covers each factor whole.  The factors are
-    built once per eigensolve and share no memory with the eigenvectors; a
-    grid is evaluated in blocks of ``block`` points, one matrix product per
-    distinct factor (per chunk of S) and block of points.
+    rail and only M_ud[up, down] is a bilinear form, with the one factor
+    S = (2 E - I) o G and G = Y^u W Y^d^H (S = 2 E - I for a column, whose
+    G is in the phases).  G = Y^u W P_j Y^u' of unit Fock components is
+    symmetric, so S is.
+
+    Every factor comes from one loop over chunks of :func:`_chunk_rows`
+    eigenvectors of each chain s, read from the first and last nonzero
+    Fock row of every eigenvector, found once per chain.  Off omega0 = 0 a
+    unit-Fock field first keeps, of each chain, the range of columns that
+    spans the eigenvectors whose support meets its run, as a view of V_s
+    with its energies (``kept`` counts them): an eigenvector exactly 0 on
+    the run has a zero overlap, so its rows and columns of every factor
+    are exactly 0 (41 % of each chain for thermal(5) at ncut 312 and
+    beta = 0.3).  A column meets every eigenvector, so its chains stay
+    whole.  A chunk's eigenvectors are zero outside the Fock rows [lo, hi)
+    they span and a unit-Fock Gram outside its run; where the two miss
+    each other the chunk's rows of every factor are exactly 0 and it takes
+    no product.  Otherwise, for each chain t >= s, its products run over
+    the rows of that window and over the columns of chain t whose support
+    meets the run's part of it; every skipped term is a product with an
+    exact zero.  The chunk copies the even (off omega0 = 0 also the odd)
+    rows of its window once before BLAS reads them, so the eigenvectors
+    may come in either layout.  At omega0 = 0 it forms its rows of 2 E in
+    S, multiplies them by its rows of G, summed over the run's rows inside
+    the window, and subtracts the diagonal of G; off it, it forms its rail
+    Grams 2 E_ss - I or E_st + O_st and E_st - O_st and its field Grams,
+    and writes their products.  A chain with itself gives symmetric
+    factors: the chunk forms its rows on and above the diagonal and
+    mirrors them below.  Divide-and-conquer eigenvectors are exactly zero
+    outside a window of Fock rows wherever deflation decoupled them (91 %
+    of the entries at beta = 0.1 and F = 1235), so most of the work is
+    skipped; a dense V takes the full products.  Each term keeps the
+    ``bands`` of its chain pair, each chunk's rows and the range of
+    columns they reach, so a phase block multiplies only factor[rows,
+    cols] by the phases of those columns, one product per band.  The
+    factors share no memory with the eigenvectors; a grid is evaluated in
+    blocks of ``block`` points.
     """
 
     def __init__(self, prop, field):
         weights, vecs, self.tail = field_components(field, prop.trunc)
         self.components = len(weights)
         rows = vecs if isinstance(vecs, slice) else None
-        parity = _parity(prop.fock_dim)
-        chains = list(prop.distinct_chains)
-        if rows is not None and len(chains) == 2:
-            # keep the columns of each chain that span its eigenvectors
-            # nonzero on the run, as views
-            for s, (energies, v) in enumerate(chains):
-                kept = np.flatnonzero(np.any(v[rows] != 0.0, axis=0))
-                span = slice(kept[0], kept[-1] + 1)
-                chains[s] = energies[span], v[:, span]
-        modes = [v for _, v in chains]
-        self.kept = tuple(len(energies) for energies, _ in chains)
-        self.energies = np.concatenate([energies for energies, _ in chains])
-        one = len(modes) == 1
+        f = prop.fock_dim
+        parity = _parity(f)
+        one = len(prop.distinct_chains) == 1
+        step = _chunk_rows(f)
+        run = (0, f) if rows is None else (rows.start, rows.stop)
+        chains = []
+        for energies, v in prop.distinct_chains:
+            first, last = _supports(v)
+            if not one:  # keep the columns that span the eigenvectors meeting the run
+                meet = ((first < run[1]) & (last >= run[0])).nonzero()[0]
+                energies, v, first, last = (x[..., meet[0]:meet[-1] + 1]
+                                            for x in (energies, v, first, last))
+            chains.append((energies, v, first, last))
+        self.kept = tuple(len(energies) for energies, *_ in chains)
+        self.energies = np.concatenate([energies for energies, *_ in chains])
         self.overlaps = None
         if rows is None:
             norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
             # per chain W Y^i_s as (i, F, K) and Y^k_t as (F, K, k): i and k
             # over (u, d), W times the 1/4 of each block; i = u, k = d at omega0 = 0
             self.overlaps = []
-            for v in modes:
+            for _, v, *_ in chains:
                 y = np.stack([_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)], axis=-1)
                 w = (y[..., :1] if one else y) * (weights if one else 0.25 * weights)[:, None]
                 self.overlaps.append((np.moveaxis(w, -1, 0), y[..., 1:] if one else y))
         else:  # a run of unit Fock vectors: every squared column norm is exactly 1
             norm = float(weights @ np.ones(len(weights)))
-            y = [v[rows].T for v in modes]  # views of the eigenvectors
-            signs = parity[rows]
+            # by Fock row: W P_j at omega0 = 0, else W with the 1/4 of each block
+            run_weights = np.zeros(f)
+            run_weights[rows] = weights * parity[rows] if one else 0.25 * weights
         # a column field's scaled phases take K times the bytes of the phases
         # (2 K off omega0 = 0), so its blocks hold as many times fewer points
         columns = 1 if rows is not None else self.components * (1 if one else 2)
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size * columns,
                                                       _POINT_BYTES))
-        f = prop.fock_dim
-
-        self.const = np.zeros((2, 2, 2, 2), dtype=complex)
-        if one:
-            (v,) = modes
-            self.const[0, 0, 0, 0] = self.const[1, 1, 1, 1] = norm
-            factor = np.zeros((f, f))
-            diagonal = factor.reshape(-1)[::f + 1]  # a view
-            step = max(1, min(max(f // 8, 128), _PHASE_BLOCK_BYTES // (8 * f)))
-            first, last = _supports(v, step)
-            run = (0, f) if rows is None else (rows.start, rows.stop)
-            below = np.tri(step, k=-1, dtype=bool)
-            self.bands = []
-            for start in range(0, f, step):
-                end = min(start + step, f)
+        # per chain pair (s, t) its real factors, one per term, as
+        # held[s, t][flip, gram]: the rail Gram 2 E_ss - I (s = t) or
+        # E_st + O_st and E_st - O_st (flip), times a unit-Fock field's
+        # E^W + O^W and E^W - O^W (gram); at omega0 = 0 the one factor S
+        grams = 2 if rows is not None and not one else 1
+        below = np.greater.outer(*[np.arange(min(step, f))] * 2)  # strictly below the diagonal
+        held = {(s, t): np.zeros((1 if s == t else 2, grams, self.kept[s], self.kept[t]))
+                for s, t in itertools.combinations_with_replacement(range(len(chains)), 2)}
+        bands = {pair: [] for pair in held}
+        for s, (_, vs, fs, ls) in enumerate(chains):
+            for start in range(0, len(fs), step):
+                end = min(start + step, len(fs))
                 top = slice(start, end)
-                # eigenvectors `top` vanish outside Fock rows [lo, hi) and G
-                # outside the field's run: where the two miss each other the
-                # rows of S stay exactly 0, and otherwise only the columns
-                # whose support meets their overlap take products (the band
-                # may start left of `top`: the mirrored entries)
-                lo, hi = int(first[top].min()), int(last[top].max()) + 1
-                fock = max(lo, run[0]), min(hi, run[1])
-                if fock[0] >= fock[1]:
+                # eigenvectors `top` vanish outside Fock rows [lo, hi) and a
+                # unit-Fock Gram outside the field's run: where the two miss
+                # each other their rows stay exactly 0
+                lo, hi = int(fs[top].min()), int(ls[top].max()) + 1
+                fock = slice(max(lo, run[0]), min(hi, run[1]))
+                if fock.start >= fock.stop:
                     continue
-                reach = np.flatnonzero((first < fock[1]) & (last >= fock[0]))
-                stop = max(int(reach[-1]) + 1, end)
-                self.bands.append((top, slice(int(reach[0]), stop)))
-                # numpy multiplies step-2 rows of a column-major array without
-                # BLAS: the window's even rows are copied, columns start to stop
-                even = np.array(v[lo + lo % 2:hi:2, start:stop])
-                upper = factor[top, start:stop]  # 2 E, then S, in place
-                np.matmul(even[:, :end - start].T, even, out=upper)
-                upper *= 2.0
-                if rows is None:  # a column's G is folded into the phases: S = 2 E - I
-                    diagonal[top] -= 1.0
-                else:
-                    # rows top, columns start to stop of G = Y^u W P_j Y^u',
-                    # summed over the components in Fock rows fock of the run,
-                    # outside which eigenvectors top are zero
-                    c = slice(max(fock[0] - rows.start, 0), fock[1] - rows.start)
-                    gram = (y[0][top, c] * (weights[c] * signs[c])) @ y[0][start:stop, c].T
-                    upper *= gram
-                    diagonal[top] -= gram.diagonal()
-                    del gram
-                # S is symmetric: mirror the rows' upper triangle
-                square = factor[top, top]
-                np.copyto(square, square.T, where=below[:end - start, :end - start])
-                factor[end:stop, top] = factor[top, end:stop].T
-                del even
-            self.terms = [(0, 0, (factor,), [((0, 1, 0, 1), 1, (0, 0))], [])]
-            return
-        self.bands = [(slice(None), slice(None))]  # each factor whole
-        even = [v[0::2] for v in modes]  # even Fock rows: views, nothing copied
-        cross = even[0].T @ even[1]
-        odd = modes[0][1::2].T @ modes[1][1::2]
-        rails = {(0, 1, False): cross + odd}
-        cross -= odd
-        del odd
-        rails[0, 1, True] = cross
-        for s, ve in enumerate(even):
-            like = ve.T @ ve
-            like *= 2.0
-            like.flat[::len(like) + 1] -= 1.0
-            rails[s, s, True] = like
-        fields, products = {}, {}
-        if rows is not None:
-            # E_st and O_st over the components in even and odd Fock rows:
-            # the like-rail Gram is E + O, the unlike-rail one E - O
-            scaled = 0.25 * weights  # the 1/4 of each block
-            halves = [slice(rows.start % 2, None, 2), slice(1 - rows.start % 2, None, 2)]
-            for s, t in ((0, 0), (0, 1), (1, 1)):
-                even, odd = ((y[s][:, c] * scaled[c]) @ y[t][:, c].T for c in halves)
-                fields[False, s, t] = even + odd
-                even -= odd
-                fields[True, s, t] = even
-                del even, odd
-        for i, k in ((0, 0), (0, 1), (1, 1)):
-            for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                if i == k and p > q:
-                    continue  # M_ii[d, u] = M_ii[u, d]*
-                if i == k and p == q:
-                    self.const[i, k, p, q] = 0.5 * norm
-                for s, t in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                    if s != t or p != q:
-                        sign = (-1) ** (s * (p + i) + t * (q + k))
-                        # a (1, 0) block adds the conjugate of its (0, 1)
-                        # twin's value, of entry (k, i) for a column field
-                        mirror = s > t
-                        gram = rows is not None and i != k
-                        at = (0, 0) if rows is not None else (k, i) if mirror else (i, k)
-                        key = (min(s, t), max(s, t), p != q, gram)
-                        products.setdefault(key, ([], []))[mirror].append(
-                            ((i, k, p, q), sign, at))
-        self.terms = [(s, t, (rails[s, t, flip],) + ((fields[gram, s, t],) if fields else ()),
-                       targets, mirrored)
-                      for (s, t, flip, gram), (targets, mirrored) in products.items()]
+                heads = (lo + lo % 2, lo + 1 - lo % 2)[:1 if one else 2]  # even, odd rows
+                for t in reversed(range(s, len(chains))):  # (s, s) last: `left` views its rows
+                    _, vt, ft, lt = chains[t]
+                    factors = held[s, t]
+                    # only the columns of chain t whose support meets the
+                    # overlap take products; a chain with itself forms its
+                    # rows on and above the diagonal and mirrors them, so its
+                    # band may start left of `top`
+                    reach = ((ft < fock.stop) & (lt >= fock.start)).nonzero()[0]
+                    stop = max(int(reach[-1]) + 1, end) if s == t else int(reach[-1]) + 1
+                    bands[s, t].append((top, slice(int(reach[0]), stop)))
+                    cols = slice(start if s == t else int(reach[0]), stop)
+                    # numpy multiplies step-2 rows of a column-major array
+                    # without BLAS: the window's even (and odd) rows are copied
+                    right = [np.array(vt[head:hi:2, cols]) for head in heads]
+                    left = ([x[:, :end - start] for x in right] if s == t
+                            else [np.array(vs[head:hi:2, top]) for head in heads])
+                    block = factors[..., top, cols]
+                    if one:
+                        upper = block[0, 0]  # 2 E, then S, in place
+                        diagonal = np.einsum("ii->i", upper[:, :end - start])  # a view
+                        np.matmul(left[0].T, right[0], out=upper)
+                        upper *= 2.0
+                        if rows is None:  # a column's G is in the phases: S = 2 E - I
+                            diagonal -= 1.0
+                        else:
+                            # rows top, columns cols of G = Y^u W P_j Y^u',
+                            # summed over the components in Fock rows fock of
+                            # the run, outside which eigenvectors top are zero
+                            gram = (vs[fock, top].T * run_weights[fock]) @ vs[fock, cols]
+                            upper *= gram
+                            diagonal -= gram.diagonal()
+                            del gram
+                    else:
+                        # the rail Grams 2 E_ss - I, or E_st + O_st and E_st - O_st
+                        if s == t:
+                            rail = (left[0].T @ right[0])[None]
+                            rail *= 2.0
+                            rail[0].reshape(-1)[::rail.shape[2] + 1] -= 1.0
+                        else:
+                            rail = _pair(left[0].T @ right[0], left[1].T @ right[1])
+                        field = 1.0  # a column's Gram is in the phases
+                        if rows is not None:
+                            # E^W + O^W and E^W - O^W over the run's even and
+                            # odd Fock rows inside the window: rows h of each copy
+                            halves = [slice((fock.start - head + 1) // 2,
+                                            (fock.stop - head + 1) // 2) for head in heads]
+                            field = _pair(*((a[h].T * run_weights[head:hi:2][h]) @ b[h]
+                                            for a, b, h, head in zip(left, right, halves, heads)))
+                        np.multiply(rail[:, None], field, out=block)
+                        del rail, field
+                    del left, right
+                    if s == t:  # mirror the rows' upper triangle
+                        square = factors[..., top, top]
+                        np.copyto(square, square.swapaxes(-1, -2),
+                                  where=below[:end - start, :end - start])
+                        factors[..., end:stop, top] = factors[..., top, end:stop].swapaxes(-1, -2)
+        # M_ii[p, p] holds the field norm on its own rail at omega0 = 0, and
+        # half of it from each chain otherwise
+        self.const = np.zeros((2, 2, 2, 2), dtype=complex)
+        np.einsum("iipp->ip", self.const)[...] = norm * np.eye(2) if one else 0.5 * norm
+        self.terms = [(s, t, held[s, t][int(flip and s != t), int(gram)], bands[s, t], *e)
+                      for (s, t, flip, gram), e in _map_entries(one, rows is not None)]
 
     def blocks(self, omega_ts):
         """(n, 2, 2, 2, 2) stacks ops[:, i, k, p, q] = M_ik[p, q], one per
@@ -674,25 +692,20 @@ class _MapKernel:
         else:  # a column field: right[t] = Y^k_t* phi_t*, as (F, K, k, points)
             right = [y.conj()[..., None] * chain.conj()[:, None, None]
                      for chain, (_, y) in zip(phases, self.overlaps)]
+        # one weight buffer per chain s (the rows its bands miss stay 0);
+        # each band of a real factor takes one real product on the (re, im)
+        # pairs of right[t], written in place into the weight
+        spare = [np.zeros_like(x) for x in right]
+        pairs, out = ([x.reshape(len(x), -1).view(float) for x in xs] for xs in (right, spare))
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
-        spare = np.zeros((max(self.kept),) + right[0].shape[1:], dtype=complex)
-        for s, t, factors, targets, mirrored in self.terms:
-            # the one stored factor, or the product of two formed per block
-            product = functools.reduce(np.multiply, factors)
-            # row chunk by row chunk of the real factor over the columns they
-            # reach, each a real product on the (re, im) pairs of right[t]
-            # written in place into the block's one weight buffer (the rows
-            # the bands miss, the same for every term, stay 0)
-            weight = spare[:len(product)]
-            pairs, out = (x.reshape(len(x), -1).view(float) for x in (right[t], weight))
-            for rows, cols in self.bands:
-                np.matmul(product[rows, cols], pairs[cols], out=out[rows])
+        for s, t, factor, bands, targets, mirrored in self.terms:
+            for rows, cols in bands:
+                np.matmul(factor[rows, cols], pairs[t][cols], out=out[s][rows])
             if self.overlaps is None:
-                value = np.sum(phases[s] * weight, axis=0)[None, None]
+                value = np.sum(phases[s] * spare[s], axis=0)[None, None]
             else:  # value[i, k] = sum_ac W_c Y^i_s[a, c] phi_s[a] weight[a, c, k]
-                weight *= phases[s][:, None, None]
-                value = np.tensordot(self.overlaps[s][0], weight, axes=2)
-            # phi_t' S^H phi_s* = (phi_s' S phi_t*)*: the mirrored (t, s) block
+                spare[s] *= phases[s][:, None, None]
+                value = np.tensordot(self.overlaps[s][0], spare[s], axes=2)
             for entries, term in ((targets, value), (mirrored, value.conj())):
                 for (i, k, p, q), sign, at in entries:
                     ops[:, i, k, p, q] += term[at] if sign > 0 else -term[at]
@@ -789,8 +802,9 @@ class OracleTrace:
     ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
     the run at ``ncut`` was diagonalized, ``kept_modes`` how many
     eigenvectors of each distinct chain entered its maps (fewer than
-    ``sector_dim`` where a unit-Fock field off omega0 = 0 dropped those
-    exactly 0 on its Fock rows; one entry at omega0 = 0), ``components`` is
+    ``sector_dim`` where a unit-Fock field off omega0 = 0 kept only the
+    range that spans those whose support meets its Fock rows; one entry at
+    omega0 = 0), ``components`` is
     the number K of mixture components of its field, and ``doubled_ncut``
     the cutoff of the doubling re-run (0 for an empty grid); no CSV writes
     them.

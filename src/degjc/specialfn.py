@@ -130,22 +130,6 @@ def laguerre_scaled(n, x):
     return m.take(at).reshape(xs.shape), (e + shift).take(at).reshape(xs.shape)
 
 
-def laguerre(n, x):
-    """Evaluate the (unassociated) Laguerre polynomial L_n(x).
-
-    Uses the upward recurrence; accepts a scalar or an array of arguments.
-    ``n`` must be an integer in [0, 10_000] and ``x`` finite.  Raises
-    ``OverflowError`` where |L_n(x)| exceeds the float range; the bounded
-    e^{-x/2} L_n(x) is available through :func:`laguerre_scaled`.
-    """
-    m, e = laguerre_scaled(n, x)
-    with np.errstate(over="ignore"):
-        val = np.ldexp(m, e)
-    if not np.all(np.isfinite(val)):
-        raise OverflowError(f"L_{n}(x) exceeds the float range; use laguerre_scaled")
-    return float(val) if np.ndim(x) == 0 else val
-
-
 @functools.cache
 def _lapack_dstevd():
     """LAPACK ``dstevd`` of the OpenBLAS that numpy links its linear algebra

@@ -8,8 +8,9 @@ The eigenvector Grams V_s' X V_t, which the kernel builds from the even and
 odd Fock rows, are formed here as the direct products, as are the field
 Grams and the maps summed from them, and the coherent
 amplitudes come from their recurrence without the exponent scaling.  The
-basis change of a two-qubit state and the coherent-state overlap, which the
-library does not use, are written out here as references.  The mixture
+basis change of a two-qubit state, the coherent-state overlap and the
+unscaled Laguerre values, which the library does not use, are written out
+here as references.  The mixture
 components of a field are written here as the dense (F, K) matrix of their
 columns, where the library names a run of unit Fock vectors by its rows.
 """
@@ -75,14 +76,16 @@ def dense_maps(prop, field, omega_ts):
     phases = [np.exp(-1j * np.outer(energies, omega_ts)) for energies, _ in prop.chains]
     overlaps = [(v.T @ vecs, v.T @ (parity[:, None] * vecs)) for v in modes]
     ops = np.zeros((len(omega_ts), 2, 2, 2, 2), dtype=complex)
-    for i, k, p, q, s, t in np.ndindex(2, 2, 2, 2, 2, 2):
-        if s == t and p == q:  # V_s' V_s = I
-            rail = np.eye(prop.fock_dim)
-        else:
-            rail = (modes[s].T * (parity if p != q else 1.0)) @ modes[t]
-        gram = (overlaps[s][i] * weights) @ overlaps[t][k].conj().T
-        block = (-1) ** (s * (p + i) + t * (q + k)) * rail * gram / 4
-        ops[:, i, k, p, q] += np.sum(phases[s] * (block @ phases[t].conj()), axis=0)
+    # one chain pair at a time, so at most its two rail and four field Grams
+    # are held; every entry still sums its blocks in (s, t) order
+    for s, t in np.ndindex(2, 2):
+        rails = [np.eye(prop.fock_dim) if s == t else modes[s].T @ modes[t],  # V_s' V_s = I
+                 (modes[s].T * parity) @ modes[t]]
+        grams = [[(overlaps[s][i] * weights) @ overlaps[t][k].conj().T for k in (0, 1)]
+                 for i in (0, 1)]
+        for i, k, p, q in np.ndindex(2, 2, 2, 2):
+            block = (-1) ** (s * (p + i) + t * (q + k)) * rails[p != q] * grams[i][k] / 4
+            ops[:, i, k, p, q] += np.sum(phases[s] * (block @ phases[t].conj()), axis=0)
     return ops
 
 
@@ -123,6 +126,13 @@ def coherent_fock_vector_unscaled(alpha, ncut):
     for n in range(ncut):
         c[n + 1] = c[n] * alpha / math.sqrt(n + 1)
     return c, max(0.0, 1.0 - float(np.vdot(c, c).real))
+
+
+def laguerre(n, x):
+    """L_n(x) itself, as ``np.ldexp`` of the mantissa and exponent of
+    ``laguerre_scaled``: the library keeps only the scaled form, whose
+    unscaled value overflows past the float range."""
+    return np.ldexp(*specialfn.laguerre_scaled(n, x))
 
 
 def laguerre_roots_dense(n, x_max=None):

@@ -17,10 +17,9 @@ PUBLIC = [
     "TruncationError", "TruncationSpec", "Vacuum", "__version__", "bell_ket",
     "build_hamiltonian", "coherent_fock_vector", "concurrence_at_half_period",
     "concurrence_closed", "concurrence_trace", "default_ncut", "esd_concurrence_closed",
-    "evolve_spin_coherent", "field_field_witness", "gamma", "laguerre", "laguerre_roots",
-    "laguerre_scaled", "low_spectrum", "make_bell", "make_esd_mixture", "modulation_factor",
-    "negativity", "propagate_state", "single_qubit_coherence", "thermal_weights",
-    "two_qubit_offdiagonal",
+    "evolve_spin_coherent", "field_field_witness", "gamma", "laguerre_roots", "laguerre_scaled",
+    "low_spectrum", "make_bell", "make_esd_mixture", "modulation_factor", "negativity",
+    "propagate_state", "single_qubit_coherence", "thermal_weights", "two_qubit_offdiagonal",
 ]
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from conftest import wootters
-from dense_reference import coherent_overlap
+from dense_reference import coherent_overlap, laguerre
 
 from degjc import closedform
 from degjc.closedform import (
@@ -20,7 +20,7 @@ from degjc.closedform import (
     two_qubit_offdiagonal,
 )
 from degjc.model import BellState, Coherent, Number, Thermal, Vacuum, make_esd_mixture
-from degjc.specialfn import laguerre, laguerre_roots
+from degjc.specialfn import laguerre_roots
 
 PI = math.pi
 

@@ -372,9 +372,10 @@ class TestFieldComponents:
         else:
             assert len(range(trunc.ncut + 1)[components]) == len(weights)
         kernel = _MapKernel(build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc), field)
-        # the one factor S at omega0 = 0, else the rail (and a unit-Fock
-        # field's Gram) of each product: a column's Gram is in the phases
-        assert all(np.isrealobj(a) for _, _, factors, *_ in kernel.terms for a in factors)
+        # the one factor S at omega0 = 0, else one product per term of its
+        # rail Gram (and a unit-Fock field's Gram): a column's Gram is in
+        # the phases
+        assert all(np.isrealobj(factor) for _, _, factor, *_ in kernel.terms)
 
     def test_thermal_run_holds_no_dense_matrix(self):
         # the doubled run of the README's ESD example, F = 1235 and K = 705:
@@ -634,15 +635,15 @@ class TestMapKernel:
             kernel = _MapKernel(prop, field)
             weights, vecs, _ = dense_components(field, trunc)
             if omega0:
-                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each product's
-                # factors against the rail Gram and, for a unit-Fock field, the
-                # direct field Gram (Y^u_s W P^(i + k) Y^u_t' from its even and
-                # odd Fock rows), and each mirrored (t, s) block against
-                # S^st^H; a coherent column's products take the rail Gram
-                # alone.  A unit-Fock field keeps the columns of each chain
-                # that span its eigenvectors nonzero on the run: the factors
-                # are the kept block, and the direct Gram is exactly 0 in every
-                # dropped row and column
+                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each term's one
+                # factor against the rail Gram times, for a unit-Fock field,
+                # the direct field Gram (Y^u_s W P^(i + k) Y^u_t' from its even
+                # and odd Fock rows), and each (0, 1) factor, transposed,
+                # against the mirrored (1, 0) block; a coherent column's
+                # factors are the rail Grams alone.  A unit-Fock field keeps
+                # the columns of each chain that span its eigenvectors nonzero
+                # on the run: the factors are the kept block, and the direct
+                # Gram is exactly 0 in every dropped row and column
                 y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs))
                      for v in modes]
                 spans = [slice(0, f)] * 2
@@ -654,39 +655,34 @@ class TestMapKernel:
                 dropped = [np.ones(f, dtype=bool) for _ in spans]
                 for out, span in zip(dropped, spans):
                     out[span] = False
-                direct = {}
 
-                def direct_gram(s, t, i, k):
-                    if (s, t, i, k) not in direct:
-                        gram = (y[s][i] * (0.25 * weights)) @ y[t][k].conj().T
-                        assert not np.any(gram[dropped[s]]) and not np.any(gram[:, dropped[t]])
-                        direct[s, t, i, k] = gram[spans[s], spans[t]]
-                    return direct[s, t, i, k]
+                grams = {}
 
-                held, got = {}, {}
-                for s, t, (rail, *gram), targets, mirrored in kernel.terms:
-                    (i, k, p, q), _, _ = targets[0]
-                    got[s, t, p != q] = rail
-                    assert len(gram) == (not isinstance(field, Coherent)), field
-                    if gram:
-                        held[id(gram[0])] = gram[0], direct_gram(s, t, i, k)
-                    if mirrored and gram:  # each mirrored entry takes the same block
-                        (i, k, p, q), _, _ = mirrored[0]
-                        check((rail * gram[0]).conj().T, rails[t, s, p != q][spans[t], spans[s]]
-                              * direct_gram(t, s, i, k))
-                for (s, t, flip), rail in got.items():
-                    check(rail, rails[s, t, flip][spans[s], spans[t]])
-                # a unit-Fock field forms six split Grams, a coherent one none:
-                # its four products are the four rail Grams
-                assert len(held) == (0 if isinstance(field, Coherent) else 6), field
-                assert len(got) == 4, field
-                for gram, expected in held.values():
-                    check(gram, expected)
-                del y, direct, held
+                def direct(s, t, flip, gram):
+                    rail = rails[s, t, flip][spans[s], spans[t]]
+                    if isinstance(field, Coherent):
+                        return rail
+                    if (s, t, gram) not in grams:
+                        # the like-rail Gram (i = k = u) or the unlike-rail one
+                        full = (y[s][0] * (0.25 * weights)) @ y[t][int(gram)].conj().T
+                        assert not np.any(full[dropped[s]]) and not np.any(full[:, dropped[t]])
+                        grams[s, t, gram] = full[spans[s], spans[t]]
+                    return rail * grams[s, t, gram]
+
+                unit = not isinstance(field, Coherent)
+                keys = [key for key, _ in oracle._map_entries(False, unit)]
+                assert len(kernel.terms) == len(keys) == (
+                    4 if isinstance(field, Coherent) else 8), field
+                for (s, t, flip, gram), (s_, t_, factor, *_) in zip(keys, kernel.terms):
+                    assert (s, t) == (s_, t_)
+                    check(factor, direct(s, t, flip, gram))
+                    if s != t:  # the mirrored (1, 0) block, S^ik_10 = (S^ki_01)^H
+                        check(factor.T, direct(t, s, flip, gram))
+                del y, grams
             else:
                 gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
                     v.T, parity[:, None] * vecs).conj().T
-                ((_, _, (factor,), *_),) = kernel.terms
+                ((_, _, factor, *_),) = kernel.terms
                 # S = V' P V o G for unit Fock components, whose G = Y W P_j Y'
                 # is symmetric, and V' P V for a column, whose G is folded
                 # into the phases
@@ -706,7 +702,7 @@ class TestMapKernel:
         order = rng.permutation(len(energies))
         chain = (energies[order], v[:, order])
         prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
-        ((_, _, (factor,), *_),) = _MapKernel(prop, field).terms
+        ((_, _, factor, *_),) = _MapKernel(prop, field).terms
         v = chain[1]
         weights, vecs, _ = dense_components(field, trunc)
         parity = oracle._parity(len(v))[:, None]
@@ -716,74 +712,106 @@ class TestMapKernel:
 
     @staticmethod
     def _check_banded_blocks(prop, field):
-        """The omega0 = 0 kernel's M_ud[u, d] on a grid against the dense
-        sum_ab phi_a S_ab phi_b* with S = (V' P V) o G formed densely, and its
-        factor against S (V' P V for a coherent column, whose G the kernel
-        folds into the phases); the kernel, and the dense S for the
-        caller's own checks."""
+        """The kernel's maps on a grid against the dense sums of its blocks:
+        at omega0 = 0 M_ud[u, d] against sum_ab phi_a S_ab phi_b* with S =
+        (V' P V) o G formed densely, and its factor against S (V' P V for a
+        coherent column, whose G the kernel folds into the phases);
+        otherwise every map against the dense two-chain sum
+        sum_st phi_s' S^st phi_t* of ``dense_maps``.  Returns the kernel,
+        and the dense S at omega0 = 0 for the caller's own checks."""
+        grid = np.concatenate([np.linspace(0.0, 2 * PI, 9), [0.3, 1.7, 5.1]])
+        kernel = _MapKernel(prop, field)
+        (ops,) = kernel.blocks(grid)
+        if len(prop.distinct_chains) == 2:
+            expected = dense_maps(prop, field, grid)
+            assert np.max(np.abs(ops - expected)) <= 1e-13 * np.max(np.abs(expected)), field
+            return kernel, None
         ((energies, v),) = prop.distinct_chains
         weights, vecs, _ = dense_components(field, prop.trunc)
         parity = oracle._parity(len(v))[:, None]
         gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
         dense = parity_gram(v) * gram
         del gram
-        grid = np.concatenate([np.linspace(0.0, 2 * PI, 9), [0.3, 1.7, 5.1]])
         phases = np.exp(-1j * np.outer(energies, grid))
         expected = np.sum(phases * (dense @ phases.conj()), axis=0)
-        kernel = _MapKernel(prop, field)
-        (ops,) = kernel.blocks(grid)
         error = np.max(np.abs(ops[:, 0, 1, 0, 1] - expected))
         assert error <= 1e-13 * np.max(np.abs(expected)), field
-        ((_, _, (factor,), *_),) = kernel.terms
+        ((_, _, factor, *_),) = kernel.terms
         held = parity_gram(v) if isinstance(field, Coherent) else dense
         assert np.max(np.abs(factor - held)) <= 1e-13 * np.max(np.abs(held)), field
         return kernel, dense
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
-    @pytest.mark.parametrize("field, beta, ncut, tail_tol", [
-        pytest.param(Vacuum(), 0.3, 21, 1e-10, id="vacuum-22"),
-        pytest.param(Number(5), 0.3, None, 1e-10, id="number5"),
-        pytest.param(Thermal(2.0), 0.1, 172, 1e-10, id="thermal2-173"),
-        pytest.param(Thermal(25.0), 0.1, 1234, 1e-12, id="thermal25-1235"),
-        pytest.param(Coherent(1 + 0.5j), 0.3, None, 1e-10, id="coherent"),
+    @pytest.mark.parametrize("field, beta, ncut, tail_tol, omega0", [
+        pytest.param(Vacuum(), 0.3, 21, 1e-10, 0.0, id="vacuum-22"),
+        pytest.param(Number(5), 0.3, None, 1e-10, 0.0, id="number5"),
+        pytest.param(Thermal(2.0), 0.1, 172, 1e-10, 0.0, id="thermal2-173"),
+        pytest.param(Thermal(25.0), 0.1, 1234, 1e-12, 0.0, id="thermal25-1235"),
+        pytest.param(Coherent(1 + 0.5j), 0.3, None, 1e-10, 0.0, id="coherent"),
+        pytest.param(Vacuum(), 0.3, 21, 1e-10, 0.7, id="vacuum-22-omega0=0.7"),
+        pytest.param(Number(5), 0.3, None, 1e-10, 0.7, id="number5-omega0=0.7"),
+        pytest.param(Thermal(2.0), 0.1, 172, 1e-10, 0.7, id="thermal2-173-omega0=0.7"),
+        pytest.param(Thermal(25.0), 0.1, 1234, 1e-12, 0.7, id="thermal25-1235-omega0=0.7",
+                     marks=pytest.mark.slow),
+        pytest.param(Coherent(1 + 0.5j), 0.3, None, 1e-10, 0.7, id="coherent-omega0=0.7"),
     ])
-    def test_banded_blocks_match_the_dense_form(self, field, beta, ncut, tail_tol, solver,
-                                                monkeypatch):
-        # S is formed in chunks of max(F // 8, 128) rows; each chunk keeps the
-        # columns its rows reach and the phase blocks multiply only those
+    def test_banded_blocks_match_the_dense_form(self, field, beta, ncut, tail_tol, omega0,
+                                                solver, monkeypatch):
+        # the factors are formed in chunks of max(F // 8, 128) rows; each
+        # chunk keeps the columns its rows reach and the phase blocks
+        # multiply only those
         if solver == "eigh":
             monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         elif specialfn._lapack_dstevd() is None:
             pytest.skip("numpy's LAPACK exports no dstevd")
         trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta), tail_tol)
-        prop = build_hamiltonian(ModelParams(beta), trunc)
+        prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         assert prop.eigensolver == solver
         kernel, dense = self._check_banded_blocks(prop, field)
         f = prop.fock_dim
-        if f <= 128:
-            assert kernel.bands == [(slice(0, f), slice(0, f))]
+        if f <= 128:  # one chunk: one band per term, over the columns its rows reach
+            assert all(len(bands) == 1 for _, _, _, bands, *_ in kernel.terms)
+            if not omega0:
+                assert kernel.terms[0][3] == [(slice(0, f), slice(0, f))]
         if isinstance(field, Thermal) and f == 1235:
-            # the eigenvectors whose support lies past the K = 705 run of
-            # Fock rows have rows of S that are exactly 0, and no band
-            ((_, v),) = prop.distinct_chains
+            ((_, v), *_) = prop.distinct_chains
             k = len(range(f)[field_components(field, trunc)[1]])
             assert k == 705
+            if omega0:
+                # each chain keeps the eigenvectors whose support meets the
+                # run, and the bands of the divide-and-conquer eigenvectors
+                # skip columns inside the kept span
+                assert max(kernel.kept) < f
+                if solver == "dstevd":
+                    assert any(cols.stop - cols.start < kernel.kept[t]
+                               for _, t, _, bands, *_ in kernel.terms for _, cols in bands)
+                return
+            # the eigenvectors whose support lies past the K = 705 run of
+            # Fock rows have rows of S that are exactly 0, and no band
             past = np.flatnonzero(np.all(v[:k] == 0.0, axis=0))
-            ((_, _, (factor,), *_),) = kernel.terms
+            ((_, _, factor, bands, *_),) = kernel.terms
             assert len(past) > f // 8 and np.all(factor[past] == 0.0)
             assert np.all(dense[past] == 0.0)
-            banded = np.concatenate([np.arange(f)[rows] for rows, _ in kernel.bands])
+            banded = np.concatenate([np.arange(f)[rows] for rows, _ in bands])
             assert np.intersect1d(banded, past).size < f // 8  # only a boundary chunk
-            assert len(kernel.bands) < len(range(0, f, f // 8))
+            assert len(bands) < len(range(0, f, f // 8))
 
-    @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
-    def test_banded_blocks_in_any_column_order(self, field, rng):
-        # the random column order of test_factor_finds_supports_in_any_column_order
+    @pytest.mark.parametrize("field, omega0", [
+        pytest.param(Thermal(25.0), 0.0, id="thermal:nbar=25"),
+        pytest.param(Coherent(1 + 0.5j), 0.0, id="coherent:alpha=1,0.5"),
+        pytest.param(Thermal(25.0), 0.7, id="thermal:nbar=25-omega0=0.7"),
+        pytest.param(Coherent(1 + 0.5j), 0.7, id="coherent:alpha=1,0.5-omega0=0.7"),
+    ])
+    def test_banded_blocks_in_any_column_order(self, field, omega0, rng):
+        # the random column order of test_factor_finds_supports_in_any_column_order,
+        # one order per chain
         trunc = TruncationSpec(617)
-        ((energies, v),) = build_hamiltonian(ModelParams(0.1), trunc).distinct_chains
-        order = rng.permutation(len(energies))
-        chain = (energies[order], v[:, order])
-        prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
+        chains = []
+        for energies, v in build_hamiltonian(ModelParams(0.1, omega0=omega0),
+                                             trunc).distinct_chains:
+            order = rng.permutation(len(energies))
+            chains.append((energies[order], v[:, order]))
+        prop = oracle.SubsystemPropagator(trunc, (chains[0], chains[-1]), "dstevd")
         self._check_banded_blocks(prop, field)
 
     @pytest.mark.parametrize(
@@ -797,7 +825,7 @@ class TestMapKernel:
         # takes every product of M_uu, every (1, 0) block is mirrored, not
         # multiplied, and a coherent field's products are its rail Grams,
         # each taking both of its overlaps at once (double width off
-        # omega0 = 0)
+        # omega0 = 0).  Each term holds one real factor
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         kernel = _MapKernel(prop, field)
@@ -806,7 +834,8 @@ class TestMapKernel:
             1 if omega0 == 0 else 28)
         # the factors are the kernel's own: the eigenvectors can be released
         modes = [v for _, v in prop.distinct_chains]
-        factors = [a for _, _, pair, *_ in kernel.terms for a in pair]
+        factors = [factor for _, _, factor, *_ in kernel.terms]
+        assert all(np.isrealobj(factor) for factor in factors)
         assert not any(np.shares_memory(a, v) for a in factors for v in modes)
         # one product of a factor per term and phase block
         grid = np.linspace(0.0, 2 * PI, 7)
@@ -832,8 +861,7 @@ class TestMapKernel:
             assert products_of_factors == [width * f * len(grid)] * products
             # the factors do not depend on the coherent amplitude
             other = _MapKernel(prop, Coherent(-0.3j))
-            assert all(np.array_equal(a, b) for (*_, x, _, _), (*_, y, _, _) in zip(
-                kernel.terms, other.terms) for a, b in zip(x, y))
+            assert all(np.array_equal(a[2], b[2]) for a, b in zip(kernel.terms, other.terms))
 
 
 class TestTrimmedChains:
@@ -1542,9 +1570,9 @@ class TestMemoryBudget:
 
     def test_coherent_run_holds_no_field_gram(self, monkeypatch):
         # Coherent(12 + 5j) at beta = 0.5 and omega0 = 0.7, F = 292, on 257
-        # points in small phase blocks: the eigenvectors and the four real
-        # rail Grams, about 6 F^2 words (ten complex field Grams and their
-        # products took 29)
+        # points in small phase blocks: the eigenvectors, the four real
+        # rail-Gram factors and a chunk's copies of its window's rows,
+        # 7.6 F^2 words (ten complex field Grams and their products took 29)
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
         params, field = ModelParams(0.5, omega0=0.7), Coherent(12 + 5j)
         trunc, grid = TruncationSpec(291), np.linspace(0.0, 2 * PI, 257)
