@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .specialfn import _real
+from .specialfn import _is_count, _real
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 HADAMARD2 = np.kron(HADAMARD, HADAMARD)
@@ -97,7 +97,7 @@ class Number:
     n: int
 
     def __post_init__(self):
-        if _real(self.n, "Fock index") != int(self.n) or self.n < 0:
+        if not _is_count(_real(self.n, "Fock index")):
             raise ValueError(f"Fock index must be a nonnegative integer, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
 

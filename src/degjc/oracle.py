@@ -143,35 +143,33 @@ def _run_bytes(params, field, spec):
     """Peak bytes of one run of :func:`concurrence_trace` at ``spec``, from
     (ncut, K, omega0) alone.
 
-    A run holds the eigenvectors of its chains and the real
-    :class:`_MapKernel` factors, one per term, formed chunk by chunk of
-    :func:`_chunk_rows` rows.  At omega0 = 0 that is the one factor S (each
-    chunk forms its rows of 2 E in place there) and, per chunk, its rows of
-    the field Gram with their weighted overlaps (at most
-    ``_PHASE_BLOCK_BYTES``) and one copy of the even rows of the
-    eigenvectors of its window (the estimate allows half an F x F array for
-    it: an upper bound for any eigenvectors).  Otherwise it is the eight
-    products of a unit-Fock field, or the four rail Grams of a coherent one
-    (whose Gram is folded into the phases), and, per chunk and chain pair,
-    the even and odd rows of the window's eigenvectors (at most a whole
-    F x F array, plus the chunk's own columns) and six blocks of the
-    chunk's rows (two rail Grams, two field Grams and their even- and
-    odd-row halves).
-    The products are F x F: which eigenvectors a unit-Fock field's kernel
-    keeps is known only after the eigensolve, so the untrimmed chains bound
-    it.  The K mixture components add a few F x K arrays, vectors of length
-    F a few dozen more, and the phase blocks, scaled phases included, a few
-    times ``_PHASE_BLOCK_BYTES``.
+    A run holds the eigenvectors of each distinct chain (one at omega0 =
+    0, else two) and the real :class:`_MapKernel` factors, one per term of
+    :func:`_map_entries`: the one S at omega0 = 0, else the eight products
+    of a unit-Fock field or the four rail Grams of a coherent one (whose
+    Gram is folded into the phases).  They are formed chunk by chunk of
+    :func:`_chunk_rows` rows, and per chunk and chain pair it holds the
+    even rows of its window's eigenvectors, and the odd rows where a
+    product reads them (a pair of chains or a unit-Fock field Gram), at
+    most half an F x F array each, plus the chunk's own columns, and six
+    blocks of the chunk's rows (two rail Grams, two field Grams and their
+    even- and odd-row halves).  The factors are F x F: which eigenvectors
+    a unit-Fock field's kernel keeps is known only after the eigensolve,
+    so the untrimmed chains bound it.  The K mixture components add three
+    F x K arrays per chain pair, vectors of length F a few dozen more, and
+    the phase blocks, scaled phases included, a few times
+    ``_PHASE_BLOCK_BYTES``.
     """
     f = spec.ncut + 1
     k = 1
     if isinstance(field, Thermal):
         k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
-    if params.degenerate:
-        kernel = 20 * f * f + (3 * k + 32) * 8 * f
-    else:  # eigenvectors, 4 or 8 products, the window's rows and the chunk's blocks
-        words = 7 if isinstance(field, Coherent) else 11
-        kernel = 8 * f * (words * f + 7 * _chunk_rows(f) + 9 * k + 32)
+    unit, chains = not isinstance(field, Coherent), 1 if params.degenerate else 2
+    terms = len(_map_entries(params.degenerate, unit))
+    copies = 2 if unit or chains > 1 else 1  # even rows, and odd rows where read
+    pairs = chains * (chains + 1) // 2
+    kernel = 8 * f * ((2 * (chains + terms) + copies) * f // 2 + 7 * _chunk_rows(f)
+                      + 3 * pairs * k + 32)
     return max(_eigensolve_bytes(params, spec.ncut), kernel + 4 * _PHASE_BLOCK_BYTES)
 
 
@@ -273,11 +271,11 @@ def _supports(v):
     return nonzero.argmax(axis=0), len(v) - 1 - nonzero[::-1].argmax(axis=0)
 
 
-def _pair(even, odd):
-    """``even + odd`` and ``even - odd``, stacked."""
-    pair = np.empty((2,) + even.shape)
-    np.add(even, odd, out=pair[0])
-    np.subtract(even, odd, out=pair[1])
+def _pair(even, odd, count=2):
+    """``even + odd`` and ``even - odd`` stacked, the first ``count`` of them."""
+    pair = np.empty((count,) + even.shape)
+    for ufunc, out in zip((np.add, np.subtract), pair):
+        ufunc(even, odd, out=out)
     return pair
 
 
@@ -433,8 +431,9 @@ def field_components(field, trunc):
 # most this many bytes of the per-point stacks of the maps and their
 # reduction, which take up to _POINT_BYTES per point.  The kernel
 # factors are formed in chunks of max(F // 8, 128) rows, at most this many
-# bytes of (rows x F) real entries (_chunk_rows): each of a chunk's rail
-# and field Grams takes one array of at most that shape.
+# bytes of (rows x F) real entries (_chunk_rows): at every omega0 each of a
+# chunk's rail Grams, field Grams and their even- and odd-row halves takes
+# one array of at most that shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 # Bytes a point of each measure's temporaries, which take blocks of at most
@@ -498,12 +497,12 @@ class _MapKernel:
     Fock components e_j of a vacuum, number or thermal field, the overlaps
     are rows j of V_s, sliced rather than multiplied, and the Gram
     Y^u_s W P_j^(i + k) Y^u_t' depends on i + k alone, so M_dd takes the
-    products of M_uu.  Off omega0 = 0 these Grams split as the rail Grams
-    do: with E^W_st and O^W_st the products over the even and odd Fock
-    rows, each row weighted by its component's weight, the like-rail Gram
-    (i = k) is E^W + O^W and the unlike-rail one E^W - O^W.  Each term
-    holds one real factor, its rail Gram times its field Gram, formed once
-    per eigensolve: eight for the chain pairs 00, 01 and 11.
+    products of M_uu.  These Grams split as the rail Grams do: with E^W_st
+    and O^W_st the products over the even and odd Fock rows, each row
+    weighted by its component's weight, the like-rail Gram (i = k) is
+    E^W + O^W and the unlike-rail one E^W - O^W.  Each term holds one real
+    factor, its rail Gram times its field Gram, formed once per eigensolve:
+    eight for the chain pairs 00, 01 and 11.
     A coherent field is a column c (any K columns work the same way), and
     its Gram is folded into the eigenphases instead: S = diag(Y^i_s)
     (V_s' X V_t) diag(Y^k_t*), so phi_s' S phi_t* = (Y^i_s o phi_s)'
@@ -517,31 +516,36 @@ class _MapKernel:
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
     rail and only M_ud[up, down] is a bilinear form, with the one factor
     S = (2 E - I) o G and G = Y^u W Y^d^H (S = 2 E - I for a column, whose
-    G is in the phases).  G = Y^u W P_j Y^u' of unit Fock components is
-    symmetric, so S is.
+    G is in the phases).  S is the one-chain case of the chain pair (0, 0):
+    its rail Gram 2 E - I times, for unit Fock components, G = Y^u W P_j
+    Y^u', which is E^W + O^W with each row weighted by W P_j, so S is
+    symmetric.  omega0 enters only as data: the number of chains, the
+    entries of :func:`_map_entries`, the row weights, the overlaps and
+    the constant part of the maps.
 
     Every factor comes from one loop over chunks of :func:`_chunk_rows`
     eigenvectors of each chain s, read from the first and last nonzero
-    Fock row of every eigenvector, found once per chain.  Off omega0 = 0 a
-    unit-Fock field first keeps, of each chain, the range of columns that
-    spans the eigenvectors whose support meets its run, as a view of V_s
-    with its energies (``kept`` counts them): an eigenvector exactly 0 on
-    the run has a zero overlap, so its rows and columns of every factor
-    are exactly 0 (41 % of each chain for thermal(5) at ncut 312 and
-    beta = 0.3).  A column meets every eigenvector, so its chains stay
+    Fock row of every eigenvector, found once per chain.  A unit-Fock field
+    first keeps, of each chain, the range of columns that spans the
+    eigenvectors whose support meets its run, as a view of V_s with its
+    energies (``kept`` counts them): an eigenvector exactly 0 on the run
+    has a zero overlap, so its rows and columns of every factor are
+    exactly 0 (41 % of each chain for thermal(5) at ncut 312, beta = 0.3
+    and omega0 = 0.7, 36 % for thermal(25) at ncut 1234 and beta = 0.1 at
+    every omega0).  A column meets every eigenvector, so its chains stay
     whole.  A chunk's eigenvectors are zero outside the Fock rows [lo, hi)
     they span and a unit-Fock Gram outside its run; where the two miss
     each other the chunk's rows of every factor are exactly 0 and it takes
     no product.  Otherwise, for each chain t >= s, its products run over
     the rows of that window and over the columns of chain t whose support
     meets the run's part of it; every skipped term is a product with an
-    exact zero.  The chunk copies the even (off omega0 = 0 also the odd)
-    rows of its window once before BLAS reads them, so the eigenvectors
-    may come in either layout.  At omega0 = 0 it forms its rows of 2 E in
-    S, multiplies them by its rows of G, summed over the run's rows inside
-    the window, and subtracts the diagonal of G; off it, it forms its rail
-    Grams 2 E_ss - I or E_st + O_st and E_st - O_st and its field Grams,
-    and writes their products.  A chain with itself gives symmetric
+    exact zero.  The chunk copies the even rows of its window once before
+    BLAS reads them, and the odd rows where a product reads them (a pair
+    of chains, or a unit-Fock field Gram), so the eigenvectors may come in
+    either layout.  It forms its rail Grams 2 E_ss - I, or E_st + O_st and
+    E_st - O_st, and its field Grams E^W + O^W (off omega0 = 0 also
+    E^W - O^W), summed over the run's rows inside the window, and writes
+    their products.  A chain with itself gives symmetric
     factors: the chunk forms its rows on and above the diagonal and
     mirrors them below.  Divide-and-conquer eigenvectors are exactly zero
     outside a window of Fock rows wherever deflation decoupled them (91 %
@@ -565,12 +569,10 @@ class _MapKernel:
         run = (0, f) if rows is None else (rows.start, rows.stop)
         chains = []
         for energies, v in prop.distinct_chains:
+            # keep the columns that span the eigenvectors meeting the run
             first, last = _supports(v)
-            if not one:  # keep the columns that span the eigenvectors meeting the run
-                meet = ((first < run[1]) & (last >= run[0])).nonzero()[0]
-                energies, v, first, last = (x[..., meet[0]:meet[-1] + 1]
-                                            for x in (energies, v, first, last))
-            chains.append((energies, v, first, last))
+            meet = ((first < run[1]) & (last >= run[0])).nonzero()[0]
+            chains.append(tuple(x[..., meet[0]:meet[-1] + 1] for x in (energies, v, first, last)))
         self.kept = tuple(len(energies) for energies, *_ in chains)
         self.energies = np.concatenate([energies for energies, *_ in chains])
         self.overlaps = None
@@ -596,7 +598,8 @@ class _MapKernel:
         # per chain pair (s, t) its real factors, one per term, as
         # held[s, t][flip, gram]: the rail Gram 2 E_ss - I (s = t) or
         # E_st + O_st and E_st - O_st (flip), times a unit-Fock field's
-        # E^W + O^W and E^W - O^W (gram); at omega0 = 0 the one factor S
+        # E^W + O^W and, off omega0 = 0, E^W - O^W (gram); at omega0 = 0
+        # the weights W P_j make E^W + O^W the G of the one factor S
         grams = 2 if rows is not None and not one else 1
         below = np.greater.outer(*[np.arange(min(step, f))] * 2)  # strictly below the diagonal
         held = {(s, t): np.zeros((1 if s == t else 2, grams, self.kept[s], self.kept[t]))
@@ -613,7 +616,6 @@ class _MapKernel:
                 fock = slice(max(lo, run[0]), min(hi, run[1]))
                 if fock.start >= fock.stop:
                     continue
-                heads = (lo + lo % 2, lo + 1 - lo % 2)[:1 if one else 2]  # even, odd rows
                 for t in reversed(range(s, len(chains))):  # (s, s) last: `left` views its rows
                     _, vt, ft, lt = chains[t]
                     factors = held[s, t]
@@ -626,45 +628,30 @@ class _MapKernel:
                     bands[s, t].append((top, slice(int(reach[0]), stop)))
                     cols = slice(start if s == t else int(reach[0]), stop)
                     # numpy multiplies step-2 rows of a column-major array
-                    # without BLAS: the window's even (and odd) rows are copied
+                    # without BLAS: the window's even rows are copied, and its
+                    # odd rows where a product reads them
+                    heads = (lo + lo % 2, lo + 1 - lo % 2)[:2 if s != t or rows is not None else 1]
                     right = [np.array(vt[head:hi:2, cols]) for head in heads]
                     left = ([x[:, :end - start] for x in right] if s == t
                             else [np.array(vs[head:hi:2, top]) for head in heads])
-                    block = factors[..., top, cols]
-                    if one:
-                        upper = block[0, 0]  # 2 E, then S, in place
-                        diagonal = np.einsum("ii->i", upper[:, :end - start])  # a view
-                        np.matmul(left[0].T, right[0], out=upper)
-                        upper *= 2.0
-                        if rows is None:  # a column's G is in the phases: S = 2 E - I
-                            diagonal -= 1.0
-                        else:
-                            # rows top, columns cols of G = Y^u W P_j Y^u',
-                            # summed over the components in Fock rows fock of
-                            # the run, outside which eigenvectors top are zero
-                            gram = (vs[fock, top].T * run_weights[fock]) @ vs[fock, cols]
-                            upper *= gram
-                            diagonal -= gram.diagonal()
-                            del gram
+                    # the rail Grams 2 E_ss - I, or E_st + O_st and E_st - O_st
+                    if s == t:
+                        rail = (left[0].T @ right[0])[None]
+                        rail *= 2.0
+                        rail[0].reshape(-1)[::rail.shape[2] + 1] -= 1.0
                     else:
-                        # the rail Grams 2 E_ss - I, or E_st + O_st and E_st - O_st
-                        if s == t:
-                            rail = (left[0].T @ right[0])[None]
-                            rail *= 2.0
-                            rail[0].reshape(-1)[::rail.shape[2] + 1] -= 1.0
-                        else:
-                            rail = _pair(left[0].T @ right[0], left[1].T @ right[1])
-                        field = 1.0  # a column's Gram is in the phases
-                        if rows is not None:
-                            # E^W + O^W and E^W - O^W over the run's even and
-                            # odd Fock rows inside the window: rows h of each copy
-                            halves = [slice((fock.start - head + 1) // 2,
-                                            (fock.stop - head + 1) // 2) for head in heads]
-                            field = _pair(*((a[h].T * run_weights[head:hi:2][h]) @ b[h]
-                                            for a, b, h, head in zip(left, right, halves, heads)))
-                        np.multiply(rail[:, None], field, out=block)
-                        del rail, field
-                    del left, right
+                        rail = _pair(left[0].T @ right[0], left[1].T @ right[1])
+                    field = 1.0  # a column's Gram is in the phases
+                    if rows is not None:
+                        # E^W + O^W (and E^W - O^W) over the run's even and
+                        # odd Fock rows inside the window: rows h of each copy
+                        halves = [slice((fock.start - head + 1) // 2,
+                                        (fock.stop - head + 1) // 2) for head in heads]
+                        field = _pair(*((a[h].T * run_weights[head:hi:2][h]) @ b[h]
+                                        for a, b, h, head in zip(left, right, halves, heads)),
+                                      grams)
+                    np.multiply(rail[:, None], field, out=factors[..., top, cols])
+                    del rail, field, left, right
                     if s == t:  # mirror the rows' upper triangle
                         square = factors[..., top, top]
                         np.copyto(square, square.swapaxes(-1, -2),
@@ -802,9 +789,9 @@ class OracleTrace:
     ``eigensolver`` (``"dstevd"`` or ``"eigh"``) and ``sector_dim`` say how
     the run at ``ncut`` was diagonalized, ``kept_modes`` how many
     eigenvectors of each distinct chain entered its maps (fewer than
-    ``sector_dim`` where a unit-Fock field off omega0 = 0 kept only the
-    range that spans those whose support meets its Fock rows; one entry at
-    omega0 = 0), ``components`` is
+    ``sector_dim`` where a unit-Fock field kept only the range that spans
+    those whose support meets its Fock rows; one entry at omega0 = 0,
+    where the chains coincide), ``components`` is
     the number K of mixture components of its field, and ``doubled_ncut``
     the cutoff of the doubling re-run (0 for an empty grid); no CSV writes
     them.

@@ -36,8 +36,17 @@ def _real_array(x, name):
     return np.asarray(_real(x, name), dtype=float)
 
 
+def _is_count(n):
+    """Whether ``n`` equals a nonnegative integer; False for an infinite
+    or NaN ``n``, which no integer equals."""
+    try:
+        return n == int(n) and n >= 0
+    except (OverflowError, ValueError):
+        return False
+
+
 def _check_order(n):
-    if n != int(n) or n < 0:
+    if not _is_count(n):
         raise ValueError(f"Laguerre order must be a nonnegative integer, got {n!r}")
     n = int(n)
     if n > MAX_LAGUERRE_ORDER:

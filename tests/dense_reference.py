@@ -15,6 +15,7 @@ components of a field are written here as the dense (F, K) matrix of their
 columns, where the library names a run of unit Fock vectors by its rows.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -36,18 +37,16 @@ def dense_modes(prop):
     return np.block([[even, odd], [p * even, -p * odd]]) / math.sqrt(2.0)
 
 
-def parity_gram(v):
-    """V' P V of one chain, P = diag((-1)^n), as one direct product."""
-    return (v.T * oracle._parity(len(v))) @ v
-
-
 def rail_grams(modes):
-    """The rail Grams V_s' X V_t of the two chains ``modes``, keyed
-    (s, t, flip) with X = P where ``flip`` and X = I otherwise."""
+    """The rail Grams V_s' X V_t of the chains ``modes`` (one at omega0 =
+    0, else two), keyed (s, t, flip) with X = P where ``flip`` and X = I
+    otherwise; a chain with itself takes X = P only, as V_s' V_s = I."""
     parity = oracle._parity(len(modes[0]))
-    rails = {(s, t, flip): (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
-             for s, t, flip in ((0, 0, True), (0, 1, False), (0, 1, True), (1, 1, True))}
-    rails.update({(1, 0, flip): rails[0, 1, flip].T for flip in (False, True)})
+    rails = {}
+    for s, t in itertools.combinations_with_replacement(range(len(modes)), 2):
+        for flip in (True,) if s == t else (False, True):
+            rails[s, t, flip] = (modes[s].T * parity) @ modes[t] if flip else modes[s].T @ modes[t]
+            rails[t, s, flip] = rails[s, t, flip].T
     return rails
 
 

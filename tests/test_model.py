@@ -63,6 +63,9 @@ def test_real_numpy_scalars_accepted():
 def test_field_spec_validation():
     with pytest.raises(ValueError):
         Number(-1)
+    for bad in (float("inf"), float("-inf"), float("nan"), np.float64("nan")):
+        with pytest.raises(ValueError, match="Fock index must be a nonnegative integer"):
+            Number(bad)
     with pytest.raises(ValueError):
         Thermal(-0.1)
     with pytest.raises(ValueError):

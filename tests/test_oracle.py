@@ -11,7 +11,7 @@ import pytest
 from conftest import wootters
 from dense_reference import (
     coherent_fock_vector_unscaled, dense_components, dense_maps, dense_modes, evolved_rails,
-    field_field_reduced, parity_gram, rail_grams)
+    field_field_reduced, rail_grams)
 
 from degjc import oracle, specialfn
 from degjc.closedform import (
@@ -575,21 +575,29 @@ class TestMapKernel:
         assert sum(sizes) == len(grid)
         assert max(sizes) == kernel.block < len(grid)
 
-    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("omega0, beta, ncut", [
+        pytest.param(0.0, 0.3, None, id="0.0"),
+        pytest.param(0.7, 0.3, None, id="0.7"),
+        pytest.param(0.0, 0.1, 200, id="0.0-beta=0.1-ncut=200"),
+    ])
     @pytest.mark.parametrize("field", [Vacuum(), Number(5), Thermal(2.0)], ids=str)
-    def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0):
+    def test_unit_fock_rows_give_the_bits_of_the_products(self, field, omega0, beta, ncut):
         # sliced overlaps, the signed Gram and the shared products against
         # the dense sums of every chain-pair block over the dense reference
-        # components np.eye(F)[:, rows]: at omega0 = 0 a mixture's sliced
-        # factor mirrors its upper triangle, and at omega0 != 0 the sliced
-        # Grams sum the even and odd Fock rows apart and every (1, 0) block
-        # is mirrored
-        trunc = TruncationSpec(default_ncut(field, 0.3))
-        prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
+        # components np.eye(F)[:, rows]: the sliced Grams sum the even and
+        # odd Fock rows apart, a chain with itself mirrors its upper
+        # triangle and every (1, 0) block is mirrored.  At beta = 0.1 and
+        # ncut 200 each chain keeps only the eigenvectors whose support
+        # meets the run (65, 65 and 116 of 201)
+        trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta))
+        prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         grid = np.linspace(0.0, 2 * PI, 11)
-        (sliced,) = _MapKernel(prop, field).blocks(grid)
+        kernel = _MapKernel(prop, field)
+        (sliced,) = kernel.blocks(grid)
         dense = dense_maps(prop, field, grid)
         assert np.max(np.abs(sliced - dense)) <= 1e-15 * np.max(np.abs(dense))
+        if ncut:
+            assert max(kernel.kept) < prop.fock_dim
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     @pytest.mark.parametrize("omega0", [0.0, 0.7])
@@ -608,9 +616,9 @@ class TestMapKernel:
         # four rail products formed directly; at F = 1235, K = 705 thermal
         # components as in the doubled run of the README's ESD example.
         # At beta = 0.1 most entries of the eigenvectors are exact zeros
-        # (91 % at F = 1235), so the omega0 = 0 factor skips most products;
-        # at beta = 0 the eigenvectors are +-I and it skips every one off
-        # the diagonal
+        # (91 % at F = 1235), so the factors skip most products; at beta = 0
+        # the eigenvectors are +-I and a chain with itself skips every one
+        # off the diagonal
         if solver == "eigh":
             monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
         elif specialfn._lapack_dstevd() is None:
@@ -618,128 +626,99 @@ class TestMapKernel:
         trunc = TruncationSpec(f - 1, tail_tol)
         prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         assert prop.eigensolver == solver
+        rails = rail_grams([v for _, v in prop.distinct_chains])
+        for field in [Vacuum(), Number(5), Thermal(25.0), Coherent(1 + 0.5j), Coherent(0.5j)]:
+            kernel = _MapKernel(prop, field)
+            self._check_factors(prop, field, kernel, rails)
+            if beta == 0.0:
+                assert all(np.array_equal(factor, np.diag(factor.diagonal()))
+                           for s, t, factor, *_ in kernel.terms if s == t), field
+            del kernel
+
+    @staticmethod
+    def _check_factors(prop, field, kernel, rails):
+        """Each term's one factor of ``kernel`` against the direct products,
+        with ``rails`` the rail Grams of :func:`rail_grams`.
+
+        S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each factor against
+        the rail Gram times, for a unit-Fock field, the direct field Gram
+        (Y^u_s W P^(i + k) Y^u_t' from its even and odd Fock rows), and each
+        (0, 1) factor, transposed, against the mirrored (1, 0) block; a
+        coherent column's factors are the rail Grams alone.  At omega0 = 0
+        the one factor is S = (V' P V) o G with G = Y^u W Y^d^H, without
+        the 1/4.  A unit-Fock field keeps the columns of each chain that
+        span its eigenvectors nonzero on the run: the factors are the kept
+        block, and the direct Gram is exactly 0 in every dropped row and
+        column.  A chain with itself gives an exactly symmetric factor."""
+        f = prop.fock_dim
         modes = [v for _, v in prop.distinct_chains]
+        one, unit = len(modes) == 1, not isinstance(field, Coherent)
         parity = oracle._parity(f)
-        if omega0:
-            rails = rail_grams(modes)
-        else:
-            (v,) = modes
-            vpv = parity_gram(v)
-        fields = [Vacuum(), Number(5), Thermal(25.0), Coherent(1 + 0.5j), Coherent(0.5j)]
+        weights, vecs, _ = dense_components(field, prop.trunc)
+        y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs)) for v in modes]
+        spans = [slice(0, f)] * len(modes)
+        if unit:
+            run = field_components(field, prop.trunc)[1]
+            spans = [slice(kept[0], kept[-1] + 1) for kept in (
+                np.flatnonzero(np.any(v[run] != 0.0, axis=0)) for v in modes)]
+        assert kernel.kept == tuple(span.stop - span.start for span in spans), field
+        dropped = [np.ones(f, dtype=bool) for _ in spans]
+        for out, span in zip(dropped, spans):
+            out[span] = False
+        grams = {}
+
+        def direct(s, t, flip, gram):
+            rail = rails[s, t, flip][spans[s], spans[t]]
+            if not unit:
+                return rail
+            if (s, t, gram) not in grams:
+                # the like-rail Gram (i = k = u) or the unlike-rail one
+                full = ((y[s][0] * (weights if one else 0.25 * weights))
+                        @ y[t][int(gram or one)].conj().T)
+                assert not np.any(full[dropped[s]]) and not np.any(full[:, dropped[t]]), field
+                grams[s, t, gram] = full[spans[s], spans[t]]
+            return rail * grams[s, t, gram]
 
         def check(got, expected):
             error = np.subtract(got, expected)
             assert np.max(np.abs(error, out=error)) <= 1e-13 * np.max(np.abs(expected)), field
 
-        for field in fields:
-            kernel = _MapKernel(prop, field)
-            weights, vecs, _ = dense_components(field, trunc)
-            if omega0:
-                # S^st = (V_s' X V_t) o (Y^i_s W Y^k_t^H) / 4: each term's one
-                # factor against the rail Gram times, for a unit-Fock field,
-                # the direct field Gram (Y^u_s W P^(i + k) Y^u_t' from its even
-                # and odd Fock rows), and each (0, 1) factor, transposed,
-                # against the mirrored (1, 0) block; a coherent column's
-                # factors are the rail Grams alone.  A unit-Fock field keeps
-                # the columns of each chain that span its eigenvectors nonzero
-                # on the run: the factors are the kept block, and the direct
-                # Gram is exactly 0 in every dropped row and column
-                y = [(oracle._dot(v.T, vecs), oracle._dot(v.T, parity[:, None] * vecs))
-                     for v in modes]
-                spans = [slice(0, f)] * 2
-                if not isinstance(field, Coherent):
-                    run = field_components(field, trunc)[1]
-                    spans = [slice(kept[0], kept[-1] + 1) for kept in (
-                        np.flatnonzero(np.any(v[run] != 0.0, axis=0)) for v in modes)]
-                assert kernel.kept == tuple(span.stop - span.start for span in spans), field
-                dropped = [np.ones(f, dtype=bool) for _ in spans]
-                for out, span in zip(dropped, spans):
-                    out[span] = False
-
-                grams = {}
-
-                def direct(s, t, flip, gram):
-                    rail = rails[s, t, flip][spans[s], spans[t]]
-                    if isinstance(field, Coherent):
-                        return rail
-                    if (s, t, gram) not in grams:
-                        # the like-rail Gram (i = k = u) or the unlike-rail one
-                        full = (y[s][0] * (0.25 * weights)) @ y[t][int(gram)].conj().T
-                        assert not np.any(full[dropped[s]]) and not np.any(full[:, dropped[t]])
-                        grams[s, t, gram] = full[spans[s], spans[t]]
-                    return rail * grams[s, t, gram]
-
-                unit = not isinstance(field, Coherent)
-                keys = [key for key, _ in oracle._map_entries(False, unit)]
-                assert len(kernel.terms) == len(keys) == (
-                    4 if isinstance(field, Coherent) else 8), field
-                for (s, t, flip, gram), (s_, t_, factor, *_) in zip(keys, kernel.terms):
-                    assert (s, t) == (s_, t_)
-                    check(factor, direct(s, t, flip, gram))
-                    if s != t:  # the mirrored (1, 0) block, S^ik_10 = (S^ki_01)^H
-                        check(factor.T, direct(t, s, flip, gram))
-                del y, grams
+        keys = [key for key, _ in oracle._map_entries(one, unit)]
+        assert len(kernel.terms) == len(keys) == (1 if one else 8 if unit else 4), field
+        for (s, t, flip, gram), (s_, t_, factor, *_) in zip(keys, kernel.terms):
+            assert (s, t) == (s_, t_) and np.isrealobj(factor), field
+            check(factor, direct(s, t, flip, gram))
+            if s != t:  # the mirrored (1, 0) block, S^ik_10 = (S^ki_01)^H
+                check(factor.T, direct(t, s, flip, gram))
             else:
-                gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(
-                    v.T, parity[:, None] * vecs).conj().T
-                ((_, _, factor, *_),) = kernel.terms
-                # S = V' P V o G for unit Fock components, whose G = Y W P_j Y'
-                # is symmetric, and V' P V for a column, whose G is folded
-                # into the phases
-                assert np.isrealobj(factor) and np.array_equal(factor, factor.T), field
-                if beta == 0.0:
-                    assert np.array_equal(factor, np.diag(factor.diagonal())), field
-                check(factor, vpv if isinstance(field, Coherent) else vpv * gram)
-            del kernel
+                assert np.array_equal(factor, factor.T), field
 
     @pytest.mark.parametrize("field", [Thermal(25.0), Coherent(1 + 0.5j)], ids=str)
     def test_factor_finds_supports_in_any_column_order(self, field, rng):
         # the eigenvectors in a random order, so the Fock rows each chunk
         # reaches are neither monotone nor banded: S still matches V' P V o G
-        # (V' P V for a coherent column, whose G is folded into the phases)
+        # on the kept span (V' P V for a coherent column, whose G is folded
+        # into the phases)
         trunc = TruncationSpec(617)
         ((energies, v),) = build_hamiltonian(ModelParams(0.1), trunc).distinct_chains
         order = rng.permutation(len(energies))
         chain = (energies[order], v[:, order])
         prop = oracle.SubsystemPropagator(trunc, (chain, chain), "dstevd")
-        ((_, _, factor, *_),) = _MapKernel(prop, field).terms
-        v = chain[1]
-        weights, vecs, _ = dense_components(field, trunc)
-        parity = oracle._parity(len(v))[:, None]
-        gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
-        expected = parity_gram(v) if isinstance(field, Coherent) else parity_gram(v) * gram
-        assert np.max(np.abs(factor - expected)) <= 1e-13 * np.max(np.abs(expected))
+        self._check_factors(prop, field, _MapKernel(prop, field), rail_grams([chain[1]]))
 
-    @staticmethod
-    def _check_banded_blocks(prop, field):
-        """The kernel's maps on a grid against the dense sums of its blocks:
-        at omega0 = 0 M_ud[u, d] against sum_ab phi_a S_ab phi_b* with S =
-        (V' P V) o G formed densely, and its factor against S (V' P V for a
-        coherent column, whose G the kernel folds into the phases);
-        otherwise every map against the dense two-chain sum
-        sum_st phi_s' S^st phi_t* of ``dense_maps``.  Returns the kernel,
-        and the dense S at omega0 = 0 for the caller's own checks."""
+    @classmethod
+    def _check_banded_blocks(cls, prop, field):
+        """The kernel's maps on a grid against the dense chain-pair sums
+        sum_st phi_s' S^st phi_t* of ``dense_maps`` (at omega0 = 0 the two
+        chains are one), and its factors as :meth:`_check_factors` checks
+        them.  Returns the kernel."""
         grid = np.concatenate([np.linspace(0.0, 2 * PI, 9), [0.3, 1.7, 5.1]])
         kernel = _MapKernel(prop, field)
         (ops,) = kernel.blocks(grid)
-        if len(prop.distinct_chains) == 2:
-            expected = dense_maps(prop, field, grid)
-            assert np.max(np.abs(ops - expected)) <= 1e-13 * np.max(np.abs(expected)), field
-            return kernel, None
-        ((energies, v),) = prop.distinct_chains
-        weights, vecs, _ = dense_components(field, prop.trunc)
-        parity = oracle._parity(len(v))[:, None]
-        gram = (oracle._dot(v.T, vecs) * weights) @ oracle._dot(v.T, parity * vecs).conj().T
-        dense = parity_gram(v) * gram
-        del gram
-        phases = np.exp(-1j * np.outer(energies, grid))
-        expected = np.sum(phases * (dense @ phases.conj()), axis=0)
-        error = np.max(np.abs(ops[:, 0, 1, 0, 1] - expected))
-        assert error <= 1e-13 * np.max(np.abs(expected)), field
-        ((_, _, factor, *_),) = kernel.terms
-        held = parity_gram(v) if isinstance(field, Coherent) else dense
-        assert np.max(np.abs(factor - held)) <= 1e-13 * np.max(np.abs(held)), field
-        return kernel, dense
+        expected = dense_maps(prop, field, grid)
+        assert np.max(np.abs(ops - expected)) <= 1e-13 * np.max(np.abs(expected)), field
+        cls._check_factors(prop, field, kernel, rail_grams([v for _, v in prop.distinct_chains]))
+        return kernel
 
     @pytest.mark.parametrize("solver", ["dstevd", "eigh"])
     @pytest.mark.parametrize("field, beta, ncut, tail_tol, omega0", [
@@ -767,34 +746,22 @@ class TestMapKernel:
         trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta), tail_tol)
         prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
         assert prop.eigensolver == solver
-        kernel, dense = self._check_banded_blocks(prop, field)
+        kernel = self._check_banded_blocks(prop, field)
         f = prop.fock_dim
         if f <= 128:  # one chunk: one band per term, over the columns its rows reach
             assert all(len(bands) == 1 for _, _, _, bands, *_ in kernel.terms)
             if not omega0:
                 assert kernel.terms[0][3] == [(slice(0, f), slice(0, f))]
         if isinstance(field, Thermal) and f == 1235:
-            ((_, v), *_) = prop.distinct_chains
             k = len(range(f)[field_components(field, trunc)[1]])
             assert k == 705
-            if omega0:
-                # each chain keeps the eigenvectors whose support meets the
-                # run, and the bands of the divide-and-conquer eigenvectors
-                # skip columns inside the kept span
-                assert max(kernel.kept) < f
-                if solver == "dstevd":
-                    assert any(cols.stop - cols.start < kernel.kept[t]
-                               for _, t, _, bands, *_ in kernel.terms for _, cols in bands)
-                return
-            # the eigenvectors whose support lies past the K = 705 run of
-            # Fock rows have rows of S that are exactly 0, and no band
-            past = np.flatnonzero(np.all(v[:k] == 0.0, axis=0))
-            ((_, _, factor, bands, *_),) = kernel.terms
-            assert len(past) > f // 8 and np.all(factor[past] == 0.0)
-            assert np.all(dense[past] == 0.0)
-            banded = np.concatenate([np.arange(f)[rows] for rows, _ in bands])
-            assert np.intersect1d(banded, past).size < f // 8  # only a boundary chunk
-            assert len(bands) < len(range(0, f, f // 8))
+            # each chain keeps the eigenvectors whose support meets the run,
+            # 795 of the 1235 at both omega0, and the bands of the
+            # divide-and-conquer eigenvectors skip columns inside the kept span
+            assert max(kernel.kept) < f
+            if solver == "dstevd":
+                assert any(cols.stop - cols.start < kernel.kept[t]
+                           for _, t, _, bands, *_ in kernel.terms for _, cols in bands)
 
     @pytest.mark.parametrize("field, omega0", [
         pytest.param(Thermal(25.0), 0.0, id="thermal:nbar=25"),
@@ -865,9 +832,9 @@ class TestMapKernel:
 
 
 class TestTrimmedChains:
-    """Off omega0 = 0 a unit-Fock field's kernel keeps, of each chain, the
-    columns that span the eigenvectors nonzero on its run of Fock rows;
-    ``OracleTrace.kept_modes`` says how many entered the maps."""
+    """At every omega0 a unit-Fock field's kernel keeps, of each distinct
+    chain, the columns that span the eigenvectors nonzero on its run of
+    Fock rows; ``OracleTrace.kept_modes`` says how many entered the maps."""
 
     @staticmethod
     def _trace(params, field, grid, trunc=None):
@@ -928,6 +895,10 @@ class TestTrimmedChains:
     def test_omega0_zero_records_its_one_chain(self):
         trace = self._trace(ModelParams(0.3), Thermal(1.0), np.linspace(0.0, 2 * PI, 5))
         assert trace.kept_modes == (trace.sector_dim,)
+        # the one chain is trimmed as each chain is off omega0 = 0: 65 of 201
+        trace = self._trace(ModelParams(0.1), Vacuum(), np.linspace(0.0, 2 * PI, 5),
+                            TruncationSpec(200))
+        assert len(trace.kept_modes) == 1 and trace.kept_modes[0] < trace.sector_dim == 201
 
     def test_witness_on_trimmed_chains(self, monkeypatch):
         # number(5) at ncut 62 keeps 90-92 % of each chain, as the witness

@@ -106,6 +106,10 @@ def test_rejects_bad_inputs():
         laguerre_scaled(2.5, 1.0)
     with pytest.raises(ValueError):
         laguerre_scaled(10_001, 1.0)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for call in (lambda: laguerre_scaled(bad, 1.0), lambda: laguerre_roots(bad)):
+            with pytest.raises(ValueError, match="Laguerre order must be a nonnegative integer"):
+                call()
     with pytest.raises(ValueError):
         laguerre_scaled(3, float("nan"))
     with pytest.raises(ValueError):
