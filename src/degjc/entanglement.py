@@ -3,7 +3,7 @@ states, and negativity."""
 
 import numpy as np
 
-from .model import HADAMARD2, QubitBasis, validate_spectra
+from .model import validate_spectra
 
 _SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SYSY = np.kron(_SY, _SY)
@@ -25,20 +25,19 @@ def wootters_concurrences(rhos, basis):
     PSD_TOL raises the ValueError of
     :func:`~degjc.model.validate_density_matrices`.
 
-    The complex conjugation is taken in the sigma_z product basis (the
-    basis in which the spin flip sy x sy is defined), so the stack is
-    converted there first; the result is invariant under local unitaries.
-    With the rank-revealing factor rho = X X' (eigenvalues below RANK_TOL
-    of the largest dropped) the s_i are the singular values of
-    tau = X^T (sy x sy) X, padded with zeros to four (Wootters, PRL 80,
-    2245 (1998)).  One stacked eigh covers the stack and one stacked svd
+    The spin flip is defined in the sigma_z product basis, and a state in
+    the sigma_x basis needs no conversion: the per-qubit Hadamard h is real
+    and h sy h = -sy, so (h x h)(sy x sy)(h x h) = sy x sy and the
+    spin-flipped state, and with it the concurrence, is the same in either
+    basis; ``basis`` does not enter.  With the rank-revealing factor rho =
+    X X' (eigenvalues below RANK_TOL of the largest dropped) the s_i are
+    the singular values of tau = X^T (sy x sy) X, padded with zeros to four
+    (Wootters, PRL 80, 2245 (1998)).  One stacked eigh covers the stack and one stacked svd
     each group of equal rank, so no dropped column is ever zero-padded
     into a product.
     """
-    if basis is not QubitBasis.SIGMA_Z:
-        rhos = HADAMARD2 @ rhos @ HADAMARD2  # per-qubit Hadamard, self-inverse
     vals, vecs = np.linalg.eigh(rhos)
-    validate_spectra(vals)  # the similarity keeps the eigenvalues
+    validate_spectra(vals)
     # eigh sorts ascending, so the kept eigenvalues are the last ``rank``
     rank = np.count_nonzero(vals > RANK_TOL * vals[:, -1:], axis=1)
     s = np.zeros((len(rhos), 4))

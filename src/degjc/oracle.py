@@ -145,31 +145,35 @@ def _run_bytes(params, field, spec):
 
     A run holds the eigenvectors of each distinct chain (one at omega0 =
     0, else two) and the real :class:`_MapKernel` factors, one per term of
-    :func:`_map_entries`: the one S at omega0 = 0, else the eight products
-    of a unit-Fock field or the four rail Grams of a coherent one (whose
-    Gram is folded into the phases).  They are formed chunk by chunk of
-    :func:`_chunk_rows` rows, and per chunk and chain pair it holds the
-    even rows of its window's eigenvectors, and the odd rows where a
-    product reads them (a pair of chains or a unit-Fock field Gram), at
-    most half an F x F array each, plus the chunk's own columns, and six
-    blocks of the chunk's rows (two rail Grams, two field Grams and their
-    even- and odd-row halves).  The factors are F x F: which eigenvectors
-    a unit-Fock field's kernel keeps is known only after the eigensolve,
-    so the untrimmed chains bound it.  The K mixture components add three
-    F x K arrays per chain pair, vectors of length F a few dozen more, and
-    the phase blocks, scaled phases included, a few times
-    ``_PHASE_BLOCK_BYTES``.
+    :func:`_map_entries`, as bands of chunks of at most c =
+    :func:`_chunk_bound` rows: the one S at omega0 = 0, else the eight
+    products of a unit-Fock field or the four rail Grams of a coherent one
+    (whose Gram is folded into the phases).  A chain with itself holds the
+    upper part of its factors, each chunk's rows from its diagonal on, so a
+    symmetric factor takes at most F (F + c) / 2 words; the bands of a
+    (0, 1) factor take at most F x F.  Which eigenvectors a unit-Fock
+    field's kernel keeps, and how far their supports reach, is known only
+    after the eigensolve, so the untrimmed chains bound them.  Per chunk
+    and chain pair the build holds the even rows of its window's
+    eigenvectors, and the odd rows where a product reads them (a pair of
+    chains or a unit-Fock field Gram), at most half an F x F array each,
+    plus the chunk's own columns, and six blocks of c x F (two rail Grams,
+    two field Grams and their even- and odd-row halves).  The K mixture
+    components add three F x K arrays per chain pair, vectors of length F
+    a few dozen more, and the phase blocks, scaled phases included, a few
+    times ``_PHASE_BLOCK_BYTES``.
     """
     f = spec.ncut + 1
     k = 1
     if isinstance(field, Thermal):
         k += min(thermal_component_count(field.nbar, spec.tail_tol), spec.ncut)
     unit, chains = not isinstance(field, Coherent), 1 if params.degenerate else 2
-    terms = len(_map_entries(params.degenerate, unit))
+    symmetric = [s == t for (s, t, *_), _ in _map_entries(params.degenerate, unit)]
     copies = 2 if unit or chains > 1 else 1  # even rows, and odd rows where read
     pairs = chains * (chains + 1) // 2
-    kernel = 8 * f * ((2 * (chains + terms) + copies) * f // 2 + 7 * _chunk_rows(f)
-                      + 3 * pairs * k + 32)
+    c = _chunk_bound(f)
+    factors = sum(symmetric) * (f + min(c, f)) + 2 * symmetric.count(False) * f
+    kernel = 8 * f * (((2 * chains + copies) * f + factors) // 2 + 7 * c + 3 * pairs * k + 32)
     return max(_eigensolve_bytes(params, spec.ncut), kernel + 4 * _PHASE_BLOCK_BYTES)
 
 
@@ -258,10 +262,32 @@ def build_hamiltonian(params, trunc):
     return SubsystemPropagator(trunc, (chains[0], chains[-1]), solved[0][2])
 
 
-def _chunk_rows(f):
-    """Rows per chunk of the kernel factors: max(F // 8, 128), at most
-    ``_PHASE_BLOCK_BYTES`` of (rows x F) real entries."""
+# The fewest eigenvectors a chunk of a long chain takes.  Narrower chunks
+# skip more exact zeros, but below this their products are too small to
+# pay for a chunk's fixed numpy calls: with 1 BLAS thread the build is
+# fastest at 48-64 rows both for the thermal(25) kernels at F = 1235
+# (supports about 100 rows wide) and at beta = 0, where every
+# eigenvector is a unit vector.
+_CHUNK_ROWS_MIN = 48
+
+
+def _chunk_bound(f):
+    """The most rows a chunk of the kernel factors takes: max(F // 8, 128),
+    and at most ``_PHASE_BLOCK_BYTES`` of (rows x F) real entries."""
     return max(1, min(max(f // 8, 128), _PHASE_BLOCK_BYTES // (8 * f)))
+
+
+def _chunk_rows(f, first, last):
+    """Eigenvectors per chunk of a chain's kernel factors, from the mean
+    width w of the supports of its n eigenvectors, Fock rows ``first`` to
+    ``last``: a chunk of w / 2 of them spans about 3 w / 2 rows, so the
+    chain is cut into equal chunks of about w / 2, and of at least
+    ``_CHUNK_ROWS_MIN``, or taken whole where fewer than 3 would fit (their
+    windows would cover it); at most :func:`_chunk_bound` rows, which the
+    memory estimate counts."""
+    n = len(first)
+    chunks = n // max((int(last.sum()) - int(first.sum())) // (2 * n), _CHUNK_ROWS_MIN)
+    return min(-(-n // chunks) if chunks >= 3 else n, _chunk_bound(f))
 
 
 def _supports(v):
@@ -301,6 +327,16 @@ def _finite_phases(omega_ts, ndim):
     return omega_ts
 
 
+def _eigenphases(angles):
+    """exp(-i angles) of a real array, written as cos and -sin into one
+    complex array: the bits of ``np.exp(-1j * angles)`` at about 60 % of
+    its cost (44 x 257 angles)."""
+    phases = np.empty(np.shape(angles), dtype=complex)
+    np.cos(angles, out=phases.real)
+    np.negative(np.sin(angles, out=phases.imag), out=phases.imag)
+    return phases
+
+
 def propagate_state(prop, state, omega_t):
     """Apply U(w t) to a subsystem state vector (or matrix of columns).
 
@@ -318,7 +354,7 @@ def propagate_state(prop, state, omega_t):
     p = _parity(f)[:, None]
     rails = np.hstack([psi[:f], p * psi[f:]])
     evolved = [
-        _dot(v, np.exp(-1j * energies * omega_t)[:, None] * _dot(v.T, rails))
+        _dot(v, _eigenphases(energies * omega_t)[:, None] * _dot(v.T, rails))
         for energies, v in prop.distinct_chains
     ]
     even = evolved[0][:, :m] + evolved[0][:, m:]
@@ -430,10 +466,11 @@ def field_components(field, trunc):
 # phases scaled by its overlaps, of at most this many bytes each, and at
 # most this many bytes of the per-point stacks of the maps and their
 # reduction, which take up to _POINT_BYTES per point.  The kernel
-# factors are formed in chunks of max(F // 8, 128) rows, at most this many
-# bytes of (rows x F) real entries (_chunk_rows): at every omega0 each of a
-# chunk's rail Grams, field Grams and their even- and odd-row halves takes
-# one array of at most that shape.
+# factors are formed in chunks whose rows come from the eigenvector
+# supports (_chunk_rows), at most max(F // 8, 128) of them and this many
+# bytes of (rows x F) real entries (_chunk_bound): at every omega0 each of
+# a chunk's rail Grams, field Grams and their even- and odd-row halves
+# takes one array of at most that shape.
 _PHASE_BLOCK_BYTES = 1 << 23
 _POINT_BYTES = 4096
 # Bytes a point of each measure's temporaries, which take blocks of at most
@@ -451,7 +488,9 @@ def _map_entries(one, unit):
     kernel, ``unit`` for a unit-Fock field: the entries (i, k, p, q) of the
     maps that take its value, each with its sign and the entry of the value
     it adds, as the block (s, t) itself or as its mirrored (t, s)."""
-    products = {(0, 0, True, False): ([((0, 1, 0, 1), 1, (0, 0))], [])} if one else {}
+    # at omega0 = 0 the one product gives M_ud[u, d], entry (u, d) of a column's value
+    at = (0, 0) if unit else (0, 1)
+    products = {(0, 0, True, False): ([((0, 1, 0, 1), 1, at)], [])} if one else {}
     for i, k in () if one else ((0, 0), (0, 1), (1, 1)):
         for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
             if i == k and p > q:
@@ -510,8 +549,8 @@ class _MapKernel:
     Y^k_t*, multiplies that by the rail Gram, both k at once, then by
     phi_s, and contracts it with W Y^i_s (and the 1/4) in one small
     product, which gives every (i, k).  Its factors are the four real rail
-    Grams alone, and its blocks hold K times fewer points (2 K off
-    omega0 = 0), so the scaled phases take the bytes of the phases.
+    Grams alone, and its blocks hold 2 K times fewer points, so the scaled
+    phases take the bytes of the phases.
     Where the chains coincide (omega0 = 0) the chain pairs collapse into
     the sigma_x sector form: M_uu and M_dd are the field norm on their own
     rail and only M_ud[up, down] is a bilinear form, with the one factor
@@ -525,37 +564,46 @@ class _MapKernel:
 
     Every factor comes from one loop over chunks of :func:`_chunk_rows`
     eigenvectors of each chain s, read from the first and last nonzero
-    Fock row of every eigenvector, found once per chain.  A unit-Fock field
-    first keeps, of each chain, the range of columns that spans the
-    eigenvectors whose support meets its run, as a view of V_s with its
-    energies (``kept`` counts them): an eigenvector exactly 0 on the run
-    has a zero overlap, so its rows and columns of every factor are
-    exactly 0 (41 % of each chain for thermal(5) at ncut 312, beta = 0.3
-    and omega0 = 0.7, 36 % for thermal(25) at ncut 1234 and beta = 0.1 at
-    every omega0).  A column meets every eigenvector, so its chains stay
-    whole.  A chunk's eigenvectors are zero outside the Fock rows [lo, hi)
-    they span and a unit-Fock Gram outside its run; where the two miss
-    each other the chunk's rows of every factor are exactly 0 and it takes
-    no product.  Otherwise, for each chain t >= s, its products run over
-    the rows of that window and over the columns of chain t whose support
-    meets the run's part of it; every skipped term is a product with an
-    exact zero.  The chunk copies the even rows of its window once before
-    BLAS reads them, and the odd rows where a product reads them (a pair
-    of chains, or a unit-Fock field Gram), so the eigenvectors may come in
-    either layout.  It forms its rail Grams 2 E_ss - I, or E_st + O_st and
-    E_st - O_st, and its field Grams E^W + O^W (off omega0 = 0 also
-    E^W - O^W), summed over the run's rows inside the window, and writes
-    their products.  A chain with itself gives symmetric
-    factors: the chunk forms its rows on and above the diagonal and
-    mirrors them below.  Divide-and-conquer eigenvectors are exactly zero
-    outside a window of Fock rows wherever deflation decoupled them (91 %
-    of the entries at beta = 0.1 and F = 1235), so most of the work is
-    skipped; a dense V takes the full products.  Each term keeps the
-    ``bands`` of its chain pair, each chunk's rows and the range of
-    columns they reach, so a phase block multiplies only factor[rows,
-    cols] by the phases of those columns, one product per band.  The
-    factors share no memory with the eigenvectors; a grid is evaluated in
-    blocks of ``block`` points.
+    Fock row of every eigenvector, found once per chain; the chunk width
+    comes from the widths of those supports.  A unit-Fock field first
+    keeps, of each chain, the range of columns that spans the eigenvectors
+    whose support meets its run, as a view of V_s with its energies
+    (``kept`` counts them): an eigenvector exactly 0 on the run has a zero
+    overlap, so its rows and columns of every factor are exactly 0 (41 %
+    of each chain for thermal(5) at ncut 312, beta = 0.3 and omega0 = 0.7,
+    36 % for thermal(25) at ncut 1234 and beta = 0.1 at every omega0).  A
+    column meets every eigenvector, so its chains stay whole.  A chunk's
+    eigenvectors are zero outside the Fock rows [lo, hi) they span and a
+    unit-Fock Gram outside its run; where the two miss each other the
+    chunk's rows of every factor are exactly 0 and it holds no band.
+    Otherwise, for each chain t >= s, its products run over the rows of
+    that window and over the columns of chain t whose support meets the
+    run's part of it; every skipped term is a product with an exact zero.
+    The chunk copies the even rows of its window once before BLAS reads
+    them, and the odd rows where a product reads them (a pair of chains,
+    or a unit-Fock field Gram), so the eigenvectors may come in either
+    layout.  It forms its rail Grams 2 E_ss - I, or E_st + O_st and E_st -
+    O_st, and its field Grams E^W + O^W (off omega0 = 0 also E^W - O^W),
+    summed over the run's rows inside the window, and their products are
+    its band: one array per chain pair and chunk, the chunk's rows by the
+    range of columns they reach, holding every term of the pair.
+    Divide-and-conquer eigenvectors are exactly zero outside a window of
+    Fock rows wherever deflation decoupled them (91 % of the entries at
+    beta = 0.1 and F = 1235; Gu & Eisenstat, SIAM J. Matrix Anal. Appl.
+    16, 172 (1995)), so most of the work is skipped; a dense V takes the
+    whole products.  No kept x kept array is formed.
+
+    A chain with itself gives symmetric factors F and holds only their
+    upper bands U, with F = U + U': a chunk's band starts at its own first
+    column and holds F / 2 on the chunk's square, so no entry is mirrored.
+    A phase block multiplies each band by the phases of its columns, one
+    product per band, into the rows of a weight.  As U is real, a
+    unit-Fock value phi' F phi* is twice the real part of phi' U phi*; a
+    column's left vectors W Y^i_s o phi_s are W times the conjugates of its
+    right ones Y^i_s* o phi_s*, so entry (i, k) of its value on F is that
+    on U plus the conjugate of entry (k, i).  The factors share no memory
+    with the eigenvectors; a grid is evaluated in blocks of ``block``
+    points.
     """
 
     def __init__(self, prop, field):
@@ -565,68 +613,64 @@ class _MapKernel:
         f = prop.fock_dim
         parity = _parity(f)
         one = len(prop.distinct_chains) == 1
-        step = _chunk_rows(f)
         run = (0, f) if rows is None else (rows.start, rows.stop)
         chains = []
         for energies, v in prop.distinct_chains:
             # keep the columns that span the eigenvectors meeting the run
             first, last = _supports(v)
             meet = ((first < run[1]) & (last >= run[0])).nonzero()[0]
-            chains.append(tuple(x[..., meet[0]:meet[-1] + 1] for x in (energies, v, first, last)))
+            span = slice(meet[0], meet[-1] + 1)
+            chains.append((energies[span], v[:, span], first[span], last[span]))
         self.kept = tuple(len(energies) for energies, *_ in chains)
         self.energies = np.concatenate([energies for energies, *_ in chains])
         self.overlaps = None
         if rows is None:
             norm = float(weights @ np.sum(np.abs(vecs) ** 2, axis=0))
-            # per chain W Y^i_s as (i, F, K) and Y^k_t as (F, K, k): i and k
-            # over (u, d), W times the 1/4 of each block; i = u, k = d at omega0 = 0
+            # per chain W Y^i_s as (i, F, K) and Y^k_t as (F, K, k), i and k
+            # over (u, d), W times the 1/4 of each block off omega0 = 0
             self.overlaps = []
             for _, v, *_ in chains:
                 y = np.stack([_dot(v.T, vecs), _dot(v.T, parity[:, None] * vecs)], axis=-1)
-                w = (y[..., :1] if one else y) * (weights if one else 0.25 * weights)[:, None]
-                self.overlaps.append((np.moveaxis(w, -1, 0), y[..., 1:] if one else y))
+                w = y * (weights if one else 0.25 * weights)[:, None]
+                self.overlaps.append((np.moveaxis(w, -1, 0), y))
         else:  # a run of unit Fock vectors: every squared column norm is exactly 1
             norm = float(weights @ np.ones(len(weights)))
             # by Fock row: W P_j at omega0 = 0, else W with the 1/4 of each block
             run_weights = np.zeros(f)
             run_weights[rows] = weights * parity[rows] if one else 0.25 * weights
-        # a column field's scaled phases take K times the bytes of the phases
-        # (2 K off omega0 = 0), so its blocks hold as many times fewer points
-        columns = 1 if rows is not None else self.components * (1 if one else 2)
+        # a column field's scaled phases take 2 K times the bytes of the
+        # phases, so its blocks hold as many times fewer points
+        columns = 1 if rows is not None else 2 * self.components
         self.block = max(1, _PHASE_BLOCK_BYTES // max(16 * self.energies.size * columns,
                                                       _POINT_BYTES))
-        # per chain pair (s, t) its real factors, one per term, as
-        # held[s, t][flip, gram]: the rail Gram 2 E_ss - I (s = t) or
-        # E_st + O_st and E_st - O_st (flip), times a unit-Fock field's
-        # E^W + O^W and, off omega0 = 0, E^W - O^W (gram); at omega0 = 0
-        # the weights W P_j make E^W + O^W the G of the one factor S
         grams = 2 if rows is not None and not one else 1
-        below = np.greater.outer(*[np.arange(min(step, f))] * 2)  # strictly below the diagonal
-        held = {(s, t): np.zeros((1 if s == t else 2, grams, self.kept[s], self.kept[t]))
-                for s, t in itertools.combinations_with_replacement(range(len(chains)), 2)}
-        bands = {pair: [] for pair in held}
+        # per chain pair (s, t) its bands (rows, cols, block): block[flip, gram]
+        # holds the rows' part of each real factor, the rail Gram 2 E_ss - I
+        # (s = t) or E_st + O_st and E_st - O_st (flip), times a unit-Fock
+        # field's E^W + O^W and, off omega0 = 0, E^W - O^W (gram); at omega0 = 0
+        # the weights W P_j make E^W + O^W the G of the one factor S
+        pairs = itertools.combinations_with_replacement(range(len(chains)), 2)
+        bands = {pair: [] for pair in pairs}
         for s, (_, vs, fs, ls) in enumerate(chains):
+            step = _chunk_rows(f, fs, ls)
             for start in range(0, len(fs), step):
                 end = min(start + step, len(fs))
                 top = slice(start, end)
                 # eigenvectors `top` vanish outside Fock rows [lo, hi) and a
                 # unit-Fock Gram outside the field's run: where the two miss
-                # each other their rows stay exactly 0
+                # each other their rows are exactly 0 and hold no band
                 lo, hi = int(fs[top].min()), int(ls[top].max()) + 1
                 fock = slice(max(lo, run[0]), min(hi, run[1]))
                 if fock.start >= fock.stop:
                     continue
                 for t in reversed(range(s, len(chains))):  # (s, s) last: `left` views its rows
                     _, vt, ft, lt = chains[t]
-                    factors = held[s, t]
                     # only the columns of chain t whose support meets the
-                    # overlap take products; a chain with itself forms its
-                    # rows on and above the diagonal and mirrors them, so its
-                    # band may start left of `top`
+                    # overlap take products; a chain with itself takes those
+                    # on and right of the diagonal
                     reach = ((ft < fock.stop) & (lt >= fock.start)).nonzero()[0]
-                    stop = max(int(reach[-1]) + 1, end) if s == t else int(reach[-1]) + 1
-                    bands[s, t].append((top, slice(int(reach[0]), stop)))
-                    cols = slice(start if s == t else int(reach[0]), stop)
+                    cols = (slice(start, max(int(reach[-1]) + 1, end)) if s == t
+                            else slice(int(reach[0]), int(reach[-1]) + 1))
                     # numpy multiplies step-2 rows of a column-major array
                     # without BLAS: the window's even rows are copied, and its
                     # odd rows where a product reads them
@@ -634,34 +678,31 @@ class _MapKernel:
                     right = [np.array(vt[head:hi:2, cols]) for head in heads]
                     left = ([x[:, :end - start] for x in right] if s == t
                             else [np.array(vs[head:hi:2, top]) for head in heads])
-                    # the rail Grams 2 E_ss - I, or E_st + O_st and E_st - O_st
+                    # the rail Grams 2 E_ss - I, halved on the chunk's square
+                    # (E_ss - I / 2), or E_st + O_st and E_st - O_st
                     if s == t:
                         rail = (left[0].T @ right[0])[None]
-                        rail *= 2.0
-                        rail[0].reshape(-1)[::rail.shape[2] + 1] -= 1.0
+                        rail[..., end - start:] *= 2.0
+                        rail[0].reshape(-1)[::rail.shape[2] + 1] -= 0.5
                     else:
                         rail = _pair(left[0].T @ right[0], left[1].T @ right[1])
-                    field = 1.0  # a column's Gram is in the phases
+                    block = rail[:, None]  # a column's Gram is in the phases
                     if rows is not None:
                         # E^W + O^W (and E^W - O^W) over the run's even and
                         # odd Fock rows inside the window: rows h of each copy
                         halves = [slice((fock.start - head + 1) // 2,
                                         (fock.stop - head + 1) // 2) for head in heads]
-                        field = _pair(*((a[h].T * run_weights[head:hi:2][h]) @ b[h]
-                                        for a, b, h, head in zip(left, right, halves, heads)),
-                                      grams)
-                    np.multiply(rail[:, None], field, out=factors[..., top, cols])
-                    del rail, field, left, right
-                    if s == t:  # mirror the rows' upper triangle
-                        square = factors[..., top, top]
-                        np.copyto(square, square.swapaxes(-1, -2),
-                                  where=below[:end - start, :end - start])
-                        factors[..., end:stop, top] = factors[..., top, end:stop].swapaxes(-1, -2)
+                        block = block * _pair(
+                            *((a[h].T * run_weights[head:hi:2][h]) @ b[h]
+                              for a, b, h, head in zip(left, right, halves, heads)), grams)
+                    bands[s, t].append((top, cols, block))
+                    del rail, block, left, right
         # M_ii[p, p] holds the field norm on its own rail at omega0 = 0, and
         # half of it from each chain otherwise
         self.const = np.zeros((2, 2, 2, 2), dtype=complex)
         np.einsum("iipp->ip", self.const)[...] = norm * np.eye(2) if one else 0.5 * norm
-        self.terms = [(s, t, held[s, t][int(flip and s != t), int(gram)], bands[s, t], *e)
+        self.terms = [(s, t, [(top, cols, block[int(flip and s != t), int(gram)])
+                              for top, cols, block in bands[s, t]], *e)
                       for (s, t, flip, gram), e in _map_entries(one, rows is not None)]
 
     def blocks(self, omega_ts):
@@ -672,8 +713,8 @@ class _MapKernel:
 
     def _block_ops(self, omega_ts):
         # phases[s]: the (kept[s], points) eigenphases of chain s
-        phases = np.exp(-1j * np.outer(self.energies, omega_ts))
-        phases = np.split(phases, np.cumsum(self.kept[:-1]))
+        phases = np.split(_eigenphases(np.outer(self.energies, omega_ts)),
+                          np.cumsum(self.kept[:-1]))
         if self.overlaps is None:
             right = [chain.conj() for chain in phases]
         else:  # a column field: right[t] = Y^k_t* phi_t*, as (F, K, k, points)
@@ -685,14 +726,21 @@ class _MapKernel:
         spare = [np.zeros_like(x) for x in right]
         pairs, out = ([x.reshape(len(x), -1).view(float) for x in xs] for xs in (right, spare))
         ops = np.repeat(self.const[None], len(omega_ts), axis=0)
-        for s, t, factor, bands, targets, mirrored in self.terms:
-            for rows, cols in bands:
-                np.matmul(factor[rows, cols], pairs[t][cols], out=out[s][rows])
+        for s, t, bands, targets, mirrored in self.terms:
+            for rows, cols, band in bands:
+                np.matmul(band, pairs[t][cols], out=out[s][rows])
+            # a chain with itself holds the upper bands U of F = U + U': a
+            # unit-Fock value phi' F phi* is twice the real part of phi' U phi*,
+            # a column's value[i, k] of F that of U plus value[k, i]*
             if self.overlaps is None:
                 value = np.sum(phases[s] * spare[s], axis=0)[None, None]
+                if s == t:
+                    value = 2.0 * value.real
             else:  # value[i, k] = sum_ac W_c Y^i_s[a, c] phi_s[a] weight[a, c, k]
                 spare[s] *= phases[s][:, None, None]
                 value = np.tensordot(self.overlaps[s][0], spare[s], axes=2)
+                if s == t:
+                    value += value.conj().swapaxes(0, 1)
             for entries, term in ((targets, value), (mirrored, value.conj())):
                 for (i, k, p, q), sign, at in entries:
                     ops[:, i, k, p, q] += term[at] if sign > 0 else -term[at]

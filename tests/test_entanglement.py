@@ -106,7 +106,7 @@ class TestWootters:
             assert 0.0 <= c <= 1.0 + 1e-12
 
     def test_sigma_x_tagged_input(self, rng):
-        # conjugation basis is handled internally
+        # the spin flip is the same in either basis: no conversion is needed
         state = random_pair_state(rng, basis=QubitBasis.SIGMA_X)
         same = change_basis(state, QubitBasis.SIGMA_Z)
         assert wootters(state)[0] == pytest.approx(wootters(same)[0], abs=1e-12)

@@ -375,7 +375,7 @@ class TestFieldComponents:
         # the one factor S at omega0 = 0, else one product per term of its
         # rail Gram (and a unit-Fock field's Gram): a column's Gram is in
         # the phases
-        assert all(np.isrealobj(factor) for _, _, factor, *_ in kernel.terms)
+        assert all(np.isrealobj(band) for _, _, bands, *_ in kernel.terms for *_, band in bands)
 
     def test_thermal_run_holds_no_dense_matrix(self):
         # the doubled run of the README's ESD example, F = 1235 and K = 705:
@@ -388,6 +388,19 @@ class TestFieldComponents:
         tracemalloc.stop()
         assert components == slice(0, 705) and len(weights) == 705
         assert peak < 64 * 1024
+
+
+def _factor(kernel, s, t, bands, *entries):
+    """A kernel term's kept x kept real factor from its bands, each entry
+    written once; a chain with itself (s = t) holds the upper bands U of
+    its symmetric factor, each from its rows' own first column on and
+    halved on their square, so the factor is U + U'."""
+    factor = np.zeros((kernel.kept[s], kernel.kept[t]))
+    for rows, cols, band in bands:
+        assert np.isrealobj(band) and not np.any(factor[rows, cols])
+        assert s != t or cols.start == rows.start
+        factor[rows, cols] = band
+    return factor + factor.T if s == t else factor
 
 
 def _maps(prop, field, omega_ts):
@@ -585,8 +598,8 @@ class TestMapKernel:
         # sliced overlaps, the signed Gram and the shared products against
         # the dense sums of every chain-pair block over the dense reference
         # components np.eye(F)[:, rows]: the sliced Grams sum the even and
-        # odd Fock rows apart, a chain with itself mirrors its upper
-        # triangle and every (1, 0) block is mirrored.  At beta = 0.1 and
+        # odd Fock rows apart, a chain with itself holds its upper bands and
+        # every (1, 0) block is mirrored.  At beta = 0.1 and
         # ncut 200 each chain keeps only the eigenvectors whose support
         # meets the run (65, 65 and 116 of 201)
         trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta))
@@ -632,7 +645,8 @@ class TestMapKernel:
             self._check_factors(prop, field, kernel, rails)
             if beta == 0.0:
                 assert all(np.array_equal(factor, np.diag(factor.diagonal()))
-                           for s, t, factor, *_ in kernel.terms if s == t), field
+                           for factor in (_factor(kernel, *term) for term in kernel.terms
+                                          if term[0] == term[1])), field
             del kernel
 
     @staticmethod
@@ -685,8 +699,9 @@ class TestMapKernel:
 
         keys = [key for key, _ in oracle._map_entries(one, unit)]
         assert len(kernel.terms) == len(keys) == (1 if one else 8 if unit else 4), field
-        for (s, t, flip, gram), (s_, t_, factor, *_) in zip(keys, kernel.terms):
-            assert (s, t) == (s_, t_) and np.isrealobj(factor), field
+        for (s, t, flip, gram), term in zip(keys, kernel.terms):
+            assert term[:2] == (s, t), field
+            factor = _factor(kernel, *term)
             check(factor, direct(s, t, flip, gram))
             if s != t:  # the mirrored (1, 0) block, S^ik_10 = (S^ki_01)^H
                 check(factor.T, direct(t, s, flip, gram))
@@ -736,8 +751,8 @@ class TestMapKernel:
     ])
     def test_banded_blocks_match_the_dense_form(self, field, beta, ncut, tail_tol, omega0,
                                                 solver, monkeypatch):
-        # the factors are formed in chunks of max(F // 8, 128) rows; each
-        # chunk keeps the columns its rows reach and the phase blocks
+        # the factors are formed in chunks sized by the eigenvector supports;
+        # each chunk keeps the columns its rows reach and the phase blocks
         # multiply only those
         if solver == "eigh":
             monkeypatch.setattr(specialfn, "_lapack_dstevd", lambda: None)
@@ -748,10 +763,10 @@ class TestMapKernel:
         assert prop.eigensolver == solver
         kernel = self._check_banded_blocks(prop, field)
         f = prop.fock_dim
-        if f <= 128:  # one chunk: one band per term, over the columns its rows reach
-            assert all(len(bands) == 1 for _, _, _, bands, *_ in kernel.terms)
+        if f < 64:  # supports that span the chain: one chunk, one band per term
+            assert all(len(bands) == 1 for _, _, bands, *_ in kernel.terms)
             if not omega0:
-                assert kernel.terms[0][3] == [(slice(0, f), slice(0, f))]
+                assert [band[:2] for band in kernel.terms[0][2]] == [(slice(0, f), slice(0, f))]
         if isinstance(field, Thermal) and f == 1235:
             k = len(range(f)[field_components(field, trunc)[1]])
             assert k == 705
@@ -761,7 +776,7 @@ class TestMapKernel:
             assert max(kernel.kept) < f
             if solver == "dstevd":
                 assert any(cols.stop - cols.start < kernel.kept[t]
-                           for _, t, _, bands, *_ in kernel.terms for _, cols in bands)
+                           for _, t, bands, *_ in kernel.terms for _, cols, _ in bands)
 
     @pytest.mark.parametrize("field, omega0", [
         pytest.param(Thermal(25.0), 0.0, id="thermal:nbar=25"),
@@ -781,6 +796,54 @@ class TestMapKernel:
         prop = oracle.SubsystemPropagator(trunc, (chains[0], chains[-1]), "dstevd")
         self._check_banded_blocks(prop, field)
 
+    def test_eigenphases_are_the_bits_of_exp(self, rng):
+        # cos and -sin give exp(-1j * angles) bit for bit, signed zeros
+        # included, for energies up to 5000 and phases up to 1e4 of either sign
+        energies = np.concatenate([[0.0, -0.0, -1.5, 1e-300], rng.uniform(-10.0, 5000.0, 400)])
+        grid = np.concatenate([[0.0, -0.0], np.linspace(0.0, 1e4, 1001),
+                               rng.uniform(-1e2, 1e2, 64)])
+        angles = np.outer(energies, grid)
+        got, expected = oracle._eigenphases(angles), np.exp(-1j * angles)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("field, beta, ncut, omega0, rows", [
+        # supports that span the chain: one chunk
+        pytest.param(Vacuum(), 0.5, 21, 0.7, (22, 22), id="vacuum-22"),
+        # the README ESD doubled run: 795 kept, supports about 100 rows wide
+        pytest.param(Thermal(25.0), 0.1, 1234, 0.0, (48, 60), id="thermal25-1235"),
+        # unit eigenvectors: chunks of the fewest rows, not of one
+        pytest.param(Coherent(1 + 0.5j), 0.0, 1234, 0.7, (48, 50), id="coherent-1235-beta=0"),
+    ])
+    def test_chunk_rows_come_from_the_supports(self, field, beta, ncut, omega0, rows):
+        trunc = TruncationSpec(ncut, 1e-12)
+        prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
+        kernel = _MapKernel(prop, field)
+        for s, _, bands, *_ in kernel.terms:
+            sizes = [top.stop - top.start for top, _, _ in bands]
+            assert rows[0] <= max(sizes) <= rows[1], sizes
+            assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+            if rows[0] < kernel.kept[s]:
+                assert len(bands) >= 3
+
+    @pytest.mark.parametrize("step", [1, 3, 8])
+    @pytest.mark.parametrize("omega0", [0.0, 0.7])
+    @pytest.mark.parametrize("field, beta, ncut, tail_tol", [
+        pytest.param(Vacuum(), 0.3, 21, 1e-10, id="vacuum-22"),
+        pytest.param(Thermal(2.0), 0.1, 172, 1e-10, id="thermal2-173"),
+        pytest.param(Coherent(1 + 0.5j), 0.3, None, 1e-10, id="coherent"),
+    ])
+    def test_forced_chunks_match_the_dense_form(self, field, beta, ncut, tail_tol, omega0, step,
+                                                monkeypatch):
+        # chunks of 1, 3 and 8 rows: every factor spans many bands, and each
+        # symmetric one many halved squares on its diagonal
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda *args: step)
+        trunc = TruncationSpec(ncut if ncut else default_ncut(field, beta), tail_tol)
+        prop = build_hamiltonian(ModelParams(beta, omega0=omega0), trunc)
+        kernel = self._check_banded_blocks(prop, field)
+        for _, _, bands, *_ in kernel.terms:
+            assert len(bands) > 1
+            assert all(rows.stop - rows.start <= step for rows, _, _ in bands)
+
     @pytest.mark.parametrize(
         "field, omega0, products",
         [(Thermal(2.0), 0.0, 1), (Coherent(1 + 0.5j), 0.0, 1),
@@ -791,8 +854,8 @@ class TestMapKernel:
         # 28 signed block terms at omega0 != 0; for a unit-Fock field M_dd
         # takes every product of M_uu, every (1, 0) block is mirrored, not
         # multiplied, and a coherent field's products are its rail Grams,
-        # each taking both of its overlaps at once (double width off
-        # omega0 = 0).  Each term holds one real factor
+        # each taking both of its overlaps at once (double width).  Each
+        # term holds one real factor as its bands
         trunc = TruncationSpec(default_ncut(field, 0.3))
         prop = build_hamiltonian(ModelParams(0.3, omega0=omega0), trunc)
         kernel = _MapKernel(prop, field)
@@ -801,10 +864,10 @@ class TestMapKernel:
             1 if omega0 == 0 else 28)
         # the factors are the kernel's own: the eigenvectors can be released
         modes = [v for _, v in prop.distinct_chains]
-        factors = [factor for _, _, factor, *_ in kernel.terms]
+        factors = [band for _, _, bands, *_ in kernel.terms for *_, band in bands]
         assert all(np.isrealobj(factor) for factor in factors)
         assert not any(np.shares_memory(a, v) for a in factors for v in modes)
-        # one product of a factor per term and phase block
+        # one product of each band per phase block
         grid = np.linspace(0.0, 2 * PI, 7)
         shapes = []
 
@@ -821,14 +884,14 @@ class TestMapKernel:
         kernel._block_ops(grid)
         monkeypatch.undo()
         f = prop.fock_dim
-        width = 2 if isinstance(field, Coherent) and omega0 else 1
         products_of_factors = [size for shape, size in shapes if shape[0] > 2]
-        assert len(products_of_factors) == products
-        if isinstance(field, Coherent):
-            assert products_of_factors == [width * f * len(grid)] * products
+        assert len(products_of_factors) == len(factors)
+        if isinstance(field, Coherent):  # one band per term, over every column
+            assert products_of_factors == [2 * f * len(grid)] * products
             # the factors do not depend on the coherent amplitude
             other = _MapKernel(prop, Coherent(-0.3j))
-            assert all(np.array_equal(a[2], b[2]) for a, b in zip(kernel.terms, other.terms))
+            assert all(np.array_equal(a[2], b[2]) for x, y in zip(kernel.terms, other.terms)
+                       for a, b in zip(x[2], y[2]))
 
 
 class TestTrimmedChains:
@@ -1518,21 +1581,23 @@ class TestMemoryBudget:
         return peak
 
     def test_degenerate_trace_holds_three_f_squared_words(self):
-        # eigenvectors, the one factor S and a chunk of rows of 2 E at F = 313
+        # at F = 313 the doubled run's eigensolve, its eigenvectors and the
+        # F x F workspace of dstevd, sets the peak of 2.07 F^2 words; its
+        # kernel holds the eigenvectors, the upper bands of S (0.24 F^2)
+        # and a chunk's blocks
         trunc = TruncationSpec(156)
         f = trunc.doubled().ncut + 1
         assert self._peak(ModelParams(0.3), Thermal(5.0), trunc) <= 3 * 8 * f * f
 
     def test_readme_esd_trace_peak(self):
         # thermal(25) at beta = 0.1: ncut 617, a doubled F = 1235 with
-        # K = 705 components; the peak is the eigenvectors, S (which takes
-        # each chunk's 2 E in place) and a chunk of F // 8 = 154 rows of G
-        # with its weighted overlaps and the even rows of the eigenvectors
-        # it multiplies.  The chunk's
-        # products reach only the columns whose eigenvectors share a nonzero
-        # Fock row with its own, a few hundred of the 1235 for the
-        # divide-and-conquer eigenvectors, so the peak measures 2.09 F^2
-        # words (2.33 with full-width chunks); the bound leaves 0.06 F^2
+        # K = 705 components.  The doubled run's eigensolve, its
+        # eigenvectors and the F x F workspace of dstevd, sets the peak of
+        # 2.01 F^2 words.  Its kernel holds the eigenvectors, the upper
+        # bands of S over the 795 kept eigenvectors (0.064 F^2; the whole
+        # 795 x 795 S took 0.41 F^2) and a chunk's blocks, whose products
+        # reach only the few hundred columns whose eigenvectors share a
+        # nonzero Fock row with its own; the bound leaves 0.14 F^2
         params, field = ModelParams(0.1), Thermal(25.0)
         trunc = truncation(field, 0.1)
         f = trunc.doubled().ncut + 1
@@ -1541,9 +1606,11 @@ class TestMemoryBudget:
 
     def test_coherent_run_holds_no_field_gram(self, monkeypatch):
         # Coherent(12 + 5j) at beta = 0.5 and omega0 = 0.7, F = 292, on 257
-        # points in small phase blocks: the eigenvectors, the four real
-        # rail-Gram factors and a chunk's copies of its window's rows,
-        # 7.6 F^2 words (ten complex field Grams and their products took 29)
+        # points in small phase blocks: the eigenvectors, the bands of the
+        # four real rail-Gram factors (upper bands for a chain with itself)
+        # and a chunk's copies of its window's rows, 4.61 F^2 words (7.6
+        # with whole F x F factors; ten complex field Grams and their
+        # products took 29)
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
         params, field = ModelParams(0.5, omega0=0.7), Coherent(12 + 5j)
         trunc, grid = TruncationSpec(291), np.linspace(0.0, 2 * PI, 257)
@@ -1558,14 +1625,15 @@ class TestMemoryBudget:
         tracemalloc.stop()
         assert peak <= oracle._run_bytes(params, field, trunc)
         assert peak <= oracle._trace_bytes(params, field, trunc)
-        assert peak < 16 * 8 * 292**2
+        assert peak < 5 * 8 * 292**2
 
     @pytest.mark.parametrize("field", [Thermal(5.0), Coherent(1 + 0.5j)], ids=str)
     def test_dense_eigenvectors_within_estimate(self, field, rng, monkeypatch):
         # a dense random orthogonal V at omega0 = 0, F = 601: no eigenvector
         # has an exact zero, so every chunk copies the even rows of the
-        # whole window, the worst case of those copies (2.56 F^2 words with V
-        # for the column, against an estimate of 2.65)
+        # whole window, the worst case of those copies (with V, 2.10 F^2
+        # words for the thermal field and 1.70 for the column, against
+        # estimates of 3.44 and 2.31)
         monkeypatch.setattr(oracle, "_PHASE_BLOCK_BYTES", 1 << 16)
         params, trunc = ModelParams(0.3), TruncationSpec(600)
         f = trunc.ncut + 1

@@ -8,7 +8,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from dense_reference import H4
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from degjc.closedform import (
@@ -20,7 +21,9 @@ from degjc.closedform import (
     two_qubit_offdiagonal,
 )
 from degjc.csvcells import csv_rows
+from degjc.entanglement import wootters_concurrences
 from degjc.model import (
+    PSD_TOL,
     BellState,
     Coherent,
     ModelParams,
@@ -100,6 +103,33 @@ def test_thermal_is_coherent_at_enhanced_coupling(nbar, beta, omega_t):
     coherent = concurrence_closed(
         BellState.PHI_PLUS, Vacuum(), beta * math.sqrt(1.0 + 2.0 * nbar), omega_t)
     assert thermal == pytest.approx(coherent, rel=1e-12, abs=1e-300)
+
+
+@PROPERTY
+@given(st.lists(st.floats(-0.05, 1.0, **finite), min_size=4, max_size=4),
+       st.lists(st.floats(-1.0, 1.0, **finite), min_size=32, max_size=32))
+def test_concurrence_needs_no_basis_change(spectrum, entries):
+    # the per-qubit Hadamard commutes with the spin flip sy x sy, so a
+    # sigma_x state and its Hadamard image in sigma_z have one concurrence
+    # and one spectrum, and a negative eigenvalue fails both alike
+    lowest = min(spectrum) / sum(spectrum) if sum(spectrum) > 0.1 else 0.0
+    assume(sum(spectrum) > 0.1 and abs(lowest - PSD_TOL) > 1e-12)
+    a = np.array(entries).reshape(2, 4, 4)
+    u, _ = np.linalg.qr(a[0] + 1j * a[1])
+    rho = (u * (np.array(spectrum) / sum(spectrum))) @ u.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    results = []
+    for state, basis in ((rho, QubitBasis.SIGMA_X), (H4 @ rho @ H4, QubitBasis.SIGMA_Z)):
+        try:
+            results.append(wootters_concurrences(state[None], basis))
+        except ValueError as exc:
+            assert "not positive semidefinite" in str(exc)
+            results.append(None)
+    x, z = results
+    assert (x is None) == (z is None) == (lowest < PSD_TOL)
+    if x is not None:
+        assert np.max(np.abs(x[0] - z[0])) <= 1e-14
+        assert np.max(np.abs(x[1] - z[1])) <= 1e-14
 
 
 half_period_fields = st.one_of(
